@@ -1,11 +1,10 @@
-// Serving-runtime load comparison: drives asrankd's two runtimes
-// (RuntimeMode::kTask vs the thread-per-worker kBlocking baseline) with the
-// same socket workload — many concurrent keep-alive connections, each
-// cycling connect → k binary CONE_SIZE requests → close — and records
-// per-request latency percentiles and throughput into BENCH_serve_load.json.
-// Not a paper artefact: this is the engineering harness for the task runtime
-// (src/runtime + src/serve/server.cpp); the BENCH trajectory tracks serving
-// tail latency across PRs.
+// Serving-runtime load harness: drives asrankd's task runtime with many
+// concurrent keep-alive connections, each cycling connect → k binary
+// CONE_SIZE requests → close, and records per-request latency percentiles
+// and throughput into BENCH_serve_load.json.  Not a paper artefact: this is
+// the engineering harness for the runtime (src/runtime +
+// src/serve/server.cpp); the BENCH trajectory tracks serving tail latency
+// across PRs.
 //
 //     bench_serve_load [connections] [duration_ms] [json_out] [total_ases]
 //
@@ -20,10 +19,8 @@
 // connection. Connections the server never got to within the window are
 // reported as `unanswered` rather than silently dropped from the stats.
 //
-// Exits non-zero if the task runtime loses to the blocking baseline on p99
-// — enforced only with >= 2 hardware threads AND >= 512 connections (on a
-// single core the reactor has no parallelism to win with; the JSON records
-// whether the gate was enforced).
+// Exits non-zero unless the server answered at least one request and no
+// connection failed.
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/resource.h>
@@ -226,8 +223,8 @@ class LoadConn final : public runtime::IoHandler {
       return;
     }
     if (requests_done_ >= kRequestsPerConnection) {
-      // Cycle the connection so the blocking baseline's per-connection
-      // workers hand their slot to the next queued client.
+      // Cycle the connection: admission and adoption stay on the measured
+      // path for the whole window.
       teardown(/*count_inflight=*/false);
       connect();
       return;
@@ -276,7 +273,7 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-struct ModeResult {
+struct LoadResult {
   LoadStats stats;
   double seconds = 0.0;
   double p50 = 0.0, p99 = 0.0, p999 = 0.0;
@@ -285,8 +282,8 @@ struct ModeResult {
   }
 };
 
-ModeResult run_mode(serve::SnapshotRegistry& snapshots, serve::RuntimeMode mode,
-                    std::size_t connections, int duration_ms,
+LoadResult run_load(serve::SnapshotRegistry& snapshots, std::size_t connections,
+                    int duration_ms,
                     const std::vector<std::vector<std::uint8_t>>& frames) {
   serve::ServerConfig config;
   config.port = 0;  // ephemeral
@@ -295,7 +292,6 @@ ModeResult run_mode(serve::SnapshotRegistry& snapshots, serve::RuntimeMode mode,
   config.idle_timeout_ms = 60000;
   config.query_deadline_ms = 30000;
   config.max_connections = 0;  // the bench controls concurrency, not shedding
-  config.runtime = mode;
   serve::Server server(snapshots, config);
   std::thread server_thread([&server] { server.run(); });
 
@@ -328,7 +324,7 @@ ModeResult run_mode(serve::SnapshotRegistry& snapshots, serve::RuntimeMode mode,
   server.stop();
   server_thread.join();
 
-  ModeResult result;
+  LoadResult result;
   result.stats = std::move(stats);
   result.seconds = elapsed.count();
   std::sort(result.stats.latencies_us.begin(), result.stats.latencies_us.end());
@@ -336,19 +332,6 @@ ModeResult run_mode(serve::SnapshotRegistry& snapshots, serve::RuntimeMode mode,
   result.p99 = percentile(result.stats.latencies_us, 0.99);
   result.p999 = percentile(result.stats.latencies_us, 0.999);
   return result;
-}
-
-void emit_mode(std::ostream& os, const std::string& name, const ModeResult& r,
-               bool& first) {
-  if (!first) os << ",\n";
-  first = false;
-  os << "    \"" << name << "\": {\"responses\": " << r.stats.responses
-     << ", \"connects\": " << r.stats.connects
-     << ", \"errors\": " << r.stats.errors
-     << ", \"unanswered\": " << r.stats.unanswered
-     << ", \"qps\": " << static_cast<std::uint64_t>(r.qps())
-     << ", \"p50_us\": " << r.p50 << ", \"p99_us\": " << r.p99
-     << ", \"p999_us\": " << r.p999 << "}";
 }
 
 }  // namespace
@@ -402,29 +385,15 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "== serve load (" << connections << " connections, " << duration_ms
-            << " ms per mode, " << graph.as_count() << " ASes, "
-            << hardware_threads << " hardware threads) ==\n";
+            << " ms, " << graph.as_count() << " ASes, " << hardware_threads
+            << " hardware threads) ==\n";
 
-  const auto blocking =
-      run_mode(snapshots, serve::RuntimeMode::kBlocking, connections, duration_ms, frames);
-  std::cout << "blocking: " << blocking.stats.responses << " responses, "
-            << static_cast<std::uint64_t>(blocking.qps()) << " qps, p50 "
-            << blocking.p50 << " us, p99 " << blocking.p99 << " us, p999 "
-            << blocking.p999 << " us (" << blocking.stats.unanswered
+  const auto load = run_load(snapshots, connections, duration_ms, frames);
+  std::cout << "task: " << load.stats.responses << " responses, "
+            << static_cast<std::uint64_t>(load.qps()) << " qps, p50 " << load.p50
+            << " us, p99 " << load.p99 << " us, p999 " << load.p999 << " us ("
+            << load.stats.errors << " errors, " << load.stats.unanswered
             << " unanswered)\n";
-
-  const auto task =
-      run_mode(snapshots, serve::RuntimeMode::kTask, connections, duration_ms, frames);
-  std::cout << "task:     " << task.stats.responses << " responses, "
-            << static_cast<std::uint64_t>(task.qps()) << " qps, p50 " << task.p50
-            << " us, p99 " << task.p99 << " us, p999 " << task.p999 << " us ("
-            << task.stats.unanswered << " unanswered)\n";
-
-  const bool gate_enforced = hardware_threads >= 2 && connections >= 512;
-  std::string gate = gate_enforced ? "enforced"
-                     : hardware_threads < 2
-                         ? "skipped (single hardware thread)"
-                         : "skipped (low concurrency)";
 
   std::ofstream json(json_out);
   json << "{\n  \"bench\": \"serve_load\",\n";
@@ -433,23 +402,20 @@ int main(int argc, char** argv) {
   json << "  \"requests_per_connection\": " << kRequestsPerConnection << ",\n";
   json << "  \"duration_ms\": " << duration_ms << ",\n";
   json << "  \"ases\": " << graph.as_count() << ",\n";
-  json << "  \"p99_gate\": \"" << gate << "\",\n";
   json << "  \"modes\": {\n";
-  bool first = true;
-  emit_mode(json, "blocking", blocking, first);
-  emit_mode(json, "task", task, first);
-  json << "\n  }\n}\n";
+  json << "    \"task\": {\"responses\": " << load.stats.responses
+       << ", \"connects\": " << load.stats.connects
+       << ", \"errors\": " << load.stats.errors
+       << ", \"unanswered\": " << load.stats.unanswered
+       << ", \"qps\": " << static_cast<std::uint64_t>(load.qps())
+       << ", \"p50_us\": " << load.p50 << ", \"p99_us\": " << load.p99
+       << ", \"p999_us\": " << load.p999 << "}\n  }\n}\n";
   std::cout << "wrote " << json_out << "\n";
 
-  if (blocking.stats.responses == 0 || task.stats.responses == 0) {
-    std::cerr << "FAIL: a runtime served zero responses\n";
+  if (load.stats.responses == 0 || load.stats.errors != 0) {
+    std::cerr << "FAIL: " << load.stats.responses << " responses, "
+              << load.stats.errors << " errors\n";
     return 1;
   }
-  if (gate_enforced && task.p99 > blocking.p99) {
-    std::cerr << "FAIL: task runtime p99 (" << task.p99
-              << " us) worse than blocking baseline (" << blocking.p99 << " us)\n";
-    return 1;
-  }
-  std::cout << "p99 gate: " << gate << "\n";
   return 0;
 }

@@ -106,7 +106,12 @@ class Args {
   }
   [[nodiscard]] std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     const auto value = get(key);
-    return value ? std::strtoull(value->c_str(), nullptr, 10) : fallback;
+    if (!value) return fallback;
+    const auto parsed = util::parse_unsigned<std::uint64_t>(*value);
+    if (!parsed) {
+      throw UsageError("--" + key + " wants an unsigned integer, got '" + *value + "'");
+    }
+    return *parsed;
   }
 
  private:
@@ -614,22 +619,13 @@ int cmd_serve(const Args& args) {
   config.idle_timeout_ms = static_cast<int>(args.get_u64("idle-timeout-ms", 60000));
   config.query_deadline_ms = static_cast<int>(args.get_u64("deadline-ms", 5000));
   config.max_connections = args.get_u64("max-conns", 256);
-  // --runtime blocking keeps the thread-per-connection baseline around for
-  // A/B comparisons; the task runtime is the default.
-  const std::string runtime = args.get_or("runtime", "task");
-  if (runtime == "blocking") {
-    config.runtime = serve::RuntimeMode::kBlocking;
-  } else if (runtime != "task") {
-    throw UsageError("unknown --runtime '" + runtime + "' (task|blocking)");
-  }
   // SIGHUP re-reads the serving snapshot path (or --reload-path override).
   config.reload_path = args.get_or("reload-path", snapshot_path);
   config.reload_label = args.get_or("epoch", "");
   serve::Server server(registry, config);
   server.install_signal_handlers();
   std::cerr << "asrankd " << ASRANK_VERSION << " listening on " << config.host << ":"
-            << server.port() << " (" << server.worker_threads() << " "
-            << runtime << " workers)\n";
+            << server.port() << " (" << server.worker_threads() << " workers)\n";
   server.run();
   std::cerr << "asrankd: clean shutdown after " << server.connections_served()
             << " connections\n" << registry.current()->render_stats();

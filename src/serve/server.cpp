@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_map>
 
 #include "obs/log.h"
@@ -21,6 +20,7 @@
 #include "runtime/reactor.h"
 #include "runtime/timer_queue.h"
 #include "serve/protocol.h"
+#include "serve/wire_ops.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -44,13 +44,8 @@ std::vector<std::uint8_t> error_response(const std::string& message) {
   return writer.take();
 }
 
-std::string join_asns(std::span<const Asn> list) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (i != 0) os << ' ';
-    os << list[i].value();
-  }
-  return os.str();
+Error trailing_bytes() {
+  return make_error(ErrorCode::kProtocol, "trailing bytes after request operands");
 }
 
 /// The self-pipe write end for the signal handler (one server per process).
@@ -68,14 +63,15 @@ void on_signal(int sig) {
 /// Engine-scoped opcodes (everything answerable from one epoch).  Registry
 /// ops (EPOCHS/CONE_DIFF/RELOAD/WITH_EPOCH) are handled by the caller and
 /// rejected here so they cannot nest.
-Result<void> dispatch_engine_op(QueryEngine& engine, Op op, WireReader& reader,
+Result<void> dispatch_engine_op(const SnapshotRegistry::ReadView& view,
+                                QueryEngine& engine, Op op, WireReader& reader,
                                 WireWriter& writer) {
   switch (op) {
     case Op::kRelationship: {
       ASRANK_TRY(a, reader.u32());
       ASRANK_TRY(b, reader.u32());
-      const auto view = engine.relationship(Asn(a), Asn(b));
-      writer.u8(view ? static_cast<std::uint8_t>(*view) : kRelNone);
+      const auto rel = engine.relationship(Asn(a), Asn(b));
+      writer.u8(rel ? static_cast<std::uint8_t>(*rel) : kRelNone);
       break;
     }
     case Op::kRank: {
@@ -151,10 +147,7 @@ Result<void> dispatch_engine_op(QueryEngine& engine, Op op, WireReader& reader,
       break;
     }
     case Op::kMetrics: {
-      engine.registry()
-          .counter("asrankd_metrics_requests_total",
-                   "METRICS opcode / `metrics` text command serves")
-          .inc();
+      view.owner().request_counters().metrics_requests->inc();
       writer.text(engine.registry().render_prometheus());
       break;
     }
@@ -163,9 +156,7 @@ Result<void> dispatch_engine_op(QueryEngine& engine, Op op, WireReader& reader,
                         "unknown opcode " +
                             std::to_string(static_cast<unsigned>(op)));
   }
-  if (!reader.done()) {
-    return make_error(ErrorCode::kProtocol, "trailing bytes after request operands");
-  }
+  if (!reader.done()) return trailing_bytes();
   return {};
 }
 
@@ -184,35 +175,30 @@ Result<const SnapshotRegistry::Entry*> require_epoch(
   if (entry == nullptr) {
     return make_error(ErrorCode::kUnknownEpoch, "unknown epoch '" + label + "'");
   }
-  view.owner()
-      .registry()
-      .counter("asrankd_epoch_queries_total", "Queries naming an explicit epoch")
-      .inc();
+  view.owner().request_counters().epoch_queries->inc();
   return entry;
 }
 
-/// Algorithm-qualified engine within one epoch.  The "unknown algorithm"
-/// prefix is part of the wire contract (the client maps it to
-/// kUnknownAlgorithm), so keep it stable.
+/// The "unknown algorithm" prefix is part of the wire contract (the client
+/// maps it to kUnknownAlgorithm), so keep it stable.
+Error unknown_algorithm(const SnapshotRegistry::Entry& entry, std::string_view name) {
+  std::string carried;
+  for (const auto& algo : entry.algo_names) {
+    if (!carried.empty()) carried += ", ";
+    carried += algo;
+  }
+  return make_error(ErrorCode::kUnknownAlgorithm,
+                    "unknown algorithm '" + std::string(name) + "' (epoch '" +
+                        entry.label + "' carries: " + carried + ")");
+}
+
+/// Algorithm-qualified engine within one epoch.
 Result<QueryEngine*> require_algo(const SnapshotRegistry::ReadView& view,
                                   const SnapshotRegistry::Entry& entry,
                                   const std::string& name) {
   auto* engine = entry.algo(name);
-  if (engine == nullptr) {
-    std::string carried;
-    for (const auto& algo : entry.algo_names) {
-      if (!carried.empty()) carried += ", ";
-      carried += algo;
-    }
-    return make_error(ErrorCode::kUnknownAlgorithm,
-                      "unknown algorithm '" + name + "' (epoch '" + entry.label +
-                          "' carries: " + carried + ")");
-  }
-  view.owner()
-      .registry()
-      .counter("asrankd_algo_selected_queries_total",
-               "Queries naming an explicit algorithm")
-      .inc();
+  if (engine == nullptr) return unknown_algorithm(entry, name);
+  view.owner().request_counters().algo_selected->inc();
   return engine;
 }
 
@@ -278,13 +264,10 @@ Result<void> dispatch_entry_op(const SnapshotRegistry::ReadView& view,
       ASRANK_TRY(engine, require_algo(view, entry, name));
       WireReader inner(reader.rest());
       ASRANK_TRY(inner_op, inner.u8());
-      return dispatch_engine_op(*engine, static_cast<Op>(inner_op), inner, writer);
+      return dispatch_engine_op(view, *engine, static_cast<Op>(inner_op), inner, writer);
     }
     case Op::kAlgos: {
-      if (!reader.done()) {
-        return make_error(ErrorCode::kProtocol,
-                          "trailing bytes after request operands");
-      }
+      if (!reader.done()) return trailing_bytes();
       writer.u32(static_cast<std::uint32_t>(entry.algo_names.size()));
       for (const auto& name : entry.algo_names) writer.str16(name);
       return {};
@@ -293,16 +276,10 @@ Result<void> dispatch_entry_op(const SnapshotRegistry::ReadView& view,
       ASRANK_TRY(name_a, reader.str16());
       ASRANK_TRY(name_b, reader.str16());
       ASRANK_TRY(limit, reader.u32());
-      if (!reader.done()) {
-        return make_error(ErrorCode::kProtocol,
-                          "trailing bytes after request operands");
-      }
+      if (!reader.done()) return trailing_bytes();
       ASRANK_TRY(engine_a, require_algo(view, entry, name_a));
       ASRANK_TRY(engine_b, require_algo(view, entry, name_b));
-      view.owner()
-          .registry()
-          .counter("asrankd_disagreements_total", "DISAGREE queries served")
-          .inc();
+      view.owner().request_counters().disagreements->inc();
       const auto rows = disagreements(engine_a->index(), engine_b->index());
       const std::size_t returned =
           limit == 0 ? rows.size()
@@ -318,8 +295,275 @@ Result<void> dispatch_entry_op(const SnapshotRegistry::ReadView& view,
       return {};
     }
     default:
-      return dispatch_engine_op(*entry.engine, op, reader, writer);
+      return dispatch_engine_op(view, *entry.engine, op, reader, writer);
   }
+}
+
+// -------------------------------------------------------------- text rail --
+//
+// A text line is tokenized into the binary request a Client would send for
+// the same query, run through handle_binary_request, and the response body
+// rendered back to one "OK ..." line.  Only HELP, PING and QUIT are answered
+// without the dispatcher.
+
+constexpr std::string_view kHelpText =
+    "OK commands: PING REL RANK CONESIZE CONE INCONE PROVIDERS "
+    "CUSTOMERS PEERS TOP INTERSECT CLIQUEPATH CLIQUE STATS METRICS "
+    "EPOCHS ALGOS CONEDIFF DISAGREE RELOAD HELP QUIT (prefix "
+    "@<epoch> and/or @<algorithm> scopes a command)";
+
+/// Engine commands whose operands are all ASNs.
+struct AsnCommand {
+  std::string_view name;
+  Op op;
+  std::size_t arity;
+  std::string_view usage;
+};
+
+constexpr AsnCommand kAsnCommands[] = {
+    {"rel", Op::kRelationship, 2, "REL <asn> <asn>"},
+    {"rank", Op::kRank, 1, "RANK <asn>"},
+    {"conesize", Op::kConeSize, 1, "CONESIZE <asn>"},
+    {"cone", Op::kCone, 1, "CONE <asn>"},
+    {"incone", Op::kInCone, 2, "INCONE <asn> <member>"},
+    {"providers", Op::kProviders, 1, "providers <asn>"},
+    {"customers", Op::kCustomers, 1, "customers <asn>"},
+    {"peers", Op::kPeers, 1, "peers <asn>"},
+    {"intersect", Op::kConeIntersect, 2, "INTERSECT <asn> <asn>"},
+    {"cliquepath", Op::kPathToClique, 1, "CLIQUEPATH <asn>"},
+};
+
+Error usage(std::string_view text) {
+  return make_error(ErrorCode::kInvalidArgument, "usage: " + std::string(text));
+}
+
+/// Strip the leading "@<selector>" tokens into a QueryScope.  The first
+/// resolves as a resident epoch label, falling back to an algorithm of the
+/// current epoch; a second must be an algorithm within the selected epoch.
+/// So "@rib-a @gao2001 CONE 42", "@gao2001 CONE 42" and "@rib-a CONE 42"
+/// all read naturally.  Selectors are only checked here; the dispatcher
+/// counts them when it answers from them.
+Result<QueryScope> take_selectors(const SnapshotRegistry::ReadView& view,
+                                  std::vector<std::string_view>& tokens) {
+  QueryScope scope;
+  const SnapshotRegistry::Entry* scoped = nullptr;
+  std::size_t used = 0;
+  for (; used < tokens.size() && tokens[used].size() > 1 && tokens[used].front() == '@';
+       ++used) {
+    const std::string_view label = tokens[used].substr(1);
+    if (scoped == nullptr) {
+      scoped = view.find_epoch(label);
+      if (scoped != nullptr) {
+        scope.epoch = label;
+        continue;
+      }
+      // Not a resident epoch: an algorithm of the current epoch, reporting
+      // both namespaces on a miss (the selector is ambiguous).
+      ASRANK_TRY(current, require_current(view));
+      if (current->algo(label) == nullptr) {
+        return make_error(ErrorCode::kInvalidArgument,
+                          "unknown epoch or algorithm '" + std::string(label) + "'");
+      }
+      scoped = current;
+      scope.algorithm = label;
+      continue;
+    }
+    if (!scope.algorithm.empty()) {
+      return make_error(ErrorCode::kInvalidArgument, "at most one @<algorithm> selector");
+    }
+    if (scoped->algo(label) == nullptr) return unknown_algorithm(*scoped, label);
+    scope.algorithm = label;
+  }
+  tokens.erase(tokens.begin(), tokens.begin() + static_cast<std::ptrdiff_t>(used));
+  if (used > 0 && tokens.empty()) return usage("@<epoch|algorithm> <command>");
+  return scope;
+}
+
+/// A text command as the binary request a Client sends for it.
+struct TextRequest {
+  Op op;  ///< the command's opcode, inside any scope wrapper
+  std::vector<std::uint8_t> payload;
+};
+
+/// Encode `tokens` (command first, selectors stripped).  Engine ops carry
+/// the whole scope, ALGOS/DISAGREE its epoch only, and EPOCHS/CONEDIFF/
+/// RELOAD none of it.
+Result<TextRequest> encode_command(const SnapshotRegistry::ReadView& view,
+                                   const std::string& cmd,
+                                   const std::vector<std::string_view>& tokens,
+                                   const QueryScope& scope, bool local_peer) {
+  if (cmd == "epochs") return TextRequest{Op::kEpochs, wire::request(Op::kEpochs).take()};
+  if (cmd == "algos" || cmd == "algorithms") {
+    return TextRequest{Op::kAlgos,
+                       wire::apply_epoch(scope.epoch, wire::request(Op::kAlgos).take())};
+  }
+  if (cmd == "disagree") {
+    std::optional<std::uint32_t> limit = 0;
+    if (tokens.size() == 4) limit = util::parse_unsigned<std::uint32_t>(tokens[3]);
+    if ((tokens.size() != 3 && tokens.size() != 4) || !limit) {
+      return usage("DISAGREE <algoA> <algoB> [limit]");
+    }
+    auto req = wire::request(Op::kDisagree);
+    req.str16(tokens[1]);
+    req.str16(tokens[2]);
+    req.u32(*limit);
+    return TextRequest{Op::kDisagree, wire::apply_epoch(scope.epoch, req.take())};
+  }
+  if (cmd == "conediff") {
+    const auto as = tokens.size() == 4 ? Asn::parse(tokens[1]) : std::nullopt;
+    if (!as) return usage("CONEDIFF <asn> <epochA> <epochB>");
+    auto req = wire::request(Op::kConeDiff);
+    req.u32(as->value());
+    req.str16(tokens[2]);
+    req.str16(tokens[3]);
+    return TextRequest{Op::kConeDiff, req.take()};
+  }
+  if (cmd == "reload") {
+    // A remote peer is denied by the dispatcher before its operands count.
+    if (local_peer && tokens.size() != 2 && tokens.size() != 3) {
+      return usage("RELOAD <path> [epoch]");
+    }
+    auto req = wire::request(Op::kReload);
+    req.str16(tokens.size() > 1 ? tokens[1] : std::string_view{});
+    req.str16(tokens.size() > 2 ? tokens[2] : std::string_view{});
+    return TextRequest{Op::kReload, req.take()};
+  }
+
+  // Engine commands: a missing snapshot is reported before their operands.
+  if (auto current = require_current(view); !current.ok()) return current.take_error();
+  const auto engine_request = [&scope](Op op, WireWriter req) {
+    return TextRequest{op, wire::apply_scope(scope, req.take())};
+  };
+  if (cmd == "top") {
+    const auto n = tokens.size() == 2 ? util::parse_unsigned<std::uint32_t>(tokens[1])
+                                      : std::nullopt;
+    if (!n) return usage("TOP <n>");
+    auto req = wire::request(Op::kTop);
+    req.u32(*n);
+    return engine_request(Op::kTop, std::move(req));
+  }
+  if (cmd == "clique") return engine_request(Op::kClique, wire::request(Op::kClique));
+  if (cmd == "stats") return engine_request(Op::kStats, wire::request(Op::kStats));
+  if (cmd == "metrics") return engine_request(Op::kMetrics, wire::request(Op::kMetrics));
+  for (const auto& command : kAsnCommands) {
+    if (cmd != command.name) continue;
+    if (tokens.size() != command.arity + 1) return usage(command.usage);
+    auto req = wire::request(command.op);
+    for (std::size_t i = 1; i <= command.arity; ++i) {
+      const auto as = Asn::parse(tokens[i]);
+      if (!as) return usage(command.usage);
+      req.u32(as->value());
+    }
+    return engine_request(command.op, std::move(req));
+  }
+  return make_error(ErrorCode::kInvalidArgument,
+                    "unknown command '" + std::string(tokens[0]) + "' (try HELP)");
+}
+
+void append_asns(std::string& out, const std::vector<Asn>& list, std::string_view lead) {
+  for (const Asn as : list) {
+    out += lead;
+    out += std::to_string(as.value());
+  }
+}
+
+std::string_view rel_text(const std::optional<RelView>& rel) {
+  return rel ? to_string(*rel) : std::string_view("none");
+}
+
+/// The text rendering of a successful response body to `op`.
+Result<std::string> render_text(Op op, std::span<const std::uint8_t> body) {
+  WireReader reader(body);
+  std::string out = "OK";
+  switch (op) {
+    case Op::kRelationship: {
+      ASRANK_TRY(code, reader.u8());
+      ASRANK_TRY(rel, wire::decode_rel_opt(code));
+      out += ' ';
+      out += rel_text(rel);
+      break;
+    }
+    case Op::kRank: {
+      ASRANK_TRY(rank, reader.u32());
+      out += ' ' + std::to_string(rank);
+      break;
+    }
+    case Op::kConeSize: {
+      ASRANK_TRY(size, reader.u64());
+      out += ' ' + std::to_string(size);
+      break;
+    }
+    case Op::kInCone: {
+      ASRANK_TRY(member, reader.u8());
+      out += member != 0 ? " yes" : " no";
+      break;
+    }
+    case Op::kTop: {
+      ASRANK_TRY(entries, wire::decode_top(body));
+      for (const auto& entry : entries) {
+        out += ' ' + std::to_string(entry.rank) + ':' + std::to_string(entry.as.value()) +
+               ':' + std::to_string(entry.cone_size) + ':' +
+               std::to_string(entry.transit_degree);
+      }
+      break;
+    }
+    case Op::kStats:
+    case Op::kMetrics:
+      out += '\n' + reader.rest_as_text() + '.';
+      break;
+    case Op::kEpochs:
+    case Op::kAlgos: {
+      ASRANK_TRY(labels, wire::decode_labels(body));
+      for (const auto& label : labels) out += ' ' + label;
+      break;
+    }
+    case Op::kDisagree: {
+      ASRANK_TRY(report, wire::decode_disagree(body));
+      out += ' ' + std::to_string(report.total);
+      for (const auto& row : report.rows) {
+        out += ' ' + std::to_string(row.a.value()) + ':' + std::to_string(row.b.value()) +
+               ':' + std::string(rel_text(row.first)) + ':' +
+               std::string(rel_text(row.second));
+      }
+      break;
+    }
+    case Op::kConeDiff: {
+      ASRANK_TRY(diff, wire::decode_cone_diff(body));
+      append_asns(out, diff.added, " +");
+      append_asns(out, diff.removed, " -");
+      break;
+    }
+    case Op::kReload: {
+      ASRANK_TRY(info, wire::decode_reload(body));
+      out += ' ' + info.label + ' ' + std::to_string(info.ases);
+      break;
+    }
+    default: {  // ASN lists: an empty one still renders as "OK "
+      ASRANK_TRY(list, wire::decode_asn_list(body));
+      if (list.empty()) out += ' ';
+      append_asns(out, list, " ");
+    }
+  }
+  return out;
+}
+
+Result<std::string> answer_text(const SnapshotRegistry::ReadView& view,
+                                std::string_view line, bool local_peer) {
+  auto tokens = util::split_ws(util::trim(line));
+  if (tokens.empty()) return make_error(ErrorCode::kInvalidArgument, "empty command");
+  ASRANK_TRY(scope, take_selectors(view, tokens));
+  const auto cmd = util::to_lower(tokens[0]);
+  if (cmd == "ping") return std::string("OK pong");
+  if (cmd == "help") return std::string(kHelpText);
+
+  ASRANK_TRY(request, encode_command(view, cmd, tokens, scope, local_peer));
+  const auto response = handle_binary_request(view, request.payload, local_peer);
+  WireReader reader(response);
+  ASRANK_TRY(status, reader.u8());
+  if (static_cast<Status>(status) != Status::kOk) {
+    return make_error(ErrorCode::kProtocol, reader.rest_as_text());
+  }
+  return render_text(request.op, reader.rest());
 }
 
 }  // namespace
@@ -344,26 +588,17 @@ std::vector<std::uint8_t> handle_binary_request(
         const auto labels = view.epochs();
         writer.u32(static_cast<std::uint32_t>(labels.size()));
         for (const auto& label : labels) writer.str16(label);
-        if (!reader.done()) {
-          return make_error(ErrorCode::kProtocol,
-                            "trailing bytes after request operands");
-        }
+        if (!reader.done()) return trailing_bytes();
         return writer.take();
       }
       case Op::kConeDiff: {
         ASRANK_TRY(asn, reader.u32());
         ASRANK_TRY(label_a, reader.str16());
         ASRANK_TRY(label_b, reader.str16());
-        if (!reader.done()) {
-          return make_error(ErrorCode::kProtocol,
-                            "trailing bytes after request operands");
-        }
+        if (!reader.done()) return trailing_bytes();
         ASRANK_TRY(entry_a, require_epoch(view, label_a));
         ASRANK_TRY(entry_b, require_epoch(view, label_b));
-        view.owner()
-            .registry()
-            .counter("asrankd_cone_diffs_total", "CONE_DIFF queries served")
-            .inc();
+        view.owner().request_counters().cone_diffs->inc();
         auto* engine_a = entry_a->engine.get();
         auto* engine_b = entry_b->engine.get();
         const auto cone_a = engine_a->cone(Asn(asn));
@@ -375,10 +610,7 @@ std::vector<std::uint8_t> handle_binary_request(
       case Op::kReload: {
         ASRANK_TRY(path, reader.str16());
         ASRANK_TRY(label, reader.str16());
-        if (!reader.done()) {
-          return make_error(ErrorCode::kProtocol,
-                            "trailing bytes after request operands");
-        }
+        if (!reader.done()) return trailing_bytes();
         if (!local_peer) {
           return make_error(ErrorCode::kInvalidArgument,
                             "reload denied: not a local peer");
@@ -423,237 +655,10 @@ std::vector<std::uint8_t> handle_binary_request(SnapshotRegistry& registry,
 
 std::string handle_text_request(const SnapshotRegistry::ReadView& view,
                                 std::string_view line, bool local_peer) {
-  auto tokens = util::split_ws(util::trim(line));
-  if (tokens.empty()) return "ERR empty command";
-
-  // "@<selector> ..." prefixes scope the command.  The first @token resolves
-  // as a resident epoch label, falling back to an algorithm name in the
-  // current epoch; a second @token must be an algorithm within the selected
-  // epoch.  So "@rib-a @gao2001 CONE 42", "@gao2001 CONE 42", and
-  // "@rib-a CONE 42" all read naturally.
-  const SnapshotRegistry::Entry* scope = nullptr;
-  QueryEngine* engine = nullptr;
-  while (!tokens.empty() && tokens[0].size() > 1 && tokens[0].front() == '@') {
-    const std::string label(tokens[0].substr(1));
-    if (scope == nullptr && engine == nullptr) {
-      if (const auto* entry = view.find_epoch(label); entry != nullptr) {
-        view.owner()
-            .registry()
-            .counter("asrankd_epoch_queries_total",
-                     "Queries naming an explicit epoch")
-            .inc();
-        scope = entry;
-        tokens.erase(tokens.begin());
-        continue;
-      }
-      // Not a resident epoch: try it as an algorithm of the current epoch,
-      // reporting both namespaces on a miss (the selector is ambiguous).
-      auto current = require_current(view);
-      if (!current.ok()) return "ERR " + current.error().context;
-      auto scoped = require_algo(view, *current.value(), label);
-      if (!scoped.ok()) return "ERR unknown epoch or algorithm '" + label + "'";
-      scope = current.value();
-      engine = scoped.value();
-      tokens.erase(tokens.begin());
-      continue;
-    }
-    if (engine != nullptr) return "ERR at most one @<algorithm> selector";
-    auto scoped = require_algo(view, *scope, label);
-    if (!scoped.ok()) return "ERR " + scoped.error().context;
-    engine = scoped.value();
-    tokens.erase(tokens.begin());
-  }
-  if ((scope != nullptr || engine != nullptr) && tokens.empty()) {
-    return "ERR usage: @<epoch|algorithm> <command>";
-  }
-  if (engine == nullptr && scope != nullptr) engine = scope->engine.get();
-  const auto cmd = util::to_lower(tokens[0]);
-
-  const auto arg_as = [&tokens](std::size_t i) -> std::optional<Asn> {
-    if (i >= tokens.size()) return std::nullopt;
-    return Asn::parse(tokens[i]);
-  };
-  const auto want_args = [&tokens](std::size_t n) { return tokens.size() == n + 1; };
-
   try {
-    if (cmd == "ping") return "OK pong";
-    if (cmd == "help") {
-      return "OK commands: PING REL RANK CONESIZE CONE INCONE PROVIDERS "
-             "CUSTOMERS PEERS TOP INTERSECT CLIQUEPATH CLIQUE STATS METRICS "
-             "EPOCHS ALGOS CONEDIFF DISAGREE RELOAD HELP QUIT (prefix "
-             "@<epoch> and/or @<algorithm> scopes a command)";
-    }
-    if (cmd == "epochs") {
-      std::string out = "OK";
-      for (const auto& label : view.epochs()) out += " " + label;
-      return out;
-    }
-    if (cmd == "algos" || cmd == "algorithms") {
-      const SnapshotRegistry::Entry* base = scope;
-      if (base == nullptr) {
-        auto current = require_current(view);
-        if (!current.ok()) return "ERR " + current.error().context;
-        base = current.value();
-      }
-      std::string out = "OK";
-      for (const auto& name : base->algo_names) out += " " + name;
-      return out;
-    }
-    if (cmd == "disagree") {
-      if (tokens.size() != 3 && tokens.size() != 4) {
-        return "ERR usage: DISAGREE <algoA> <algoB> [limit]";
-      }
-      std::uint32_t limit = 0;
-      if (tokens.size() == 4) {
-        const auto parsed = util::parse_unsigned<std::uint32_t>(tokens[3]);
-        if (!parsed) return "ERR usage: DISAGREE <algoA> <algoB> [limit]";
-        limit = *parsed;
-      }
-      const SnapshotRegistry::Entry* base = scope;
-      if (base == nullptr) {
-        auto current = require_current(view);
-        if (!current.ok()) return "ERR " + current.error().context;
-        base = current.value();
-      }
-      auto a = require_algo(view, *base, std::string(tokens[1]));
-      if (!a.ok()) return "ERR " + a.error().context;
-      auto b = require_algo(view, *base, std::string(tokens[2]));
-      if (!b.ok()) return "ERR " + b.error().context;
-      view.owner()
-          .registry()
-          .counter("asrankd_disagreements_total", "DISAGREE queries served")
-          .inc();
-      const auto rows = disagreements(a.value()->index(), b.value()->index());
-      const std::size_t shown =
-          limit == 0 ? rows.size() : std::min<std::size_t>(limit, rows.size());
-      const auto rel_text = [](std::uint8_t code) -> std::string {
-        if (code == kRelNone) return "none";
-        return std::string(to_string(static_cast<RelView>(code)));
-      };
-      std::ostringstream os;
-      os << "OK " << rows.size();
-      for (std::size_t i = 0; i < shown; ++i) {
-        os << ' ' << rows[i].a.value() << ':' << rows[i].b.value() << ':'
-           << rel_text(rows[i].rel_a) << ':' << rel_text(rows[i].rel_b);
-      }
-      return os.str();
-    }
-    if (cmd == "conediff") {
-      const auto as = arg_as(1);
-      if (!want_args(3) || !as) return "ERR usage: CONEDIFF <asn> <epochA> <epochB>";
-      auto a = require_epoch(view, std::string(tokens[2]));
-      if (!a.ok()) return "ERR " + a.error().context;
-      auto b = require_epoch(view, std::string(tokens[3]));
-      if (!b.ok()) return "ERR " + b.error().context;
-      view.owner()
-          .registry()
-          .counter("asrankd_cone_diffs_total", "CONE_DIFF queries served")
-          .inc();
-      auto* engine_a = a.value()->engine.get();
-      auto* engine_b = b.value()->engine.get();
-      const auto cone_a = engine_a->cone(*as);
-      const auto cone_b = engine_b->cone(*as);
-      std::ostringstream os;
-      os << "OK";
-      for (const Asn added : engine_b->cone_minus(*as, cone_a)) {
-        os << " +" << added.value();
-      }
-      for (const Asn removed : engine_a->cone_minus(*as, cone_b)) {
-        os << " -" << removed.value();
-      }
-      return os.str();
-    }
-    if (cmd == "reload") {
-      if (!local_peer) return "ERR reload denied: not a local peer";
-      if (tokens.size() != 2 && tokens.size() != 3) {
-        return "ERR usage: RELOAD <path> [epoch]";
-      }
-      auto loaded = view.owner().load_file(
-          std::string(tokens[1]),
-          tokens.size() == 3 ? std::string(tokens[2]) : std::string());
-      if (!loaded.ok()) return "ERR " + loaded.error().context;
-      return "OK " + loaded.value().label + " " +
-             std::to_string(loaded.value().engine->index().as_count());
-    }
-
-    // Everything below is engine-scoped: default to the current epoch's
-    // primary algorithm.
-    if (engine == nullptr) {
-      auto current = require_current(view);
-      if (!current.ok()) return "ERR " + current.error().context;
-      engine = current.value()->engine.get();
-    }
-
-    if (cmd == "rel") {
-      const auto a = arg_as(1), b = arg_as(2);
-      if (!want_args(2) || !a || !b) return "ERR usage: REL <asn> <asn>";
-      const auto rel = engine->relationship(*a, *b);
-      return std::string("OK ") + (rel ? std::string(to_string(*rel)) : "none");
-    }
-    if (cmd == "rank") {
-      const auto as = arg_as(1);
-      if (!want_args(1) || !as) return "ERR usage: RANK <asn>";
-      return "OK " + std::to_string(engine->rank(*as).value_or(0));
-    }
-    if (cmd == "conesize") {
-      const auto as = arg_as(1);
-      if (!want_args(1) || !as) return "ERR usage: CONESIZE <asn>";
-      return "OK " + std::to_string(engine->cone_size(*as));
-    }
-    if (cmd == "cone") {
-      const auto as = arg_as(1);
-      if (!want_args(1) || !as) return "ERR usage: CONE <asn>";
-      return "OK " + join_asns(engine->cone(*as));
-    }
-    if (cmd == "incone") {
-      const auto a = arg_as(1), b = arg_as(2);
-      if (!want_args(2) || !a || !b) return "ERR usage: INCONE <asn> <member>";
-      return engine->in_cone(*a, *b) ? "OK yes" : "OK no";
-    }
-    if (cmd == "providers" || cmd == "customers" || cmd == "peers") {
-      const auto as = arg_as(1);
-      if (!want_args(1) || !as) return "ERR usage: " + util::to_lower(cmd) + " <asn>";
-      const auto list = cmd == "providers" ? engine->providers(*as)
-                        : cmd == "customers" ? engine->customers(*as)
-                                             : engine->peers(*as);
-      return "OK " + join_asns(list);
-    }
-    if (cmd == "top") {
-      if (!want_args(1)) return "ERR usage: TOP <n>";
-      const auto n = util::parse_unsigned<std::uint32_t>(tokens[1]);
-      if (!n) return "ERR usage: TOP <n>";
-      std::ostringstream os;
-      os << "OK";
-      for (const auto& entry : engine->top(*n)) {
-        os << ' ' << entry.rank << ':' << entry.as.value() << ':' << entry.cone_size
-           << ':' << entry.transit_degree;
-      }
-      return os.str();
-    }
-    if (cmd == "intersect") {
-      const auto a = arg_as(1), b = arg_as(2);
-      if (!want_args(2) || !a || !b) return "ERR usage: INTERSECT <asn> <asn>";
-      return "OK " + join_asns(*engine->cone_intersection(*a, *b));
-    }
-    if (cmd == "cliquepath") {
-      const auto as = arg_as(1);
-      if (!want_args(1) || !as) return "ERR usage: CLIQUEPATH <asn>";
-      return "OK " + join_asns(*engine->path_to_clique(*as));
-    }
-    if (cmd == "clique") return "OK " + join_asns(engine->clique());
-    if (cmd == "stats") {
-      engine->record_stats_query();
-      std::string out = "OK\n" + engine->render_stats() + ".";
-      return out;
-    }
-    if (cmd == "metrics") {
-      engine->registry()
-          .counter("asrankd_metrics_requests_total",
-                   "METRICS opcode / `metrics` text command serves")
-          .inc();
-      return "OK\n" + engine->registry().render_prometheus() + ".";
-    }
-    return "ERR unknown command '" + std::string(tokens[0]) + "' (try HELP)";
+    auto reply = answer_text(view, line, local_peer);
+    if (!reply.ok()) return "ERR " + reply.error().context;
+    return std::move(reply).value();
   } catch (const std::exception& error) {
     return std::string("ERR ") + error.what();
   }
@@ -681,9 +686,8 @@ struct Server::WorkerCtx {
 /// One task-runtime connection: a buffered, non-blocking state machine that
 /// the owning worker resumes from reactor readiness, timer checkpoints, and
 /// shutdown.  Requests are parsed out of rbuf_ (binary frames and text lines
-/// interleave freely, as in the blocking runtime), executed under an EBR
-/// guard, and responses accumulate in wbuf_ with write interest armed only
-/// while flushes would block.
+/// interleave freely), executed under an EBR guard, and responses accumulate
+/// in wbuf_ with write interest armed only while flushes would block.
 class Server::TaskConn final : public runtime::IoHandler {
  public:
   TaskConn(Server& server, std::size_t worker, std::uint64_t id, int fd, bool local)
@@ -735,8 +739,8 @@ class Server::TaskConn final : public runtime::IoHandler {
     close_conn();
   }
 
-  /// Server shutdown: one best-effort non-blocking flush, then close — the
-  /// blocking runtime's "finish the current request, drop the rest" shape.
+  /// Server shutdown: one best-effort non-blocking flush, then close —
+  /// "finish the current request, drop the rest".
   void shutdown_close() {
     if (closed_) return;
     closing_ = true;
@@ -775,7 +779,7 @@ class Server::TaskConn final : public runtime::IoHandler {
     if (closed_) return;
     if (eof) {
       if (!rbuf_.empty() && !closing_) {
-        // EOF mid-request, same as the blocking runtime's truncated read.
+        // EOF mid-request: a truncated frame or an unterminated line.
         fail("unexpected EOF mid-request");
         return;
       }
@@ -965,6 +969,7 @@ class Server::TaskConn final : public runtime::IoHandler {
   bool deadline_entry_ = false;  ///< a deadline checkpoint is in the heap
 };
 
+
 // ---------------------------------------------------------------- server --
 
 Server::Server(SnapshotRegistry& registry, ServerConfig config)
@@ -1009,7 +1014,6 @@ Server::Server(SnapshotRegistry& registry, ServerConfig config)
   }
 
   if (::pipe(stop_pipe_) != 0) sys_fail("pipe");
-  if (::pipe(shutdown_pipe_) != 0) sys_fail("pipe");
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) sys_fail("socket");
@@ -1035,9 +1039,7 @@ Server::Server(SnapshotRegistry& registry, ServerConfig config)
   port_ = ntohs(bound.sin_port);
 
   obs::log_info("asrankd workers resolved",
-                {{"requested", config_.threads},
-                 {"resolved", threads_},
-                 {"runtime", config_.runtime == RuntimeMode::kTask ? "task" : "blocking"}});
+                {{"requested", config_.threads}, {"resolved", threads_}});
 }
 
 Server::~Server() {
@@ -1047,9 +1049,6 @@ Server::~Server() {
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   for (const int fd : stop_pipe_) {
-    if (fd >= 0) ::close(fd);
-  }
-  for (const int fd : shutdown_pipe_) {
     if (fd >= 0) ::close(fd);
   }
   if (g_signal_fd.load(std::memory_order_relaxed) == stop_pipe_[1]) {
@@ -1074,14 +1073,65 @@ void Server::stop() noexcept {
 }
 
 void Server::run() {
-  if (config_.runtime == RuntimeMode::kBlocking) {
-    run_blocking();
-  } else {
-    run_task();
+  runtime::TaskSchedulerConfig scfg;
+  scfg.workers = threads_;
+  scfg.tick_ms = poll_tick_ms_;
+  scfg.metric_prefix = "asrankd_runtime";
+  scheduler_ = std::make_unique<runtime::TaskScheduler>(scfg, &registry_.registry());
+
+  // Admission capacity tracks the connection bound, so with max_connections
+  // set the queue can never overflow (queued-but-unadopted sockets already
+  // count against active_connections_).
+  const std::size_t admission_cap =
+      config_.max_connections > 0 ? std::max<std::size_t>(config_.max_connections, 64)
+                                  : 4096;
+  admissions_ = std::make_unique<runtime::BoundedMpmcQueue<Admission>>(admission_cap);
+
+  worker_ctx_.clear();
+  for (std::size_t i = 0; i < threads_; ++i) {
+    worker_ctx_.push_back(std::make_unique<WorkerCtx>());
   }
+
+  runtime::TaskScheduler::Hooks hooks;
+  hooks.on_start = [this](std::size_t w) {
+    worker_ctx_[w]->ebr_slot = registry_.reclaim_domain().acquire_slot();
+  };
+  hooks.on_stop = [this](std::size_t w) { close_worker_connections(w); };
+  hooks.on_pass = [this](std::size_t w) {
+    const bool did = drain_admissions(w);
+    registry_.reclaim_pass();
+    return did;
+  };
+  hooks.on_timer = [this](std::size_t w, std::uint64_t id, std::uint32_t kind) {
+    conn_timer_fired(w, id, kind);
+  };
+  scheduler_->start(std::move(hooks));
+
+  accept_loop();
+
+  scheduler_->stop();
+  scheduler_->join();
+  // Sockets accepted but never adopted by a worker.
+  while (auto admission = admissions_->try_pop()) {
+    ::close(admission->fd);
+    active_connections_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  scheduler_.reset();
+  admissions_.reset();
+  worker_ctx_.clear();
 }
 
-void Server::accept_loop(const std::function<void(Pending)>& dispatch) {
+void Server::shed(int fd) {
+  // One parseable text line, then close.  Binary clients recognize the
+  // non-0x01 first byte as a shed notice.
+  static constexpr char kShedLine[] =
+      "ERR shedding: connection limit reached, retry later\n";
+  [[maybe_unused]] const auto w = ::write(fd, kShedLine, sizeof kShedLine - 1);
+  ::close(fd);
+  shed_total_->inc();
+}
+
+void Server::accept_loop() {
   bool stopping = false;
   while (!stopping) {
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
@@ -1119,14 +1169,7 @@ void Server::accept_loop(const std::function<void(Pending)>& dispatch) {
       if (config_.max_connections > 0 &&
           active_connections_.load(std::memory_order_relaxed) >=
               config_.max_connections) {
-        // Load shedding: one parseable text line, then close.  Binary
-        // clients recognize the non-0x01 first byte as a shed notice.
-        static constexpr char kShedLine[] =
-            "ERR shedding: connection limit reached, retry later\n";
-        [[maybe_unused]] const auto w =
-            ::write(client, kShedLine, sizeof kShedLine - 1);
-        ::close(client);
-        shed_total_->inc();
+        shed(client);
         continue;
       }
       const int one = 1;
@@ -1136,79 +1179,17 @@ void Server::accept_loop(const std::function<void(Pending)>& dispatch) {
       connections_.fetch_add(1, std::memory_order_relaxed);
       active_connections_.fetch_add(1, std::memory_order_relaxed);
       connections_total_->inc();
-      dispatch(Pending{client, local});
+      const auto hint = next_hint_++ % static_cast<std::uint32_t>(threads_);
+      if (!admissions_->try_push(Admission{client, local, hint})) {
+        // Admission queue full (only reachable with max_connections == 0):
+        // shed exactly like the accept-path limit, undoing the active count.
+        shed(client);
+        active_connections_.fetch_sub(1, std::memory_order_relaxed);
+        continue;
+      }
+      scheduler_->post(hint, [this, hint] { drain_admissions(hint); });
     }
   }
-  running_.store(false, std::memory_order_release);
-}
-
-// ------------------------------------------------------------ task runtime --
-
-void Server::run_task() {
-  running_.store(true, std::memory_order_release);
-
-  runtime::TaskSchedulerConfig scfg;
-  scfg.workers = threads_;
-  scfg.tick_ms = poll_tick_ms_;
-  scfg.metric_prefix = "asrankd_runtime";
-  scheduler_ = std::make_unique<runtime::TaskScheduler>(scfg, &registry_.registry());
-
-  // Admission capacity tracks the connection bound, so with max_connections
-  // set the queue can never overflow (queued-but-unadopted sockets already
-  // count against active_connections_).
-  const std::size_t admission_cap =
-      config_.max_connections > 0 ? std::max<std::size_t>(config_.max_connections, 64)
-                                  : 4096;
-  admissions_ = std::make_unique<runtime::BoundedMpmcQueue<Admission>>(admission_cap);
-
-  worker_ctx_.clear();
-  for (std::size_t i = 0; i < threads_; ++i) {
-    worker_ctx_.push_back(std::make_unique<WorkerCtx>());
-  }
-
-  runtime::TaskScheduler::Hooks hooks;
-  hooks.on_start = [this](std::size_t w) {
-    worker_ctx_[w]->ebr_slot = registry_.reclaim_domain().acquire_slot();
-  };
-  hooks.on_stop = [this](std::size_t w) { close_worker_connections(w); };
-  hooks.on_pass = [this](std::size_t w) {
-    const bool did = drain_admissions(w);
-    registry_.reclaim_pass();
-    return did;
-  };
-  hooks.on_timer = [this](std::size_t w, std::uint64_t id, std::uint32_t kind) {
-    conn_timer_fired(w, id, kind);
-  };
-  scheduler_->start(std::move(hooks));
-
-  accept_loop([this](Pending pending) {
-    const auto hint = rr_hint_.fetch_add(1, std::memory_order_relaxed) %
-                      static_cast<std::uint32_t>(threads_);
-    if (!admissions_->try_push(Admission{pending.fd, pending.local, hint})) {
-      // Admission queue full (only reachable with max_connections == 0):
-      // shed exactly like the accept-path limit, undoing the active count.
-      static constexpr char kShedLine[] =
-          "ERR shedding: connection limit reached, retry later\n";
-      [[maybe_unused]] const auto w =
-          ::write(pending.fd, kShedLine, sizeof kShedLine - 1);
-      ::close(pending.fd);
-      shed_total_->inc();
-      active_connections_.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-    scheduler_->post(hint, [this, hint] { drain_admissions(hint); });
-  });
-
-  scheduler_->stop();
-  scheduler_->join();
-  // Sockets accepted but never adopted by a worker.
-  while (auto admission = admissions_->try_pop()) {
-    ::close(admission->fd);
-    active_connections_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  scheduler_.reset();
-  admissions_.reset();
-  worker_ctx_.clear();
 }
 
 bool Server::drain_admissions(std::size_t worker) {
@@ -1256,138 +1237,6 @@ void Server::close_worker_connections(std::size_t worker) {
   if (ctx.ebr_slot != nullptr) {
     registry_.reclaim_domain().release_slot(ctx.ebr_slot);
     ctx.ebr_slot = nullptr;
-  }
-}
-
-// -------------------------------------------------------- blocking runtime --
-
-void Server::run_blocking() {
-  running_.store(true, std::memory_order_release);
-  // Chunk 0 of the pool runs inline on this thread, which becomes the
-  // accept loop; chunks 1..threads are the connection workers.
-  util::ThreadPool pool(threads_ + 1);
-  pool.for_chunks(threads_ + 1, [this](std::size_t chunk, std::size_t, std::size_t) {
-    if (chunk == 0) {
-      accept_loop([this](Pending pending) {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        pending_.push_back(pending);
-        queue_cv_.notify_one();
-      });
-      // Broadcast shutdown: one byte, never drained, so every worker's poll
-      // on the read end turns level-triggered readable at once — workers
-      // exit within one syscall instead of one poll tick.
-      const char byte = 'x';
-      [[maybe_unused]] const auto n = ::write(shutdown_pipe_[1], &byte, 1);
-      {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        for (std::size_t i = 0; i < threads_; ++i) pending_.push_back({-1, false});
-      }
-      queue_cv_.notify_all();
-    } else {
-      connection_worker();
-    }
-  });
-}
-
-void Server::connection_worker() {
-  auto& domain = registry_.reclaim_domain();
-  auto* slot = domain.acquire_slot();
-  while (true) {
-    Pending next{-1, false};
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return !pending_.empty(); });
-      next = pending_.front();
-      pending_.pop_front();
-    }
-    if (next.fd < 0) break;
-    try {
-      handle_connection(next.fd, next.local, *slot);
-    } catch (const TimeoutError&) {
-      // A request that missed its read deadline; already counted.
-      deadline_timeouts_total_->inc();
-    } catch (const std::exception& error) {
-      // Per-connection failures (malformed framing, resets) must not take
-      // the worker down; the socket is simply closed.
-      protocol_errors_total_->inc();
-      obs::log_warn("connection dropped", {{"error", error.what()}});
-    }
-    ::close(next.fd);
-    active_connections_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  domain.release_slot(slot);
-}
-
-void Server::handle_connection(int fd, bool local_peer,
-                               runtime::ebr::Domain::Slot& slot) {
-  using Clock = std::chrono::steady_clock;
-  while (true) {
-    // Interruptible first-byte wait: bounded by the idle timeout, woken
-    // instantly by the shutdown broadcast pipe.
-    std::uint8_t first = 0;
-    const auto idle_deadline =
-        Clock::now() + std::chrono::milliseconds(
-                           config_.idle_timeout_ms > 0 ? config_.idle_timeout_ms
-                                                       : 0);
-    while (true) {
-      pollfd pfds[2] = {{fd, POLLIN, 0}, {shutdown_pipe_[0], POLLIN, 0}};
-      const int ready = ::poll(pfds, 2, poll_tick_ms_);
-      if (!running_.load(std::memory_order_acquire)) return;
-      if (ready < 0 && errno != EINTR) return;
-      if (ready > 0) {
-        if (pfds[1].revents != 0) return;  // shutdown broadcast
-        if (pfds[0].revents != 0) break;
-      }
-      if (config_.idle_timeout_ms > 0 && Clock::now() >= idle_deadline) {
-        idle_timeouts_total_->inc();
-        return;
-      }
-    }
-    if (!read_exact(fd, &first, 1)) return;  // clean EOF between requests
-
-    // From the first byte on, the query deadline governs reads.
-    const int deadline_ms = config_.query_deadline_ms > 0 ? config_.query_deadline_ms : -1;
-
-    if (first == kBinaryMarker) {
-      const auto request = read_frame_body(fd, deadline_ms);
-      frames_total_->inc();
-      std::vector<std::uint8_t> response;
-      {
-        runtime::ebr::Guard guard(registry_.reclaim_domain(), slot);
-        response = handle_binary_request(registry_.read_view(), request, local_peer);
-      }
-      write_frame(fd, response);
-      continue;
-    }
-
-    // Text mode: `first` begins a newline-terminated command.  The whole
-    // line shares one deadline budget.
-    const auto query_deadline =
-        Clock::now() + std::chrono::milliseconds(deadline_ms > 0 ? deadline_ms : 0);
-    std::string line(1, static_cast<char>(first));
-    char c = 0;
-    while (true) {
-      int remaining = -1;
-      if (deadline_ms > 0) {
-        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              query_deadline - Clock::now())
-                              .count();
-        remaining = left > 0 ? static_cast<int>(left) : 0;
-      }
-      if (!read_exact(fd, &c, 1, remaining) || c == '\n') break;
-      line.push_back(c);
-      if (line.size() > 4096) throw ProtocolError("text command too long");
-    }
-    const auto trimmed = util::trim(line);
-    if (util::iequals(trimmed, "quit") || util::iequals(trimmed, "exit")) return;
-    text_commands_total_->inc();
-    std::string response;
-    {
-      runtime::ebr::Guard guard(registry_.reclaim_domain(), slot);
-      response = handle_text_request(registry_.read_view(), line, local_peer);
-    }
-    response += "\n";
-    write_all(fd, response.data(), response.size());
   }
 }
 

@@ -1,31 +1,25 @@
 // asrankd — the snapshot-query daemon.
 //
-// Two serving runtimes share one wire protocol, one handler layer, and one
-// accept loop (bound in the constructor so ephemeral port 0 works in tests):
+// One task-scheduled runtime serves every connection.  run() keeps the
+// accept loop (bound in the constructor so ephemeral port 0 works in tests)
+// inline on the calling thread; accepted sockets flow through a bounded
+// lock-free MPMC admission queue to per-core workers (runtime::TaskScheduler).
+// Each worker owns an edge-notified reactor (epoll on Linux, poll fallback)
+// and drives resumable per-connection state machines — read-frame → decode
+// → execute → write — parked on the reactor between steps, so thousands of
+// idle connections cost no threads.  Snapshot lookups run under
+// epoch-based-reclamation guards (SnapshotRegistry::ReadView): the hot path
+// never bumps a shared_ptr refcount.
 //
-//   * RuntimeMode::kTask (default): a non-blocking, task-scheduled runtime.
-//     run() keeps the accept loop inline on the calling thread; accepted
-//     sockets flow through a bounded lock-free MPMC admission queue to
-//     per-core workers (runtime::TaskScheduler).  Each worker owns an
-//     edge-notified reactor (epoll on Linux, poll fallback) and drives
-//     resumable per-connection state machines — read-frame → decode →
-//     execute → write — parked on the reactor between steps, so thousands
-//     of idle connections cost no threads.  Snapshot lookups run under
-//     epoch-based-reclamation guards (SnapshotRegistry::ReadView): the hot
-//     path never bumps a shared_ptr refcount.
-//   * RuntimeMode::kBlocking: the original thread-per-worker baseline
-//     (kept for A/B measurement in bench_serve_load); one blocking worker
-//     serves one connection at a time.
-//
-// Both runtimes are byte-identical on the wire: length-prefixed binary
-// frames and/or newline text commands (protocol.h), identical STATS/METRICS
-// bytes, and the same idle-timeout / query-deadline / max-connection
-// shedding semantics.  Shutdown is cooperative and signal-safe: stop() — or
-// the SIGINT/SIGTERM handler installed by install_signal_handlers() —
-// writes to a self-pipe; the accept loop drains, every worker is woken
-// immediately (reactor wakeups in task mode, a broadcast pipe plus queue
-// sentinels in blocking mode), and run() returns after in-flight requests
-// complete.
+// A connection interleaves length-prefixed binary frames and newline text
+// commands (protocol.h).  One dispatcher, handle_binary_request, answers
+// both: a text line is tokenized into the binary request a Client would
+// send and its response rendered back to one "OK ..." / "ERR ..." line.
+// Idle timeouts, query deadlines and max-connection shedding apply to every
+// connection.  Shutdown is cooperative and signal-safe: stop() — or the
+// SIGINT/SIGTERM handler installed by install_signal_handlers() — writes to
+// a self-pipe; the accept loop drains, every worker is woken through its
+// reactor, and run() returns after in-flight requests complete.
 //
 // The server serves a SnapshotRegistry, not a single engine: queries default
 // to the current epoch, may name any resident epoch, and SIGHUP (or the
@@ -34,12 +28,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -51,11 +41,6 @@
 #include "serve/snapshot_registry.h"
 
 namespace asrank::serve {
-
-/// Which serving substrate run() drives.  Wire behavior is identical; kTask
-/// multiplexes connections on per-core reactors, kBlocking dedicates one
-/// blocking worker per in-flight connection (the pre-runtime baseline).
-enum class RuntimeMode : std::uint8_t { kTask, kBlocking };
 
 struct ServerConfig {
   std::string host = "127.0.0.1";
@@ -78,8 +63,6 @@ struct ServerConfig {
   std::string reload_path;
   /// Epoch label for SIGHUP reloads ("" = derive from reload_path).
   std::string reload_label;
-  /// Serving substrate (see RuntimeMode).
-  RuntimeMode runtime = RuntimeMode::kTask;
 };
 
 class Server {
@@ -121,14 +104,8 @@ class Server {
   [[nodiscard]] std::size_t worker_threads() const noexcept { return threads_; }
 
  private:
-  // An accepted socket on its way to a worker.
-  struct Pending {
-    int fd;
-    bool local;  ///< peer is loopback (may issue RELOAD)
-  };
-  // Admission-queue entry for the task runtime; `hint` is the worker the
-  // acceptor nominated (round-robin) — any worker may pop it, a mismatch is
-  // counted as a steal.
+  // Admission-queue entry; `hint` is the worker the acceptor nominated
+  // (round-robin) — any worker may pop it, a mismatch is counted as a steal.
   struct Admission {
     int fd = -1;
     bool local = false;
@@ -137,30 +114,22 @@ class Server {
   class TaskConn;
   struct WorkerCtx;
 
-  void accept_loop(const std::function<void(Pending)>& dispatch);
-
-  // Task runtime.
-  void run_task();
+  void accept_loop();
+  /// Refuse `fd` at the admission limit: one "ERR shedding" line, then close.
+  void shed(int fd);
   bool drain_admissions(std::size_t worker);
   void adopt_connection(std::size_t worker, const Admission& admission);
   void conn_timer_fired(std::size_t worker, std::uint64_t conn_id,
                         std::uint32_t kind);
   void close_worker_connections(std::size_t worker);
 
-  // Blocking baseline.
-  void run_blocking();
-  void connection_worker();
-  void handle_connection(int fd, bool local_peer, runtime::ebr::Domain::Slot& slot);
-
   SnapshotRegistry& registry_;
   ServerConfig config_;
   std::size_t threads_ = 1;  ///< resolved worker count
   int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};      ///< signal/stop commands to accept loop
-  int shutdown_pipe_[2] = {-1, -1};  ///< written once at stop, never drained
+  int stop_pipe_[2] = {-1, -1};  ///< signal/stop commands to accept loop
   std::uint16_t port_ = 0;
   int poll_tick_ms_ = 200;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::size_t> active_connections_{0};
 
@@ -174,17 +143,11 @@ class Server {
   obs::Counter* deadline_timeouts_total_; ///< asrankd_deadline_timeouts_total
   obs::Counter* admission_steals_total_;  ///< asrankd_runtime_admission_steals_total
 
-  // Task-runtime state, alive for the duration of run_task().
+  // Runtime state, alive for the duration of run().
   std::unique_ptr<runtime::TaskScheduler> scheduler_;
   std::unique_ptr<runtime::BoundedMpmcQueue<Admission>> admissions_;
   std::vector<std::unique_ptr<WorkerCtx>> worker_ctx_;
-  std::atomic<std::uint32_t> rr_hint_{0};
-
-  // Blocking-baseline state: accepted sockets awaiting a worker; fd -1 is
-  // the shutdown sentinel.
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> pending_;
+  std::uint32_t next_hint_ = 0;  ///< round-robin worker hint (accept thread only)
 };
 
 /// Decode and execute one binary request payload; always returns a response
@@ -202,9 +165,11 @@ class Server {
 
 /// Execute one text-mode command line; returns the full response text
 /// (possibly multi-line for STATS, "."-terminated), without trailing
-/// newline.  QUIT is the caller's business (it closes the connection).
-/// Commands may be prefixed with "@<epoch>" to query a named epoch.  Guard
-/// discipline matches handle_binary_request above.
+/// newline.  The line is tokenized into the binary request a Client would
+/// send (scoped by "@<epoch>" / "@<algorithm>" prefixes) and answered by
+/// handle_binary_request; only HELP and PING are answered locally, and QUIT
+/// is the caller's business (it closes the connection).  Guard discipline
+/// matches handle_binary_request above.
 [[nodiscard]] std::string handle_text_request(const SnapshotRegistry::ReadView& view,
                                               std::string_view line,
                                               bool local_peer = true);

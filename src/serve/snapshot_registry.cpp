@@ -41,7 +41,16 @@ SnapshotRegistry::SnapshotRegistry(SnapshotRegistryConfig config,
           "Retired snapshot generations freed after reader quiesce")),
       ebr_pending_(&registry->gauge(
           "asrankd_ebr_pending_reclaims",
-          "Retired snapshot generations awaiting reader quiesce")) {
+          "Retired snapshot generations awaiting reader quiesce")),
+      request_counters_{
+          &registry->counter("asrankd_epoch_queries_total",
+                             "Queries naming an explicit epoch"),
+          &registry->counter("asrankd_algo_selected_queries_total",
+                             "Queries naming an explicit algorithm"),
+          &registry->counter("asrankd_disagreements_total", "DISAGREE queries served"),
+          &registry->counter("asrankd_cone_diffs_total", "CONE_DIFF queries served"),
+          &registry->counter("asrankd_metrics_requests_total",
+                             "METRICS opcode / `metrics` text command serves")} {
   config_.retention = std::max<std::size_t>(1, config_.retention);
   gen_raw_.store(generation().get(), std::memory_order_release);
 }

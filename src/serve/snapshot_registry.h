@@ -19,7 +19,8 @@
 //
 // Instrumentation (obs::Registry): asrankd_reloads_total,
 // asrankd_reload_failures_total, asrankd_reload_duration_micros,
-// asrankd_epochs_loaded, asrankd_epoch_ases{epoch=...}.
+// asrankd_epochs_loaded, asrankd_epoch_ases{epoch=...}, plus the serve
+// dispatcher's RequestCounters.
 #pragma once
 
 #include <atomic>
@@ -113,6 +114,19 @@ class SnapshotRegistry {
   }
 
   [[nodiscard]] obs::Registry& registry() const noexcept { return *registry_; }
+
+  /// Request-path counters the serve dispatcher bumps, resolved once here
+  /// so no request takes the obs::Registry lock.
+  struct RequestCounters {
+    obs::Counter* epoch_queries;     ///< asrankd_epoch_queries_total
+    obs::Counter* algo_selected;     ///< asrankd_algo_selected_queries_total
+    obs::Counter* disagreements;     ///< asrankd_disagreements_total
+    obs::Counter* cone_diffs;        ///< asrankd_cone_diffs_total
+    obs::Counter* metrics_requests;  ///< asrankd_metrics_requests_total
+  };
+  [[nodiscard]] const RequestCounters& request_counters() const noexcept {
+    return request_counters_;
+  }
 
   /// Epoch-based-reclamation domain that owns retired generations.  Server
   /// workers register one slot per thread and pin it per request; the
@@ -246,6 +260,7 @@ class SnapshotRegistry {
   obs::Counter* generations_retired_total_;
   obs::Counter* generations_reclaimed_total_;
   obs::Gauge* ebr_pending_;
+  RequestCounters request_counters_;
 };
 
 }  // namespace asrank::serve

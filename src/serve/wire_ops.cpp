@@ -1,8 +1,20 @@
 #include "serve/wire_ops.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace asrank::serve::wire {
+
+namespace {
+
+/// Capacity for `count` elements of at least `wire_size` bytes each, capped
+/// by what the body can still hold: a hostile count must end in kTruncated,
+/// not in a huge allocation.
+std::size_t capped(std::uint32_t count, const WireReader& reader, std::size_t wire_size) {
+  return std::min<std::size_t>(count, reader.remaining() / wire_size);
+}
+
+}  // namespace
 
 WireWriter request(Op op) {
   WireWriter writer;
@@ -44,7 +56,7 @@ Result<std::optional<RelView>> decode_rel_opt(std::uint8_t code) {
 Result<std::vector<Asn>> read_asn_list(WireReader& reader) {
   ASRANK_TRY(count, reader.u32());
   std::vector<Asn> out;
-  out.reserve(count);
+  out.reserve(capped(count, reader, 4));
   for (std::uint32_t i = 0; i < count; ++i) {
     ASRANK_TRY(asn, reader.u32());
     out.emplace_back(asn);
@@ -62,7 +74,7 @@ Result<std::vector<snapshot::TopEntry>> decode_top(
   WireReader reader(body);
   ASRANK_TRY(count, reader.u32());
   std::vector<snapshot::TopEntry> out;
-  out.reserve(count);
+  out.reserve(capped(count, reader, 20));  // rank, asn, cone size, degree
   for (std::uint32_t i = 0; i < count; ++i) {
     snapshot::TopEntry entry;
     ASRANK_TRY(rank, reader.u32());
@@ -83,7 +95,7 @@ Result<std::vector<std::string>> decode_labels(
   WireReader reader(body);
   ASRANK_TRY(count, reader.u32());
   std::vector<std::string> out;
-  out.reserve(count);
+  out.reserve(capped(count, reader, 2));  // str16 length prefix
   for (std::uint32_t i = 0; i < count; ++i) {
     ASRANK_TRY(label, reader.str16());
     out.push_back(std::move(label));
@@ -117,7 +129,7 @@ Result<DisagreeReport> decode_disagree(std::span<const std::uint8_t> body) {
   ASRANK_TRY(total, reader.u32());
   ASRANK_TRY(returned, reader.u32());
   report.total = total;
-  report.rows.reserve(returned);
+  report.rows.reserve(capped(returned, reader, 10));  // a, b, two rel codes
   for (std::uint32_t i = 0; i < returned; ++i) {
     ASRANK_TRY(a, reader.u32());
     ASRANK_TRY(b, reader.u32());

@@ -1242,8 +1242,8 @@ TEST(Server, ShutdownWakesIdleWorkersWithinOneTick) {
   const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-  // The shutdown broadcast pipe wakes pollers immediately; without it the
-  // idle worker would sleep out a full tick before noticing.
+  // The reactor wake pipe wakes pollers immediately; without it the idle
+  // worker would sleep out a full tick before noticing.
   EXPECT_LT(elapsed_ms, server.poll_tick_ms());
 }
 
@@ -1595,6 +1595,489 @@ TEST(Client, ReadDeadlineSurfacesTimeout) {
   stop.store(true);
   fake.join();
   ::close(listen_fd);
+}
+
+
+// ---------------------------------------------------- request counters --
+
+TEST(RequestCounters, SeriesExistFromStartupAndCountOncePerRequest) {
+  ServeRig rig;
+  auto& snapshots = *rig.snapshots;
+  const auto counter = [&rig](const char* name) {
+    return rig.metrics.counter(name, "").value();
+  };
+  // Resolved at construction: the exposition lists them before first use.
+  const auto scrape = handle_text_request(snapshots, "metrics");
+  for (const char* name :
+       {"asrankd_epoch_queries_total 0\n", "asrankd_algo_selected_queries_total 0\n",
+        "asrankd_disagreements_total 0\n", "asrankd_cone_diffs_total 0\n"}) {
+    EXPECT_NE(scrape.find(name), std::string::npos) << name;
+  }
+  EXPECT_EQ(counter("asrankd_metrics_requests_total"), 1u);
+
+  ASSERT_TRUE(snapshots.install("multi", make_multi_index()).ok());
+  EXPECT_EQ(handle_text_request(snapshots, "@seed conesize 1"), "OK 4");
+  EXPECT_EQ(counter("asrankd_epoch_queries_total"), 1u);
+  EXPECT_EQ(handle_text_request(snapshots, "@multi @gao2001 conesize 1"), "OK 3");
+  EXPECT_EQ(counter("asrankd_epoch_queries_total"), 2u);
+  EXPECT_EQ(counter("asrankd_algo_selected_queries_total"), 1u);
+  // CONEDIFF looks up two epochs.
+  EXPECT_EQ(handle_text_request(snapshots, "conediff 1 seed multi"), "OK");
+  EXPECT_EQ(counter("asrankd_epoch_queries_total"), 4u);
+  EXPECT_EQ(counter("asrankd_cone_diffs_total"), 1u);
+  EXPECT_EQ(handle_text_request(snapshots, "disagree asrank gao2001 1"),
+            "OK 2 1:5:customer:none");
+  EXPECT_EQ(counter("asrankd_disagreements_total"), 1u);
+
+  // PING is answered by the text rail itself: no engine stat moves.
+  EXPECT_EQ(handle_text_request(snapshots, "@seed ping"), "OK pong");
+  EXPECT_EQ(stat_count(*snapshots.current(), QueryType::kPing), 0u);
+}
+
+// ------------------------------------------------- client decoder fuzz --
+
+// Every client-side decoder, fed a body: a value or a typed error, never an
+// exception (and never a huge allocation from a hostile count).
+void expect_typed_decode(std::span<const std::uint8_t> body, const std::string& what) {
+  const auto typed = [&what](const auto& result) {
+    if (!result.ok()) {
+      const auto code = result.error().code;
+      EXPECT_TRUE(code == ErrorCode::kTruncated || code == ErrorCode::kProtocol)
+          << what << ": " << result.error().message();
+    }
+  };
+  EXPECT_NO_THROW({
+    typed(wire::decode_asn_list(body));
+    typed(wire::decode_top(body));
+    typed(wire::decode_labels(body));
+    typed(wire::decode_cone_diff(body));
+    typed(wire::decode_reload(body));
+    typed(wire::decode_disagree(body));
+    WireReader reader(body);
+    typed(wire::read_asn_list(reader));
+  }) << what;
+}
+
+TEST(ClientDecoderFuzz, HugeCountOnShortBodyIsTruncated) {
+  const std::vector<std::uint8_t> huge{0xFF, 0xFF, 0xFF, 0xFF};
+  const auto truncated = [](const auto& result) {
+    return !result.ok() && result.error().code == ErrorCode::kTruncated;
+  };
+  EXPECT_TRUE(truncated(wire::decode_asn_list(huge)));
+  EXPECT_TRUE(truncated(wire::decode_top(huge)));
+  EXPECT_TRUE(truncated(wire::decode_labels(huge)));
+  EXPECT_TRUE(truncated(wire::decode_cone_diff(huge)));
+  WireReader reader(huge);
+  EXPECT_TRUE(truncated(wire::read_asn_list(reader)));
+  // DISAGREE: an honest total, then a hostile row count.
+  const std::vector<std::uint8_t> rows{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1, 0};
+  EXPECT_TRUE(truncated(wire::decode_disagree(rows)));
+  EXPECT_TRUE(truncated(wire::decode_disagree(huge)));
+}
+
+TEST(ClientDecoderFuzz, EveryPrefixAndByteFlipIsAValueOrATypedError) {
+  std::vector<std::vector<std::uint8_t>> bodies;
+  {
+    WireWriter list;  // a 3-ASN list
+    list.u32(3);
+    for (std::uint32_t as : {1u, 3u, 4u}) list.u32(as);
+    bodies.push_back(list.take());
+    WireWriter top;  // two TOP entries
+    top.u32(2);
+    for (std::uint32_t r : {1u, 2u}) {
+      top.u32(r);
+      top.u32(r);
+      top.u64(4);
+      top.u32(3);
+    }
+    bodies.push_back(top.take());
+    WireWriter labels;
+    labels.u32(2);
+    labels.str16("next");
+    labels.str16("seed");
+    bodies.push_back(labels.take());
+    WireWriter diff;  // added {8}, removed {4, 5}
+    diff.u32(1);
+    diff.u32(8);
+    diff.u32(2);
+    diff.u32(4);
+    diff.u32(5);
+    bodies.push_back(diff.take());
+    WireWriter reload;
+    reload.str16("fresh");
+    reload.u32(7);
+    bodies.push_back(reload.take());
+    WireWriter disagree;
+    disagree.u32(2);
+    disagree.u32(2);
+    disagree.u32(1);
+    disagree.u32(5);
+    disagree.u8(static_cast<std::uint8_t>(RelView::kCustomer));
+    disagree.u8(kRelNone);
+    disagree.u32(4);
+    disagree.u32(5);
+    disagree.u8(static_cast<std::uint8_t>(RelView::kPeer));
+    disagree.u8(static_cast<std::uint8_t>(RelView::kProvider));
+    bodies.push_back(disagree.take());
+  }
+  for (std::size_t b = 0; b < bodies.size(); ++b) {
+    const auto& body = bodies[b];
+    for (std::size_t cut = 0; cut <= body.size(); ++cut) {
+      expect_typed_decode(std::span(body).first(cut),
+                          "body " + std::to_string(b) + " prefix " + std::to_string(cut));
+    }
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
+        auto flipped = body;
+        flipped[i] ^= mask;
+        expect_typed_decode(flipped, "body " + std::to_string(b) + " flip " +
+                                         std::to_string(i) + "^" + std::to_string(mask));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------- dispatcher fuzz --
+
+// A rig with the seed epoch plus a two-algorithm current epoch, so every
+// opcode (WITH_ALGO and DISAGREE included) has something to answer from.
+struct FuzzRig : ServeRig {
+  FuzzRig() { EXPECT_TRUE(snapshots->install("multi", make_multi_index()).ok()); }
+};
+
+std::vector<std::uint8_t> wrap(Op op, std::string_view label,
+                               const std::vector<std::uint8_t>& inner) {
+  WireWriter writer;
+  writer.u8(static_cast<std::uint8_t>(op));
+  writer.str16(label);
+  writer.bytes(inner);
+  return writer.take();
+}
+
+// One valid payload per opcode 1..22, plus nested scopes.
+std::vector<std::vector<std::uint8_t>> valid_payloads() {
+  const auto op1 = [](Op op, std::initializer_list<std::uint32_t> operands) {
+    auto req = wire::request(op);
+    for (const auto v : operands) req.u32(v);
+    return req.take();
+  };
+  std::vector<std::vector<std::uint8_t>> out = {
+      op1(Op::kRelationship, {4, 5}), op1(Op::kRank, {1}),
+      op1(Op::kConeSize, {1}),        op1(Op::kCone, {1}),
+      op1(Op::kInCone, {1, 4}),       op1(Op::kProviders, {3}),
+      op1(Op::kCustomers, {1}),       op1(Op::kPeers, {4}),
+      op1(Op::kTop, {3}),             op1(Op::kConeIntersect, {1, 2}),
+      op1(Op::kPathToClique, {4}),    op1(Op::kClique, {}),
+      op1(Op::kStats, {}),            op1(Op::kPing, {}),
+      op1(Op::kMetrics, {}),          op1(Op::kEpochs, {}),
+      op1(Op::kAlgos, {}),
+  };
+  auto diff = wire::request(Op::kConeDiff);
+  diff.u32(1);
+  diff.str16("seed");
+  diff.str16("multi");
+  out.push_back(diff.take());
+  auto reload = wire::request(Op::kReload);
+  reload.str16("/no/such/dir/x.asrk");
+  reload.str16("x");
+  out.push_back(reload.take());
+  auto disagree = wire::request(Op::kDisagree);
+  disagree.str16("asrank");
+  disagree.str16("gao2001");
+  disagree.u32(0);
+  const auto disagree_payload = disagree.take();
+  out.push_back(disagree_payload);
+  out.push_back(wrap(Op::kWithEpoch, "seed", op1(Op::kConeSize, {1})));
+  out.push_back(wrap(Op::kWithAlgo, "gao2001", op1(Op::kCone, {1})));
+  // WITH_EPOCH(WITH_ALGO(op)), and the nestings the dispatcher refuses.
+  out.push_back(wrap(Op::kWithEpoch, "multi",
+                     wrap(Op::kWithAlgo, "gao2001", op1(Op::kRelationship, {4, 5}))));
+  out.push_back(wrap(Op::kWithAlgo, "asrank", wrap(Op::kWithAlgo, "gao2001", op1(Op::kPing, {}))));
+  out.push_back(wrap(Op::kWithEpoch, "seed", wrap(Op::kWithEpoch, "multi", op1(Op::kPing, {}))));
+  out.push_back(wrap(Op::kWithEpoch, "multi", disagree_payload));
+  out.push_back(wrap(Op::kWithEpoch, "multi", op1(Op::kAlgos, {})));
+  return out;
+}
+
+void expect_status_byte(const std::vector<std::uint8_t>& response, const std::string& what) {
+  ASSERT_FALSE(response.empty()) << what;
+  EXPECT_LE(response[0], static_cast<std::uint8_t>(Status::kError)) << what;
+}
+
+TEST(DispatcherFuzz, EveryPrefixAndByteFlipOfEveryOpcodeAnswers) {
+  FuzzRig rig;
+  const auto payloads = valid_payloads();
+  // Every opcode 1..22 appears as an outermost op.
+  std::vector<bool> seen(23, false);
+  for (const auto& payload : payloads) seen[payload[0]] = true;
+  for (std::size_t op = 1; op <= 22; ++op) EXPECT_TRUE(seen[op]) << "opcode " << op;
+
+  for (std::size_t p = 0; p < payloads.size(); ++p) {
+    const auto& payload = payloads[p];
+    const std::string name = "payload " + std::to_string(p);
+    // RELOAD from a remote peer is refused before any file is touched, so
+    // no flip can load a snapshot.
+    const auto ask = [&rig](std::span<const std::uint8_t> bytes) {
+      std::vector<std::uint8_t> response;
+      EXPECT_NO_THROW(response = handle_binary_request(*rig.snapshots, bytes, false));
+      return response;
+    };
+    expect_status_byte(ask(payload), name);
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      const auto response = ask(std::span(payload).first(cut));
+      ASSERT_FALSE(response.empty());
+      EXPECT_EQ(response[0], static_cast<std::uint8_t>(Status::kError))
+          << name << " prefix " << cut;
+    }
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      for (const std::uint8_t value : {std::uint8_t{0x00}, std::uint8_t{0x01},
+                                       std::uint8_t{0x13}, std::uint8_t{0x15},
+                                       std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
+        auto flipped = payload;
+        flipped[i] = value;
+        expect_status_byte(ask(flipped), name + " byte " + std::to_string(i) + "=" +
+                                             std::to_string(value));
+        flipped[i] = payload[i] ^ value;
+        expect_status_byte(ask(flipped), name + " byte " + std::to_string(i) + "^" +
+                                             std::to_string(value));
+      }
+    }
+  }
+  EXPECT_EQ(rig.snapshots->epoch_count(), 2u);
+  EXPECT_EQ(rig.snapshots->reload_failures(), 0u);
+}
+
+TEST(DispatcherFuzz, Str16LengthsPastTheEndAreTruncated) {
+  FuzzRig rig;
+  const auto truncated = [&rig](const std::vector<std::uint8_t>& payload) {
+    const auto response = handle_binary_request(*rig.snapshots, payload, false);
+    return response.size() > 1 &&
+           response[0] == static_cast<std::uint8_t>(Status::kError) &&
+           std::string(response.begin() + 1, response.end()).starts_with("truncated payload");
+  };
+  for (const Op op : {Op::kWithEpoch, Op::kWithAlgo, Op::kDisagree, Op::kReload}) {
+    for (const std::uint16_t len : {std::uint16_t{5}, std::uint16_t{0x100}, std::uint16_t{0xFFFF}}) {
+      WireWriter writer;
+      writer.u8(static_cast<std::uint8_t>(op));
+      writer.u16(len);
+      writer.text("seed");  // 4 bytes, shorter than every claimed length
+      EXPECT_TRUE(truncated(writer.take()))
+          << "op " << static_cast<int>(op) << " len " << len;
+    }
+  }
+  // The second label of CONE_DIFF, and a nested WITH_ALGO label.
+  auto diff = wire::request(Op::kConeDiff);
+  diff.u32(1);
+  diff.str16("seed");
+  diff.u16(0xFFFF);
+  EXPECT_TRUE(truncated(diff.take()));
+  WireWriter nested;
+  nested.u8(static_cast<std::uint8_t>(Op::kWithEpoch));
+  nested.str16("multi");
+  nested.u8(static_cast<std::uint8_t>(Op::kWithAlgo));
+  nested.u16(0x4000);
+  nested.text("gao2001");
+  EXPECT_TRUE(truncated(nested.take()));
+}
+
+// ---------------------------------------------------- text line fuzz --
+
+TEST(TextLineFuzz, EveryPrefixAndByteChangeAnswersOkOrErr) {
+  FuzzRig rig;
+  const std::vector<std::string> lines = {
+      "ping", "help", "rel 4 5", "rank 1", "conesize 1", "cone 1", "incone 1 4",
+      "providers 3", "customers 1", "peers 4", "top 3", "intersect 1 2",
+      "cliquepath 4", "clique", "stats", "metrics", "epochs", "algos",
+      "conediff 1 seed multi", "disagree asrank gao2001 1",
+      "reload /no/such/dir/x.asrk x", "@seed conesize 1", "@gao2001 rel 4 5",
+      "@multi @gao2001 cone 1", "@multi @gao2001 @asrank rank 1", "quit"};
+  const auto check = [&rig](const std::string& line) {
+    std::string reply;
+    EXPECT_NO_THROW(reply = handle_text_request(*rig.snapshots, line, false)) << line;
+    EXPECT_TRUE(reply.starts_with("OK") || reply.starts_with("ERR ")) << line << " -> " << reply;
+  };
+  for (const auto& line : lines) {
+    for (std::size_t cut = 0; cut <= line.size(); ++cut) check(line.substr(0, cut));
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      auto changed = line;
+      changed[i] = static_cast<char>(line[i] ^ 0xFF);
+      check(changed);
+      if (i == 0) continue;  // a leading 0x01 is a binary frame, not a line
+      for (const char c : {'\0', '\x01'}) {
+        changed[i] = c;
+        check(changed);
+      }
+    }
+  }
+  EXPECT_EQ(rig.snapshots->epoch_count(), 2u);
+}
+
+// ---------------------------------------------------- rail equivalence --
+
+// Every text command, unscoped and under @epoch, @algorithm and both, must
+// answer exactly what the Client call with the same QueryScope gets over the
+// binary rail, rendered to text here independently of the server's renderer.
+
+std::string list_text(const std::vector<Asn>& list) {
+  std::string out = "OK ";
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (i != 0) out += ' ';
+    out += std::to_string(list[i].value());
+  }
+  return out;
+}
+
+std::string rel_word(const std::optional<RelView>& rel) {
+  return rel ? std::string(to_string(*rel)) : "none";
+}
+
+template <typename T, typename Render>
+std::string as_text(const Result<T>& result, Render render) {
+  if (!result.ok()) {
+    std::string context = result.error().context;
+    const std::string prefix = "server error: ";
+    if (context.starts_with(prefix)) context.erase(0, prefix.size());
+    return "ERR " + context;
+  }
+  return render(result.value());
+}
+
+std::string words_text(const std::vector<std::string>& words) {
+  std::string out = "OK";
+  for (const auto& word : words) out += " " + word;
+  return out;
+}
+
+/// First word of every line: the STATS rows, minus their moving counts.
+std::string stats_shape(const std::string& text) {
+  std::istringstream lines(text);
+  std::string line;
+  std::string out;
+  while (std::getline(lines, line)) out += line.substr(0, line.find(' ')) + '\n';
+  return out;
+}
+
+/// The "# TYPE" lines of a scrape: the metric families, minus their values.
+std::string metric_families(const std::string& text) {
+  std::istringstream lines(text);
+  std::string line;
+  std::string out;
+  while (std::getline(lines, line)) {
+    if (line.starts_with("# TYPE")) out += line + '\n';
+  }
+  return out;
+}
+
+class RailEquivalence : public ServeFixture {};
+
+TEST_F(RailEquivalence, EveryTextCommandMatchesItsClientCall) {
+  auto& snapshots = *rig_.snapshots;
+  ASSERT_TRUE(snapshots.install("next", make_index_b()).ok());
+  ASSERT_TRUE(snapshots.install("multi", make_multi_index()).ok());
+  const std::string reload_path = testing::TempDir() + "/rail-multi.asrk";
+  snapshot::write_snapshot_file(make_multi_index(), reload_path);
+  Client client = Client::dial("127.0.0.1", server_.port()).value();
+
+  const std::vector<std::pair<std::string, QueryScope>> scopes = {
+      {"", {}},
+      {"@next ", {"next", ""}},
+      {"@gao2001 ", {"", "gao2001"}},
+      {"@multi @gao2001 ", {"multi", "gao2001"}},
+      {"@seed @asrank ", {"seed", "asrank"}},
+  };
+  for (const auto& [prefix, scope] : scopes) {
+    SCOPED_TRACE(prefix);
+    const auto text = [&snapshots, &prefix](const std::string& command) {
+      return handle_text_request(snapshots, prefix + command);
+    };
+    const auto number = [](const auto& value) { return "OK " + std::to_string(value); };
+
+    EXPECT_EQ(text("ping"), "OK pong");
+    EXPECT_TRUE(client.try_ping().ok());
+    for (const auto& [a, b] : std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+             {4, 5}, {1, 5}, {1, 3}, {1, 99}}) {
+      EXPECT_EQ(text("rel " + std::to_string(a) + " " + std::to_string(b)),
+                as_text(client.try_relationship(Asn(a), Asn(b), scope),
+                        [](const auto& rel) { return "OK " + rel_word(rel); }));
+    }
+    for (const std::uint32_t as : {1u, 3u, 4u, 99u}) {
+      const auto asn = std::to_string(as);
+      EXPECT_EQ(text("rank " + asn),
+                as_text(client.try_rank(Asn(as), scope),
+                        [&number](const auto& rank) { return number(rank.value_or(0)); }));
+      EXPECT_EQ(text("conesize " + asn),
+                as_text(client.try_cone_size(Asn(as), scope), number));
+      EXPECT_EQ(text("cone " + asn), as_text(client.try_cone(Asn(as), scope), list_text));
+      EXPECT_EQ(text("providers " + asn),
+                as_text(client.try_providers(Asn(as), scope), list_text));
+      EXPECT_EQ(text("customers " + asn),
+                as_text(client.try_customers(Asn(as), scope), list_text));
+      EXPECT_EQ(text("peers " + asn), as_text(client.try_peers(Asn(as), scope), list_text));
+      EXPECT_EQ(text("cliquepath " + asn),
+                as_text(client.try_path_to_clique(Asn(as), scope), list_text));
+      EXPECT_EQ(text("incone 1 " + asn),
+                as_text(client.try_in_cone(Asn(1), Asn(as), scope),
+                        [](bool in) { return std::string(in ? "OK yes" : "OK no"); }));
+      EXPECT_EQ(text("intersect 1 " + asn),
+                as_text(client.try_cone_intersection(Asn(1), Asn(as), scope), list_text));
+      EXPECT_EQ(text("conediff " + asn + " seed multi"),
+                as_text(client.try_cone_diff(Asn(as), "seed", "multi"),
+                        [](const ConeDiff& diff) {
+                          std::string out = "OK";
+                          for (const Asn a : diff.added) out += " +" + std::to_string(a.value());
+                          for (const Asn r : diff.removed) out += " -" + std::to_string(r.value());
+                          return out;
+                        }));
+    }
+    for (const std::uint32_t n : {0u, 2u, 50u}) {
+      EXPECT_EQ(text("top " + std::to_string(n)),
+                as_text(client.try_top(n, scope), [](const auto& entries) {
+                  std::string out = "OK";
+                  for (const auto& e : entries) {
+                    out += " " + std::to_string(e.rank) + ":" + std::to_string(e.as.value()) +
+                           ":" + std::to_string(e.cone_size) + ":" +
+                           std::to_string(e.transit_degree);
+                  }
+                  return out;
+                }));
+    }
+    EXPECT_EQ(text("clique"), as_text(client.try_clique(scope), list_text));
+    EXPECT_EQ(text("epochs"), as_text(client.try_epochs(), words_text));
+    EXPECT_EQ(text("algos"), as_text(client.try_algos(scope), words_text));
+    for (const std::uint32_t limit : {0u, 1u}) {
+      EXPECT_EQ(text("disagree asrank gao2001 " + std::to_string(limit)),
+                as_text(client.try_disagree("asrank", "gao2001", limit, scope),
+                        [](const DisagreeReport& report) {
+                          std::string out = "OK " + std::to_string(report.total);
+                          for (const auto& row : report.rows) {
+                            out += " " + std::to_string(row.a.value()) + ":" +
+                                   std::to_string(row.b.value()) + ":" +
+                                   rel_word(row.first) + ":" + rel_word(row.second);
+                          }
+                          return out;
+                        }));
+    }
+    // STATS and METRICS move between the two calls; compare their shape.
+    const auto stats = text("stats");
+    const auto wire_stats = as_text(client.try_stats_text(scope), [](const std::string& body) {
+      return "OK\n" + body + ".";
+    });
+    EXPECT_EQ(stats_shape(stats), stats_shape(wire_stats));
+    EXPECT_TRUE(stats.ends_with(".") && wire_stats.ends_with("."));
+    const auto scrape = text("metrics");
+    const auto wire_scrape = as_text(client.try_metrics_text(), [](const std::string& body) {
+      return "OK\n" + body + ".";
+    });
+    EXPECT_EQ(metric_families(scrape), metric_families(wire_scrape));
+    EXPECT_TRUE(scrape.starts_with("OK\n") && wire_scrape.starts_with("OK\n"));
+    // RELOAD re-installs the current epoch's own bytes, so later rounds see
+    // the same state.
+    EXPECT_EQ(text("reload " + reload_path + " multi"),
+              as_text(client.try_reload(reload_path, "multi"), [](const ReloadInfo& info) {
+                return "OK " + info.label + " " + std::to_string(info.ases);
+              }));
+  }
+  std::remove(reload_path.c_str());
 }
 
 }  // namespace
