@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "topogen/topogen.h"
 #include "topology/serialization.h"
@@ -159,9 +160,11 @@ TEST(Topogen, ContentStubsAreStubsWithPeers) {
   }
 }
 
-// Parameterized invariants across presets and seeds.
+// Parameterized invariants across presets and seeds. The preset is a
+// std::string so gtest prints its value, not its address: test names must
+// be the same from one run to the next.
 class TopogenInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(TopogenInvariants, HoldForPresetAndSeed) {
   auto params = GenParams::preset(std::get<0>(GetParam()));
