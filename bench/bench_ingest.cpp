@@ -1,12 +1,9 @@
 // Streaming-ingest throughput: the engineering harness for src/ingest.
-// Three questions the conveyor's operators care about:
+// Two questions the conveyor's operators care about:
 //
 //   1. How fast does UpdateApplier absorb a BGP4MP feed (updates/sec)?
 //   2. What does an epoch cost end to end (p50/p99 build latency over a
-//      replayed stream, incremental cone path enabled)?
-//   3. Where is the incremental-vs-full-closure crossover — at what dirty
-//      fraction does recomputing only invalidated cones stop paying for
-//      itself?  (This calibrates EpochBuilderConfig::full_closure_threshold.)
+//      replayed stream)?
 //
 //     bench_ingest [preset] [seed] [json_out]
 //
@@ -25,13 +22,10 @@
 
 #include "bgpsim/observation.h"
 #include "bgpsim/update_stream.h"
-#include "core/cones.h"
 #include "ingest/epoch_builder.h"
 #include "ingest/update_applier.h"
 #include "obs/metrics.h"
-#include "paths/corpus.h"
 #include "topogen/topogen.h"
-#include "util/rng.h"
 
 namespace {
 
@@ -89,9 +83,7 @@ int main(int argc, char** argv) {
 
   // ---- 2. per-epoch build latency over the same replayed stream ----
   obs::Registry build_metrics;
-  ingest::EpochBuilderConfig builder_config;
-  builder_config.full_closure_threshold = 1.1;  // measure the incremental path
-  ingest::EpochBuilder builder(builder_config, build_metrics);
+  ingest::EpochBuilder builder({}, build_metrics);
   obs::Registry replay_metrics;
   ingest::UpdateApplier replay_applier(replay_metrics);
   std::vector<std::uint64_t> build_micros;
@@ -110,74 +102,6 @@ int main(int argc, char** argv) {
   std::cout << "epoch build: " << build_micros.size() << " epochs, p50 "
             << p50 / 1000.0 << " ms, p99 " << p99 / 1000.0 << " ms\n";
 
-  // ---- 3. incremental vs full-closure crossover -------------------------
-  // Evolve ever harder between epochs so the dirty fraction sweeps upward;
-  // at each vintage time the incremental closure (forced, no fallback)
-  // against a from-scratch full closure of the same graph.
-  struct CrossoverPoint {
-    double dirty_fraction;
-    double incremental_ms;
-    double full_ms;
-  };
-  std::vector<CrossoverPoint> sweep;
-  double crossover = -1.0;
-  {
-    // Closure-vs-closure, apples to apples: inference cost is identical on
-    // both sides of the threshold decision, so only the cone stage matters.
-    auto truth = topogen::generate(params);
-    util::Rng rng(seed + 7);
-    const core::AsRankInference inference(builder_config.inference);
-    auto prev_result = inference.run(paths::PathCorpus::from_records(
-        bgpsim::observe(truth, obs_params).routes));
-    ConeMap prev_cones = core::recursive_cone(prev_result.graph);
-
-    topogen::EvolveParams evolve;
-    evolve.new_stubs = std::max<std::size_t>(2, truth.graph.as_count() / 200);
-    evolve.new_peerings = std::max<std::size_t>(1, truth.graph.link_count() / 200);
-    for (int round = 0; round < 6; ++round) {
-      topogen::evolve(truth, rng, evolve);
-      evolve.new_stubs *= 2;
-      evolve.new_peerings *= 2;
-      evolve.rehome_fraction = std::min(0.5, evolve.rehome_fraction * 2);
-      auto result = inference.run(paths::PathCorpus::from_records(
-          bgpsim::observe(truth, obs_params).routes));
-
-      core::IncrementalConeStats stats;
-      const auto inc_start = std::chrono::steady_clock::now();
-      auto inc_cones = core::recursive_cone_incremental(
-          prev_result.graph, prev_cones, result.graph,
-          /*full_threshold=*/1.1, /*threads=*/1, &stats);
-      const double inc_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - inc_start)
-                                .count();
-
-      const auto full_start = std::chrono::steady_clock::now();
-      const auto full_cones = core::recursive_cone(result.graph);
-      const double full_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - full_start)
-                                 .count();
-      if (inc_cones != full_cones) {
-        std::cerr << "FAIL: incremental closure diverged from full closure\n";
-        return 1;
-      }
-
-      sweep.push_back({stats.dirty_fraction, inc_ms, full_ms});
-      if (crossover < 0 && inc_ms >= full_ms) {
-        crossover = stats.dirty_fraction;
-      }
-      std::cout << "  dirty " << stats.dirty_fraction << ": incremental closure "
-                << inc_ms << " ms vs full closure " << full_ms << " ms\n";
-
-      prev_result = std::move(result);
-      prev_cones = std::move(inc_cones);
-    }
-  }
-  if (crossover >= 0) {
-    std::cout << "incremental stops paying at dirty fraction ~" << crossover << "\n";
-  } else {
-    std::cout << "incremental stayed cheaper than a full closure across the sweep\n";
-  }
-
   std::ofstream json(json_out);
   json << "{\n  \"bench\": \"ingest\",\n";
   json << "  \"preset\": \"" << preset << "\",\n";
@@ -189,16 +113,7 @@ int main(int argc, char** argv) {
   json << "  \"updates_per_sec\": " << static_cast<std::uint64_t>(updates_per_sec)
        << ",\n";
   json << "  \"epoch_build_micros\": {\"count\": " << build_micros.size()
-       << ", \"p50\": " << p50 << ", \"p99\": " << p99 << "},\n";
-  json << "  \"dirty_sweep\": [";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    if (i != 0) json << ", ";
-    json << "{\"dirty_fraction\": " << sweep[i].dirty_fraction
-         << ", \"incremental_ms\": " << sweep[i].incremental_ms
-         << ", \"full_closure_ms\": " << sweep[i].full_ms << "}";
-  }
-  json << "],\n";
-  json << "  \"crossover_dirty_fraction\": " << crossover << "\n";
+       << ", \"p50\": " << p50 << ", \"p99\": " << p99 << "}\n";
   json << "}\n";
   std::cout << "wrote " << json_out << "\n";
   return 0;

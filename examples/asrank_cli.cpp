@@ -24,7 +24,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -88,7 +90,7 @@ class Args {
 
   [[nodiscard]] static bool is_boolean(const std::string& key) {
     return key == "log-json" || key == "bootstrap" || key == "follow" ||
-           key == "flush-on-ts" || key == "verify-batch" || key == "metrics";
+           key == "flush-on-ts" || key == "metrics";
   }
 
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
@@ -112,6 +114,16 @@ class Args {
       throw UsageError("--" + key + " wants an unsigned integer, got '" + *value + "'");
     }
     return *parsed;
+  }
+
+  /// Throws UsageError naming the first flag neither in `accepted` nor
+  /// global (--log-level, --log-json).
+  void check_accepted(const std::set<std::string_view>& accepted) const {
+    for (const auto& [key, value] : values_) {
+      if (key != "log-level" && key != "log-json" && !accepted.contains(key)) {
+        throw UsageError("unknown flag --" + key);
+      }
+    }
   }
 
  private:
@@ -870,15 +882,12 @@ int cmd_ingest(const Args& args) {
   ingest::EpochBuilderConfig builder_config;
   builder_config.inference.threads = args.get_u64("threads", 0);
   builder_config.cone_threads = args.get_u64("threads", 0);
-  builder_config.full_closure_threshold =
-      std::strtod(args.get_or("dirty-threshold", "0.5").c_str(), nullptr);
-  builder_config.verify_batch = args.get("verify-batch").has_value();
-  // Extra algorithm sections per emitted epoch.  The incremental builder is
-  // asrank-only, so asrank stays the primary slot; the rest re-infer from
-  // the live corpus at each flush and ride along as tagged sections.
+  // Extra algorithm sections per emitted epoch.  EpochBuilder runs
+  // AsRankInference, so asrank stays the primary slot; the rest re-infer
+  // from the live corpus at each flush and ride along as tagged sections.
   const auto algorithms = algorithm_list(args.get_or("algorithm", "asrank"));
   if (algorithms[0] != "asrank") {
-    throw UsageError("ingest's incremental builder is asrank; list it first "
+    throw UsageError("ingest's epoch builder runs asrank; list it first "
                      "(e.g. --algorithm asrank," + algorithms[0] + ")");
   }
   const std::vector<std::string> extra_algos(algorithms.begin() + 1,
@@ -999,8 +1008,6 @@ int cmd_ingest(const Args& args) {
     applier.mark();
     policy.flushed(now_ms());
     std::cerr << "ingest: epoch '" << label << "' (" << reason << "): "
-              << (info.cones.full_recompute ? "full" : "incremental")
-              << " cones, dirty " << info.cones.dirty_asns << ", "
               << info.build_micros << " us\n";
   };
 
@@ -1075,6 +1082,38 @@ int cmd_ingest(const Args& args) {
   return exit_code;
 }
 
+/// The flags each command accepts, one row per command, mirroring usage().
+/// main() rejects any other flag before dispatch, so a misspelt flag is a
+/// usage error instead of a silent default.
+const std::map<std::string_view, std::set<std::string_view>> kCommandFlags = {
+    {"generate", {"out", "ppdc", "preset", "seed", "hybrid-fraction", "leaker-fraction"}},
+    {"observe", {"mrt", "pipe", "preset", "seed", "full-vps", "partial-vps",
+                 "hybrid-fraction", "leaker-fraction"}},
+    {"infer", {"mrt", "pipe", "out", "ixp", "algorithm", "threads"}},
+    {"cones", {"as-rel", "out", "method", "mrt", "pipe", "threads"}},
+    {"rank", {"as-rel", "mrt", "pipe", "top", "threads"}},
+    {"validate", {"inferred", "truth", "mrt", "pipe", "algorithm", "threads"}},
+    {"hierarchy", {"as-rel", "clique"}},
+    {"diff", {"before", "after"}},
+    {"updates", {"out", "rib", "preset", "seed", "full-vps", "partial-vps",
+                 "hybrid-fraction", "leaker-fraction", "steps", "bootstrap", "base-ts",
+                 "step-seconds"}},
+    {"ingest", {"updates", "rib", "follow", "poll-ms", "flush-every-n", "flush-every-ms",
+                "flush-on-ts", "epoch-label-format", "out-dir", "serve-port", "serve-host",
+                "serve-threads", "target", "threads", "retention", "cache", "algorithm"}},
+    {"replay", {"rib", "updates", "out"}},
+    {"snapshot", {"as-rel", "out", "ppdc", "mrt", "pipe", "method", "clique", "algorithm",
+                  "threads"}},
+    {"serve", {"snapshot", "host", "port", "threads", "cache", "epoch", "retention",
+               "idle-timeout-ms", "deadline-ms", "max-conns", "reload-path", "mmap",
+               "cone-bitset-min"}},
+    {"query", {"op", "host", "port", "a", "b", "n", "epoch", "algorithm", "cluster", "slots",
+               "replication", "fanout", "ea", "eb", "first", "second", "limit"}},
+    {"cluster-status", {"cluster", "slots", "replication", "fanout", "metrics"}},
+    {"reload", {"host", "port", "snapshot", "epoch"}},
+    {"metrics", {"host", "port"}},
+};
+
 void usage(std::ostream& os) {
   os <<
       "usage: asrank_cli <command> [--flag value ...]\n"
@@ -1083,33 +1122,35 @@ void usage(std::ostream& os) {
       "           [--hybrid-fraction X] [--leaker-fraction X] (adversarial scenarios)\n"
       "  observe  (--mrt F | --pipe F) [--preset P] [--seed N] [--full-vps N] [--partial-vps N]\n"
       "           [--hybrid-fraction X] [--leaker-fraction X] (must match generate)\n"
-      "  infer    (--mrt F | --pipe F) --out F.as-rel [--ixp a,b,c]\n"
+      "  infer    (--mrt F | --pipe F) --out F.as-rel [--ixp a,b,c] [--threads N]\n"
       "           [--algorithm NAME] (default asrank)\n"
       "  cones    --as-rel F --out F.ppdc [--method recursive|ppdc|observed] [--mrt F | --pipe F]\n"
-      "  rank     --as-rel F (--mrt F | --pipe F) [--top N]\n"
+      "           [--threads N]\n"
+      "  rank     --as-rel F (--mrt F | --pipe F) [--top N] [--threads N]\n"
       "  validate --inferred F.as-rel --truth F.as-rel\n"
-      "           or: --truth F.as-rel (--mrt F | --pipe F) --algorithm a,b,c\n"
+      "           or: --truth F.as-rel (--mrt F | --pipe F) --algorithm a,b,c [--threads N]\n"
       "           (per-algorithm PPV comparison against ground truth)\n"
       "  hierarchy --as-rel F [--clique a,b,c]\n"
       "  diff     --before F.as-rel --after F.as-rel\n"
       "  updates  --out F.updates [--rib F.mrt] [--preset P] [--seed N]\n"
+      "           [--full-vps N] [--partial-vps N] [--hybrid-fraction X] [--leaker-fraction X]\n"
       "           [--steps N] [--bootstrap] [--base-ts N] [--step-seconds N]\n"
       "           (--steps/--bootstrap emit a timestamped multi-step stream)\n"
       "  ingest   --updates F|- [--rib F.mrt] [--follow] [--poll-ms N]\n"
       "           [--flush-every-n N] [--flush-every-ms N] [--flush-on-ts]\n"
       "           [--epoch-label-format FMT] [--out-dir D] [--serve-port N]\n"
       "           [--serve-host H] [--serve-threads N] [--target host:port]\n"
-      "           [--threads N] [--dirty-threshold X] [--retention N]\n"
-      "           [--verify-batch] [--algorithm asrank,b,c]\n"
+      "           [--threads N] [--retention N] [--cache N] [--algorithm asrank,b,c]\n"
       "           long-running: BGP4MP updates in, fresh served epochs out\n"
       "  replay   --rib F.mrt --updates F.updates --out F2.mrt\n"
       "  snapshot --as-rel F --out F.asrk [--ppdc F | --mrt F | --pipe F]\n"
-      "           [--method recursive|ppdc|observed] [--clique a,b,c]\n"
-      "           or: --out F.asrk (--mrt F | --pipe F) --algorithm a,b,c\n"
+      "           [--method recursive|ppdc|observed] [--clique a,b,c] [--threads N]\n"
+      "           or: --out F.asrk (--mrt F | --pipe F) --algorithm a,b,c [--threads N]\n"
       "           (multi-algorithm snapshot; first name is the primary slot)\n"
       "  serve    --snapshot F.asrk [--host H] [--port N] [--threads N] [--cache N]\n"
       "           [--epoch LABEL] [--retention N] [--idle-timeout-ms N]\n"
       "           [--deadline-ms N] [--max-conns N] [--reload-path F]\n"
+      "           [--mmap 0|1] [--cone-bitset-min N]\n"
       "           (SIGHUP hot-reloads the snapshot; old epochs stay queryable)\n"
       "  query    --op OP [--host H] [--port N] [--a ASN] [--b ASN] [--n N]\n"
       "           [--epoch LABEL] (answer from a named resident epoch)\n"
@@ -1120,10 +1161,11 @@ void usage(std::ostream& os) {
       "               peers top intersect cliquepath clique stats metrics\n"
       "               epochs algos conediff (--a ASN --ea EPOCH --eb EPOCH)\n"
       "               disagree (--first ALGO --second ALGO [--limit N])\n"
-      "  cluster-status host:port,host:port,... [--slots N] [--replication N]\n"
+      "  cluster-status (host:port,host:port,... | --cluster host:port,...)\n"
+      "           [--slots N] [--replication N] [--fanout N]\n"
       "           [--metrics] probe every member: breaker state, reachability,\n"
       "           resident epoch, and the resolved cluster-wide epoch\n"
-      "  reload   [host:port] --snapshot F.asrk [--epoch LABEL]\n"
+      "  reload   [host:port | --host H --port N] --snapshot F.asrk [--epoch LABEL]\n"
       "           hot-load a snapshot into a running asrankd (loopback only)\n"
       "  metrics  [host:port] (default 127.0.0.1:7464; or --host H --port N)\n"
       "           print a running asrankd's Prometheus metrics\n"
@@ -1165,6 +1207,9 @@ int main(int argc, char** argv) {
       first_flag = 3;
     }
     const Args args(argc, argv, first_flag);
+    if (const auto accepted = kCommandFlags.find(command); accepted != kCommandFlags.end()) {
+      args.check_accepted(accepted->second);
+    }
     // Logging flags apply before any command body and override the
     // ASRANK_LOG / ASRANK_LOG_JSON environment.
     if (const auto level_text = args.get("log-level")) {

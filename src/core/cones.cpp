@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,7 +9,6 @@
 
 #include "obs/timer.h"
 #include "topology/bitset.h"
-#include "topology/graph_diff.h"
 #include "util/thread_pool.h"
 
 namespace asrank::core {
@@ -155,130 +153,6 @@ ConeMap recursive_cone(const TopologyView& view, std::size_t threads) {
 
 ConeMap recursive_cone(const AsGraph& graph, std::size_t threads) {
   return recursive_cone(graph.freeze(), threads);
-}
-
-ConeMap recursive_cone_incremental(const AsGraph& before, const ConeMap& before_cones,
-                                   const AsGraph& after, double full_threshold,
-                                   std::size_t threads, IncrementalConeStats* stats) {
-  obs::StageTimer stage_timer("cone_incremental");
-  IncrementalConeStats local;
-
-  const GraphDiff diff = diff_graphs(before, after);
-  local.changed_links = diff.added.size() + diff.removed.size() + diff.changed.size();
-
-  // Seeds: endpoints of every touched link, plus ASes with no prior cone
-  // (new nodes, or callers that handed us a partial base map).
-  std::set<Asn> dirty;
-  const auto seed_link = [&](const Link& link) {
-    dirty.insert(link.a);
-    dirty.insert(link.b);
-  };
-  for (const Link& link : diff.added) seed_link(link);
-  for (const Link& link : diff.removed) seed_link(link);
-  for (const LinkChange& change : diff.changed) {
-    seed_link(change.before);
-    seed_link(change.after);
-  }
-  const std::vector<Asn> after_ases = after.ases();
-  for (const Asn as : after_ases) {
-    if (!before_cones.contains(as)) dirty.insert(as);
-  }
-
-  // Expand upward through provider links of BOTH vintages: an AS whose cone
-  // changed must be able to reach some touched link by descending p2c edges
-  // in before or after, which makes it a provider-ancestor of a seed in one
-  // of the two graphs.  Anything the walk never reaches keeps its old cone.
-  std::vector<Asn> frontier(dirty.begin(), dirty.end());
-  while (!frontier.empty()) {
-    std::vector<Asn> next;
-    for (const Asn as : frontier) {
-      const auto ascend = [&](std::span<const Asn> providers) {
-        for (const Asn p : providers) {
-          if (dirty.insert(p).second) next.push_back(p);
-        }
-      };
-      ascend(before.providers(as));
-      ascend(after.providers(as));
-    }
-    frontier = std::move(next);
-  }
-  // The walk may pass through ASes removed in `after`; they own no cone.
-  std::erase_if(dirty, [&](const Asn as) { return !after.has_as(as); });
-
-  local.dirty_asns = dirty.size();
-  local.dirty_fraction = after_ases.empty()
-                             ? 0.0
-                             : static_cast<double>(dirty.size()) /
-                                   static_cast<double>(after_ases.size());
-
-  if (local.dirty_fraction > full_threshold) {
-    local.full_recompute = true;
-    if (stats != nullptr) *stats = local;
-    return recursive_cone(after, threads);
-  }
-
-  // Memoized post-order DFS over the dirty set only.  Clean customers
-  // contribute their (unchanged) base cone; dirty customers recurse.  Every
-  // node of a provider cycle introduced by the delta is necessarily dirty
-  // (each is a provider-ancestor of the changed link's endpoints), so the
-  // visiting-state check still catches A3 violations.
-  std::map<Asn, std::vector<Asn>> fresh;
-  const auto base_cone = [&](Asn as) -> const std::vector<Asn>& {
-    const auto it = before_cones.find(as);
-    if (it == before_cones.end()) {
-      throw std::invalid_argument("incremental cone: base cone map is missing AS " +
-                                  std::to_string(as.value()));
-    }
-    return it->second;
-  };
-  std::map<Asn, std::uint8_t> state;  // absent = new, 1 = visiting, 2 = done
-  for (const Asn root : dirty) {
-    if (state[root] == 2) continue;
-    std::vector<std::pair<Asn, std::size_t>> frames{{root, 0}};
-    while (!frames.empty()) {
-      const Asn node = frames.back().first;
-      std::size_t& child = frames.back().second;
-      const auto row = after.customers(node);
-      if (child == 0) {
-        if (state[node] == 2) {
-          frames.pop_back();
-          continue;
-        }
-        state[node] = 1;
-      }
-      if (child < row.size()) {
-        const Asn next = row[child];
-        ++child;
-        if (!dirty.contains(next)) continue;  // clean subtree: reuse below
-        if (state[next] == 1) {
-          throw std::invalid_argument("customer cones: provider graph has a cycle");
-        }
-        if (state[next] != 2) frames.push_back({next, 0});
-        continue;
-      }
-      std::set<Asn> acc;
-      acc.insert(node);
-      for (const Asn c : row) {
-        const std::vector<Asn>& sub = dirty.contains(c) ? fresh.at(c) : base_cone(c);
-        acc.insert(sub.begin(), sub.end());
-      }
-      fresh.emplace(node, std::vector<Asn>(acc.begin(), acc.end()));
-      state[node] = 2;
-      frames.pop_back();
-    }
-  }
-
-  ConeMap out;
-  for (const Asn as : after_ases) {
-    if (dirty.contains(as)) {
-      out.emplace(as, std::move(fresh.at(as)));
-    } else {
-      out.emplace(as, base_cone(as));
-      ++local.reused;
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return out;
 }
 
 ConeMap bgp_observed_cone(const TopologyView& view, const paths::PathCorpus& corpus,

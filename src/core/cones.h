@@ -71,39 +71,6 @@ std::size_t break_provider_cycles(AsGraph& graph, const Degrees& degrees);
                                      std::size_t threads = 1);
 [[nodiscard]] ConeMap recursive_cone(const AsGraph& graph, std::size_t threads = 1);
 
-/// Instrumentation from one recursive_cone_incremental call.
-struct IncrementalConeStats {
-  std::size_t changed_links = 0;  ///< links added + removed + re-annotated
-  std::size_t dirty_asns = 0;     ///< ASes whose cone was recomputed
-  double dirty_fraction = 0.0;    ///< dirty_asns / |after|
-  bool full_recompute = false;    ///< dirty fraction crossed the threshold
-  std::size_t reused = 0;         ///< cones copied verbatim from `before_cones`
-
-  friend bool operator==(const IncrementalConeStats&, const IncrementalConeStats&) = default;
-};
-
-/// Recursive cone of `after`, reusing `before_cones` (the recursive cones of
-/// `before`) for every AS whose cone provably did not change.
-///
-/// Dirty-set construction is safe over-invalidation: the endpoints of every
-/// added/removed/re-annotated link seed the set, which then expands upward
-/// through provider links of BOTH graphs — any AS that could reach a touched
-/// link by descending p2c edges in either vintage gets recomputed.  An AS
-/// outside that set has an identical customer subtree in both graphs, so its
-/// old cone is copied verbatim.  When the dirty fraction exceeds
-/// `full_threshold` the walk is abandoned for a plain full closure (the
-/// incremental machinery only pays off on small deltas).
-///
-/// Output is byte-identical to `recursive_cone(after, threads)` — the
-/// differential suite in tests/test_differential.cpp holds this contract.
-/// Throws std::invalid_argument on provider cycles, like the full closure.
-[[nodiscard]] ConeMap recursive_cone_incremental(const AsGraph& before,
-                                                 const ConeMap& before_cones,
-                                                 const AsGraph& after,
-                                                 double full_threshold = 0.5,
-                                                 std::size_t threads = 1,
-                                                 IncrementalConeStats* stats = nullptr);
-
 /// Direct observation: contiguous descending chains after each AS in paths,
 /// using the view to classify links as p2c.
 [[nodiscard]] ConeMap bgp_observed_cone(const topology::TopologyView& view,

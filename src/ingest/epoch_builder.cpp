@@ -1,27 +1,14 @@
 #include "ingest/epoch_builder.h"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "core/cones.h"
 #include "obs/timer.h"
 
 namespace asrank::ingest {
 
 namespace {
-
-/// The one snapshot-build entry point for both the incremental and the batch
-/// path: byte-identity between them rests on the two paths handing identical
-/// (graph, degrees, cones, clique) to identical freezing code.
-snapshot::SnapshotIndex freeze(const core::InferenceResult& result, const ConeMap& cones) {
-  return snapshot::build_snapshot(result.graph, result.degrees, cones, result.clique);
-}
-
-std::string serialized(const snapshot::SnapshotIndex& index) {
-  std::ostringstream os;
-  snapshot::write_snapshot(index, os);
-  return std::move(os).str();
-}
 
 /// Same alphabet serve::SnapshotRegistry accepts for epoch labels.
 bool valid_label_char(char c) noexcept {
@@ -35,52 +22,19 @@ EpochBuilder::EpochBuilder(EpochBuilderConfig config, obs::Registry& metrics)
     : config_(std::move(config)),
       build_latency_(&metrics.histogram("asrank_ingest_epoch_build_micros",
                                         "Wall-clock cost of building one ingest epoch")),
-      dirty_gauge_(&metrics.gauge("asrank_ingest_dirty_asns",
-                                  "ASes whose cone the last epoch build recomputed")),
-      full_closures_(&metrics.counter(
-          "asrank_ingest_full_closures_total",
-          "Epoch builds that ran a full cone closure (first build or fallback)")),
       epochs_total_(&metrics.counter("asrank_ingest_epochs_emitted_total",
                                      "Epochs built by the ingest pipeline")) {}
 
 Result<snapshot::SnapshotIndex> EpochBuilder::build(const paths::PathCorpus& corpus,
                                                     EpochBuildInfo* info) {
   obs::ScopedTimer timer(build_latency_);
-  EpochBuildInfo local;
   try {
-    const core::AsRankInference inference(config_.inference);
-    core::InferenceResult result = inference.run(corpus);
-
-    ConeMap cones;
-    if (has_prev_) {
-      cones = core::recursive_cone_incremental(prev_graph_, prev_cones_, result.graph,
-                                               config_.full_closure_threshold,
-                                               config_.cone_threads, &local.cones);
-    } else {
-      cones = core::recursive_cone(result.graph, config_.cone_threads);
-      local.cones.full_recompute = true;
-      local.cones.dirty_asns = cones.size();
-      local.cones.dirty_fraction = cones.empty() ? 0.0 : 1.0;
-    }
-
-    snapshot::SnapshotIndex index = freeze(result, cones);
-
-    if (config_.verify_batch) {
-      const snapshot::SnapshotIndex reference = batch_build(corpus, config_);
-      if (serialized(index) != serialized(reference)) {
-        return make_error(ErrorCode::kInternal,
-                          "ingest: incremental epoch diverged from batch build");
-      }
-    }
-
-    prev_graph_ = std::move(result.graph);
-    prev_cones_ = std::move(cones);
-    has_prev_ = true;
-    ++sequence_;
-    local.sequence = sequence_;
+    snapshot::SnapshotIndex index = batch_build(corpus, config_);
+    EpochBuildInfo local;
+    local.sequence = ++sequence_;
+    local.cones.dirty_fraction = index.as_count() == 0 ? 0.0 : 1.0;
+    local.cones.full_recompute = true;
     local.build_micros = timer.elapsed_micros();
-    dirty_gauge_->set(static_cast<std::int64_t>(local.cones.dirty_asns));
-    if (local.cones.full_recompute) full_closures_->inc();
     epochs_total_->inc();
     if (info != nullptr) *info = local;
     return index;
@@ -97,7 +51,7 @@ snapshot::SnapshotIndex EpochBuilder::batch_build(const paths::PathCorpus& corpu
   const core::AsRankInference inference(config.inference);
   const core::InferenceResult result = inference.run(corpus);
   const ConeMap cones = core::recursive_cone(result.graph, config.cone_threads);
-  return freeze(result, cones);
+  return snapshot::build_snapshot(result.graph, result.degrees, cones, result.clique);
 }
 
 std::string expand_epoch_label(std::string_view format, std::uint64_t sequence,

@@ -2,14 +2,13 @@
 // (docs/INGEST.md).
 //
 // An EpochBuilder turns the applier's current corpus into a fresh ASRK1
-// SnapshotIndex: run relationship inference, recompute customer cones
-// incrementally against the previous epoch's graph (safe over-invalidation
-// with a full-closure fallback — see core::recursive_cone_incremental), and
-// freeze the result with snapshot::build_snapshot.  Because inference is
-// deterministic and the incremental closure is output-identical to the full
-// one, every emitted epoch is byte-identical to a from-scratch batch build
-// of the same corpus — batch_build() is that reference path, and the
-// differential suite (tests/test_differential.cpp) holds the two equal.
+// SnapshotIndex.  Each epoch is a batch build: full relationship inference,
+// a full recursive cone closure (core::recursive_cone), and
+// snapshot::build_snapshot.  build() runs exactly batch_build() and adds the
+// epoch sequence number and metrics, so every emitted epoch is byte-identical
+// to a from-scratch batch build of the same corpus by construction.  The
+// differential suite (tests/test_differential.cpp) replays seeded streams
+// and still checks it.
 //
 // FlushPolicy and expand_epoch_label are the scheduling/naming companions
 // the long-running CLI mode drives; both are pure and unit-testable.
@@ -20,11 +19,9 @@
 #include <string_view>
 
 #include "core/asrank.h"
-#include "core/cones.h"
 #include "obs/metrics.h"
 #include "paths/corpus.h"
 #include "snapshot/snapshot.h"
-#include "topology/as_graph.h"
 #include "util/result.h"
 
 namespace asrank::ingest {
@@ -32,25 +29,26 @@ namespace asrank::ingest {
 struct EpochBuilderConfig {
   core::InferenceConfig inference;
 
-  /// Worker threads for cone closure (full builds and the incremental
-  /// fallback).  Same contract as core::recursive_cone.
+  /// Worker threads for cone closure.  Same contract as
+  /// core::recursive_cone.
   std::size_t cone_threads = 1;
+};
 
-  /// Dirty fraction above which the incremental closure abandons reuse for
-  /// a plain full closure.
-  double full_closure_threshold = 0.5;
+/// Cone-closure summary of one build.  Every epoch runs a full closure, so
+/// `full_recompute` is always true and `dirty_fraction` is 1.0 (0.0 for an
+/// empty graph).  The struct stays only because the ingest_live benchmark
+/// (perfbench/cpp/ingest_live.cpp) reads both fields.
+struct EpochConeInfo {
+  double dirty_fraction = 0.0;
+  bool full_recompute = false;
 
-  /// Paranoia knob: after every incremental build, serialize both it and a
-  /// from-scratch batch build and fail (kInternal) on any byte difference.
-  /// The differential tests run with this on; production ingest leaves it
-  /// off (it doubles the build cost).
-  bool verify_batch = false;
+  friend bool operator==(const EpochConeInfo&, const EpochConeInfo&) = default;
 };
 
 /// What one build() did, for logs/benches.
 struct EpochBuildInfo {
   std::uint64_t sequence = 0;  ///< 1-based epoch number from this builder
-  core::IncrementalConeStats cones;
+  EpochConeInfo cones;
   std::uint64_t build_micros = 0;
 
   friend bool operator==(const EpochBuildInfo&, const EpochBuildInfo&) = default;
@@ -61,16 +59,14 @@ class EpochBuilder {
   explicit EpochBuilder(EpochBuilderConfig config = {},
                         obs::Registry& metrics = obs::Registry::global());
 
-  /// Build the next epoch from `corpus`.  The first call runs a full cone
-  /// closure; later calls recompute only dirty cones against the previous
-  /// epoch.  Pipeline exceptions (provider cycles, snapshot invariant
-  /// violations) surface as kInternal on the Result rail — a bad corpus
-  /// must not kill a long-running ingest process.
+  /// Build the next epoch from `corpus`: batch_build() plus a sequence
+  /// number and metrics.  Pipeline exceptions (provider cycles, snapshot
+  /// invariant violations) surface as kInternal on the Result rail — a bad
+  /// corpus must not kill a long-running ingest process.
   [[nodiscard]] Result<snapshot::SnapshotIndex> build(const paths::PathCorpus& corpus,
                                                       EpochBuildInfo* info = nullptr);
 
-  /// Stateless reference path: full inference + full closure + snapshot.
-  /// build() is byte-identical to this for the same corpus.
+  /// Stateless build: full inference + full closure + snapshot.
   [[nodiscard]] static snapshot::SnapshotIndex batch_build(
       const paths::PathCorpus& corpus, const EpochBuilderConfig& config = {});
 
@@ -79,14 +75,9 @@ class EpochBuilder {
 
  private:
   EpochBuilderConfig config_;
-  AsGraph prev_graph_;
-  ConeMap prev_cones_;
-  bool has_prev_ = false;
   std::uint64_t sequence_ = 0;
 
   obs::Histogram* build_latency_;
-  obs::Gauge* dirty_gauge_;
-  obs::Counter* full_closures_;
   obs::Counter* epochs_total_;
 };
 

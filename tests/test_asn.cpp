@@ -43,6 +43,12 @@ struct ReservedCase {
   bool reserved;
 };
 
+// gtest would otherwise print the raw object bytes, padding included, and
+// those bytes end up in the discovered ctest names.
+void PrintTo(const ReservedCase& c, std::ostream* os) {
+  *os << "Asn" << c.value << (c.reserved ? "_reserved" : "_unreserved");
+}
+
 class AsnReservedTest : public ::testing::TestWithParam<ReservedCase> {};
 
 TEST_P(AsnReservedTest, MatchesIanaRegistry) {

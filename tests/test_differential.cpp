@@ -390,12 +390,11 @@ TEST(Differential, MmapBackedEngineServesIdenticalDerivedAnswers) {
 //
 // Claim 3 (the streaming-ingest acceptance contract): replaying a seeded
 // bgpsim update stream through the ingest conveyor — UpdateApplier table,
-// EpochBuilder with incremental cone recomputation — emits epochs that are
-// byte-identical to a from-scratch batch inference+snapshot of the same
-// cumulative route table, at every single step, for every seed.
+// EpochBuilder — emits epochs that are byte-identical to a from-scratch
+// batch inference+snapshot of the same cumulative route table, at every
+// single step, for every seed.
 
-void replay_stream_and_compare(const std::string& preset, std::uint64_t seed,
-                               double full_threshold) {
+void replay_stream_and_compare(const std::string& preset, std::uint64_t seed) {
   auto params = topogen::GenParams::preset(preset);
   params.seed = seed;
   auto truth = topogen::generate(params);
@@ -413,8 +412,7 @@ void replay_stream_and_compare(const std::string& preset, std::uint64_t seed,
       bgpsim::generate_update_stream(truth, obs_params, stream_params);
   ASSERT_EQ(stream.size(), 4u);  // bootstrap + 3 evolution steps
 
-  ingest::EpochBuilderConfig config;
-  config.full_closure_threshold = full_threshold;
+  const ingest::EpochBuilderConfig config{};
   obs::Registry metrics;
   ingest::UpdateApplier applier(metrics);
   ingest::EpochBuilder builder(config, metrics);
@@ -431,35 +429,19 @@ void replay_stream_and_compare(const std::string& preset, std::uint64_t seed,
         << preset << " seed " << seed << " step " << step;
 
     ingest::EpochBuildInfo info;
-    auto incremental = builder.build(corpus, &info);
-    ASSERT_TRUE(incremental.ok()) << incremental.error().context;
+    auto built = builder.build(corpus, &info);
+    ASSERT_TRUE(built.ok()) << built.error().context;
     EXPECT_EQ(info.sequence, step + 1);
 
     const auto batch = ingest::EpochBuilder::batch_build(corpus, config);
-    EXPECT_EQ(serialized_bytes(incremental.value()), serialized_bytes(batch))
-        << preset << " seed " << seed << " step " << step << " (dirty fraction "
-        << info.cones.dirty_fraction << ", full=" << info.cones.full_recompute
-        << ")";
+    EXPECT_EQ(serialized_bytes(built.value()), serialized_bytes(batch))
+        << preset << " seed " << seed << " step " << step;
   }
 }
 
 TEST(Differential, IngestEpochsMatchBatchBuildsAcrossSeeds) {
-  for (const std::uint64_t seed : {3u, 17u, 92u}) {
-    replay_stream_and_compare("small", seed, /*full_threshold=*/0.5);
-  }
-}
-
-TEST(Differential, IngestEpochsMatchBatchWithForcedIncrementalCones) {
-  // threshold > 1 disables the full-closure fallback entirely, so every
-  // epoch after the first exercises the dirty-cone reuse path.
-  replay_stream_and_compare("small", 7, /*full_threshold=*/1.1);
-  replay_stream_and_compare("medium", 29, /*full_threshold=*/1.1);
-}
-
-TEST(Differential, IngestEpochsMatchBatchWithForcedFullClosure) {
-  // threshold 0 forces the fallback on any change: the degenerate config
-  // must agree too (it shares the freeze path, not the closure path).
-  replay_stream_and_compare("small", 57, /*full_threshold=*/0.0);
+  for (const std::uint64_t seed : {3u, 17u, 92u}) replay_stream_and_compare("small", seed);
+  replay_stream_and_compare("medium", 29);
 }
 
 }  // namespace

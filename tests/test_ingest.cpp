@@ -1,7 +1,7 @@
 // Unit tests for the streaming ingest subsystem (src/ingest): the
 // UpdateApplier route table, the FlushPolicy epoch scheduler, epoch label
-// expansion, and the EpochBuilder's incremental-equals-batch contract on
-// small corpora.  The heavyweight replay suite (every emitted epoch byte-
+// expansion, and the EpochBuilder's build-equals-batch contract on small
+// corpora.  The heavyweight replay suite (every emitted epoch byte-
 // identical to a from-scratch batch build over seeded bgpsim streams) lives
 // in test_differential.cpp.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include "bgpsim/observation.h"
 #include "bgpsim/update_stream.h"
-#include "core/cones.h"
 #include "ingest/epoch_builder.h"
 #include "ingest/update_applier.h"
 #include "mrt/bgp4mp.h"
@@ -21,7 +20,6 @@
 #include "paths/corpus.h"
 #include "snapshot/snapshot.h"
 #include "topogen/topogen.h"
-#include "util/rng.h"
 
 namespace asrank {
 namespace {
@@ -211,86 +209,26 @@ TEST(EpochBuilder, FirstBuildIsFullAndMatchesBatch) {
   EXPECT_TRUE(info.cones.full_recompute);
   EXPECT_EQ(builder.epochs_built(), 1u);
   EXPECT_EQ(metrics.counter("asrank_ingest_epochs_emitted_total", "").value(), 1u);
-  EXPECT_EQ(metrics.counter("asrank_ingest_full_closures_total", "").value(), 1u);
   EXPECT_EQ(metrics.histogram("asrank_ingest_epoch_build_micros", "").count(), 1u);
 
   EXPECT_EQ(bytes_of(built.value()),
             bytes_of(ingest::EpochBuilder::batch_build(corpus)));
 }
 
-TEST(EpochBuilder, IncrementalRebuildMatchesBatchBytes) {
-  auto params = topogen::GenParams::preset("small");
-  params.seed = 21;
-  auto truth = topogen::generate(params);
-  const auto first = observe_corpus(truth, 22);
-
-  util::Rng rng(23);
-  topogen::EvolveParams evolve;
-  evolve.new_stubs = 5;
-  evolve.new_peerings = 3;
-  topogen::evolve(truth, rng, evolve);
-  const auto second = observe_corpus(truth, 22);
-
-  ingest::EpochBuilderConfig config;
-  config.full_closure_threshold = 1.1;  // never fall back: force reuse path
-  obs::Registry metrics;
-  ingest::EpochBuilder builder(config, metrics);
-  ASSERT_TRUE(builder.build(first).ok());
-
-  ingest::EpochBuildInfo info;
-  auto rebuilt = builder.build(second, &info);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(info.sequence, 2u);
-  EXPECT_FALSE(info.cones.full_recompute);
-  EXPECT_GT(info.cones.reused, 0u);
-  EXPECT_EQ(metrics.gauge("asrank_ingest_dirty_asns", "").value(),
-            static_cast<std::int64_t>(info.cones.dirty_asns));
-
-  EXPECT_EQ(bytes_of(rebuilt.value()),
-            bytes_of(ingest::EpochBuilder::batch_build(second, config)));
-}
-
-TEST(EpochBuilder, UnchangedCorpusDirtiesNothing) {
+TEST(EpochBuilder, UnchangedCorpusRebuildsSameBytes) {
   auto params = topogen::GenParams::preset("small");
   params.seed = 31;
   const auto truth = topogen::generate(params);
   const auto corpus = observe_corpus(truth, 32);
 
-  ingest::EpochBuilderConfig config;
-  config.full_closure_threshold = 1.1;
   obs::Registry metrics;
-  ingest::EpochBuilder builder(config, metrics);
+  ingest::EpochBuilder builder({}, metrics);
   auto first = builder.build(corpus);
   ASSERT_TRUE(first.ok());
 
-  ingest::EpochBuildInfo info;
-  auto second = builder.build(corpus, &info);
+  auto second = builder.build(corpus);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(info.cones.changed_links, 0u);
-  EXPECT_EQ(info.cones.dirty_asns, 0u);
   EXPECT_EQ(bytes_of(first.value()), bytes_of(second.value()));
-}
-
-TEST(EpochBuilder, VerifyBatchPassesOnHealthyStream) {
-  auto params = topogen::GenParams::preset("small");
-  params.seed = 41;
-  auto truth = topogen::generate(params);
-
-  ingest::EpochBuilderConfig config;
-  config.verify_batch = true;
-  obs::Registry metrics;
-  ingest::EpochBuilder builder(config, metrics);
-
-  util::Rng rng(42);
-  topogen::EvolveParams evolve;
-  evolve.new_stubs = 4;
-  evolve.new_peerings = 2;
-  for (int step = 0; step < 3; ++step) {
-    if (step > 0) topogen::evolve(truth, rng, evolve);
-    auto built = builder.build(observe_corpus(truth, 43));
-    ASSERT_TRUE(built.ok()) << built.error().context;
-  }
-  EXPECT_EQ(builder.epochs_built(), 3u);
 }
 
 TEST(EpochBuilder, ReplayedStreamThroughApplierMatchesBatch) {
