@@ -492,10 +492,16 @@ TEST(ClusterEpoch, SkewIsTypedAndRecovers) {
   EXPECT_EQ(cluster.try_resolved_epoch().value(), "seed");
   EXPECT_TRUE(cluster.try_top(3, QueryScope{}).ok());
 
-  // Half the cluster moves on: "seed" is evicted from a, and the members no
-  // longer share any label.  Pinned fan-outs must fail typed kEpochSkew —
-  // the per-AS routed ops too, once their sub-request lands on a.
-  ASSERT_TRUE(a.snapshots().install("next", make_index()).ok());
+  // Half the cluster moves on: "seed" is evicted from the member that is
+  // AS1's first replica (the slot table follows the ephemeral ports, so pick
+  // it from the map), and the members no longer share any label.  Pinned
+  // fan-outs must fail typed kEpochSkew — the per-AS routed ops too, once
+  // their sub-request lands on the member that moved on (AS1's does).
+  const auto& cluster_map = cluster.map();
+  const std::size_t lead = cluster_map.replicas(cluster_map.slot_of(Asn(1)))[0];
+  MemberServer& ahead = lead == 0 ? a : b;
+  MemberServer& behind = lead == 0 ? b : a;
+  ASSERT_TRUE(ahead.snapshots().install("next", make_index()).ok());
   std::size_t skews = 0;
   for (int round = 0; round < 2; ++round) {
     for (const Asn as : sweep_ases()) {
@@ -520,7 +526,7 @@ TEST(ClusterEpoch, SkewIsTypedAndRecovers) {
 
   // The laggard catches up: the next resolution converges on "next" and
   // every query serves again.
-  ASSERT_TRUE(b.snapshots().install("next", make_index()).ok());
+  ASSERT_TRUE(behind.snapshots().install("next", make_index()).ok());
   EXPECT_EQ(cluster.try_resolved_epoch().value(), "next");
   for (const Asn as : sweep_ases()) {
     EXPECT_TRUE(cluster.try_cone_size(as, QueryScope{}).ok());
@@ -625,13 +631,17 @@ TEST(ClusterProcess, ChaosSigkillTypedErrorsAndRecovery) {
     ASSERT_TRUE(cluster.try_cone_size(as, QueryScope{}).ok());
   }
 
-  // SIGKILL one member mid-serving.  Every subsequent failure must be typed
-  // kUnavailable (or transparently failed over) — never a raw socket error.
-  const std::uint16_t killed_port = members[0].port;
-  reap(members[0], SIGKILL);
+  // SIGKILL one member mid-serving: AS1's first replica, picked from the map
+  // because the slot table follows the ephemeral ports.  Every subsequent
+  // failure must be typed kUnavailable (or transparently failed over) —
+  // never a raw socket error.
+  const auto& cluster_map = cluster.map();
+  const std::size_t victim = cluster_map.replicas(cluster_map.slot_of(Asn(1)))[0];
+  const std::uint16_t killed_port = members[victim].port;
+  reap(members[victim], SIGKILL);
   std::size_t failures = 0;
   for (int round = 0; round < 4; ++round) {
-    // 1..64 covers every slot, so the dead endpoint is some query's first
+    // AS1 is among 1..64, so the dead endpoint is some query's first
     // replica: the failover path is guaranteed to run.
     for (std::uint32_t value = 1; value <= 64; ++value) {
       const auto size = cluster.try_cone_size(Asn(value), QueryScope{});
@@ -650,11 +660,11 @@ TEST(ClusterProcess, ChaosSigkillTypedErrorsAndRecovery) {
   }
   // Replication 2 rode through the loss for routed queries; scatter may
   // have lost cover until the breaker opened.
-  EXPECT_EQ(cluster.endpoint_state(0), HealthState::kOpen);
+  EXPECT_EQ(cluster.endpoint_state(victim), HealthState::kOpen);
   EXPECT_GT(metrics.counter("asrank_cluster_failovers_total").value(), 0u);
   EXPECT_EQ(metrics
                 .gauge("asrank_cluster_endpoint_state", "",
-                       {{"endpoint", endpoints[0].label()}})
+                       {{"endpoint", endpoints[victim].label()}})
                 .value(),
             2);
   // With the breaker open, everything — including scatter — serves again.
@@ -664,16 +674,17 @@ TEST(ClusterProcess, ChaosSigkillTypedErrorsAndRecovery) {
   EXPECT_TRUE(cluster.try_top(3, QueryScope{}).ok());
 
   // Restart the member on its old port (SO_REUSEADDR); past the cool-down
-  // the half-open probe succeeds and the breaker closes.
-  members[0] = spawn_member(false, killed_port);
-  ASSERT_NE(members[0].port, 0);
+  // the half-open probe (AS1's query, in the sweep) succeeds and the breaker
+  // closes.
+  members[victim] = spawn_member(false, killed_port);
+  ASSERT_NE(members[victim].port, 0);
   clock += 60'000;
   bool recovered = false;
   for (int attempt = 0; attempt < 50 && !recovered; ++attempt) {
     for (const Asn as : sweep_ases()) {
       (void)cluster.try_cone_size(as, QueryScope{});
     }
-    recovered = cluster.endpoint_state(0) == HealthState::kClosed;
+    recovered = cluster.endpoint_state(victim) == HealthState::kClosed;
     if (!recovered) {
       clock += 60'000;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
