@@ -395,7 +395,7 @@ void write_topology_view_json(const std::string& path) {
 
 // ----------------------------------------------- BENCH_snapshot_mmap.json --
 // Zero-copy load path and blocked-bitset cone kernels, measured against the
-// representations they replace: heap parse vs mmap open on a large synthetic
+// slower alternatives: full-validation read vs mmap open on a large synthetic
 // snapshot, and sorted-merge vs word-AND cone intersection on its biggest
 // cones.  Written as a side artifact so the speedups are tracked across PRs.
 
@@ -431,9 +431,10 @@ void write_snapshot_mmap_json(const std::string& path) {
     file_bytes = static_cast<std::size_t>(in.tellg());
   }
 
-  // Open latency: fully re-validating heap parse vs zero-copy mmap.  Both
-  // loaders end in a ready-to-query index; min over reps discards cold
-  // page-cache effects for the comparison both paths share.
+  // Open latency: read into an owned image + full validation (the JSON's
+  // historical "heap_ms") vs zero-copy mmap + table checks.  Both end in a
+  // ready-to-query index; min over reps discards cold page-cache effects
+  // for the comparison both paths share.
   const double heap_open_ms = min_time_ms(kReps, [&file] {
     auto loaded = snapshot::try_read_snapshot_file(file);
     benchmark::DoNotOptimize(loaded.value().as_count());

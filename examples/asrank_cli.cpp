@@ -611,7 +611,7 @@ int cmd_serve(const Args& args) {
   serve::SnapshotRegistryConfig registry_config;
   registry_config.retention = args.get_u64("retention", 4);
   registry_config.cache_capacity = args.get_u64("cache", 4096);
-  // --mmap=0 falls back to the fully re-validating heap parse.
+  // --mmap=0 reads the file into an owned image and fully re-validates it.
   registry_config.mmap_load = args.get_u64("mmap", 1) != 0;
   registry_config.cone_bitset.min_cone_size = args.get_u64("cone-bitset-min", 256);
   serve::SnapshotRegistry registry(registry_config);
@@ -620,7 +620,7 @@ int cmd_serve(const Args& args) {
   if (!loaded.ok()) throw std::runtime_error(loaded.error().message());
   const auto& index = loaded.value().engine->index();
   std::cerr << "loaded snapshot epoch '" << loaded.value().label << "' ("
-            << (index.mmap_backed() ? "mmap" : "heap") << "): "
+            << (index.mmap_backed() ? "mmap" : "owned") << "): "
             << index.as_count() << " ASes, " << index.link_count()
             << " links, clique " << index.clique().size() << "\n";
 

@@ -46,8 +46,10 @@ struct SnapshotRegistryConfig {
   std::size_t cache_capacity = 4096;
   /// load_file() uses the zero-copy mmap loader (SnapshotIndex::map_file):
   /// epochs serve straight from the page cache and N replicas of one file
-  /// share a single physical copy.  false falls back to the fully
-  /// re-validating heap parse (behavior-identical answers, slower load).
+  /// share a single physical copy.  false reads the file into an owned
+  /// image and re-validates every per-link and per-cone invariant
+  /// (behavior-identical answers, slower load) — the switch for untrusted
+  /// files.
   bool mmap_load = true;
   /// Blocked-bitset cone kernel tuning for each installed engine.
   core::ConeBitsetConfig cone_bitset = {};

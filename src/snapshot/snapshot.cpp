@@ -1,10 +1,13 @@
 #include "snapshot/snapshot.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <istream>
-#include <iterator>
 #include <ostream>
 #include <type_traits>
 
@@ -102,64 +105,33 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-std::vector<std::uint8_t> encode_u32s(std::span<const std::uint32_t> values) {
-  std::vector<std::uint8_t> out;
-  out.reserve(values.size() * 4);
-  for (const std::uint32_t v : values) put_u32(out, v);
-  return out;
-}
-
-std::vector<std::uint8_t> encode_asns(std::span<const Asn> values) {
-  std::vector<std::uint8_t> out;
-  out.reserve(values.size() * 4);
-  for (const Asn v : values) put_u32(out, v.value());
-  return out;
-}
-
-std::vector<std::uint8_t> encode_u64s(std::span<const std::uint64_t> values) {
-  std::vector<std::uint8_t> out;
-  out.reserve(values.size() * 8);
-  for (const std::uint64_t v : values) put_u64(out, v);
-  return out;
-}
-
-Result<std::vector<std::uint32_t>> decode_u32s(std::span<const std::uint8_t> bytes,
-                                               const char* what) {
-  if (bytes.size() % 4 != 0) {
-    return make_error(ErrorCode::kCorrupt,
-                      std::string(what) + ": length not a multiple of 4");
+/// Byte width of the integers section `raw_id` holds (format.h id scheme),
+/// or 0 for sections that read the same on every host: the u8 relationship
+/// codes, the directory (decoded field by field) and unknown ids.
+std::size_t element_width(std::uint32_t raw_id) noexcept {
+  switch (static_cast<SectionId>(raw_id % kAlgoSlotStride)) {
+    case SectionId::kAdjOffsets:
+    case SectionId::kConeOffsets:
+      return 8;
+    case SectionId::kAsns:
+    case SectionId::kAdjNeighbors:
+    case SectionId::kConeMembers:
+    case SectionId::kRanks:
+    case SectionId::kTransitDegrees:
+    case SectionId::kClique:
+      return 4;
+    default:
+      return 0;
   }
-  Cursor cursor(bytes, what);
-  std::vector<std::uint32_t> out(bytes.size() / 4);
-  for (auto& v : out) {
-    ASRANK_TRY(decoded, cursor.u32());
-    v = decoded;
-  }
-  return out;
 }
 
-Result<std::vector<Asn>> decode_asns(std::span<const std::uint8_t> bytes,
-                                     const char* what) {
-  ASRANK_TRY(raw, decode_u32s(bytes, what));
-  std::vector<Asn> out;
-  out.reserve(raw.size());
-  for (const std::uint32_t v : raw) out.emplace_back(v);
-  return out;
-}
-
-Result<std::vector<std::uint64_t>> decode_u64s(std::span<const std::uint8_t> bytes,
-                                               const char* what) {
-  if (bytes.size() % 8 != 0) {
-    return make_error(ErrorCode::kCorrupt,
-                      std::string(what) + ": length not a multiple of 8");
+/// Reverse the byte order of each `width`-byte element in place: the
+/// little-endian file ⇄ host conversion on big-endian hosts.
+void swap_elements(std::uint8_t* data, std::size_t size, std::size_t width) noexcept {
+  if (width < 2) return;
+  for (std::size_t i = 0; i + width <= size; i += width) {
+    std::reverse(data + i, data + i + width);
   }
-  Cursor cursor(bytes, what);
-  std::vector<std::uint64_t> out(bytes.size() / 8);
-  for (auto& v : out) {
-    ASRANK_TRY(decoded, cursor.u64());
-    v = decoded;
-  }
-  return out;
 }
 
 constexpr RelView inverse(RelView view) noexcept {
@@ -187,10 +159,10 @@ bool valid_algo_name(std::string_view name) {
 }  // namespace
 
 // ------------------------------------------------------ container parsing --
-// Shared between the heap decoder and the zero-copy mapper: check magic,
-// version, declared size, header CRC, then bounds-, CRC- and
-// duplicate-check every section-table entry.  Namespace scope (not
-// anonymous) so snapshot.h can name it for the per-slot loaders.
+// The first step of every load: check magic, version, declared size,
+// header CRC, then bounds-, CRC- and duplicate-check every section-table
+// entry.  Namespace scope (not anonymous) so snapshot.h can name it for the
+// per-slot loader.
 
 struct ContainerView {
   std::unordered_map<std::uint32_t, std::span<const std::uint8_t>> sections;
@@ -281,35 +253,95 @@ Result<ContainerView> parse_container(std::span<const std::uint8_t> data) {
   return parsed;
 }
 
-/// Reinterpret a section payload as a span of fixed-width little-endian
-/// elements, in place.  Only valid on little-endian hosts; the writer's
-/// 8-byte section alignment makes the cast well-defined for every element
-/// type used by the format, but a foreign file could carry any offset, so
-/// alignment is checked rather than assumed.
+// Asn must stay layout-compatible with the serialized u32 for the in-place
+// view below to be valid.
+static_assert(sizeof(Asn) == 4 && alignof(Asn) == 4 &&
+              std::is_trivially_copyable_v<Asn>);
+
+/// Point `out` at section `id` of algorithm slot `slot`, viewed in place as
+/// host-order elements (the loader has byte-swapped a copy first on
+/// big-endian hosts).  The writer's 8-byte section alignment makes the cast
+/// well-defined for every element type used by the format, but a foreign
+/// file could carry any offset, so alignment is checked rather than
+/// assumed — the same way for every loader, since every image is at least
+/// 8-byte aligned.
 template <typename T>
-Result<std::span<const T>> typed_view(std::span<const std::uint8_t> payload,
-                                      const char* what) {
+Result<void> view_section(const ContainerView& container, std::size_t slot,
+                          SectionId id, const char* what, std::span<const T>& out) {
   static_assert(std::is_trivially_copyable_v<T>);
+  ASRANK_TRY(payload, container.require(slot, id));
   if (payload.size() % sizeof(T) != 0) {
     return make_error(ErrorCode::kCorrupt,
                       std::string(what) + ": length not a multiple of " +
                           std::to_string(sizeof(T)));
   }
-  if (payload.empty()) return std::span<const T>{};
-  if (reinterpret_cast<std::uintptr_t>(payload.data()) % alignof(T) != 0) {
+  if (!payload.empty() &&
+      reinterpret_cast<std::uintptr_t>(payload.data()) % alignof(T) != 0) {
     return make_error(ErrorCode::kCorrupt,
                       std::string(what) + ": misaligned section offset");
   }
-  return std::span<const T>(reinterpret_cast<const T*>(payload.data()),
-                            payload.size() / sizeof(T));
+  out = {reinterpret_cast<const T*>(payload.data()), payload.size() / sizeof(T)};
+  return {};
 }
 
-// Asn must stay layout-compatible with the serialized u32 for the in-place
-// reinterpretation above to be valid.
-static_assert(sizeof(Asn) == 4 && alignof(Asn) == 4 &&
-              std::is_trivially_copyable_v<Asn>);
+/// Decode the algorithm directory section into slot-ordered names.
+Result<std::vector<std::string>> parse_directory(std::span<const std::uint8_t> directory) {
+  const auto fail = [](std::string what) {
+    return make_error(ErrorCode::kCorrupt, "algorithm directory: " + std::move(what));
+  };
+  Cursor cursor(directory, "algorithm directory");
+  ASRANK_TRY(count, cursor.u32());
+  if (count == 0) return fail("empty");
+  if (count > kMaxAlgorithms) {
+    return fail("declares " + std::to_string(count) + " algorithms (max " +
+                std::to_string(kMaxAlgorithms) + ")");
+  }
+  std::vector<std::string> names;
+  names.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    ASRANK_TRY(slot, cursor.u32());
+    if (slot != i) return fail("slots not ascending from 0");
+    ASRANK_TRY(name_len, cursor.u16());
+    ASRANK_TRY(raw, cursor.bytes(name_len));
+    std::string name(raw.begin(), raw.end());
+    if (!valid_algo_name(name)) {
+      return fail("invalid algorithm name in slot " + std::to_string(slot));
+    }
+    if (std::find(names.begin(), names.end(), name) != names.end()) {
+      return fail("duplicate algorithm name '" + name + "'");
+    }
+    names.push_back(std::move(name));
+  }
+  if (cursor.remaining() != 0) return fail("trailing bytes");
+  return names;
+}
 
 }  // namespace
+
+// ------------------------------------------------------------------ image --
+
+// Owned images are unsigned char arrays from array new: that storage is
+// aligned to __STDCPP_DEFAULT_NEW_ALIGNMENT__, so every section the writer
+// placed on an 8-byte boundary can be viewed in place, as in a mapping, and
+// the integers viewed there are created implicitly (no aliasing of typed
+// objects).
+static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= kSectionAlign);
+
+struct SnapshotIndex::Image {
+  /// An owned image: the first `size` bytes of `buffer`.
+  Image(std::unique_ptr<std::uint8_t[]> buffer, std::size_t size)
+      : owned(std::move(buffer)), bytes(owned.get(), size) {}
+  /// A mapped image: the whole file.
+  explicit Image(util::MappedFile mapping) : file(std::move(mapping)), bytes(file.bytes()) {}
+
+  util::MappedFile file;                  ///< mapped images
+  std::unique_ptr<std::uint8_t[]> owned;  ///< owned images
+  std::span<const std::uint8_t> bytes;    ///< the ASRK1 image, little-endian
+};
+
+bool SnapshotIndex::mmap_backed() const noexcept {
+  return image_ != nullptr && image_->owned == nullptr;
+}
 
 // ------------------------------------------------------------- accessors --
 
@@ -418,18 +450,6 @@ std::span<const std::uint8_t> SnapshotIndex::relationship_codes(
 
 // ------------------------------------------------------------ validation --
 
-void SnapshotIndex::bind_heap() noexcept {
-  asns_ = heap_.asns;
-  adj_off_ = heap_.adj_off;
-  adj_nbr_ = heap_.adj_nbr;
-  adj_rel_ = heap_.adj_rel;
-  cone_off_ = heap_.cone_off;
-  cone_mem_ = heap_.cone_mem;
-  rank_ = heap_.rank;
-  tdeg_ = heap_.tdeg;
-  clique_ = heap_.clique;
-}
-
 Result<void> SnapshotIndex::finalize_and_validate(Validation depth) {
   const std::size_t n = asns_.size();
   const auto fail = [](std::string what) {
@@ -481,11 +501,10 @@ Result<void> SnapshotIndex::finalize_and_validate(Validation depth) {
     if (cone_off_[id] > cone_off_[id + 1]) return fail("cone offsets not monotone");
   }
 
-  // The per-link and per-cone-member invariants are O(links · log n): the
-  // heap path re-checks them all, the mmap path trusts the section CRCs to
-  // attest the writer's output (FORMATS.md "Zero-copy mapping") — all table
-  // checks above and below still run, so accessors stay memory-safe either
-  // way.
+  // The per-link and per-cone-member invariants are O(links · log n): kFull
+  // re-checks them all, kMapped trusts the section CRCs to attest the
+  // writer's output (FORMATS.md "Validation contract") — all table checks
+  // above and below still run, so accessors stay memory-safe either way.
   if (depth == Validation::kFull) {
     for (std::size_t id = 0; id < n; ++id) {
       for (std::uint64_t i = adj_off_[id]; i < adj_off_[id + 1]; ++i) {
@@ -542,9 +561,8 @@ Result<void> SnapshotIndex::finalize_and_validate(Validation depth) {
   }
 
   // Derive the dense-id mirrors: validation above guarantees every clique
-  // member resolves to an id.  The neighbour-id translation is eager on the
-  // heap path (behavior-identical to the historical loader) and deferred to
-  // first use on the mmap path so mapping stays CRC-bound.
+  // member resolves to an id.  The neighbour-id translation is eager at
+  // kFull and deferred to first use at kMapped so mapping stays CRC-bound.
   clique_bits_.assign((n + 63) / 64, 0);
   for (const Asn member : clique_) {
     const std::uint32_t id = *id_of(member);
@@ -554,48 +572,187 @@ Result<void> SnapshotIndex::finalize_and_validate(Validation depth) {
   return {};
 }
 
+// ------------------------------------------------------------------ codec --
+
+std::shared_ptr<SnapshotIndex::Image> SnapshotIndex::encode_image(
+    std::span<const SnapshotIndex* const> slots, std::span<const std::string> names) {
+  struct Section {
+    std::uint32_t id;
+    std::span<const std::uint8_t> payload;  ///< host byte order
+  };
+  std::vector<Section> sections;
+  const auto push_slot = [&sections](const SnapshotIndex& part, std::size_t slot) {
+    const auto add = [&sections, slot](SectionId id, auto values) {
+      sections.push_back({slot_section_id(slot, id),
+                          {reinterpret_cast<const std::uint8_t*>(values.data()),
+                           values.size_bytes()}});
+    };
+    add(SectionId::kAsns, part.asns_);
+    add(SectionId::kAdjOffsets, part.adj_off_);
+    add(SectionId::kAdjNeighbors, part.adj_nbr_);
+    add(SectionId::kAdjRels, part.adj_rel_);
+    add(SectionId::kConeOffsets, part.cone_off_);
+    add(SectionId::kConeMembers, part.cone_mem_);
+    add(SectionId::kRanks, part.rank_);
+    add(SectionId::kTransitDegrees, part.tdeg_);
+    add(SectionId::kClique, part.clique_);
+  };
+  push_slot(*slots.front(), 0);
+
+  // The directory (and with it the extra slots) is only emitted when the
+  // file actually deviates from the historical single-algorithm layout —
+  // this keeps a plain "asrank" snapshot byte-identical to the
+  // pre-multi-algorithm writer.
+  std::vector<std::uint8_t> directory;
+  if (slots.size() > 1 || names.front() != "asrank") {
+    put_u32(directory, static_cast<std::uint32_t>(names.size()));
+    for (std::size_t slot = 0; slot < names.size(); ++slot) {
+      put_u32(directory, static_cast<std::uint32_t>(slot));
+      put_u16(directory, static_cast<std::uint16_t>(names[slot].size()));
+      directory.insert(directory.end(), names[slot].begin(), names[slot].end());
+    }
+    sections.push_back({static_cast<std::uint32_t>(SectionId::kAlgoDirectory), directory});
+    for (std::size_t slot = 1; slot < slots.size(); ++slot) push_slot(*slots[slot], slot);
+  }
+
+  // Lay out sections after the header, 8-byte aligned.
+  const std::size_t header_size =
+      kHeaderPrefixSize + sections.size() * kSectionEntrySize + 4;
+  std::vector<std::uint64_t> offsets(sections.size());
+  std::uint64_t cursor = header_size;
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    cursor = (cursor + (kSectionAlign - 1)) & ~static_cast<std::uint64_t>(kSectionAlign - 1);
+    offsets[i] = cursor;
+    cursor += sections[i].payload.size();
+  }
+  const std::uint64_t file_size = cursor;
+  auto buffer = std::make_unique<std::uint8_t[]>(file_size);  // zero padding
+  std::uint8_t* const out = buffer.get();
+
+  std::vector<std::uint8_t> header;
+  header.reserve(header_size);
+  header.insert(header.end(), kMagic.begin(), kMagic.end());
+  put_u16(header, kFormatVersion);
+  put_u16(header, static_cast<std::uint16_t>(sections.size()));
+  put_u32(header, 0);  // flags
+  put_u64(header, file_size);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const auto& section = sections[i];
+    std::uint8_t* const dst = out + offsets[i];
+    if (!section.payload.empty()) {
+      std::memcpy(dst, section.payload.data(), section.payload.size());
+    }
+    if constexpr (std::endian::native != std::endian::little) {
+      swap_elements(dst, section.payload.size(), element_width(section.id));
+    }
+    put_u32(header, section.id);
+    put_u32(header, 0);  // reserved
+    put_u64(header, offsets[i]);
+    put_u64(header, section.payload.size());
+    put_u32(header, util::crc32({dst, section.payload.size()}));
+    put_u32(header, 0);  // pad
+  }
+  put_u32(header, util::crc32(header));
+  std::memcpy(out, header.data(), header.size());
+  return std::make_shared<Image>(std::move(buffer), file_size);
+}
+
+Result<SnapshotIndex> SnapshotIndex::map_sections(const ContainerView& container,
+                                                  std::size_t slot,
+                                                  std::shared_ptr<const Image> image,
+                                                  Validation depth) {
+  SnapshotIndex index;
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kAsns, "AS table", index.asns_));
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kAdjOffsets,
+                               "adjacency offsets", index.adj_off_));
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kAdjNeighbors,
+                               "adjacency neighbours", index.adj_nbr_));
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kAdjRels,
+                               "adjacency relationships", index.adj_rel_));
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kConeOffsets,
+                               "cone offsets", index.cone_off_));
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kConeMembers,
+                               "cone members", index.cone_mem_));
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kRanks, "ranks", index.rank_));
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kTransitDegrees,
+                               "transit degrees", index.tdeg_));
+  ASRANK_TRY_VOID(view_section(container, slot, SectionId::kClique, "clique", index.clique_));
+  index.image_ = std::move(image);
+  ASRANK_TRY_VOID(index.finalize_and_validate(depth));
+  return index;
+}
+
+Result<SnapshotIndex> SnapshotIndex::load(std::shared_ptr<const Image> image,
+                                          Validation depth) {
+  ASRANK_TRY(container, parse_container(image->bytes));
+
+  if constexpr (std::endian::native != std::endian::little) {
+    // The sections can't be viewed in place on this host: copy the image
+    // once and byte-swap every integer section in the copy.  The CRCs above
+    // were checked on the little-endian bytes.
+    const auto source = image->bytes;
+    auto buffer = std::make_unique<std::uint8_t[]>(source.size());
+    std::uint8_t* const copy = buffer.get();
+    std::memcpy(copy, source.data(), source.size());
+    for (auto& [id, payload] : container.sections) {
+      std::uint8_t* const section = copy + (payload.data() - source.data());
+      swap_elements(section, payload.size(), element_width(id));
+      payload = {section, payload.size()};
+    }
+    image = std::make_shared<const Image>(std::move(buffer), source.size());
+  }
+
+  ASRANK_TRY(index, map_sections(container, 0, image, depth));
+  const auto* directory =
+      container.find(static_cast<std::uint32_t>(SectionId::kAlgoDirectory));
+  if (directory == nullptr) return index;  // legacy layout: {"asrank"}
+  ASRANK_TRY(names, parse_directory(*directory));
+  for (std::size_t slot = 1; slot < names.size(); ++slot) {
+    ASRANK_TRY(extra, map_sections(container, slot, image, depth));
+    extra.algo_names_ = {names[slot]};
+    index.extras_.push_back(std::make_unique<SnapshotIndex>(std::move(extra)));
+  }
+  index.algo_names_ = std::move(names);
+  return index;
+}
+
 // --------------------------------------------------------------- builder --
 
 SnapshotIndex build_snapshot(const topology::TopologyView& view,
                              const std::unordered_map<Asn, std::size_t>& transit_degrees,
                              const ConeMap& cones, std::span<const Asn> clique) {
   const topology::AsnInterner& interner = view.interner();
-  SnapshotIndex index;
-  SnapshotIndex::HeapStore& store = index.heap_;
-  store.asns.assign(interner.asns().begin(), interner.asns().end());
-  const std::size_t n = store.asns.size();
+  const std::vector<Asn> asns(interner.asns().begin(), interner.asns().end());
+  const std::size_t n = asns.size();
 
   // The view's CSR rows are id-ascending, and the interner is
-  // order-preserving, so the adjacency sections are bulk copies plus one
-  // id→ASN translation of the neighbour array — no re-sorting, no hashing.
-  const auto adj_off = view.adjacency_offsets();
-  store.adj_off.assign(adj_off.begin(), adj_off.end());
-  const auto adj_nbr = view.adjacency_neighbors();
-  store.adj_nbr.reserve(adj_nbr.size());
-  for (const topology::NodeId id : adj_nbr) {
-    store.adj_nbr.push_back(interner.asn_of(id));
-  }
-  const auto adj_rel = view.adjacency_rels();
-  store.adj_rel.assign(adj_rel.begin(), adj_rel.end());
+  // order-preserving, so the adjacency sections are the view's arrays plus
+  // one id→ASN translation of the neighbour array — no re-sorting, no
+  // hashing.
+  const auto view_nbr = view.adjacency_neighbors();
+  std::vector<Asn> adj_nbr;
+  adj_nbr.reserve(view_nbr.size());
+  for (const topology::NodeId id : view_nbr) adj_nbr.push_back(interner.asn_of(id));
 
-  store.cone_off.assign(n + 1, 0);
-  store.rank.assign(n, 0);
-  store.tdeg.assign(n, 0);
+  std::vector<std::uint64_t> cone_off(n + 1, 0);
+  std::vector<Asn> cone_mem;
+  std::vector<std::uint32_t> rank(n, 0);
+  std::vector<std::uint32_t> tdeg(n, 0);
 
   for (std::size_t id = 0; id < n; ++id) {
-    const Asn as = store.asns[id];
+    const Asn as = asns[id];
     const auto cone_it = cones.find(as);
     if (cone_it != cones.end()) {
       std::vector<Asn> members = cone_it->second;
       std::sort(members.begin(), members.end());
       members.erase(std::unique(members.begin(), members.end()), members.end());
-      store.cone_mem.insert(store.cone_mem.end(), members.begin(), members.end());
+      cone_mem.insert(cone_mem.end(), members.begin(), members.end());
     }
-    store.cone_off[id + 1] = store.cone_mem.size();
+    cone_off[id + 1] = cone_mem.size();
 
     const auto deg_it = transit_degrees.find(as);
     if (deg_it != transit_degrees.end()) {
-      store.tdeg[id] = static_cast<std::uint32_t>(deg_it->second);
+      tdeg[id] = static_cast<std::uint32_t>(deg_it->second);
     }
   }
 
@@ -611,35 +768,45 @@ SnapshotIndex build_snapshot(const topology::TopologyView& view,
   // ASes are ranked; the rest keep rank 0.
   std::vector<std::uint32_t> ranked_ids;
   for (std::uint32_t id = 0; id < n; ++id) {
-    if (cones.contains(store.asns[id])) ranked_ids.push_back(id);
+    if (cones.contains(asns[id])) ranked_ids.push_back(id);
   }
   std::sort(ranked_ids.begin(), ranked_ids.end(),
-            [&store](std::uint32_t a, std::uint32_t b) {
-              const auto cone_a = store.cone_off[a + 1] - store.cone_off[a];
-              const auto cone_b = store.cone_off[b + 1] - store.cone_off[b];
+            [&](std::uint32_t a, std::uint32_t b) {
+              const auto cone_a = cone_off[a + 1] - cone_off[a];
+              const auto cone_b = cone_off[b + 1] - cone_off[b];
               if (cone_a != cone_b) return cone_a > cone_b;
-              if (store.tdeg[a] != store.tdeg[b]) return store.tdeg[a] > store.tdeg[b];
-              return store.asns[a] < store.asns[b];
+              if (tdeg[a] != tdeg[b]) return tdeg[a] > tdeg[b];
+              return asns[a] < asns[b];
             });
   for (std::size_t r = 0; r < ranked_ids.size(); ++r) {
-    store.rank[ranked_ids[r]] = static_cast<std::uint32_t>(r + 1);
+    rank[ranked_ids[r]] = static_cast<std::uint32_t>(r + 1);
   }
 
-  store.clique.assign(clique.begin(), clique.end());
-  std::sort(store.clique.begin(), store.clique.end());
-  store.clique.erase(std::unique(store.clique.begin(), store.clique.end()),
-                     store.clique.end());
+  std::vector<Asn> clique_members(clique.begin(), clique.end());
+  std::sort(clique_members.begin(), clique_members.end());
+  clique_members.erase(std::unique(clique_members.begin(), clique_members.end()),
+                       clique_members.end());
 
-  index.bind_heap();
+  // Spans over the arrays above, only as the encoder's input.
+  SnapshotIndex draft;
+  draft.asns_ = asns;
+  draft.adj_off_ = view.adjacency_offsets();
+  draft.adj_nbr_ = adj_nbr;
+  draft.adj_rel_ = view.adjacency_rels();
+  draft.cone_off_ = cone_off;
+  draft.cone_mem_ = cone_mem;
+  draft.rank_ = rank;
+  draft.tdeg_ = tdeg;
+  draft.clique_ = clique_members;
+  const SnapshotIndex* const slots[] = {&draft};
 
   // The builder is a throwing boundary (callers hand it in-memory pipeline
   // output, not untrusted bytes), so a validation Error becomes the
   // subsystem's historical exception here.
-  if (auto validated = index.finalize_and_validate(SnapshotIndex::Validation::kFull);
-      !validated.ok()) {
-    throw SnapshotError(validated.error().context);
-  }
-  return index;
+  auto index = SnapshotIndex::load(SnapshotIndex::encode_image(slots, draft.algo_names_),
+                                   SnapshotIndex::Validation::kFull);
+  if (!index.ok()) throw SnapshotError(index.error().context);
+  return std::move(index).value();
 }
 
 SnapshotIndex build_snapshot(const AsGraph& graph,
@@ -665,320 +832,79 @@ Result<SnapshotIndex> combine_snapshots(
   if (parts.size() > kMaxAlgorithms) {
     return fail("more than " + std::to_string(kMaxAlgorithms) + " algorithms");
   }
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (!valid_algo_name(parts[i].first)) {
-      return fail("invalid algorithm name '" + parts[i].first + "' (want 1-" +
+  std::vector<const SnapshotIndex*> slots;
+  std::vector<std::string> names;
+  for (const auto& [name, part] : parts) {
+    if (!valid_algo_name(name)) {
+      return fail("invalid algorithm name '" + name + "' (want 1-" +
                   std::to_string(kMaxAlgoNameLen) + " chars of [A-Za-z0-9._:-])");
     }
-    if (parts[i].second.algorithm_count() != 1) {
-      return fail("part '" + parts[i].first + "' is already multi-algorithm");
+    if (part.algorithm_count() != 1) {
+      return fail("part '" + name + "' is already multi-algorithm");
     }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (parts[j].first == parts[i].first) {
-        return fail("duplicate algorithm name '" + parts[i].first + "'");
-      }
+    if (std::find(names.begin(), names.end(), name) != names.end()) {
+      return fail("duplicate algorithm name '" + name + "'");
     }
+    slots.push_back(&part);
+    names.push_back(name);
   }
-
-  // Moving an index is safe here: its spans alias heap vectors or a file
-  // mapping, both of which keep their addresses across the move.
-  SnapshotIndex merged = std::move(parts.front().second);
-  merged.algo_names_ = {std::move(parts.front().first)};
-  for (std::size_t slot = 1; slot < parts.size(); ++slot) {
-    auto extra = std::make_unique<SnapshotIndex>(std::move(parts[slot].second));
-    extra->algo_names_ = {parts[slot].first};
-    merged.extras_.push_back(std::move(extra));
-    merged.algo_names_.push_back(std::move(parts[slot].first));
-  }
-  return merged;
+  // Every part passed validation when it was built or loaded, and the image
+  // carries their sections verbatim, so the table checks suffice.
+  return SnapshotIndex::load(SnapshotIndex::encode_image(slots, names),
+                             SnapshotIndex::Validation::kMapped);
 }
 
 // -------------------------------------------------------------------- IO --
 
 Result<void> try_write_snapshot(const SnapshotIndex& index, std::ostream& os) {
   obs::ScopedTimer timer(&io_histogram("write"));
-  struct Section {
-    std::uint32_t id;
-    std::vector<std::uint8_t> payload;
-  };
-  std::vector<Section> sections;
-  const auto push_slot = [&sections](const SnapshotIndex& part, std::size_t slot) {
-    const auto at = [slot](SectionId id) { return slot_section_id(slot, id); };
-    sections.push_back({at(SectionId::kAsns), encode_asns(part.asns_)});
-    sections.push_back({at(SectionId::kAdjOffsets), encode_u64s(part.adj_off_)});
-    sections.push_back({at(SectionId::kAdjNeighbors), encode_asns(part.adj_nbr_)});
-    sections.push_back({at(SectionId::kAdjRels),
-                        {part.adj_rel_.begin(), part.adj_rel_.end()}});
-    sections.push_back({at(SectionId::kConeOffsets), encode_u64s(part.cone_off_)});
-    sections.push_back({at(SectionId::kConeMembers), encode_asns(part.cone_mem_)});
-    sections.push_back({at(SectionId::kRanks), encode_u32s(part.rank_)});
-    sections.push_back({at(SectionId::kTransitDegrees), encode_u32s(part.tdeg_)});
-    sections.push_back({at(SectionId::kClique), encode_asns(part.clique_)});
-  };
-  push_slot(index, 0);
-
-  // The directory (and with it the extra slots) is only emitted when the
-  // file actually deviates from the historical single-algorithm layout —
-  // this keeps a plain "asrank" snapshot byte-identical to the
-  // pre-multi-algorithm writer.
-  if (!index.extras_.empty() || index.algo_names_.front() != "asrank") {
-    std::vector<std::uint8_t> directory;
-    put_u32(directory, static_cast<std::uint32_t>(index.algo_names_.size()));
-    for (std::size_t slot = 0; slot < index.algo_names_.size(); ++slot) {
-      const std::string& name = index.algo_names_[slot];
-      put_u32(directory, static_cast<std::uint32_t>(slot));
-      put_u16(directory, static_cast<std::uint16_t>(name.size()));
-      directory.insert(directory.end(), name.begin(), name.end());
-    }
-    sections.push_back({static_cast<std::uint32_t>(SectionId::kAlgoDirectory),
-                        std::move(directory)});
-    for (std::size_t slot = 1; slot <= index.extras_.size(); ++slot) {
-      push_slot(*index.extras_[slot - 1], slot);
-    }
+  std::vector<const SnapshotIndex*> slots;
+  for (std::size_t slot = 0; slot < index.algorithm_count(); ++slot) {
+    slots.push_back(&index.algorithm_at(slot));
   }
-
-  const std::size_t header_size =
-      kHeaderPrefixSize + sections.size() * kSectionEntrySize + 4;
-
-  // Lay out sections after the header, 8-byte aligned.
-  std::vector<std::uint64_t> offsets(sections.size());
-  std::uint64_t cursor = header_size;
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    cursor = (cursor + (kSectionAlign - 1)) & ~static_cast<std::uint64_t>(kSectionAlign - 1);
-    offsets[i] = cursor;
-    cursor += sections[i].payload.size();
-  }
-  const std::uint64_t file_size = cursor;
-
-  std::vector<std::uint8_t> header;
-  header.reserve(header_size);
-  header.insert(header.end(), kMagic.begin(), kMagic.end());
-  put_u16(header, kFormatVersion);
-  put_u16(header, static_cast<std::uint16_t>(sections.size()));
-  put_u32(header, 0);  // flags
-  put_u64(header, file_size);
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    put_u32(header, static_cast<std::uint32_t>(sections[i].id));
-    put_u32(header, 0);  // reserved
-    put_u64(header, offsets[i]);
-    put_u64(header, sections[i].payload.size());
-    put_u32(header, util::crc32(sections[i].payload));
-    put_u32(header, 0);  // pad
-  }
-  put_u32(header, util::crc32(header));
-
-  std::vector<std::uint8_t> file(file_size, 0);
-  std::copy(header.begin(), header.end(), file.begin());
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    std::copy(sections[i].payload.begin(), sections[i].payload.end(),
-              file.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
-  }
-  os.write(reinterpret_cast<const char*>(file.data()),
-           static_cast<std::streamsize>(file.size()));
+  const auto image = SnapshotIndex::encode_image(slots, index.algo_names_);
+  os.write(reinterpret_cast<const char*>(image->bytes.data()),
+           static_cast<std::streamsize>(image->bytes.size()));
   if (!os) return make_error(ErrorCode::kIo, "write failed");
   obs::log_debug("snapshot written",
-                 {{"bytes", file.size()}, {"sections", sections.size()}});
+                 {{"bytes", image->bytes.size()}, {"algorithms", slots.size()}});
   return {};
-}
-
-Result<SnapshotIndex> SnapshotIndex::decode_sections(const ContainerView& container,
-                                                     std::size_t slot) {
-  SnapshotIndex index;
-  SnapshotIndex::HeapStore& store = index.heap_;
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kAsns));
-    ASRANK_TRY(decoded, decode_asns(bytes, "AS table"));
-    store.asns = std::move(decoded);
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kAdjOffsets));
-    ASRANK_TRY(decoded, decode_u64s(bytes, "adjacency offsets"));
-    store.adj_off = std::move(decoded);
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kAdjNeighbors));
-    ASRANK_TRY(decoded, decode_asns(bytes, "adjacency neighbours"));
-    store.adj_nbr = std::move(decoded);
-  }
-  {
-    ASRANK_TRY(rels, container.require(slot, SectionId::kAdjRels));
-    store.adj_rel.assign(rels.begin(), rels.end());
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kConeOffsets));
-    ASRANK_TRY(decoded, decode_u64s(bytes, "cone offsets"));
-    store.cone_off = std::move(decoded);
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kConeMembers));
-    ASRANK_TRY(decoded, decode_asns(bytes, "cone members"));
-    store.cone_mem = std::move(decoded);
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kRanks));
-    ASRANK_TRY(decoded, decode_u32s(bytes, "ranks"));
-    store.rank = std::move(decoded);
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kTransitDegrees));
-    ASRANK_TRY(decoded, decode_u32s(bytes, "transit degrees"));
-    store.tdeg = std::move(decoded);
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kClique));
-    ASRANK_TRY(decoded, decode_asns(bytes, "clique"));
-    store.clique = std::move(decoded);
-  }
-
-  index.bind_heap();
-  ASRANK_TRY_VOID(index.finalize_and_validate(Validation::kFull));
-  return index;
-}
-
-Result<void> SnapshotIndex::attach_algorithms(
-    const ContainerView& container, SnapshotIndex& primary,
-    const std::shared_ptr<const util::MappedFile>& mapping) {
-  const auto* directory = container.find(
-      static_cast<std::uint32_t>(SectionId::kAlgoDirectory));
-  if (directory == nullptr) return {};  // legacy layout: {"asrank"}
-
-  const auto fail = [](std::string what) {
-    return make_error(ErrorCode::kCorrupt, "algorithm directory: " + std::move(what));
-  };
-  Cursor cursor(*directory, "algorithm directory");
-  ASRANK_TRY(count, cursor.u32());
-  if (count == 0) return fail("empty");
-  if (count > kMaxAlgorithms) {
-    return fail("declares " + std::to_string(count) + " algorithms (max " +
-                std::to_string(kMaxAlgorithms) + ")");
-  }
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ASRANK_TRY(slot, cursor.u32());
-    if (slot != i) return fail("slots not ascending from 0");
-    ASRANK_TRY(name_len, cursor.u16());
-    ASRANK_TRY(raw, cursor.bytes(name_len));
-    std::string name(raw.begin(), raw.end());
-    if (!valid_algo_name(name)) {
-      return fail("invalid algorithm name in slot " + std::to_string(slot));
-    }
-    if (std::find(names.begin(), names.end(), name) != names.end()) {
-      return fail("duplicate algorithm name '" + name + "'");
-    }
-    names.push_back(std::move(name));
-  }
-  if (cursor.remaining() != 0) return fail("trailing bytes");
-
-  for (std::size_t slot = 1; slot < names.size(); ++slot) {
-    SnapshotIndex extra;
-    if (mapping != nullptr) {
-      ASRANK_TRY(mapped, map_sections(container, slot, mapping));
-      extra = std::move(mapped);
-    } else {
-      ASRANK_TRY(decoded, decode_sections(container, slot));
-      extra = std::move(decoded);
-    }
-    extra.algo_names_ = {names[slot]};
-    primary.extras_.push_back(std::make_unique<SnapshotIndex>(std::move(extra)));
-  }
-  primary.algo_names_ = std::move(names);
-  return {};
-}
-
-Result<SnapshotIndex> SnapshotIndex::decode_image(std::span<const std::uint8_t> data) {
-  ASRANK_TRY(parsed, parse_container(data));
-  ASRANK_TRY(index, decode_sections(parsed, 0));
-  ASRANK_TRY_VOID(attach_algorithms(parsed, index, nullptr));
-  return index;
 }
 
 Result<SnapshotIndex> try_read_snapshot(std::istream& is) {
   obs::ScopedTimer timer(&io_histogram("read"));
-  std::vector<std::uint8_t> data{std::istreambuf_iterator<char>(is),
-                                 std::istreambuf_iterator<char>()};
-  ASRANK_TRY(index, SnapshotIndex::decode_image(data));
+  std::size_t capacity = std::size_t{1} << 15;
+  auto buffer = std::make_unique<std::uint8_t[]>(capacity);
+  std::size_t size = 0;
+  for (;;) {
+    is.read(reinterpret_cast<char*>(buffer.get() + size),
+            static_cast<std::streamsize>(capacity - size));
+    size += static_cast<std::size_t>(is.gcount());
+    if (size < capacity) break;
+    auto grown = std::make_unique<std::uint8_t[]>(capacity * 2);
+    std::memcpy(grown.get(), buffer.get(), size);
+    buffer = std::move(grown);
+    capacity *= 2;
+  }
+  ASRANK_TRY(index, SnapshotIndex::load(std::make_shared<const SnapshotIndex::Image>(
+                                            std::move(buffer), size),
+                                        SnapshotIndex::Validation::kFull));
   obs::log_debug("snapshot read", {{"ases", index.as_count()},
                                    {"links", index.link_count()}});
-  return index;
-}
-
-Result<SnapshotIndex> SnapshotIndex::map_sections(
-    const ContainerView& container, std::size_t slot,
-    std::shared_ptr<const util::MappedFile> mapping) {
-  SnapshotIndex index;
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kAsns));
-    ASRANK_TRY(view, typed_view<Asn>(bytes, "AS table"));
-    index.asns_ = view;
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kAdjOffsets));
-    ASRANK_TRY(view, typed_view<std::uint64_t>(bytes, "adjacency offsets"));
-    index.adj_off_ = view;
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kAdjNeighbors));
-    ASRANK_TRY(view, typed_view<Asn>(bytes, "adjacency neighbours"));
-    index.adj_nbr_ = view;
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kAdjRels));
-    index.adj_rel_ = bytes;
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kConeOffsets));
-    ASRANK_TRY(view, typed_view<std::uint64_t>(bytes, "cone offsets"));
-    index.cone_off_ = view;
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kConeMembers));
-    ASRANK_TRY(view, typed_view<Asn>(bytes, "cone members"));
-    index.cone_mem_ = view;
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kRanks));
-    ASRANK_TRY(view, typed_view<std::uint32_t>(bytes, "ranks"));
-    index.rank_ = view;
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kTransitDegrees));
-    ASRANK_TRY(view, typed_view<std::uint32_t>(bytes, "transit degrees"));
-    index.tdeg_ = view;
-  }
-  {
-    ASRANK_TRY(bytes, container.require(slot, SectionId::kClique));
-    ASRANK_TRY(view, typed_view<Asn>(bytes, "clique"));
-    index.clique_ = view;
-  }
-  index.mapping_ = std::move(mapping);
-  ASRANK_TRY_VOID(index.finalize_and_validate(Validation::kMapped));
   return index;
 }
 
 Result<SnapshotIndex> SnapshotIndex::map_file(const std::string& path) {
   obs::ScopedTimer timer(&io_histogram("map"));
   ASRANK_TRY(file, util::MappedFile::open(path));
-
-  if constexpr (std::endian::native != std::endian::little) {
-    // The sections can't be reinterpreted in place on this host; decode the
-    // mapped bytes into heap mirrors instead (one read of the mapping,
-    // behavior-identical to the stream loader).
-    return decode_image(file.bytes());
-  } else {
-    auto mapping = std::make_shared<const util::MappedFile>(std::move(file));
-    const auto data = mapping->bytes();
-    ASRANK_TRY(parsed, parse_container(data));
-    ASRANK_TRY(index, map_sections(parsed, 0, mapping));
-    ASRANK_TRY_VOID(attach_algorithms(parsed, index, mapping));
-    mmap_loads_counter().inc();
-    obs::log_debug("snapshot mapped", {{"path", path},
-                                       {"bytes", data.size()},
-                                       {"ases", index.as_count()},
-                                       {"algorithms", index.algorithm_count()},
-                                       {"links", index.link_count()}});
-    return index;
-  }
+  ASRANK_TRY(index, load(std::make_shared<const Image>(std::move(file)), Validation::kMapped));
+  if (index.mmap_backed()) mmap_loads_counter().inc();
+  obs::log_debug("snapshot mapped", {{"path", path},
+                                     {"bytes", index.image_->bytes.size()},
+                                     {"ases", index.as_count()},
+                                     {"algorithms", index.algorithm_count()},
+                                     {"links", index.link_count()}});
+  return index;
 }
 
 void write_snapshot(const SnapshotIndex& index, std::ostream& os) {
@@ -994,9 +920,27 @@ SnapshotIndex read_snapshot(std::istream& is) {
 }
 
 void write_snapshot_file(const SnapshotIndex& index, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw SnapshotError("cannot open for writing: " + path);
-  write_snapshot(index, out);
+  // Write beside the target and rename over it, so a reader that has `path`
+  // mapped keeps the old inode instead of seeing its bytes change (or
+  // SIGBUS on a truncated page).
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const auto fail = [&tmp](const std::string& what) {
+    std::remove(tmp.c_str());
+    throw SnapshotError(what);
+  };
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw SnapshotError("cannot open for writing: " + tmp);
+    if (auto written = try_write_snapshot(index, out); !written.ok()) {
+      fail(written.error().context);
+    }
+    out.flush();
+    out.close();
+    if (!out) fail("write failed: " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    fail("cannot rename " + tmp + " over " + path);
+  }
 }
 
 Result<SnapshotIndex> try_read_snapshot_file(const std::string& path) {

@@ -18,10 +18,12 @@
 //   * Fail-loud: every section is CRC-checked and every structural
 //     invariant re-validated on read, so corrupt or truncated files raise
 //     SnapshotError instead of serving wrong answers.
-//   * Zero-copy: every section is viewed through a std::span that points
-//     either at heap mirrors (stream loads, the builder) or straight into
-//     an mmap'd file (map_file) — the accessors cannot tell the difference,
-//     and N processes mapping one snapshot share a single page-cache copy.
+//   * One loader, one representation: every index is a set of std::span
+//     views into one little-endian ASRK1 byte image — an mmap'd file
+//     (map_file) or an owned 8-byte-aligned buffer (stream reads, the
+//     builder, combine_snapshots) — so the accessors cannot tell where the
+//     bytes came from, and N processes mapping one snapshot share a single
+//     page-cache copy.
 #pragma once
 
 #include <cstddef>
@@ -67,9 +69,8 @@ struct TopEntry {
 inline constexpr std::uint32_t kNoNeighborId = 0xffffffffu;
 
 /// Immutable read-optimized view over one frozen inference run.  All
-/// accessors are const and safe to call concurrently.  Move-only: the
-/// section spans alias either the index's own heap mirrors or its file
-/// mapping, so a copy would dangle.
+/// accessors are const and safe to call concurrently.  Move-only (it owns
+/// its derived tables and extra slots); share one through std::shared_ptr.
 class SnapshotIndex {
  public:
   SnapshotIndex() = default;
@@ -83,13 +84,13 @@ class SnapshotIndex {
   /// size, header and per-section CRCs, bounds, alignment) plus the O(n)
   /// structural invariants (sorted AS table, offset-table shape, rank
   /// uniqueness, clique validity); the O(links)+O(cone) deep invariants are
-  /// attested by the section CRCs and re-checked only on the heap path.
-  /// On a big-endian host this falls back to an equivalent heap decode of
-  /// the mapped bytes.
+  /// attested by the section CRCs and re-checked only by the full-depth
+  /// loads (try_read_snapshot, build_snapshot).  On a big-endian host the
+  /// loader serves a byte-swapped copy of the mapped image instead.
   [[nodiscard]] static Result<SnapshotIndex> map_file(const std::string& path);
 
   /// True when the section spans point into an mmap'd file.
-  [[nodiscard]] bool mmap_backed() const noexcept { return mapping_ != nullptr; }
+  [[nodiscard]] bool mmap_backed() const noexcept;
 
   [[nodiscard]] std::size_t as_count() const noexcept { return asns_.size(); }
   [[nodiscard]] std::size_t link_count() const noexcept { return link_count_; }
@@ -141,9 +142,9 @@ class SnapshotIndex {
   // Dense-id accessors.  The node id space is the row index of the sorted AS
   // table — identical to the topology::AsnInterner id space of the view the
   // snapshot was built from.  The id-keyed adjacency and clique structures
-  // are derived on load (never serialized); mmap-backed indexes defer the
-  // O(links · log n) neighbour-id translation until the first caller needs
-  // it, so mapping stays CRC-bound.
+  // are derived on load (never serialized); kMapped-depth indexes (mapped
+  // and combined) defer the O(links · log n) neighbour-id translation until
+  // the first caller needs it, so mapping stays CRC-bound.
 
   /// Dense id of `as` (row in the sorted AS table), or nullopt if unknown.
   [[nodiscard]] std::optional<std::uint32_t> node_id(Asn as) const noexcept {
@@ -152,7 +153,7 @@ class SnapshotIndex {
   /// ASN at dense id `id` (must be < as_count()).
   [[nodiscard]] Asn asn_at(std::uint32_t id) const noexcept { return asns_[id]; }
   /// Neighbor ids of `id`, ascending (≡ ascending ASN).  Derived lazily and
-  /// thread-safely on first use for mmap-backed indexes.
+  /// thread-safely on first use for kMapped-depth indexes.
   [[nodiscard]] std::span<const std::uint32_t> neighbor_ids(std::uint32_t id) const;
   /// RelView codes parallel to neighbor_ids(id).
   [[nodiscard]] std::span<const std::uint8_t> relationship_codes(std::uint32_t id) const noexcept;
@@ -179,8 +180,8 @@ class SnapshotIndex {
   [[nodiscard]] std::optional<std::size_t> algorithm_slot(
       std::string_view name) const noexcept;
   /// The index for slot `slot` (0 returns *this); `slot` must be
-  /// < algorithm_count().  Extra slots are fully validated, self-contained
-  /// indexes sharing this object's file mapping when mmap-backed.
+  /// < algorithm_count().  Extra slots are self-contained indexes over
+  /// this object's image, validated to the same depth as slot 0.
   [[nodiscard]] const SnapshotIndex& algorithm_at(std::size_t slot) const noexcept {
     return slot == 0 ? *this : *extras_[slot - 1];
   }
@@ -194,24 +195,15 @@ class SnapshotIndex {
   friend Result<SnapshotIndex> combine_snapshots(
       std::vector<std::pair<std::string, SnapshotIndex>> parts);
 
-  /// How much of the structure finalize_and_validate() re-checks.  kFull is
-  /// the heap path: every per-link and per-cone-member invariant.  kMapped
-  /// trusts the section CRCs for those O(links)+O(cone) properties and only
-  /// runs the O(n) table checks required for memory-safe accessors.
+  /// How much of the structure finalize_and_validate() re-checks.  kFull
+  /// checks every per-link and per-cone-member invariant.  kMapped trusts
+  /// the section CRCs for those O(links)+O(cone) properties and only runs
+  /// the O(n) table checks required for memory-safe accessors.
   enum class Validation { kFull, kMapped };
 
-  /// Heap mirrors of the nine sections; empty when mmap-backed.
-  struct HeapStore {
-    std::vector<Asn> asns;
-    std::vector<std::uint64_t> adj_off;
-    std::vector<Asn> adj_nbr;
-    std::vector<std::uint8_t> adj_rel;
-    std::vector<std::uint64_t> cone_off;
-    std::vector<Asn> cone_mem;
-    std::vector<std::uint32_t> rank;
-    std::vector<std::uint32_t> tdeg;
-    std::vector<Asn> clique;
-  };
+  /// The bytes every section span points into: a read-only file mapping or
+  /// an owned 8-byte-aligned buffer (snapshot.cpp).
+  struct Image;
 
   /// neighbor_ids() backing store, derived on first use (std::once_flag is
   /// immovable, so it lives behind a pointer to keep the index movable).
@@ -223,42 +215,35 @@ class SnapshotIndex {
   [[nodiscard]] std::optional<std::uint32_t> id_of(Asn as) const noexcept;
   [[nodiscard]] std::vector<Asn> filter(Asn as, RelView want) const;
 
-  /// Point the section spans at the heap mirrors (after decode/build).
-  void bind_heap() noexcept;
-
   /// The adj_nbr_ → dense-id translation, built once on demand.
   [[nodiscard]] const std::vector<std::uint32_t>& dense_neighbor_ids() const;
 
-  /// Decode an in-memory ASRK1 image into heap mirrors + full validation
-  /// (the stream loader, and map_file's big-endian fallback).
-  [[nodiscard]] static Result<SnapshotIndex> decode_image(
-      std::span<const std::uint8_t> data);
+  /// Lay out `slots`' sections (slot s from slots[s]'s spans) and, when the
+  /// file deviates from the plain single-"asrank" layout, the directory
+  /// naming them, into one owned ASRK1 image.  The only writer.
+  [[nodiscard]] static std::shared_ptr<Image> encode_image(
+      std::span<const SnapshotIndex* const> slots,
+      std::span<const std::string> names);
 
-  /// Decode algorithm slot `slot`'s nine sections into heap mirrors + full
-  /// validation.
-  [[nodiscard]] static Result<SnapshotIndex> decode_sections(
-      const ContainerView& container, std::size_t slot);
-  /// Map algorithm slot `slot`'s nine sections in place (little-endian
-  /// hosts; `mapping` keeps the spans alive) + kMapped validation.
+  /// The only loader: parse the container, view every algorithm slot's
+  /// sections in place (map_sections), and validate each to `depth`.
+  [[nodiscard]] static Result<SnapshotIndex> load(std::shared_ptr<const Image> image,
+                                                  Validation depth);
+  /// View algorithm slot `slot`'s nine sections in place (`image` keeps the
+  /// spans alive) + finalize_and_validate(depth).
   [[nodiscard]] static Result<SnapshotIndex> map_sections(
       const ContainerView& container, std::size_t slot,
-      std::shared_ptr<const util::MappedFile> mapping);
-  /// Parse the algorithm directory (if present) and load every extra slot
-  /// into `primary`, heap-decoded or mapped to match the primary's backing.
-  [[nodiscard]] static Result<void> attach_algorithms(
-      const ContainerView& container, SnapshotIndex& primary,
-      const std::shared_ptr<const util::MappedFile>& mapping);
+      std::shared_ptr<const Image> image, Validation depth);
 
   /// Re-derive by_rank_/link_count_/clique_bits_ and check structural
   /// invariants per `depth`; the Error names the violated invariant
-  /// (ErrorCode::kCorrupt).  Shared by the builder and both load paths so
-  /// corrupt-but-CRC-valid data also fails loudly.
+  /// (ErrorCode::kCorrupt).  Every index passes through here, so
+  /// corrupt-but-CRC-valid data fails loudly.
   [[nodiscard]] Result<void> finalize_and_validate(Validation depth);
 
-  HeapStore heap_;
-  std::shared_ptr<const util::MappedFile> mapping_;  ///< keeps spans alive
+  std::shared_ptr<const Image> image_;  ///< keeps the spans alive
 
-  // Section views — over heap_ or mapping_; every accessor reads these.
+  // Section views into image_; every accessor reads these.
   std::span<const Asn> asns_;                ///< sorted ascending; index = id
   std::span<const std::uint64_t> adj_off_;   ///< n+1
   std::span<const Asn> adj_nbr_;             ///< sorted ascending per row

@@ -3,9 +3,9 @@
 // Two claims from the zero-copy/bitset work are locked down here on seeded
 // random topologies (topogen), not hand-picked fixtures:
 //
-//   1. An mmap-backed SnapshotIndex (map_file) and a heap-parsed one
-//      (read_snapshot_file) are indistinguishable through EVERY public
-//      accessor, and both reserialize to the exact bytes on disk.
+//   1. An mmap-backed SnapshotIndex (map_file) and one read into an owned
+//      image (read_snapshot_file) are indistinguishable through EVERY
+//      public accessor, and both reserialize to the exact bytes on disk.
 //   2. The blocked-bitset cone kernels (core::ConeBitset and the
 //      QueryEngine paths built on it) reproduce the sorted-array reference
 //      answers bit for bit — for all AS pairs, including empty cones,
@@ -97,7 +97,7 @@ std::vector<Asn> sorted_difference(std::span<const Asn> a,
   return out;
 }
 
-// ------------------------------------------------------- mmap vs heap --
+// ---------------------------------------------- mapped vs owned image --
 
 // Every public accessor, compared pairwise between two indexes.
 void expect_identical(const SnapshotIndex& a, const SnapshotIndex& b) {

@@ -957,6 +957,11 @@ TEST(SnapshotRegistry, LoadFileInstallsMmapBackedEpoch) {
   EXPECT_TRUE(reloaded.value().engine->index().mmap_backed());
   EXPECT_EQ(reloaded.value().engine->cone_size(Asn(1)), 4u);
   EXPECT_EQ(snapshots.reloads(), 1u);
+
+  // The writer renamed a new file over the mapped path, so the epoch still
+  // held from before the rewrite keeps answering from its own bytes.
+  EXPECT_EQ(loaded.value().engine->index().cone_size(Asn(1)), 3u);
+  EXPECT_EQ(loaded.value().engine->cone_size(Asn(1)), 3u);
   std::remove(path.c_str());
 }
 

@@ -15,6 +15,7 @@
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
 #include "topology/serialization.h"
+#include "util/crc32.h"
 
 namespace asrank::snapshot {
 namespace {
@@ -322,7 +323,7 @@ TEST(SnapshotMmap, MapFileReturnsTypedErrors) {
 }
 
 TEST(SnapshotMmap, MapFileRejectsEveryTruncation) {
-  // The heap loader's truncation fuzz, replayed through mmap: every proper
+  // The stream loader's truncation fuzz, replayed through mmap: every proper
   // prefix must fail with a typed error, never crash, never validate.
   const auto bytes = serialized_bytes(make_index());
   ASSERT_GT(bytes.size(), 0u);
@@ -343,7 +344,7 @@ TEST(SnapshotMmap, MapFileRejectsEveryTruncation) {
 TEST(SnapshotMmap, MapFileDetectsAnyMeaningfulByteFlip) {
   // Byte-flip fuzz over the mmap path.  The mapped loader skips the deep
   // per-link re-validation (the CRCs attest it), so the bar is exactly the
-  // heap loader's: every flip is either rejected with a typed error or —
+  // stream loader's: every flip is either rejected with a typed error or —
   // checksum-free padding only — leaves all answers byte-identical.
   const auto pristine_bytes = serialized_bytes(make_index());
   std::size_t undetected = 0;
@@ -376,6 +377,59 @@ TEST(SnapshotMmap, MapFileAndReadFileRejectIdentically) {
     const bool mmap_ok = try_map_snapshot_file(path).ok();
     EXPECT_EQ(heap_ok, mmap_ok) << "loaders disagree on flip at offset " << i;
   }
+}
+
+std::uint64_t get_le(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                     std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = width; i-- > 0;) value = value << 8 | bytes[at + i];
+  return value;
+}
+
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t at, std::size_t width,
+            std::uint64_t value) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST(SnapshotMmap, BothLoadersRejectMisalignedSection) {
+  // A CRC-valid image whose u64 adjacency-offsets section starts at an
+  // offset ≡ 4 (mod 8): the section moves to the end of the file, and its
+  // table entry, the file size and the header CRC are fixed up.  Neither
+  // loader may accept it.
+  auto bytes = serialized_bytes(make_index());
+  const std::size_t count = get_le(bytes, kMagic.size() + 2, 2);
+  const std::size_t table_end = kHeaderPrefixSize + count * kSectionEntrySize;
+  std::size_t entry = 0;
+  for (std::size_t at = kHeaderPrefixSize; at < table_end; at += kSectionEntrySize) {
+    if (get_le(bytes, at, 4) == static_cast<std::uint32_t>(SectionId::kAdjOffsets)) {
+      entry = at;
+    }
+  }
+  ASSERT_NE(entry, 0u);
+  const auto offset = static_cast<std::ptrdiff_t>(get_le(bytes, entry + 8, 8));
+  const auto length = static_cast<std::ptrdiff_t>(get_le(bytes, entry + 16, 8));
+  const std::vector<std::uint8_t> payload(bytes.begin() + offset,
+                                          bytes.begin() + offset + length);
+  while (bytes.size() % 8 != 4) bytes.push_back(0);
+  put_le(bytes, entry + 8, 8, bytes.size());
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  put_le(bytes, kMagic.size() + 8, 8, bytes.size());
+  put_le(bytes, table_end, 4, util::crc32({bytes.data(), table_end}));
+  const auto path = write_temp(bytes, "misaligned.asrk");
+
+  const auto expect_misaligned = [](const Result<SnapshotIndex>& loaded,
+                                    const char* loader) {
+    ASSERT_FALSE(loaded.ok()) << loader << " accepted a misaligned section";
+    EXPECT_EQ(loaded.error().code, ErrorCode::kCorrupt) << loader;
+    EXPECT_NE(loaded.error().context.find("misaligned section offset"),
+              std::string::npos)
+        << loader << ": " << loaded.error().context;
+  };
+  expect_misaligned(try_read_snapshot_file(path), "read");
+  expect_misaligned(try_map_snapshot_file(path), "map");
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotMmap, MappedIndexSurvivesMoves) {
@@ -506,7 +560,7 @@ TEST(SnapshotMultiAlgo, MappedMultiAlgorithmFileMatchesHeapRead) {
   EXPECT_TRUE(mapped.value().mmap_backed());
   ASSERT_EQ(mapped.value().algorithm_count(), 2u);
   EXPECT_EQ(mapped.value().algorithm_names()[1], "gao2001");
-  // Extra slots share the file mapping and answer like the heap load.
+  // Extra slots share the file mapping and answer like the built index.
   const auto& heap_slot1 = combined.algorithm_at(1);
   const auto& mmap_slot1 = mapped.value().algorithm_at(1);
   EXPECT_TRUE(mmap_slot1.mmap_backed());
@@ -531,7 +585,7 @@ TEST(SnapshotMultiAlgo, MappedMultiAlgorithmFileRejectsEveryTruncation) {
     auto mapped = try_map_snapshot_file(path);
     ASSERT_FALSE(mapped.ok()) << "prefix of " << cut << " bytes accepted";
     EXPECT_FALSE(mapped.error().context.empty());
-    EXPECT_FALSE(try_read_snapshot_file(path).ok()) << "heap loader at " << cut;
+    EXPECT_FALSE(try_read_snapshot_file(path).ok()) << "stream loader at " << cut;
   }
 }
 
