@@ -610,7 +610,6 @@ int cmd_serve(const Args& args) {
 
   serve::SnapshotRegistryConfig registry_config;
   registry_config.retention = args.get_u64("retention", 4);
-  registry_config.cache_capacity = args.get_u64("cache", 4096);
   // --mmap=0 reads the file into an owned image and fully re-validates it.
   registry_config.mmap_load = args.get_u64("mmap", 1) != 0;
   registry_config.cone_bitset.min_cone_size = args.get_u64("cone-bitset-min", 256);
@@ -918,7 +917,6 @@ int cmd_ingest(const Args& args) {
 
   serve::SnapshotRegistryConfig registry_config;
   registry_config.retention = args.get_u64("retention", 8);
-  registry_config.cache_capacity = args.get_u64("cache", 4096);
   serve::SnapshotRegistry registry(registry_config);
   std::unique_ptr<serve::Server> server;
   std::thread server_thread;
@@ -1100,11 +1098,11 @@ const std::map<std::string_view, std::set<std::string_view>> kCommandFlags = {
                  "step-seconds"}},
     {"ingest", {"updates", "rib", "follow", "poll-ms", "flush-every-n", "flush-every-ms",
                 "flush-on-ts", "epoch-label-format", "out-dir", "serve-port", "serve-host",
-                "serve-threads", "target", "threads", "retention", "cache", "algorithm"}},
+                "serve-threads", "target", "threads", "retention", "algorithm"}},
     {"replay", {"rib", "updates", "out"}},
     {"snapshot", {"as-rel", "out", "ppdc", "mrt", "pipe", "method", "clique", "algorithm",
                   "threads"}},
-    {"serve", {"snapshot", "host", "port", "threads", "cache", "epoch", "retention",
+    {"serve", {"snapshot", "host", "port", "threads", "epoch", "retention",
                "idle-timeout-ms", "deadline-ms", "max-conns", "reload-path", "mmap",
                "cone-bitset-min"}},
     {"query", {"op", "host", "port", "a", "b", "n", "epoch", "algorithm", "cluster", "slots",
@@ -1140,14 +1138,14 @@ void usage(std::ostream& os) {
       "           [--flush-every-n N] [--flush-every-ms N] [--flush-on-ts]\n"
       "           [--epoch-label-format FMT] [--out-dir D] [--serve-port N]\n"
       "           [--serve-host H] [--serve-threads N] [--target host:port]\n"
-      "           [--threads N] [--retention N] [--cache N] [--algorithm asrank,b,c]\n"
+      "           [--threads N] [--retention N] [--algorithm asrank,b,c]\n"
       "           long-running: BGP4MP updates in, fresh served epochs out\n"
       "  replay   --rib F.mrt --updates F.updates --out F2.mrt\n"
       "  snapshot --as-rel F --out F.asrk [--ppdc F | --mrt F | --pipe F]\n"
       "           [--method recursive|ppdc|observed] [--clique a,b,c] [--threads N]\n"
       "           or: --out F.asrk (--mrt F | --pipe F) --algorithm a,b,c [--threads N]\n"
       "           (multi-algorithm snapshot; first name is the primary slot)\n"
-      "  serve    --snapshot F.asrk [--host H] [--port N] [--threads N] [--cache N]\n"
+      "  serve    --snapshot F.asrk [--host H] [--port N] [--threads N]\n"
       "           [--epoch LABEL] [--retention N] [--idle-timeout-ms N]\n"
       "           [--deadline-ms N] [--max-conns N] [--reload-path F]\n"
       "           [--mmap 0|1] [--cone-bitset-min N]\n"

@@ -10,7 +10,7 @@ namespace asrank::serve {
 // ----------------------------------------------------------- lifecycle --
 
 Result<Client> Client::dial(const std::string& host, std::uint16_t port,
-                            ClientConfig config) {
+                            TransportConfig config) {
   ASRANK_TRY(transport, Transport::dial(host, port, std::move(config)));
   return Client(std::move(transport));
 }
@@ -140,76 +140,6 @@ Result<DisagreeReport> Client::try_disagree(std::string_view algo_a,
   ASRANK_TRY(body,
              transport_.try_exchange(wire::apply_epoch(scope.epoch, req.take())));
   return wire::decode_disagree(body);
-}
-
-// ----------------------------------------------- legacy epoch delegates --
-
-Result<std::optional<RelView>> Client::try_relationship(Asn a, Asn b,
-                                                        std::string_view epoch) {
-  return try_relationship(a, b, effective(epoch));
-}
-
-Result<std::optional<std::uint32_t>> Client::try_rank(Asn as,
-                                                      std::string_view epoch) {
-  return try_rank(as, effective(epoch));
-}
-
-Result<std::uint64_t> Client::try_cone_size(Asn as, std::string_view epoch) {
-  return try_cone_size(as, effective(epoch));
-}
-
-Result<std::vector<Asn>> Client::try_cone(Asn as, std::string_view epoch) {
-  return try_cone(as, effective(epoch));
-}
-
-Result<bool> Client::try_in_cone(Asn as, Asn member, std::string_view epoch) {
-  return try_in_cone(as, member, effective(epoch));
-}
-
-Result<std::vector<Asn>> Client::try_providers(Asn as, std::string_view epoch) {
-  return try_providers(as, effective(epoch));
-}
-
-Result<std::vector<Asn>> Client::try_customers(Asn as, std::string_view epoch) {
-  return try_customers(as, effective(epoch));
-}
-
-Result<std::vector<Asn>> Client::try_peers(Asn as, std::string_view epoch) {
-  return try_peers(as, effective(epoch));
-}
-
-Result<std::vector<snapshot::TopEntry>> Client::try_top(std::uint32_t n,
-                                                        std::string_view epoch) {
-  return try_top(n, effective(epoch));
-}
-
-Result<std::vector<Asn>> Client::try_cone_intersection(Asn a, Asn b,
-                                                       std::string_view epoch) {
-  return try_cone_intersection(a, b, effective(epoch));
-}
-
-Result<std::vector<Asn>> Client::try_path_to_clique(Asn as,
-                                                    std::string_view epoch) {
-  return try_path_to_clique(as, effective(epoch));
-}
-
-Result<std::vector<Asn>> Client::try_clique(std::string_view epoch) {
-  return try_clique(effective(epoch));
-}
-
-Result<std::string> Client::try_stats_text(std::string_view epoch) {
-  return try_stats_text(effective(epoch));
-}
-
-Result<std::vector<std::string>> Client::try_algos(std::string_view epoch) {
-  return try_algos(effective(epoch));
-}
-
-Result<DisagreeReport> Client::try_disagree(std::string_view algo_a,
-                                            std::string_view algo_b,
-                                            std::uint32_t limit,
-                                            std::string_view epoch) {
-  return try_disagree(algo_a, algo_b, limit, effective(epoch));
 }
 
 // --------------------------------------------------- unscoped requests --

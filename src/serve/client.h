@@ -11,13 +11,11 @@
 // equal-jitter backoff; the jitter RNG is seeded (deterministic for tests)
 // and the sleep is injectable.
 //
-// Query scoping: every try_* query method has a scoped overload taking a
-// `const QueryScope&` — the explicit (epoch, algorithm) pair the query is
-// answered under, with no mutable client state involved.  A default scope
-// can be bound once with with_scope().  The historical per-call
-// `std::string_view epoch` overloads remain as thin delegates that combine
-// the given epoch with the bound scope's algorithm (set_algorithm is now a
-// shorthand for mutating the bound scope).
+// Query scoping: every scoped try_* method takes a trailing
+// `const QueryScope& scope = {}` — the explicit (epoch, algorithm) pair the
+// query is answered under; the default scope is the server's current epoch
+// and primary algorithm.  The client holds no scope state, and the surface
+// matches ClusterClient's, so one caller template drives either.
 #pragma once
 
 #include <cstdint>
@@ -36,16 +34,13 @@
 
 namespace asrank::serve {
 
-/// Historical name: Client's config is exactly the transport's.
-using ClientConfig = TransportConfig;
-
 class Client {
  public:
   /// Non-throwing constructor path: connect with the config's deadline.
   /// kRefused when the server refuses, kTimeout when the deadline expires.
   [[nodiscard]] static Result<Client> dial(const std::string& host,
                                            std::uint16_t port,
-                                           ClientConfig config = {});
+                                           TransportConfig config = {});
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -53,80 +48,37 @@ class Client {
   Client& operator=(Client&&) noexcept = default;
   ~Client() = default;
 
-  // ------------------------------------------------------------- scope --
-
-  /// Bind a default QueryScope; legacy (no-scope) calls are answered under
-  /// it.  Returns *this for dial-then-bind chaining.
-  Client& with_scope(QueryScope scope) {
-    scope_ = std::move(scope);
-    return *this;
-  }
-  [[nodiscard]] const QueryScope& scope() const noexcept { return scope_; }
-
-  /// Shorthand for mutating the bound scope's algorithm (historical API).
-  /// Empty restores the server default (the snapshot's primary algorithm).
-  /// A name the serving epoch lacks surfaces as kUnknownAlgorithm per query.
-  void set_algorithm(std::string name) { scope_.algorithm = std::move(name); }
-  [[nodiscard]] const std::string& algorithm() const noexcept {
-    return scope_.algorithm;
-  }
-
   // --------------------------------------------------- scoped queries --
-  // The scope is used exactly as given; the bound scope is not consulted.
 
   Result<std::optional<RelView>> try_relationship(Asn a, Asn b,
-                                                  const QueryScope& scope);
-  Result<std::optional<std::uint32_t>> try_rank(Asn as, const QueryScope& scope);
-  Result<std::uint64_t> try_cone_size(Asn as, const QueryScope& scope);
-  Result<std::vector<Asn>> try_cone(Asn as, const QueryScope& scope);
-  Result<bool> try_in_cone(Asn as, Asn member, const QueryScope& scope);
-  Result<std::vector<Asn>> try_providers(Asn as, const QueryScope& scope);
-  Result<std::vector<Asn>> try_customers(Asn as, const QueryScope& scope);
-  Result<std::vector<Asn>> try_peers(Asn as, const QueryScope& scope);
+                                                  const QueryScope& scope = {});
+  /// nullopt = unranked.
+  Result<std::optional<std::uint32_t>> try_rank(Asn as,
+                                                const QueryScope& scope = {});
+  Result<std::uint64_t> try_cone_size(Asn as, const QueryScope& scope = {});
+  Result<std::vector<Asn>> try_cone(Asn as, const QueryScope& scope = {});
+  Result<bool> try_in_cone(Asn as, Asn member, const QueryScope& scope = {});
+  Result<std::vector<Asn>> try_providers(Asn as, const QueryScope& scope = {});
+  Result<std::vector<Asn>> try_customers(Asn as, const QueryScope& scope = {});
+  Result<std::vector<Asn>> try_peers(Asn as, const QueryScope& scope = {});
   Result<std::vector<snapshot::TopEntry>> try_top(std::uint32_t n,
-                                                  const QueryScope& scope);
+                                                  const QueryScope& scope = {});
   Result<std::vector<Asn>> try_cone_intersection(Asn a, Asn b,
-                                                 const QueryScope& scope);
-  Result<std::vector<Asn>> try_path_to_clique(Asn as, const QueryScope& scope);
-  Result<std::vector<Asn>> try_clique(const QueryScope& scope);
-  Result<std::string> try_stats_text(const QueryScope& scope);
+                                                 const QueryScope& scope = {});
+  Result<std::vector<Asn>> try_path_to_clique(Asn as,
+                                              const QueryScope& scope = {});
+  Result<std::vector<Asn>> try_clique(const QueryScope& scope = {});
+  Result<std::string> try_stats_text(const QueryScope& scope = {});
   /// Algorithm sections of the scoped epoch, primary first (scope.algorithm
   /// is ignored — the answer enumerates algorithms).
-  Result<std::vector<std::string>> try_algos(const QueryScope& scope);
+  Result<std::vector<std::string>> try_algos(const QueryScope& scope = {});
   /// Links where two algorithms of the scoped epoch differ; `limit` caps the
   /// returned rows (0 = all), the total is always exact.  scope.algorithm is
   /// ignored (both algorithms are explicit).
   Result<DisagreeReport> try_disagree(std::string_view algo_a,
                                       std::string_view algo_b,
-                                      std::uint32_t limit,
-                                      const QueryScope& scope);
-
-  // ------------------------------------- legacy per-call epoch surface --
-  // Thin delegates: the named epoch (empty = bound scope's epoch) combines
-  // with the bound scope's algorithm.
-
-  Result<std::optional<RelView>> try_relationship(Asn a, Asn b,
-                                                  std::string_view epoch = {});
-  /// nullopt = unranked.
-  Result<std::optional<std::uint32_t>> try_rank(Asn as, std::string_view epoch = {});
-  Result<std::uint64_t> try_cone_size(Asn as, std::string_view epoch = {});
-  Result<std::vector<Asn>> try_cone(Asn as, std::string_view epoch = {});
-  Result<bool> try_in_cone(Asn as, Asn member, std::string_view epoch = {});
-  Result<std::vector<Asn>> try_providers(Asn as, std::string_view epoch = {});
-  Result<std::vector<Asn>> try_customers(Asn as, std::string_view epoch = {});
-  Result<std::vector<Asn>> try_peers(Asn as, std::string_view epoch = {});
-  Result<std::vector<snapshot::TopEntry>> try_top(std::uint32_t n,
-                                                  std::string_view epoch = {});
-  Result<std::vector<Asn>> try_cone_intersection(Asn a, Asn b,
-                                                 std::string_view epoch = {});
-  Result<std::vector<Asn>> try_path_to_clique(Asn as, std::string_view epoch = {});
-  Result<std::vector<Asn>> try_clique(std::string_view epoch = {});
-  Result<std::string> try_stats_text(std::string_view epoch = {});
-  Result<std::vector<std::string>> try_algos(std::string_view epoch = {});
-  Result<DisagreeReport> try_disagree(std::string_view algo_a,
-                                      std::string_view algo_b,
                                       std::uint32_t limit = 0,
-                                      std::string_view epoch = {});
+                                      const QueryScope& scope = {});
 
   // ------------------------------------------------- unscoped requests --
 
@@ -149,15 +101,7 @@ class Client {
  private:
   explicit Client(Transport transport) : transport_(std::move(transport)) {}
 
-  /// The scope a legacy call resolves to: the named epoch (or the bound
-  /// scope's when empty) plus the bound scope's algorithm.
-  [[nodiscard]] QueryScope effective(std::string_view epoch) const {
-    if (epoch.empty()) return scope_;
-    return scope_.with_epoch(epoch);
-  }
-
   Transport transport_;
-  QueryScope scope_;
 };
 
 }  // namespace asrank::serve

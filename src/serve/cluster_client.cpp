@@ -550,7 +550,7 @@ Result<std::vector<Asn>> ClusterClient::try_cone_intersection(
       scope, "intersect",
       [&](const QueryScope& s) -> Result<std::vector<Asn>> {
         if (map_.slot_of(a) == map_.slot_of(b)) {
-          // Same shard: the server computes (and caches) the intersection.
+          // Same shard: the server computes the intersection.
           auto req = wire::request(Op::kConeIntersect);
           req.u32(a.value());
           req.u32(b.value());

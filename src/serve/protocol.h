@@ -60,8 +60,8 @@ enum class Op : std::uint8_t {
   kCustomers = 7,      ///< a -> asn list
   kPeers = 8,          ///< a -> asn list
   kTop = 9,            ///< n -> entries {u32 rank, u32 asn, u64 cone, u32 tdeg}
-  kConeIntersect = 10, ///< a, b -> asn list (derived; LRU-cached)
-  kPathToClique = 11,  ///< a -> asn list, a..clique member (derived; cached)
+  kConeIntersect = 10, ///< a, b -> asn list (derived)
+  kPathToClique = 11,  ///< a -> asn list, a..clique member (derived)
   kClique = 12,        ///< -> asn list
   kStats = 13,         ///< -> UTF-8 stats text
   kPing = 14,          ///< -> empty

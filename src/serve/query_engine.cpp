@@ -12,10 +12,6 @@ namespace asrank::serve {
 
 namespace {
 
-std::uint64_t pair_key(Asn a, Asn b) noexcept {
-  return static_cast<std::uint64_t>(a.value()) << 32 | b.value();
-}
-
 /// Reusable BFS state, keyed by dense node id.  Visited-tracking is an
 /// epoch stamp rather than a per-query clear or hash map: a node is visited
 /// in the current query iff stamp[id] == epoch, so each query costs one
@@ -51,33 +47,6 @@ std::string_view to_string(QueryType type) noexcept {
   return "?";
 }
 
-// ------------------------------------------------------------------ LRU --
-
-std::optional<AsnList> QueryEngine::LruCache::get(std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  order_.splice(order_.begin(), order_, it->second);
-  return it->second->second;
-}
-
-void QueryEngine::LruCache::put(std::uint64_t key, AsnList value) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second->second = std::move(value);
-    order_.splice(order_.begin(), order_, it->second);
-    return;
-  }
-  order_.emplace_front(key, std::move(value));
-  map_.emplace(key, order_.begin());
-  if (map_.size() > capacity_) {
-    map_.erase(order_.back().first);
-    order_.pop_back();
-  }
-}
-
 // ---------------------------------------------------------------- timer --
 
 class QueryEngine::Timer {
@@ -90,22 +59,17 @@ class QueryEngine::Timer {
     const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - start_)
                             .count();
-    engine_.record(type_, static_cast<std::uint64_t>(micros), hit_);
+    engine_.record(type_, static_cast<std::uint64_t>(micros));
   }
-
-  void mark_cache_hit() noexcept { hit_ = true; }
 
  private:
   QueryEngine& engine_;
   QueryType type_;
   std::chrono::steady_clock::time_point start_;
-  bool hit_ = false;
 };
 
-void QueryEngine::record(QueryType type, std::uint64_t micros, bool cache_hit) {
-  auto& slot = metrics_[static_cast<std::size_t>(type)];
-  slot.latency->observe(micros);
-  if (cache_hit) slot.cache_hits->inc();
+void QueryEngine::record(QueryType type, std::uint64_t micros) {
+  latency_[static_cast<std::size_t>(type)]->observe(micros);
   queries_total_->inc();
   algo_queries_total_->inc();
 }
@@ -113,25 +77,19 @@ void QueryEngine::record(QueryType type, std::uint64_t micros, bool cache_hit) {
 // --------------------------------------------------------------- engine --
 
 QueryEngine::QueryEngine(std::shared_ptr<const snapshot::SnapshotIndex> index,
-                         std::size_t cache_capacity, obs::Registry* registry,
-                         core::ConeBitsetConfig cone_config, std::size_t algo_slot)
+                         obs::Registry* registry, core::ConeBitsetConfig cone_config,
+                         std::size_t algo_slot)
     : index_(std::move(index)),
       view_(&index_->algorithm_at(algo_slot)),
       algo_name_(index_->algorithm_names()[algo_slot]),
       registry_(registry),
-      cache_capacity_(cache_capacity),
-      intersect_cache_(cache_capacity),
-      path_cache_(cache_capacity),
       cone_config_(cone_config) {
   for (std::size_t i = 0; i < kQueryTypeCount; ++i) {
     const obs::Labels labels = {
         {"type", std::string(to_string(static_cast<QueryType>(i)))}};
-    metrics_[i].latency = &registry_->histogram(
-        "asrankd_query_latency_micros", "Latency of one served query",
-        obs::kLatencyBucketsMicros, labels);
-    metrics_[i].cache_hits = &registry_->counter(
-        "asrankd_query_cache_hits_total",
-        "Derived queries answered from the LRU cache", labels);
+    latency_[i] = &registry_->histogram("asrankd_query_latency_micros",
+                                        "Latency of one served query",
+                                        obs::kLatencyBucketsMicros, labels);
   }
   queries_total_ = &registry_->counter("asrankd_queries_total",
                                        "Queries served across all types");
@@ -149,10 +107,10 @@ QueryEngine::QueryEngine(std::shared_ptr<const snapshot::SnapshotIndex> index,
                                        {{"kernel", "sorted"}});
 }
 
-QueryEngine::QueryEngine(snapshot::SnapshotIndex index, std::size_t cache_capacity,
-                         obs::Registry* registry, core::ConeBitsetConfig cone_config)
+QueryEngine::QueryEngine(snapshot::SnapshotIndex index, obs::Registry* registry,
+                         core::ConeBitsetConfig cone_config)
     : QueryEngine(std::make_shared<const snapshot::SnapshotIndex>(std::move(index)),
-                  cache_capacity, registry, cone_config) {}
+                  registry, cone_config) {}
 
 const core::ConeBitset& QueryEngine::cone_bits() {
   std::call_once(cone_bits_once_, [this] {
@@ -236,13 +194,6 @@ void QueryEngine::ping() { Timer timer(*this, QueryType::kPing); }
 
 AsnList QueryEngine::cone_intersection(Asn a, Asn b) {
   Timer timer(*this, QueryType::kConeIntersect);
-  // Normalize so (a, b) and (b, a) share one cache entry.
-  if (b < a) std::swap(a, b);
-  const std::uint64_t key = pair_key(a, b);
-  if (auto cached = intersect_cache_.get(key)) {
-    timer.mark_cache_hit();
-    return *cached;
-  }
   auto result = std::make_shared<std::vector<Asn>>();
   const auto id_a = view_->node_id(a);
   const auto id_b = view_->node_id(b);
@@ -273,9 +224,7 @@ AsnList QueryEngine::cone_intersection(Asn a, Asn b) {
                           cone_b.end(), std::back_inserter(*result));
     kernel_sorted_->inc();
   }
-  AsnList shared = std::move(result);
-  intersect_cache_.put(key, shared);
-  return shared;
+  return result;
 }
 
 std::vector<Asn> QueryEngine::cone_minus(Asn as, std::span<const Asn> other) {
@@ -310,12 +259,6 @@ std::vector<Asn> QueryEngine::cone_minus(Asn as, std::span<const Asn> other) {
 
 AsnList QueryEngine::path_to_clique(Asn as) {
   Timer timer(*this, QueryType::kPathToClique);
-  const std::uint64_t key = pair_key(as, Asn());
-  if (auto cached = path_cache_.get(key)) {
-    timer.mark_cache_hit();
-    return *cached;
-  }
-
   auto result = std::make_shared<std::vector<Asn>>();
   if (const auto root = view_->node_id(as)) {
     // BFS over provider links on dense node ids.  Frontier order is
@@ -365,9 +308,7 @@ AsnList QueryEngine::path_to_clique(Asn as) {
       std::reverse(result->begin(), result->end());
     }
   }
-  AsnList shared = std::move(result);
-  path_cache_.put(key, shared);
-  return shared;
+  return result;
 }
 
 std::array<QueryStats, kQueryTypeCount> QueryEngine::stats() const {
@@ -375,14 +316,13 @@ std::array<QueryStats, kQueryTypeCount> QueryEngine::stats() const {
   // former count/total_micros tallies exactly (both are plain u64 sums).
   std::array<QueryStats, kQueryTypeCount> out;
   for (std::size_t i = 0; i < kQueryTypeCount; ++i) {
-    out[i].count = metrics_[i].latency->count();
-    out[i].cache_hits = metrics_[i].cache_hits->value();
-    out[i].total_micros = metrics_[i].latency->sum();
+    out[i].count = latency_[i]->count();
+    out[i].total_micros = latency_[i]->sum();
   }
   return out;
 }
 
-void QueryEngine::record_stats_query() { record(QueryType::kStats, 0, false); }
+void QueryEngine::record_stats_query() { record(QueryType::kStats, 0); }
 
 std::string QueryEngine::render_stats() const {
   const auto snapshot = stats();
@@ -393,8 +333,8 @@ std::string QueryEngine::render_stats() const {
     const double avg = s.count == 0 ? 0.0
                                     : static_cast<double>(s.total_micros) /
                                           static_cast<double>(s.count);
-    os << to_string(static_cast<QueryType>(i)) << ' ' << s.count << ' '
-       << s.cache_hits << ' ' << avg << '\n';
+    os << to_string(static_cast<QueryType>(i)) << ' ' << s.count << " 0 " << avg
+       << '\n';
   }
   return os.str();
 }

@@ -1,32 +1,28 @@
 // Embeddable query layer over a frozen SnapshotIndex.
 //
-// The engine mirrors the index's accessors but adds the two things a
-// serving process needs: per-query-type latency histograms and cache-hit
-// counters (exposed via the STATS and METRICS opcodes and the serving
-// bench), and an LRU cache for the derived queries whose cost is
-// data-dependent — cone intersection (O(|cone a| + |cone b|)) and
-// provider-path-to-clique (BFS).  All entry points are thread-safe: the
-// index is held by shared_ptr-to-const and immutable, metric observations
-// are lock-free atomics (obs::Registry), and the caches take a
-// short-critical-section mutex.
+// The engine mirrors the index's accessors and adds per-query-type latency
+// histograms (exposed via the STATS and METRICS opcodes and the serving
+// bench), the cone bitset kernels, and the two derived queries — cone
+// intersection and provider-path-to-clique (BFS).  All entry points are
+// thread-safe: the index is held by shared_ptr-to-const and immutable,
+// metric observations are lock-free atomics (obs::Registry), the cone
+// bitset is built once under std::call_once, and the BFS scratch is
+// thread_local.
 //
 // Metrics live in an obs::Registry (asrankd_query_latency_micros{type=...},
-// asrankd_query_cache_hits_total{type=...}, asrankd_queries_total).  By
-// default that is the process-global registry; tests pass their own for
-// isolated counts.  Engines sharing one registry share series — counts are
-// per registry, not per engine.
+// asrankd_queries_total).  By default that is the process-global registry;
+// tests pass their own for isolated counts.  Engines sharing one registry
+// share series — counts are per registry, not per engine.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cone_bitset.h"
@@ -35,8 +31,7 @@
 
 namespace asrank::serve {
 
-/// Shared, immutable query result (cached values are handed out without
-/// copying the member vectors).
+/// Shared, immutable query result.
 using AsnList = std::shared_ptr<const std::vector<Asn>>;
 
 enum class QueryType : std::uint8_t {
@@ -59,7 +54,6 @@ inline constexpr std::size_t kQueryTypeCount = 12;
 
 struct QueryStats {
   std::uint64_t count = 0;
-  std::uint64_t cache_hits = 0;
   std::uint64_t total_micros = 0;
 };
 
@@ -76,14 +70,13 @@ class QueryEngine {
   /// snapshot the engine answers from (SnapshotIndex::algorithm_at); slot 0
   /// is the primary and the only valid slot for single-algorithm files.
   explicit QueryEngine(std::shared_ptr<const snapshot::SnapshotIndex> index,
-                       std::size_t cache_capacity = 4096,
                        obs::Registry* registry = &obs::Registry::global(),
                        core::ConeBitsetConfig cone_config = {},
                        std::size_t algo_slot = 0);
 
   /// Convenience for callers holding the index by value (wraps it in a
   /// shared_ptr).
-  explicit QueryEngine(snapshot::SnapshotIndex index, std::size_t cache_capacity = 4096,
+  explicit QueryEngine(snapshot::SnapshotIndex index,
                        obs::Registry* registry = &obs::Registry::global(),
                        core::ConeBitsetConfig cone_config = {});
 
@@ -111,7 +104,7 @@ class QueryEngine {
   [[nodiscard]] std::span<const Asn> clique();
   void ping();
 
-  // Derived queries, LRU-cached.
+  // Derived queries.
   /// Sorted intersection of two customer cones.
   [[nodiscard]] AsnList cone_intersection(Asn a, Asn b);
   /// Members of `as`'s cone absent from `other` (a sorted ASN list, e.g.
@@ -126,43 +119,19 @@ class QueryEngine {
   [[nodiscard]] AsnList path_to_clique(Asn as);
 
   /// Counter snapshot, indexed by QueryType (a view over the registry's
-  /// histogram/counter series).
+  /// latency histograms).
   [[nodiscard]] std::array<QueryStats, kQueryTypeCount> stats() const;
   void record_stats_query();  ///< count a kStats serve (rendering is external)
 
   /// Human-readable stats table (also the STATS opcode's response body).
+  /// Its `cache_hits` column is always 0; it is kept so STATS bytes stay
+  /// stable for existing parsers.
   [[nodiscard]] std::string render_stats() const;
 
-  [[nodiscard]] std::size_t cache_capacity() const noexcept { return cache_capacity_; }
-
  private:
-  /// One mutex-guarded LRU map from a packed (a, b) key to a shared list.
-  class LruCache {
-   public:
-    explicit LruCache(std::size_t capacity) : capacity_(capacity) {}
-
-    [[nodiscard]] std::optional<AsnList> get(std::uint64_t key);
-    void put(std::uint64_t key, AsnList value);
-
-   private:
-    std::size_t capacity_;
-    std::mutex mutex_;
-    std::list<std::pair<std::uint64_t, AsnList>> order_;  ///< front = most recent
-    std::unordered_map<std::uint64_t,
-                       std::list<std::pair<std::uint64_t, AsnList>>::iterator>
-        map_;
-  };
-
   class Timer;  ///< RAII counter update (defined in the .cpp)
 
-  /// Registry series for one query type, resolved once in the constructor
-  /// so the per-query hot path is pointer-chasing plus relaxed atomics.
-  struct TypeMetrics {
-    obs::Histogram* latency = nullptr;  ///< asrankd_query_latency_micros{type=}
-    obs::Counter* cache_hits = nullptr; ///< asrankd_query_cache_hits_total{type=}
-  };
-
-  void record(QueryType type, std::uint64_t micros, bool cache_hit);
+  void record(QueryType type, std::uint64_t micros);
 
   /// The per-epoch cone bitset, built thread-safely on first use (cone
   /// kernels only; engines that never see a cone query never pay for it).
@@ -174,15 +143,15 @@ class QueryEngine {
   const snapshot::SnapshotIndex* view_;
   std::string algo_name_;
   obs::Registry* registry_;
-  std::size_t cache_capacity_;
-  LruCache intersect_cache_;
-  LruCache path_cache_;
 
   core::ConeBitsetConfig cone_config_;
   std::once_flag cone_bits_once_;
   std::unique_ptr<const core::ConeBitset> cone_bits_store_;
 
-  std::array<TypeMetrics, kQueryTypeCount> metrics_;
+  /// asrankd_query_latency_micros{type=}, indexed by QueryType and resolved
+  /// once in the constructor so the per-query hot path is pointer-chasing
+  /// plus relaxed atomics.
+  std::array<obs::Histogram*, kQueryTypeCount> latency_{};
   obs::Counter* queries_total_ = nullptr;  ///< asrankd_queries_total
   /// asrankd_algo_queries_total{algo=...}: per-algorithm query volume.
   obs::Counter* algo_queries_total_ = nullptr;

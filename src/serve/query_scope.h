@@ -1,9 +1,7 @@
 // QueryScope: the explicit (epoch, algorithm) pair a query is answered
-// under.  Replaces the old implicit combination of a trailing per-call
-// `std::string_view epoch` parameter and mutable Client::set_algorithm
-// state: a scope is a value, so it can be bound once (Client::with_scope),
-// passed per call, or fanned out verbatim across a cluster without any
-// shared mutable state.
+// under.  A scope is a value passed per call (the trailing argument of every
+// scoped Client/ClusterClient method), so it can be fanned out verbatim
+// across a cluster without any shared mutable state.
 //
 // Empty fields mean "the server's default": an empty epoch answers from the
 // current epoch, an empty algorithm from the snapshot's primary algorithm.

@@ -184,17 +184,16 @@ Result<std::shared_ptr<QueryEngine>> SnapshotRegistry::install_impl(
 
   auto shared_index =
       std::make_shared<const snapshot::SnapshotIndex>(std::move(index));
-  auto engine = std::make_shared<QueryEngine>(
-      shared_index, config_.cache_capacity, registry_, config_.cone_bitset);
+  auto engine =
+      std::make_shared<QueryEngine>(shared_index, registry_, config_.cone_bitset);
   const std::size_t as_count = engine->index().as_count();
   // One engine per algorithm section; slot 0 reuses the primary engine so
-  // @algo-qualified queries for the primary share its caches and counters.
+  // @algo-qualified queries for the primary share its cone bitset.
   std::vector<std::shared_ptr<QueryEngine>> engines;
   engines.push_back(engine);
   for (std::size_t slot = 1; slot < shared_index->algorithm_count(); ++slot) {
-    engines.push_back(std::make_shared<QueryEngine>(
-        shared_index, config_.cache_capacity, registry_, config_.cone_bitset,
-        slot));
+    engines.push_back(std::make_shared<QueryEngine>(shared_index, registry_,
+                                                    config_.cone_bitset, slot));
   }
 
   std::lock_guard<std::mutex> lock(reload_mutex_);

@@ -42,8 +42,6 @@ struct SnapshotRegistryConfig {
   /// Maximum number of resident epochs (>= 1).  Installing beyond this
   /// evicts the least-recently-queried non-current epoch.
   std::size_t retention = 4;
-  /// Per-engine derived-query LRU capacity (QueryEngine cache_capacity).
-  std::size_t cache_capacity = 4096;
   /// load_file() uses the zero-copy mmap loader (SnapshotIndex::map_file):
   /// epochs serve straight from the page cache and N replicas of one file
   /// share a single physical copy.  false reads the file into an owned

@@ -205,7 +205,7 @@ TEST(ClusterMap, RendezvousKeepsPrimariesStableUnderMembershipChange) {
 
 // ----------------------------------------------------- scoped client API --
 
-TEST(QueryScopeApi, ScopedAndLegacyCallsAgree) {
+TEST(QueryScopeApi, ScopedAndDefaultCallsAgree) {
   MemberServer member(
       [](SnapshotRegistry& s) { ASSERT_TRUE(s.install("cur", make_multi_index()).ok()); });
   Client client = Client::dial("127.0.0.1", member.port()).value();
@@ -215,21 +215,16 @@ TEST(QueryScopeApi, ScopedAndLegacyCallsAgree) {
             client.try_cone(Asn(1)).value());
   EXPECT_EQ(client.try_top(3, plain).value(), client.try_top(3).value());
 
-  // An explicit scope is used exactly as given, ignoring mutable state.
-  client.set_algorithm("gao2001");
+  // A scope is used exactly as given: each call names its own algorithm.
+  const QueryScope variant{"", "gao2001"};
   const QueryScope primary{"", "asrank"};
   EXPECT_EQ(client.try_cone_size(Asn(1), primary).value(), 4u);
-  // The bound scope flows through legacy calls: gao2001 drops 5 from cone(1).
-  EXPECT_EQ(client.try_cone_size(Asn(1)).value(), 3u);
-  // And scoped calls for the variant agree with the legacy path.
-  const QueryScope variant{"", "gao2001"};
+  // gao2001 drops 5 from cone(1).
+  EXPECT_EQ(client.try_cone_size(Asn(1), variant).value(), 3u);
+  // Naming the current epoch agrees with leaving it empty.
   EXPECT_EQ(client.try_cone(Asn(1), variant).value(),
-            client.try_cone(Asn(1)).value());
-
-  // with_scope binds a default for legacy calls without mutation elsewhere.
-  client.with_scope(QueryScope{"cur", "asrank"});
-  EXPECT_EQ(client.try_cone_size(Asn(1)).value(), 4u);
-  EXPECT_EQ(client.scope().epoch, "cur");
+            client.try_cone(Asn(1), QueryScope{"cur", "gao2001"}).value());
+  EXPECT_EQ(client.try_cone_size(Asn(1), QueryScope{"cur", "asrank"}).value(), 4u);
 }
 
 TEST(QueryScopeApi, AlgosListsSectionsPrimaryFirst) {

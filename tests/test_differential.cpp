@@ -277,9 +277,9 @@ TEST(Differential, QueryEngineKernelConfigsAnswerIdentically) {
   // Three engines over one index: all-bitset, mixed (hybrid kicks in when
   // only one side of a pair has a row), and sorted-only.
   obs::Registry reg_bitset, reg_hybrid, reg_sorted;
-  serve::QueryEngine bitset(index, 4096, &reg_bitset, {0});
-  serve::QueryEngine hybrid(index, 4096, &reg_hybrid, {3});
-  serve::QueryEngine sorted(index, 4096, &reg_sorted,
+  serve::QueryEngine bitset(index, &reg_bitset, {0});
+  serve::QueryEngine hybrid(index, &reg_hybrid, {3});
+  serve::QueryEngine sorted(index, &reg_sorted,
                             core::ConeBitsetConfig::disabled());
 
   const auto ases = to_vec(index->ases());
@@ -334,11 +334,11 @@ TEST(Differential, CrossEpochConeMinusMatchesSetDifference) {
   const auto index_b = build_index(truth, cones_b);
 
   obs::Registry reg_a0, reg_a1, reg_b0, reg_b1;
-  serve::QueryEngine a_bits(index_a, 4096, &reg_a0, {0});
-  serve::QueryEngine a_sorted(index_a, 4096, &reg_a1,
+  serve::QueryEngine a_bits(index_a, &reg_a0, {0});
+  serve::QueryEngine a_sorted(index_a, &reg_a1,
                               core::ConeBitsetConfig::disabled());
-  serve::QueryEngine b_bits(index_b, 4096, &reg_b0, {0});
-  serve::QueryEngine b_sorted(index_b, 4096, &reg_b1,
+  serve::QueryEngine b_bits(index_b, &reg_b0, {0});
+  serve::QueryEngine b_sorted(index_b, &reg_b1,
                               core::ConeBitsetConfig::disabled());
 
   for (const Asn as : index_a->ases()) {
@@ -369,8 +369,8 @@ TEST(Differential, MmapBackedEngineServesIdenticalDerivedAnswers) {
   ASSERT_TRUE(mapped_index->mmap_backed());
 
   obs::Registry reg_heap, reg_mmap;
-  serve::QueryEngine heap_engine(built, 4096, &reg_heap, {0});
-  serve::QueryEngine mmap_engine(mapped_index, 4096, &reg_mmap, {0});
+  serve::QueryEngine heap_engine(built, &reg_heap, {0});
+  serve::QueryEngine mmap_engine(mapped_index, &reg_mmap, {0});
 
   const auto ases = to_vec(built->ases());
   for (const Asn a : ases) {

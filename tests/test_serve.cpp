@@ -24,6 +24,7 @@
 #include "serve/server.h"
 #include "serve/snapshot_registry.h"
 #include "snapshot/snapshot.h"
+#include "topogen/topogen.h"
 #include "util/rng.h"
 
 namespace asrank::serve {
@@ -110,10 +111,6 @@ std::uint64_t stat_count(const QueryEngine& engine, QueryType type) {
   return engine.stats()[static_cast<std::size_t>(type)].count;
 }
 
-std::uint64_t stat_hits(const QueryEngine& engine, QueryType type) {
-  return engine.stats()[static_cast<std::size_t>(type)].cache_hits;
-}
-
 // A metrics registry plus a SnapshotRegistry with one installed epoch —
 // the minimum serving state the handlers need.
 struct ServeRig {
@@ -132,7 +129,7 @@ struct ServeRig {
 
 TEST(QueryEngine, DirectQueriesMatchIndex) {
   obs::Registry registry;
-  QueryEngine engine(make_index(), 4096, &registry);
+  QueryEngine engine(make_index(), &registry);
   EXPECT_EQ(engine.relationship(Asn(1), Asn(3)), RelView::kCustomer);
   EXPECT_EQ(engine.rank(Asn(1)), 1u);
   EXPECT_EQ(engine.rank(Asn(99)), std::nullopt);
@@ -150,16 +147,14 @@ TEST(QueryEngine, DirectQueriesMatchIndex) {
   EXPECT_EQ(stat_count(engine, QueryType::kNeighborSet), 3u);
 }
 
-TEST(QueryEngine, ConeIntersectionIsCachedAndOrderInsensitive) {
+TEST(QueryEngine, ConeIntersectionIsOrderInsensitive) {
   obs::Registry registry;
-  QueryEngine engine(make_index(), 4096, &registry);
+  QueryEngine engine(make_index(), &registry);
   const auto first = engine.cone_intersection(Asn(1), Asn(2));
   EXPECT_EQ(*first, asns({3, 4}));
-  EXPECT_EQ(stat_hits(engine, QueryType::kConeIntersect), 0u);
-  // Same pair again, both orders: served from cache.
+  // Same pair again, both orders.
   EXPECT_EQ(*engine.cone_intersection(Asn(1), Asn(2)), asns({3, 4}));
   EXPECT_EQ(*engine.cone_intersection(Asn(2), Asn(1)), asns({3, 4}));
-  EXPECT_EQ(stat_hits(engine, QueryType::kConeIntersect), 2u);
   EXPECT_EQ(stat_count(engine, QueryType::kConeIntersect), 3u);
   // Disjoint cones intersect to nothing.
   EXPECT_TRUE(engine.cone_intersection(Asn(5), Asn(6))->empty());
@@ -167,7 +162,7 @@ TEST(QueryEngine, ConeIntersectionIsCachedAndOrderInsensitive) {
 
 TEST(QueryEngine, PathToCliqueIsDeterministicBfs) {
   obs::Registry registry;
-  QueryEngine engine(make_index(), 4096, &registry);
+  QueryEngine engine(make_index(), &registry);
   // 4's only provider chain is 4 -> 3 -> {1,2}; lowest-ASN tiebreak picks 1.
   EXPECT_EQ(*engine.path_to_clique(Asn(4)), asns({4, 3, 1}));
   // A clique member is its own path.
@@ -176,25 +171,13 @@ TEST(QueryEngine, PathToCliqueIsDeterministicBfs) {
   EXPECT_TRUE(engine.path_to_clique(Asn(7))->empty());
   // Unknown AS: empty, not a throw.
   EXPECT_TRUE(engine.path_to_clique(Asn(99))->empty());
-  // Second identical query hits the cache.
+  // Second identical query: same answer.
   EXPECT_EQ(*engine.path_to_clique(Asn(4)), asns({4, 3, 1}));
-  EXPECT_EQ(stat_hits(engine, QueryType::kPathToClique), 1u);
-}
-
-TEST(QueryEngine, LruEvictsLeastRecentlyUsed) {
-  obs::Registry registry;
-  QueryEngine engine(make_index(), /*cache_capacity=*/1, &registry);
-  (void)engine.cone_intersection(Asn(1), Asn(2));
-  (void)engine.cone_intersection(Asn(1), Asn(3));  // evicts (1,2)
-  (void)engine.cone_intersection(Asn(1), Asn(2));  // recomputed
-  EXPECT_EQ(stat_hits(engine, QueryType::kConeIntersect), 0u);
-  (void)engine.cone_intersection(Asn(1), Asn(2));  // now cached again
-  EXPECT_EQ(stat_hits(engine, QueryType::kConeIntersect), 1u);
 }
 
 TEST(QueryEngine, RenderStatsListsEveryQueryType) {
   obs::Registry registry;
-  QueryEngine engine(make_index(), 4096, &registry);
+  QueryEngine engine(make_index(), &registry);
   (void)engine.rank(Asn(1));
   const auto text = engine.render_stats();
   EXPECT_NE(text.find("rank"), std::string::npos);
@@ -205,7 +188,7 @@ TEST(QueryEngine, StatsWireFormatIsByteStable) {
   // The STATS response body is a wire format consumed by existing clients;
   // the registry-backed stats() must reproduce it byte for byte.
   obs::Registry registry;
-  QueryEngine engine(make_index(), 4096, &registry);
+  QueryEngine engine(make_index(), &registry);
   EXPECT_EQ(engine.render_stats(),
             "query_type count cache_hits avg_micros\n"
             "relationship 0 0 0\n"
@@ -231,8 +214,8 @@ TEST(QueryEngine, SnapshotIndexIsSharedNotCopied) {
       std::make_shared<const snapshot::SnapshotIndex>(make_index());
   obs::Registry registry_a;
   obs::Registry registry_b;
-  QueryEngine a(index, 4096, &registry_a);
-  QueryEngine b(index, 4096, &registry_b);
+  QueryEngine a(index, &registry_a);
+  QueryEngine b(index, &registry_b);
   EXPECT_EQ(a.index_ptr().get(), index.get());
   EXPECT_EQ(a.index_ptr().get(), b.index_ptr().get());
   EXPECT_EQ(a.rank(Asn(1)), b.rank(Asn(1)));
@@ -245,12 +228,91 @@ TEST(QueryEngine, EnginesSharingARegistryShareSeries) {
   auto index =
       std::make_shared<const snapshot::SnapshotIndex>(make_index());
   obs::Registry registry;
-  QueryEngine a(index, 4096, &registry);
-  QueryEngine b(index, 4096, &registry);
+  QueryEngine a(index, &registry);
+  QueryEngine b(index, &registry);
   (void)a.rank(Asn(1));
   (void)b.rank(Asn(2));
   EXPECT_EQ(stat_count(a, QueryType::kRank), 2u);
   EXPECT_EQ(stat_count(b, QueryType::kRank), 2u);
+}
+
+// Four threads share one engine and split the derived queries between them:
+// every (a, b) cone intersection over an operand set, and path_to_clique for
+// every AS.  Each answer must equal the one a single-threaded engine gives.
+// The only shared mutable state is the lazily built cone bitset
+// (std::call_once) and the thread_local BFS scratch, so under TSan this is
+// the engine's race check.  The operands are the 48 largest cones plus every
+// 16th AS, so with the default bitset config the bitset, hybrid and sorted
+// kernels all answer; the second run disables the bitset.
+TEST(QueryEngine, ConcurrentDerivedQueriesMatchSerial) {
+  auto params = topogen::GenParams::preset("medium");
+  params.seed = 7;
+  const auto truth = topogen::generate(params);
+  const std::unordered_map<Asn, std::size_t> no_tdeg;
+  const auto index = std::make_shared<const snapshot::SnapshotIndex>(
+      snapshot::build_snapshot(truth.graph, no_tdeg,
+                               core::recursive_cone(truth.graph), truth.clique));
+  const auto ases = index->ases();
+  std::vector<Asn> operands;
+  for (const auto& entry : index->top(48)) operands.push_back(entry.as);
+  for (std::size_t i = 0; i < ases.size(); i += 16) operands.push_back(ases[i]);
+  const std::size_t n = operands.size();
+  constexpr std::size_t kThreads = 4;
+
+  for (const auto config : {core::ConeBitsetConfig{},
+                            core::ConeBitsetConfig::disabled()}) {
+    obs::Registry serial_registry;
+    QueryEngine serial(index, &serial_registry, config);
+    std::vector<std::vector<Asn>> want_intersect(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        want_intersect[i * n + j] =
+            *serial.cone_intersection(operands[i], operands[j]);
+      }
+    }
+    std::vector<std::vector<Asn>> want_path(ases.size());
+    for (std::size_t i = 0; i < ases.size(); ++i) {
+      want_path[i] = *serial.path_to_clique(ases[i]);
+    }
+
+    obs::Registry shared_registry;
+    QueryEngine shared(index, &shared_registry, config);
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (std::size_t i = t; i < n; i += kThreads) {
+          for (std::size_t j = 0; j < n; ++j) {
+            if (*shared.cone_intersection(operands[i], operands[j]) !=
+                want_intersect[i * n + j]) {
+              ++mismatches;
+            }
+          }
+        }
+        for (std::size_t i = t; i < ases.size(); i += kThreads) {
+          if (*shared.path_to_clique(ases[i]) != want_path[i]) ++mismatches;
+        }
+      });
+    }
+    for (auto& worker : workers) worker.join();
+    EXPECT_EQ(mismatches.load(), 0u) << "min_cone_size " << config.min_cone_size;
+    EXPECT_EQ(stat_count(shared, QueryType::kConeIntersect), n * n);
+    EXPECT_EQ(stat_count(shared, QueryType::kPathToClique), ases.size());
+    const auto kernel_calls = [&](const char* kernel) {
+      return shared_registry
+          .counter("asrankd_cone_kernel_total",
+                   "Cone intersection/diff/membership queries by answering kernel",
+                   {{"kernel", kernel}})
+          .value();
+    };
+    if (config.min_cone_size == core::ConeBitsetConfig{}.min_cone_size) {
+      EXPECT_GT(kernel_calls("bitset"), 0u);
+      EXPECT_GT(kernel_calls("hybrid"), 0u);
+    } else {
+      EXPECT_EQ(kernel_calls("bitset"), 0u);
+    }
+    EXPECT_GT(kernel_calls("sorted"), 0u);
+  }
 }
 
 // ------------------------------------------------------ snapshot registry --
@@ -1093,15 +1155,15 @@ TEST_F(ServeFixture, EpochAwareQueriesOverSocket) {
   // Unqualified queries answer from the current epoch; qualified ones from
   // the named one.
   EXPECT_EQ(client.try_cone_size(Asn(1)).value(), 3u);
-  EXPECT_EQ(client.try_cone_size(Asn(1), "seed").value(), 4u);
-  EXPECT_EQ(client.try_rank(Asn(1), "seed").value(), 1u);
+  EXPECT_EQ(client.try_cone_size(Asn(1), QueryScope{"seed", ""}).value(), 4u);
+  EXPECT_EQ(client.try_rank(Asn(1), QueryScope{"seed", ""}).value(), 1u);
 
   auto diff = client.try_cone_diff(Asn(1), "seed", "next");
   ASSERT_TRUE(diff.ok());
   EXPECT_EQ(diff.value().added, asns({8}));
   EXPECT_EQ(diff.value().removed, asns({4, 5}));
 
-  auto unknown = client.try_rank(Asn(1), "zzz");
+  auto unknown = client.try_rank(Asn(1), QueryScope{"zzz", ""});
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.error().code, ErrorCode::kUnknownEpoch);
   EXPECT_NE(unknown.error().context.find("unknown epoch 'zzz'"),
@@ -1115,30 +1177,28 @@ TEST_F(ServeFixture, AlgorithmScopedQueriesOverSocket) {
   // Unscoped queries answer from the primary (asrank) section.
   EXPECT_EQ(client.try_cone_size(Asn(1)).value(), 4u);
 
-  // set_algorithm wraps every engine query in WITH_ALGO...
-  client.set_algorithm("gao2001");
-  EXPECT_EQ(client.try_cone_size(Asn(1)).value(), 3u);
-  EXPECT_EQ(client.try_relationship(Asn(4), Asn(5)).value(), RelView::kProvider);
-  EXPECT_EQ(client.try_relationship(Asn(1), Asn(5)).value(), std::nullopt);
+  // A scoped algorithm wraps every engine query in WITH_ALGO...
+  const QueryScope gao{"", "gao2001"};
+  EXPECT_EQ(client.try_cone_size(Asn(1), gao).value(), 3u);
+  EXPECT_EQ(client.try_relationship(Asn(4), Asn(5), gao).value(), RelView::kProvider);
+  EXPECT_EQ(client.try_relationship(Asn(1), Asn(5), gao).value(), std::nullopt);
   // ...nesting inside WITH_EPOCH when an epoch is also named.
-  EXPECT_EQ(client.try_cone_size(Asn(1), "multi").value(), 3u);
+  EXPECT_EQ(client.try_cone_size(Asn(1), QueryScope{"multi", "gao2001"}).value(), 3u);
 
   // An algorithm the named epoch lacks surfaces on the Result rail as
   // kUnknownAlgorithm, per query.
-  auto missing = client.try_rank(Asn(1), "seed");
+  auto missing = client.try_rank(Asn(1), QueryScope{"seed", "gao2001"});
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().code, ErrorCode::kUnknownAlgorithm);
 
-  client.set_algorithm("tor-local-search");
-  auto unknown = client.try_cone_size(Asn(1));
+  auto unknown = client.try_cone_size(Asn(1), QueryScope{"", "tor-local-search"});
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.error().code, ErrorCode::kUnknownAlgorithm);
   EXPECT_NE(unknown.error().context.find("unknown algorithm 'tor-local-search'"),
             std::string::npos);
 
-  // Empty restores the server default.
-  client.set_algorithm("");
-  EXPECT_EQ(client.try_cone_size(Asn(1)).value(), 4u);
+  // An empty algorithm is the server default.
+  EXPECT_EQ(client.try_cone_size(Asn(1), QueryScope{}).value(), 4u);
 
   // DISAGREE round-trips the typed report.
   auto report = client.try_disagree("asrank", "gao2001");
@@ -1278,7 +1338,7 @@ TEST(Server, SighupReloadsAndSigtermStopsWithinOneTick) {
   EXPECT_EQ(rig.snapshots->current_label(), "sighup-epoch");
   // The reload swapped epochs under the live connection.
   EXPECT_EQ(client.try_cone_size(Asn(1)).value(), 3u);
-  EXPECT_EQ(client.try_cone_size(Asn(1), "seed").value(), 4u);
+  EXPECT_EQ(client.try_cone_size(Asn(1), QueryScope{"seed", ""}).value(), 4u);
 
   const auto start = std::chrono::steady_clock::now();
   ::raise(SIGTERM);
@@ -1429,7 +1489,7 @@ TEST(Server, ConcurrentReloadTorture) {
             continue;
           }
           if (size.value() != 4 && size.value() != 3) ++failures;
-          auto cone = client.try_cone(Asn(1), "flip");
+          auto cone = client.try_cone(Asn(1), QueryScope{"flip", ""});
           if (!cone.ok()) {
             ++failures;
             continue;
@@ -1549,7 +1609,7 @@ TEST(Client, RetriesThroughRefuseAndShedWithDeterministicBackoff) {
     ::close(c);
   });
 
-  ClientConfig config;
+  TransportConfig config;
   config.max_retries = 3;
   config.backoff_base_ms = 10;
   config.backoff_cap_ms = 40;
@@ -1588,7 +1648,7 @@ TEST(Client, ReadDeadlineSurfacesTimeout) {
     ::close(c);
   });
 
-  ClientConfig config;
+  TransportConfig config;
   config.io_timeout_ms = 50;
   auto dialed = Client::dial("127.0.0.1", port, config);
   ASSERT_TRUE(dialed.ok());
