@@ -4,7 +4,8 @@
 // the util::ThreadPool engine: it measures wall-clock speedup at 1/2/4/8
 // workers on a topogen graph (default 50k ASes), verifies that every stage's
 // output is identical to the single-threaded run, and emits machine-readable
-// JSON so the BENCH_*.json trajectory tracks scaling across PRs.
+// JSON (stamped with hardware threads, build type and git sha) so the
+// BENCH_*.json trajectory tracks scaling across PRs.
 //
 //     bench_parallel_scaling [total_ases] [seed] [json_out]
 //
@@ -74,6 +75,8 @@ void write_json(std::ostream& os, std::size_t ases, std::uint64_t seed,
   os << "{\n  \"bench\": \"parallel_scaling\",\n";
   os << "  \"total_ases\": " << ases << ",\n  \"seed\": " << seed << ",\n";
   os << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n";
+  os << "  \"build_type\": \"" << ASRANK_BUILD_TYPE << "\",\n";
+  os << "  \"git_sha\": \"" << ASRANK_GIT_SHA << "\",\n";
   os << "  \"outputs_identical\": " << (identical ? "true" : "false") << ",\n";
   os << "  \"stages\": {\n";
   bool first_stage = true;

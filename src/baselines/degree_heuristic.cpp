@@ -2,23 +2,18 @@
 
 #include <vector>
 
-#include "core/clique.h"
-#include "topology/interner.h"
+#include "core/degrees.h"
 
 namespace asrank::baselines {
 
 AsGraph DegreeHeuristic::infer(const paths::PathCorpus& corpus) const {
   using topology::NodeId;
 
-  // Dense id space over the corpus; observed adjacency as CSR rows, so node
+  // The degree tally's id space and observed adjacency (CSR rows), so node
   // degree is a row length and the pair sweep is an ascending-id walk.
-  std::vector<Asn> asns;
-  for (const paths::PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    asns.insert(asns.end(), hops.begin(), hops.end());
-  }
-  const topology::AsnInterner interner = topology::AsnInterner::from_asns(std::move(asns));
-  const core::ObservedAdjacency adjacency = core::ObservedAdjacency::build(interner, corpus);
+  const core::Degrees degrees = core::Degrees::compute(corpus);
+  const topology::AsnInterner& interner = degrees.interner();
+  const core::ObservedAdjacency& adjacency = degrees.adjacency();
 
   AsGraph graph;
   for (NodeId node = 0; node < interner.size(); ++node) {

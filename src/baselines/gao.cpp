@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/clique.h"
+#include "core/degrees.h"
+#include "paths/arena.h"
 #include "topology/interner.h"
 
 namespace asrank::baselines {
@@ -11,8 +12,8 @@ namespace asrank::baselines {
 namespace {
 
 using paths::PathCorpus;
-using paths::PathRecord;
 using topology::AsnInterner;
+using topology::kNoNode;
 using topology::NodeId;
 
 constexpr std::uint32_t kNoLink = 0xffffffffu;
@@ -26,30 +27,32 @@ constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
 }  // namespace
 
 AsGraph GaoInference::infer(const PathCorpus& corpus) const {
-  // Phase 1: node degrees, as CSR row lengths over a dense id space.
-  std::vector<Asn> asns;
-  for (const PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    asns.insert(asns.end(), hops.begin(), hops.end());
-  }
-  const AsnInterner interner = AsnInterner::from_asns(std::move(asns));
-  const core::ObservedAdjacency adjacency = core::ObservedAdjacency::build(interner, corpus);
-  const auto degree = [&](NodeId id) { return adjacency.neighbors(id).size(); };
+  // Every record verbatim (nothing stripped, compressed or dropped but empty
+  // paths), each distinct path stored once in NodeId space.
+  paths::SanitizerConfig verbatim;
+  verbatim.strip_ixp_asns = false;
+  verbatim.compress_prepending = false;
+  verbatim.discard_loops = false;
+  verbatim.discard_reserved = false;
+  verbatim.dedup = false;
+  const paths::PathArena arena = paths::PathArena::build(corpus, verbatim);
 
-  // The directed-transit table: sorted packed (lo, hi) id pairs with
-  // per-direction counts alongside.  Pair set == adjacency pair set, so it
-  // can be gathered in one corpus pass.
+  // Phase 1: node degrees, as the degree tally's CSR row lengths.
+  const core::Degrees degrees = core::Degrees::compute(arena);
+  const AsnInterner& interner = degrees.interner();
+  const core::ObservedAdjacency& adjacency = degrees.adjacency();
+  const auto degree = [&](NodeId id) -> std::size_t {
+    return id == kNoNode ? 0 : adjacency.neighbors(id).size();
+  };
+
+  // The directed-transit table: sorted packed (lo, hi) id pairs (the
+  // adjacency rows' upper triangle) with per-direction counts alongside.
   std::vector<std::uint64_t> link_keys;
-  std::vector<NodeId> ids;
-  for (const PathRecord& record : corpus.records()) {
-    interner.translate(record.path.hops(), ids);
-    for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-      if (ids[i] == ids[i + 1]) continue;
-      link_keys.push_back(pack(ids[i], ids[i + 1]));
+  for (NodeId node = 0; node < interner.size(); ++node) {
+    for (const NodeId other : adjacency.neighbors(node)) {
+      if (other > node) link_keys.push_back(pack(node, other));
     }
   }
-  std::sort(link_keys.begin(), link_keys.end());
-  link_keys.erase(std::unique(link_keys.begin(), link_keys.end()), link_keys.end());
   const auto link_index = [&](NodeId a, NodeId b) -> std::uint32_t {
     const std::uint64_t key = pack(a, b);
     const auto it = std::lower_bound(link_keys.begin(), link_keys.end(), key);
@@ -59,28 +62,30 @@ AsGraph GaoInference::infer(const PathCorpus& corpus) const {
   std::vector<std::uint32_t> lo_provides(link_keys.size(), 0);
   std::vector<std::uint32_t> hi_provides(link_keys.size(), 0);
 
-  // Phase 2: uphill/downhill transit counts around each path's top provider.
-  const auto count_transit = [&](NodeId provider, NodeId customer) {
-    const std::uint32_t link = link_index(provider, customer);
-    if (provider < customer) {
-      ++lo_provides[link];
-    } else {
-      ++hi_provides[link];
-    }
-  };
-  for (const PathRecord& record : corpus.records()) {
-    interner.translate(record.path.hops(), ids);
-    if (ids.size() < 2) continue;
-    std::size_t top = 0;
+  // Each path's top provider: its first highest-degree hop.
+  std::vector<std::size_t> tops(arena.path_count(), 0);
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    const auto ids = arena.path(p);
     for (std::size_t i = 1; i < ids.size(); ++i) {
-      if (degree(ids[i]) > degree(ids[top])) top = i;
+      if (degree(ids[i]) > degree(ids[tops[p]])) tops[p] = i;
     }
+  }
+
+  // Phase 2: uphill/downhill transit counts around each path's top provider,
+  // once per distinct path, weighted by the records carrying it.
+  const auto count_transit = [&](NodeId provider, NodeId customer, std::uint32_t weight) {
+    const std::uint32_t link = link_index(provider, customer);
+    if (link == kNoLink) return;
+    (provider < customer ? lo_provides : hi_provides)[link] += weight;
+  };
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    const auto ids = arena.path(p);
     for (std::size_t j = 1; j < ids.size(); ++j) {
       if (ids[j - 1] == ids[j]) continue;
-      if (j <= top) {
-        count_transit(ids[j], ids[j - 1]);  // uphill: right provides
+      if (j <= tops[p]) {
+        count_transit(ids[j], ids[j - 1], arena.multiplicity(p));  // uphill: right provides
       } else {
-        count_transit(ids[j - 1], ids[j]);  // downhill: left provides
+        count_transit(ids[j - 1], ids[j], arena.multiplicity(p));  // downhill: left provides
       }
     }
   }
@@ -107,14 +112,12 @@ AsGraph GaoInference::infer(const PathCorpus& corpus) const {
     }
   }
 
-  // Phase 4: peering around path tops.
-  for (const PathRecord& record : corpus.records()) {
-    interner.translate(record.path.hops(), ids);
+  // Phase 4: peering around path tops, in record order (re-labelling a link
+  // moves it to the back of its endpoints' peer lists).
+  for (const paths::ArenaRecord& record : arena.records()) {
+    const auto ids = arena.path(record.path);
     if (ids.size() < 2) continue;
-    std::size_t top = 0;
-    for (std::size_t i = 1; i < ids.size(); ++i) {
-      if (degree(ids[i]) > degree(ids[top])) top = i;
-    }
+    const std::size_t top = tops[record.path];
     const auto consider = [&](NodeId a, NodeId b) {
       if (a == b) return;
       const std::uint32_t link = link_index(a, b);

@@ -17,7 +17,6 @@ namespace asrank::core {
 namespace {
 
 using paths::PathCorpus;
-using paths::PathRecord;
 using topology::AsnInterner;
 using topology::kNoNode;
 using topology::NodeId;
@@ -44,13 +43,17 @@ struct LinkState {
   std::uint32_t observations = 0;   ///< times the link appeared in paths
 };
 
-/// The pipeline's working state is entirely dense: one AsnInterner built over
-/// the sanitized corpus maps every observed AS onto [0, n); the link table is
-/// a sorted vector of packed (lo, hi) id pairs with a parallel LinkState
-/// array; paths are translated once into a flat id array with per-hop link
-/// indices precomputed, so the vote and fixpoint inner loops never hash and
-/// never binary-search.  Interner ids ascend with ASN, so id comparisons and
-/// tie-breaks reproduce the legacy ASN-based ones exactly.
+/// The pipeline's working state is entirely dense.  Sanitizing builds a
+/// paths::PathArena: every distinct surviving path stored once as NodeIds
+/// over one AsnInterner, plus per-record path ids.  Degrees, clique,
+/// poisoned scan, link table and voting walk the distinct paths (votes and
+/// observations weighted by how many surviving records carry each path);
+/// only the order-sensitive fixpoint walks records, each indexing its
+/// path's span.  The link table is a sorted vector of packed (lo, hi) id
+/// pairs with a parallel LinkState array, and per-hop link indices sit
+/// parallel to the arena's hop buffer, so the vote and fixpoint inner loops
+/// never hash and never binary-search.  Interner ids ascend with ASN, so id
+/// comparisons and tie-breaks equal the ASN-based ones.
 class Pipeline {
  public:
   Pipeline(const InferenceConfig& config, const PathCorpus& raw)
@@ -62,7 +65,7 @@ class Pipeline {
 
  private:
   void run(const PathCorpus& raw);
-  void discard_poisoned(const PathCorpus& corpus);
+  void discard_poisoned();
   void index_paths_and_links();
   void detect_partial_vps();
   void vote_on_paths();
@@ -88,94 +91,89 @@ class Pipeline {
                                                  : LinkState::Kind::kC2pHiProv;
   }
 
-  /// Flat hop-id window of record r.
-  [[nodiscard]] std::span<const NodeId> hops_of(std::size_t r) const noexcept {
-    return std::span<const NodeId>(hops_flat_)
-        .subspan(rec_off_[r], rec_off_[r + 1] - rec_off_[r]);
+  [[nodiscard]] const AsnInterner& interner() const noexcept { return arena_.interner(); }
+
+  /// Path id of surviving record r.
+  [[nodiscard]] std::uint32_t path_of(std::size_t r) const noexcept {
+    return arena_.records()[survivors_[r]].path;
   }
-  /// Link indices aligned with hops_of(r): entry j (j >= 1) is the link
+  /// Path p survived step 4 and places links (see index_paths_and_links).
+  [[nodiscard]] bool places_links(std::size_t p) const noexcept {
+    return weight_[p].first + weight_[p].second > 0;
+  }
+  /// Link indices aligned with arena_.path(p): entry j (j >= 1) is the link
   /// between hops j-1 and j; entry 0 is kNoLink.
-  [[nodiscard]] std::span<const std::uint32_t> links_of(std::size_t r) const noexcept {
+  [[nodiscard]] std::span<const std::uint32_t> links_of(std::size_t p) const noexcept {
     return std::span<const std::uint32_t>(link_of_hop_)
-        .subspan(rec_off_[r], rec_off_[r + 1] - rec_off_[r]);
+        .subspan(arena_.offset(p), arena_.path(p).size());
   }
 
   const InferenceConfig& config_;
   util::ThreadPool pool_;
   InferenceResult result_;
 
-  AsnInterner interner_;               ///< id space: every sanitized-corpus AS
+  paths::PathArena arena_;             ///< sanitized distinct paths; its interner is the id space
   std::vector<bool> clique_bits_;      ///< by NodeId
   std::vector<bool> transit_bits_;     ///< seen between two other ASes
-  std::vector<std::uint8_t> rec_partial_;  ///< record from a partial-view VP
+
+  std::vector<std::uint32_t> survivors_;   ///< arena record index of each post-step-4 record
+  std::vector<std::uint8_t> rec_partial_;  ///< survivor from a partial-view VP
+  /// Per path: surviving records carrying it from full / partial-view VPs.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> weight_;
 
   std::vector<std::uint64_t> link_keys_;   ///< sorted packed (lo, hi) id pairs
   std::vector<LinkState> link_state_;      ///< parallel to link_keys_
-
-  std::vector<NodeId> hops_flat_;          ///< all surviving paths, translated
-  std::vector<std::uint32_t> link_of_hop_; ///< parallel to hops_flat_
-  std::vector<std::size_t> rec_off_;       ///< record r = flat [off[r], off[r+1])
+  std::vector<std::uint32_t> link_of_hop_; ///< parallel to the arena hop buffer
 };
 
 void Pipeline::run(const PathCorpus& raw) {
   // Step 1: sanitize.
   obs::log_debug("inference start", {{"records", raw.records().size()},
                                      {"threads", config_.threads}});
-  auto sanitized = [&] {
-    obs::StageTimer timer("sanitize");
-    return paths::sanitize(raw, config_.sanitizer);
-  }();
-  result_.audit.sanitize = sanitized.stats;
-
-  // The id space for every later stage: all ASes of the sanitized corpus
-  // (poisoned-path discard only removes whole paths, never introduces ASes,
-  // so this interner covers the surviving corpus too).
   {
-    std::vector<Asn> asns;
-    for (const PathRecord& record : sanitized.corpus.records()) {
-      const auto hops = record.path.hops();
-      asns.insert(asns.end(), hops.begin(), hops.end());
-    }
-    interner_ = AsnInterner::from_asns(std::move(asns));
+    obs::StageTimer timer("sanitize");
+    arena_ = paths::PathArena::build(raw, config_.sanitizer);
   }
+  result_.audit.sanitize = arena_.stats();
 
-  // Step 2: rank.
+  // Step 2: rank.  The arena's interner (every sanitized AS) is the id space
+  // of every later stage; poisoned-path discard only removes whole paths.
   {
     obs::StageTimer timer("degree_tally");
-    result_.degrees = Degrees::compute(interner_, sanitized.corpus, config_.threads);
+    result_.degrees = Degrees::compute(arena_, config_.threads);
   }
   result_.audit.ranked_ases = result_.degrees.ranked().size();
 
   // Step 3: clique.
   {
     obs::StageTimer timer("clique");
-    result_.clique = infer_clique(sanitized.corpus, result_.degrees, config_.clique);
+    result_.clique = infer_clique(arena_, result_.degrees, config_.clique);
   }
-  clique_bits_.assign(interner_.size(), false);
-  for (const Asn member : result_.clique) clique_bits_[interner_.id_of(member)] = true;
+  clique_bits_.assign(interner().size(), false);
+  for (const Asn member : result_.clique) clique_bits_[interner().id_of(member)] = true;
   result_.audit.clique_size = result_.clique.size();
 
   // Step 4: discard poisoned paths.
   {
     obs::StageTimer timer("poisoned_scan");
-    discard_poisoned(sanitized.corpus);
+    discard_poisoned();
   }
 
-  // Translate the surviving corpus and register every observed link and
-  // transit AS.
+  // Step 5, then register every observed link and transit AS of the
+  // surviving paths.
+  detect_partial_vps();
   index_paths_and_links();
 
   // Clique-internal links are p2p by assumption A1.
   for (std::size_t i = 0; i < result_.clique.size(); ++i) {
     for (std::size_t j = i + 1; j < result_.clique.size(); ++j) {
-      const std::uint32_t link = link_index(interner_.id_of(result_.clique[i]),
-                                            interner_.id_of(result_.clique[j]));
+      const std::uint32_t link = link_index(interner().id_of(result_.clique[i]),
+                                            interner().id_of(result_.clique[j]));
       if (link != kNoLink) link_state_[link].kind = LinkState::Kind::kP2pFixed;
     }
   }
 
-  // Steps 5-11.
-  detect_partial_vps();
+  // Steps 6-11.
   {
     obs::StageTimer timer("voting");
     vote_on_paths();
@@ -200,17 +198,16 @@ void Pipeline::run(const PathCorpus& raw) {
                   {"p2c_acyclic", result_.audit.p2c_acyclic}});
 }
 
-void Pipeline::discard_poisoned(const PathCorpus& corpus) {
-  const auto records = corpus.records();
+void Pipeline::discard_poisoned() {
   // Per-path classification is independent, so it parallelizes; the ordered
-  // append below keeps the surviving corpus in the original record order.
-  std::vector<std::uint8_t> poisoned(records.size(), 0);
+  // walk below keeps the surviving records in the original record order.
+  std::vector<std::uint8_t> poisoned(arena_.path_count(), 0);
   if (config_.discard_poisoned && !result_.clique.empty()) {
-    pool_.for_each_index(records.size(), [&](std::size_t r) {
-      const auto hops = records[r].path.hops();
+    pool_.for_each_index(arena_.path_count(), [&](std::size_t p) {
+      const auto hops = arena_.path(p);
       std::size_t first = hops.size(), last = 0, count = 0;
       for (std::size_t i = 0; i < hops.size(); ++i) {
-        if (in_clique(interner_.id_of(hops[i]))) {
+        if (in_clique(hops[i])) {
           first = std::min(first, i);
           last = std::max(last, i);
           ++count;
@@ -218,34 +215,41 @@ void Pipeline::discard_poisoned(const PathCorpus& corpus) {
       }
       // Clique hops must form one contiguous segment; a gap means a
       // non-clique AS sits between two tier-1s, the poisoning signature.
-      poisoned[r] = count > 0 && (last - first + 1) != count;
+      poisoned[p] = count > 0 && (last - first + 1) != count;
     });
   }
+  const auto records = arena_.records();
+  result_.sanitized.reserve(records.size());
   for (std::size_t r = 0; r < records.size(); ++r) {
-    if (poisoned[r]) {
+    if (poisoned[records[r].path]) {
       ++result_.audit.poisoned_discarded;
     } else {
-      result_.sanitized.add(records[r]);
+      survivors_.push_back(static_cast<std::uint32_t>(r));
+      result_.sanitized.add(records[r].vp, records[r].prefix, arena_.as_path(records[r].path));
     }
   }
 }
 
 void Pipeline::index_paths_and_links() {
-  const auto records = result_.sanitized.records();
-
-  rec_off_.reserve(records.size() + 1);
-  rec_off_.push_back(0);
-  std::vector<NodeId> ids;
-  for (const PathRecord& record : records) {
-    interner_.translate(record.path.hops(), ids);
-    hops_flat_.insert(hops_flat_.end(), ids.begin(), ids.end());
-    rec_off_.push_back(hops_flat_.size());
+  const std::size_t path_count = arena_.path_count();
+  weight_.assign(path_count, {0, 0});
+  for (std::size_t r = 0; r < survivors_.size(); ++r) {
+    auto& [full, partial] = weight_[path_of(r)];
+    ++(rec_partial_[r] ? partial : full);
+  }
+  // An AS0 hop kept by a permissive SanitizerConfig has no NodeId and no
+  // graph node, so its path places no link and casts no vote (it still
+  // counted toward degrees and the clique).
+  for (std::size_t p = 0; p < path_count; ++p) {
+    const auto hops = arena_.path(p);
+    if (std::find(hops.begin(), hops.end(), kNoNode) != hops.end()) weight_[p] = {0, 0};
   }
 
   // Link table: sorted unique packed pairs over all adjacent hops.
-  transit_bits_.assign(interner_.size(), false);
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    const auto hops = hops_of(r);
+  transit_bits_.assign(interner().size(), false);
+  for (std::size_t p = 0; p < path_count; ++p) {
+    if (!places_links(p)) continue;
+    const auto hops = arena_.path(p);
     for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
       link_keys_.push_back(pack(hops[i], hops[i + 1]));
       if (i > 0) transit_bits_[hops[i]] = true;
@@ -257,24 +261,28 @@ void Pipeline::index_paths_and_links() {
 
   // Per-hop link indices: the vote and fixpoint loops walk these flat
   // arrays with zero lookups.
-  link_of_hop_.assign(hops_flat_.size(), kNoLink);
-  pool_.for_each_index(records.size(), [&](std::size_t r) {
-    const auto hops = hops_of(r);
+  link_of_hop_.assign(arena_.hop_count(), kNoLink);
+  pool_.for_each_index(path_count, [&](std::size_t p) {
+    if (!places_links(p)) return;
+    const auto hops = arena_.path(p);
     for (std::size_t i = 1; i < hops.size(); ++i) {
-      link_of_hop_[rec_off_[r] + i] = link_index(hops[i - 1], hops[i]);
+      link_of_hop_[arena_.offset(p) + i] = link_index(hops[i - 1], hops[i]);
     }
   });
-  for (const std::uint32_t link : link_of_hop_) {
-    if (link != kNoLink) ++link_state_[link].observations;
+  for (std::size_t p = 0; p < path_count; ++p) {
+    const std::uint32_t records = weight_[p].first + weight_[p].second;
+    for (const std::uint32_t link : links_of(p)) {
+      if (link != kNoLink) link_state_[link].observations += records;
+    }
   }
 }
 
 void Pipeline::detect_partial_vps() {
-  const auto records = result_.sanitized.records();
-  rec_partial_.assign(records.size(), 0);
+  const auto records = arena_.records();
+  rec_partial_.assign(survivors_.size(), 0);
   if (config_.partial_vp_threshold <= 0.0) return;
   std::unordered_map<Asn, std::size_t> table_sizes;
-  for (const PathRecord& record : records) ++table_sizes[record.vp];
+  for (const std::uint32_t row : survivors_) ++table_sizes[records[row].vp];
   std::size_t max_size = 0;
   for (const auto& [vp, size] : table_sizes) max_size = std::max(max_size, size);
   std::unordered_set<Asn> partial;
@@ -284,8 +292,8 @@ void Pipeline::detect_partial_vps() {
       partial.insert(vp);
     }
   }
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    rec_partial_[r] = partial.contains(records[r].vp);
+  for (std::size_t r = 0; r < survivors_.size(); ++r) {
+    rec_partial_[r] = partial.contains(records[survivors_[r]].vp);
   }
   result_.audit.partial_vps = partial.size();
 }
@@ -296,16 +304,19 @@ void Pipeline::vote_on_paths() {
   // Votes are per-link sums and the audit counters are totals, so per-path
   // work is independent: each chunk accumulates a dense local tally against
   // the (read-only) link table and tallies merge by element-wise addition —
-  // commutative, so the result is identical at any thread count.
+  // commutative, so the result is identical at any thread count.  Records
+  // sharing a path and a feed kind vote alike, so each distinct path votes
+  // once per feed kind, weighted by its record count.
   struct VoteTally {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> votes;  // (lo, hi) provides
     std::size_t cast = 0;
     std::size_t deferred = 0;
   };
 
-  auto tally_record = [&](std::size_t r, VoteTally& tally) {
-    const auto hops = hops_of(r);
-    const auto links = links_of(r);
+  auto tally_path = [&](std::size_t p, bool partial, std::uint32_t weight,
+                        VoteTally& tally) {
+    const auto hops = arena_.path(p);
+    const auto links = links_of(p);
     if (hops.size() < 2) return;
 
     auto vote = [&](std::size_t j, NodeId provider, NodeId customer) {
@@ -313,11 +324,11 @@ void Pipeline::vote_on_paths() {
       if (link_state_[link].kind == LinkState::Kind::kP2pFixed) return;
       auto& [lo_prov, hi_prov] = tally.votes[link];
       if (provider < customer) {
-        ++lo_prov;
+        lo_prov += weight;
       } else {
-        ++hi_prov;
+        hi_prov += weight;
       }
-      ++tally.cast;
+      tally.cast += weight;
     };
 
     // A path is valley-free around a single peak.  We vote c2p only for
@@ -336,7 +347,7 @@ void Pipeline::vote_on_paths() {
     std::size_t defer_lo = hops.size(), defer_hi = hops.size();  // j-indices to skip
     std::size_t peak_first = 0, peak_last = 0;                   // hop index range of peak
 
-    if (rec_partial_[r]) {
+    if (partial) {
       // (a): peak is the VP itself; nothing deferred, everything descends.
     } else {
       std::size_t first_clique = hops.size(), last_clique = hops.size();
@@ -381,7 +392,7 @@ void Pipeline::vote_on_paths() {
             continue;
           }
         }
-        ++tally.deferred;
+        tally.deferred += weight;
         continue;
       }
       if (j > peak_first && j <= peak_last) continue;  // clique-internal: fixed p2p
@@ -393,15 +404,17 @@ void Pipeline::vote_on_paths() {
     }
   };
 
-  const std::size_t record_count = rec_off_.size() - 1;
   const VoteTally total = pool_.map_reduce<VoteTally>(
-      record_count,
+      arena_.path_count(),
       VoteTally{std::vector<std::pair<std::uint32_t, std::uint32_t>>(link_keys_.size()),
                 0, 0},
       [&](std::size_t begin, std::size_t end) {
         VoteTally local{
             std::vector<std::pair<std::uint32_t, std::uint32_t>>(link_keys_.size()), 0, 0};
-        for (std::size_t r = begin; r < end; ++r) tally_record(r, local);
+        for (std::size_t p = begin; p < end; ++p) {
+          if (weight_[p].first > 0) tally_path(p, false, weight_[p].first, local);
+          if (weight_[p].second > 0) tally_path(p, true, weight_[p].second, local);
+        }
         return local;
       },
       [](VoteTally& acc, VoteTally&& part) {
@@ -467,16 +480,17 @@ void Pipeline::triplet_fixpoint() {
   //             every later link must descend (left side provides);
   //   backward: before a known p2p link or a known ascent, every earlier
   //             link must ascend (right side provides).
-  const std::size_t record_count = rec_off_.size() - 1;
+  const std::size_t record_count = survivors_.size();
   bool changed = true;
   std::size_t iterations = 0;
   while (changed && iterations < 16) {
     changed = false;
     ++iterations;
     for (std::size_t r = 0; r < record_count; ++r) {
-      const auto hops = hops_of(r);
-      const auto links = links_of(r);
-      if (hops.size() < 2) continue;
+      const std::uint32_t path = path_of(r);
+      const auto hops = arena_.path(path);
+      const auto links = links_of(path);
+      if (hops.size() < 2 || !places_links(path)) continue;
 
       auto classify = [&](std::size_t j) {
         // Link between hops[j-1] and hops[j].
@@ -536,7 +550,7 @@ void Pipeline::triplet_fixpoint() {
 
 void Pipeline::repair_provider_less() {
   const Degrees& degrees = result_.degrees;
-  const std::size_t n = interner_.size();
+  const std::size_t n = interner().size();
   // Collect current provider existence and per-AS unknown-link neighbours.
   std::vector<bool> has_provider(n, false);
   std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> unknown_neighbors(n);
@@ -622,8 +636,8 @@ void Pipeline::enforce_transit_free_clique() {
 
 void Pipeline::finalize_graph() {
   for (std::size_t i = 0; i < link_keys_.size(); ++i) {
-    const Asn lo = interner_.asn_of(lo_of(link_keys_[i]));
-    const Asn hi = interner_.asn_of(hi_of(link_keys_[i]));
+    const Asn lo = interner().asn_of(lo_of(link_keys_[i]));
+    const Asn hi = interner().asn_of(hi_of(link_keys_[i]));
     switch (link_state_[i].kind) {
       case LinkState::Kind::kC2pLoProv:
         result_.graph.add_p2c(lo, hi);

@@ -8,7 +8,7 @@
 // (see the mismatch note in DESIGN.md), the reconstruction is flagged in
 // comments and exposed as configuration so experiments can ablate it:
 //
-//   1.  Sanitize paths (paths::sanitize).
+//   1.  Sanitize paths into a paths::PathArena (each distinct path once).
 //   2.  Rank ASes by transit degree (core::Degrees).
 //   3.  Infer the top clique (core::infer_clique, Bron–Kerbosch).
 //   4.  Discard poisoned paths: a path whose clique members do not form one
@@ -57,12 +57,13 @@ struct InferenceConfig {
   paths::SanitizerConfig sanitizer;
   CliqueConfig clique;
 
-  /// Worker threads for the data-parallel stages (poisoned-path scan,
-  /// positional voting).  0 = std::thread::hardware_concurrency(); 1 runs
-  /// the exact sequential legacy path.  Results are bit-identical at any
-  /// count: parallel stages use static chunking with ordered reductions
-  /// (util::ThreadPool), and order-sensitive stages (the valley-free
-  /// fixpoint, repairs) always run sequentially.
+  /// Worker threads for the data-parallel stages (degree-tally row sorts,
+  /// poisoned-path scan, link indexing, positional voting), each split over
+  /// the arena's distinct paths or nodes.  0 = all hardware threads; 1 runs
+  /// everything inline on the calling thread.  Results are bit-identical at
+  /// any count: parallel stages use static chunking with per-chunk local
+  /// tallies and ordered merges (util::ThreadPool), and order-sensitive
+  /// stages (the valley-free fixpoint, repairs) always run sequentially.
   std::size_t threads = 0;
 
   /// Step 4: drop paths whose clique hops are non-contiguous.

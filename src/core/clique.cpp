@@ -14,56 +14,6 @@ constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
   return static_cast<std::uint64_t>(a) << 32 | b;
 }
 
-}  // namespace
-
-ObservedAdjacency ObservedAdjacency::build(const AsnInterner& interner,
-                                           const paths::PathCorpus& corpus) {
-  std::vector<std::uint64_t> pairs;
-  std::vector<NodeId> ids;
-  for (const paths::PathRecord& record : corpus.records()) {
-    interner.translate(record.path.hops(), ids);
-    for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-      if (ids[i] == ids[i + 1]) continue;  // prepending repeat
-      if (ids[i] == kNoNode || ids[i + 1] == kNoNode) continue;
-      pairs.push_back(pack(ids[i], ids[i + 1]));
-      pairs.push_back(pack(ids[i + 1], ids[i]));
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  ObservedAdjacency adjacency;
-  const std::size_t n = interner.size();
-  adjacency.offsets_.assign(n + 1, 0);
-  adjacency.neighbors_.resize(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ++adjacency.offsets_[(pairs[i] >> 32) + 1];
-    adjacency.neighbors_[i] = static_cast<NodeId>(pairs[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) adjacency.offsets_[i + 1] += adjacency.offsets_[i];
-  return adjacency;
-}
-
-bool ObservedAdjacency::adjacent(NodeId a, NodeId b) const noexcept {
-  const auto row = neighbors(a);
-  return std::binary_search(row.begin(), row.end(), b);
-}
-
-AdjacencySet build_adjacency(const paths::PathCorpus& corpus) {
-  AdjacencySet adjacency;
-  for (const paths::PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      if (hops[i] == hops[i + 1]) continue;
-      adjacency[hops[i]].insert(hops[i + 1]);
-      adjacency[hops[i + 1]].insert(hops[i]);
-    }
-  }
-  return adjacency;
-}
-
-namespace {
-
 /// Bron–Kerbosch with pivoting over a dense index adjacency matrix.  Emits
 /// each maximal clique as a sorted list of vertex indices.
 void bron_kerbosch(const std::vector<std::vector<bool>>& adj, std::vector<std::size_t>& r,
@@ -157,22 +107,20 @@ std::vector<std::vector<NodeId>> seed_cliques(const ObservedAdjacency& adjacency
 /// distinct origin AS — a single origin poisoning its announcements
 /// (inserting a real tier-1 ASN) taints every path toward itself but no path
 /// toward anyone else, so callers can demand independent witnesses where
-/// robustness matters.  Counting runs over sorted (flagged, origin) id pairs;
-/// origins outside the interner share the kNoNode id (still one distinct
-/// witness, as in the legacy hash-set tally).
-std::vector<std::uint32_t> customer_evidence(const paths::PathCorpus& corpus,
-                                             const AsnInterner& interner,
+/// robustness matters.  Counting runs over sorted (flagged, origin) id pairs
+/// from the arena's distinct paths (a repeated path adds no new witness); an
+/// AS0 origin is the kNoNode id, still one distinct witness.
+std::vector<std::uint32_t> customer_evidence(const paths::PathArena& arena,
                                              const std::vector<NodeId>& members) {
-  std::vector<bool> member(interner.size(), false);
+  const std::size_t n = arena.interner().size();
+  std::vector<bool> member(n, false);
   for (const NodeId m : members) member[m] = true;
   const auto in = [&](NodeId id) { return id != kNoNode && member[id]; };
 
   std::vector<std::uint64_t> pairs;
-  std::vector<NodeId> ids;
-  for (const paths::PathRecord& record : corpus.records()) {
-    const auto hops = record.path.hops();
-    if (hops.size() < 3) continue;
-    interner.translate(hops, ids);
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    const auto ids = arena.path(p);
+    if (ids.size() < 3) continue;
     const NodeId origin = ids.back();
     for (std::size_t i = 0; i + 2 < ids.size(); ++i) {
       const bool first_in = in(ids[i]);
@@ -192,7 +140,7 @@ std::vector<std::uint32_t> customer_evidence(const paths::PathCorpus& corpus,
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
-  std::vector<std::uint32_t> witnesses(interner.size(), 0);
+  std::vector<std::uint32_t> witnesses(n, 0);
   for (const std::uint64_t p : pairs) ++witnesses[p >> 32];
   return witnesses;
 }
@@ -223,13 +171,13 @@ std::vector<std::vector<Asn>> maximal_cliques(const AdjacencySet& adjacency,
   return out;
 }
 
-std::vector<Asn> infer_clique(const paths::PathCorpus& corpus, const Degrees& degrees,
+std::vector<Asn> infer_clique(const paths::PathArena& arena, const Degrees& degrees,
                               const CliqueConfig& config) {
   const auto& ranked = degrees.ranked();
   if (ranked.empty()) return {};
   const AsnInterner& interner = degrees.interner();
   const std::size_t n = interner.size();
-  const ObservedAdjacency adjacency = ObservedAdjacency::build(interner, corpus);
+  const ObservedAdjacency& adjacency = degrees.adjacency();
 
   // Ranked ASes all carry node degree > 0, so they are always interned.
   std::vector<NodeId> ranked_ids;
@@ -269,7 +217,7 @@ std::vector<Asn> infer_clique(const paths::PathCorpus& corpus, const Degrees& de
 
     // Ejecting an established member requires independent witnesses (a lone
     // poisoning origin must not be able to evict true tier-1s).
-    const auto evidence = customer_evidence(corpus, interner, best);
+    const auto evidence = customer_evidence(arena, best);
     std::size_t ejected = 0;
     for (const NodeId member : best) {
       if (evidence[member] >= config.customer_evidence_min_origins) {
@@ -285,7 +233,7 @@ std::vector<Asn> infer_clique(const paths::PathCorpus& corpus, const Degrees& de
   // out of the clique.
   std::vector<bool> below = banned;
   if (config.reject_customer_evidence) {
-    const auto evidence = customer_evidence(corpus, interner, best);
+    const auto evidence = customer_evidence(arena, best);
     for (NodeId id = 0; id < n; ++id) {
       if (evidence[id] > 0) below[id] = true;
     }

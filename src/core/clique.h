@@ -6,21 +6,21 @@
 // clique containing the top-ranked AS, then considers further ASes in rank
 // order, admitting each that is observed adjacent to every current member.
 //
-// The inference runs on the dense NodeId space carried by the Degrees
-// ranking: observed adjacency is a CSR over node ids (ObservedAdjacency),
-// membership and ban sets are bitmaps, and customer-evidence witnesses are
-// counted via sorted pair lists — no hashing in the per-path loops.
+// The inference runs on the dense NodeId space of the path arena the Degrees
+// were tallied over: observed adjacency is the tally's CSR
+// (Degrees::adjacency), membership and ban sets are bitmaps, and
+// customer-evidence witnesses are counted via sorted pair lists over the
+// arena's distinct paths — no hashing and no ASN lookups in the path loops.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "asn/asn.h"
 #include "core/degrees.h"
-#include "paths/corpus.h"
+#include "paths/arena.h"
 #include "topology/interner.h"
 
 namespace asrank::core {
@@ -54,49 +54,20 @@ struct CliqueConfig {
   std::size_t customer_evidence_min_origins = 2;
 };
 
-/// Undirected adjacency restricted to links observed in paths, keyed by
-/// dense node id (CSR, rows sorted).  The hot representation behind
-/// infer_clique; also reusable by benchmarks and diagnostics.
-class ObservedAdjacency {
- public:
-  /// Build from a sanitized corpus; hops missing from `interner` are
-  /// ignored.  Deterministic: rows come out of a global sort over packed
-  /// (node, neighbour) pairs.
-  [[nodiscard]] static ObservedAdjacency build(const topology::AsnInterner& interner,
-                                               const paths::PathCorpus& corpus);
-
-  [[nodiscard]] std::size_t node_count() const noexcept { return offsets_.size() - 1; }
-
-  [[nodiscard]] std::span<const topology::NodeId> neighbors(topology::NodeId node) const noexcept {
-    return std::span<const topology::NodeId>(neighbors_)
-        .subspan(offsets_[node], offsets_[node + 1] - offsets_[node]);
-  }
-
-  /// O(log deg) membership test on the sorted row.
-  [[nodiscard]] bool adjacent(topology::NodeId a, topology::NodeId b) const noexcept;
-
- private:
-  std::vector<std::uint64_t> offsets_;        // node_count + 1
-  std::vector<topology::NodeId> neighbors_;   // rows sorted ascending
-};
-
 /// Undirected adjacency as nested hash sets.  Legacy representation kept for
 /// hand-built test fixtures and small ad-hoc queries; the inference itself
 /// uses ObservedAdjacency.
 using AdjacencySet = std::unordered_map<Asn, std::unordered_set<Asn>>;
-
-/// Build observed adjacency from a sanitized corpus.
-[[nodiscard]] AdjacencySet build_adjacency(const paths::PathCorpus& corpus);
 
 /// All maximal cliques of the sub-graph induced by `vertices`
 /// (Bron–Kerbosch with pivoting).  Intended for small vertex sets.
 [[nodiscard]] std::vector<std::vector<Asn>> maximal_cliques(const AdjacencySet& adjacency,
                                                             const std::vector<Asn>& vertices);
 
-/// Infer the top clique.  Returns members sorted ascending.  Runs on the id
-/// space of `degrees.interner()`, which covers every corpus AS when the
-/// degrees were computed from the same corpus (the pipeline's invariant).
-[[nodiscard]] std::vector<Asn> infer_clique(const paths::PathCorpus& corpus,
+/// Infer the top clique.  Returns members sorted ascending.  `degrees` must
+/// be Degrees::compute(arena): the clique reuses its ranking and observed
+/// adjacency, and walks the arena's distinct paths for customer evidence.
+[[nodiscard]] std::vector<Asn> infer_clique(const paths::PathArena& arena,
                                             const Degrees& degrees,
                                             const CliqueConfig& config);
 

@@ -6,34 +6,64 @@
 // (distinct neighbours anywhere) breaks ties, and lower ASN breaks the rest,
 // making the ranking a deterministic total order.
 //
-// Internally the tally runs on the dense NodeId space of a
-// topology::AsnInterner built over the corpus: distinct-neighbour counting is
-// a sort+unique over packed (node, neighbour) id pairs and per-AS lookups are
-// array reads, with no hashing on the hot path.
+// The tally walks the distinct paths of a paths::PathArena in the arena's
+// NodeId space; degrees count distinct neighbours, so duplicate records
+// add nothing and multiplicities are ignored.  Prepending runs are
+// collapsed on the fly and kNoNode (AS0) hops are skipped.  One pass
+// buckets every observed (node, neighbour) pair by node, a stamp array
+// drops repeats, and each row is sorted: the rows are the ObservedAdjacency
+// CSR and the row lengths are node degrees.  A second pass flags the row
+// entries seen beside the node at an interior position; the flag counts are
+// transit degrees.  No hashing, no global sort, and the clique stage reuses
+// the adjacency instead of rebuilding it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "asn/asn.h"
+#include "paths/arena.h"
 #include "paths/corpus.h"
 #include "topology/interner.h"
 
 namespace asrank::core {
 
+/// Undirected adjacency restricted to links observed in paths, keyed by
+/// dense node id (CSR, rows sorted ascending).  Produced by the degree tally
+/// (Degrees::adjacency) and consumed by infer_clique and the baselines.
+class ObservedAdjacency {
+ public:
+  ObservedAdjacency() = default;
+  ObservedAdjacency(std::vector<std::uint64_t> offsets, std::vector<topology::NodeId> neighbors)
+      : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {}
+
+  [[nodiscard]] std::size_t node_count() const noexcept { return offsets_.size() - 1; }
+
+  [[nodiscard]] std::span<const topology::NodeId> neighbors(topology::NodeId node) const noexcept {
+    return std::span<const topology::NodeId>(neighbors_)
+        .subspan(offsets_[node], offsets_[node + 1] - offsets_[node]);
+  }
+
+  /// O(log deg) membership test on the sorted row.
+  [[nodiscard]] bool adjacent(topology::NodeId a, topology::NodeId b) const noexcept;
+
+ private:
+  std::vector<std::uint64_t> offsets_{0};     // node_count + 1
+  std::vector<topology::NodeId> neighbors_;   // rows sorted ascending
+};
+
 class Degrees {
  public:
-  /// Compute degrees from sanitized paths.  `threads`: 1 = sequential legacy
-  /// path (default), 0 = all hardware threads; the per-chunk pair lists are
-  /// merged and globally sorted, so results are identical at any worker
-  /// count.  Builds its own interner over the corpus hops.
-  [[nodiscard]] static Degrees compute(const paths::PathCorpus& corpus,
-                                       std::size_t threads = 1);
+  /// Tally the distinct paths of `arena`; ids are the arena's interner ids.
+  /// `threads`: worker count for the per-row sorts (0 = all hardware
+  /// threads); results are identical at any count.
+  [[nodiscard]] static Degrees compute(const paths::PathArena& arena, std::size_t threads = 1);
 
-  /// Same, on a caller-supplied interner that must cover every corpus hop
-  /// (the pipeline shares one interner across all stages).
-  [[nodiscard]] static Degrees compute(topology::AsnInterner interner,
-                                       const paths::PathCorpus& corpus,
+  /// Same over a corpus that need not be sanitized: builds a compress-only
+  /// arena (prepending collapsed, nothing stripped or dropped) first.
+  [[nodiscard]] static Degrees compute(const paths::PathCorpus& corpus,
                                        std::size_t threads = 1);
 
   [[nodiscard]] std::size_t transit_degree(Asn as) const noexcept;
@@ -53,6 +83,9 @@ class Degrees {
   /// The id space the tallies are indexed by (every corpus AS).
   [[nodiscard]] const topology::AsnInterner& interner() const noexcept { return interner_; }
 
+  /// The observed (node, neighbour) pairs the tally counted.
+  [[nodiscard]] const ObservedAdjacency& adjacency() const noexcept { return adjacency_; }
+
   /// All ASes in rank order: transit degree desc, node degree desc, ASN asc.
   [[nodiscard]] const std::vector<Asn>& ranked() const noexcept { return ranked_; }
 
@@ -62,6 +95,7 @@ class Degrees {
 
  private:
   topology::AsnInterner interner_;
+  ObservedAdjacency adjacency_;
   std::vector<std::uint32_t> transit_deg_;  // by NodeId
   std::vector<std::uint32_t> node_deg_;     // by NodeId
   std::vector<std::size_t> rank_;           // by NodeId; ranked_.size() if unranked

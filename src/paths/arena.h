@@ -1,0 +1,88 @@
+// Path arena: a corpus with every distinct path stored once, in NodeId space.
+//
+// A collector corpus repeats itself: the same AS path reaches a VP for many
+// prefixes, so only about two in five records carry a path no earlier record
+// did.  The arena sanitizes each distinct raw path once and keeps each
+// distinct surviving path once:
+//
+//   interner()       one topology::AsnInterner over every ASN on a kept path
+//                    (AS0 excluded, as everywhere; an AS0 hop kept under a
+//                    permissive SanitizerConfig is stored as kNoNode)
+//   path(p)          the hops of path p: a span of one flat NodeId buffer,
+//                    delimited by an offsets array (path_count() + 1 entries)
+//   multiplicity(p)  how many output records carry path p
+//   records()        one (prefix, vp, path id) row per output record, in the
+//                    order the input corpus first produced them
+//
+// Path ids are assigned in first-occurrence order of the output records, so
+// the arena is a pure function of (input, config).  Stages that only need
+// the set of paths (degree tally, clique evidence, poisoned scan, voting)
+// walk path(p) weighted by multiplicity and never look up an ASN again;
+// order-sensitive stages walk records() and index each row's path span.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "asn/as_path.h"
+#include "asn/asn.h"
+#include "asn/prefix.h"
+#include "paths/corpus.h"
+#include "paths/sanitizer.h"
+#include "topology/interner.h"
+
+namespace asrank::paths {
+
+/// One output record whose path lives in the arena.
+struct ArenaRecord {
+  Prefix prefix;
+  Asn vp;
+  std::uint32_t path = 0;  ///< distinct-path id
+};
+
+class PathArena {
+ public:
+  PathArena() = default;
+
+  /// Sanitize `input` under `config` (see paths/sanitizer.h for the stage
+  /// order and counters) and intern the survivors.  Dedup, when enabled,
+  /// drops records equal in (vp, prefix, sanitized path).
+  [[nodiscard]] static PathArena build(const PathCorpus& input, const SanitizerConfig& config);
+
+  [[nodiscard]] std::size_t path_count() const noexcept { return offsets_.size() - 1; }
+
+  [[nodiscard]] std::span<const topology::NodeId> path(std::size_t id) const noexcept {
+    return std::span<const topology::NodeId>(hops_).subspan(offsets_[id],
+                                                            offsets_[id + 1] - offsets_[id]);
+  }
+
+  /// Start of path `id` in the flat hop buffer; arrays parallel to the
+  /// buffer (e.g. per-hop link indices) index it as offset(id) + i.
+  [[nodiscard]] std::size_t offset(std::size_t id) const noexcept { return offsets_[id]; }
+  [[nodiscard]] std::size_t hop_count() const noexcept { return hops_.size(); }
+
+  [[nodiscard]] std::uint32_t multiplicity(std::size_t id) const noexcept {
+    return multiplicity_[id];
+  }
+
+  [[nodiscard]] std::span<const ArenaRecord> records() const noexcept { return records_; }
+  [[nodiscard]] const topology::AsnInterner& interner() const noexcept { return interner_; }
+  [[nodiscard]] const SanitizeStats& stats() const noexcept { return stats_; }
+
+  /// Path `id` back in ASN space.
+  [[nodiscard]] AsPath as_path(std::size_t id) const;
+
+  /// Every record as a PathCorpus row, in record order.
+  [[nodiscard]] PathCorpus materialize() const;
+
+ private:
+  topology::AsnInterner interner_;
+  std::vector<topology::NodeId> hops_;
+  std::vector<std::uint32_t> offsets_{0};
+  std::vector<std::uint32_t> multiplicity_;
+  std::vector<ArenaRecord> records_;
+  SanitizeStats stats_;
+};
+
+}  // namespace asrank::paths

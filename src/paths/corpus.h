@@ -3,7 +3,9 @@
 // A record is one (vantage point, prefix, AS path) row, exactly what a
 // collector RIB provides after per-peer best-path extraction.  The corpus is
 // format-agnostic: rows can come from the BGP simulator, an MRT dump, or a
-// text table — anything with vp/prefix/path fields.
+// text table — anything with vp/prefix/path fields.  Each record owns its
+// hop vector; the inference stages instead read a paths::PathArena
+// (paths/arena.h), which stores each distinct path once in NodeId space.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,7 @@ class PathCorpus {
     records_.push_back({vp, prefix, std::move(path)});
   }
   void add(PathRecord record) { records_.push_back(std::move(record)); }
+  void reserve(std::size_t records) { records_.reserve(records); }
 
   /// Build from any range of records exposing .vp/.prefix/.path (e.g.
   /// bgpsim::ObservedRoute) without coupling this module to their types.

@@ -1,80 +1,12 @@
 #include "paths/sanitizer.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include "paths/arena.h"
 
 namespace asrank::paths {
 
-namespace {
-
-/// Hash of a full record for deduplication.
-struct RecordHash {
-  std::size_t operator()(const PathRecord& record) const noexcept {
-    std::size_t h = std::hash<Asn>{}(record.vp);
-    h ^= std::hash<Prefix>{}(record.prefix) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    for (const Asn hop : record.path.hops()) {
-      h ^= std::hash<Asn>{}(hop) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-}  // namespace
-
 SanitizeResult sanitize(const PathCorpus& input, const SanitizerConfig& config) {
-  SanitizeResult result;
-  result.stats.input_records = input.size();
-  std::unordered_set<PathRecord, RecordHash> seen;
-
-  for (const PathRecord& record : input.records()) {
-    std::vector<Asn> hops(record.path.hops().begin(), record.path.hops().end());
-
-    if (config.strip_ixp_asns && !config.ixp_asns.empty()) {
-      const auto before = hops.size();
-      hops.erase(std::remove_if(hops.begin(), hops.end(),
-                                [&](Asn a) { return config.ixp_asns.contains(a); }),
-                 hops.end());
-      result.stats.ixp_hops_stripped += before - hops.size();
-    }
-
-    if (config.strip_reserved_asns) {
-      const auto before = hops.size();
-      hops.erase(std::remove_if(hops.begin(), hops.end(), [](Asn a) { return a.reserved(); }),
-                 hops.end());
-      result.stats.reserved_hops_stripped += before - hops.size();
-    }
-
-    AsPath path(std::move(hops));
-
-    if (config.compress_prepending && path.has_prepending()) {
-      path = path.compress_prepending();
-      ++result.stats.prepended_compressed;
-    }
-
-    if (config.discard_loops && path.has_loop()) {
-      ++result.stats.loops_discarded;
-      continue;
-    }
-
-    if (config.discard_reserved && path.has_reserved_asn()) {
-      ++result.stats.reserved_discarded;
-      continue;
-    }
-
-    if (path.empty()) continue;
-
-    PathRecord cleaned{record.vp, record.prefix, std::move(path)};
-    if (config.dedup) {
-      if (!seen.insert(cleaned).second) {
-        ++result.stats.duplicates_removed;
-        continue;
-      }
-    }
-    result.corpus.add(std::move(cleaned));
-  }
-
-  result.stats.output_records = result.corpus.size();
-  return result;
+  const PathArena arena = PathArena::build(input, config);
+  return {arena.materialize(), arena.stats()};
 }
 
 }  // namespace asrank::paths

@@ -10,7 +10,12 @@
 //
 // Stage order: strip IXP ASNs -> optionally strip reserved ASNs ->
 // compress prepending -> discard looped paths -> discard paths still
-// containing reserved ASNs -> deduplicate identical records.
+// containing reserved ASNs -> drop emptied paths (uncounted) ->
+// deduplicate identical records.
+//
+// The stages run in paths::PathArena::build, once per distinct raw path; a
+// record inherits its raw path's outcome and counters.  sanitize() is that
+// build plus materializing the records back into a PathCorpus.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +56,8 @@ struct SanitizeResult {
 };
 
 /// Run the pipeline over `input`.  Pure function: the input corpus is not
-/// modified.
+/// modified.  Callers that go on to tally paths should build a PathArena
+/// instead and skip the materialization.
 [[nodiscard]] SanitizeResult sanitize(const PathCorpus& input, const SanitizerConfig& config);
 
 }  // namespace asrank::paths

@@ -14,6 +14,10 @@ paths::PathRecord rec(std::uint32_t vp, std::uint32_t prefix_id,
   return paths::PathRecord{Asn(vp), Prefix::v4(prefix_id << 8, 24), AsPath(hops)};
 }
 
+paths::PathArena arena_of(const paths::PathCorpus& corpus) {
+  return paths::PathArena::build(corpus, paths::SanitizerConfig{});
+}
+
 // ------------------------------------------------------------- degrees ----
 
 TEST(Degrees, TransitVsNodeDegree) {
@@ -89,8 +93,9 @@ TEST(Clique, InferRecoversMeshedTop) {
   corpus.add(rec(200, 4, {200, 20, 30, 300}));
   corpus.add(rec(300, 5, {300, 30, 10, 100}));
   corpus.add(rec(300, 6, {300, 30, 20, 200}));
-  const auto degrees = Degrees::compute(corpus);
-  const auto clique = infer_clique(corpus, degrees, CliqueConfig{});
+  const auto arena = arena_of(corpus);
+  const auto degrees = Degrees::compute(arena);
+  const auto clique = infer_clique(arena, degrees, CliqueConfig{});
   EXPECT_EQ(clique, (std::vector<Asn>{Asn(10), Asn(20), Asn(30)}));
 }
 
@@ -110,18 +115,19 @@ TEST(Clique, CustomerEvidenceBlocksBigCustomer) {
   corpus.add(rec(300, 4, {300, 40, 401}));
   corpus.add(rec(300, 5, {300, 40, 402}));
   corpus.add(rec(300, 6, {300, 40, 403}));
-  const auto degrees = Degrees::compute(corpus);
+  const auto arena = arena_of(corpus);
+  const auto degrees = Degrees::compute(arena);
   ASSERT_LT(degrees.rank_of(Asn(10)), degrees.rank_of(Asn(40)));
   CliqueConfig config;
   config.max_missing_links = 3;  // adjacency tolerance alone could admit 40
-  const auto clique = infer_clique(corpus, degrees, config);
+  const auto clique = infer_clique(arena, degrees, config);
   EXPECT_EQ(std::count(clique.begin(), clique.end(), Asn(40)), 0);
 }
 
 TEST(Clique, EmptyCorpusYieldsEmptyClique) {
-  const paths::PathCorpus corpus;
-  const auto degrees = Degrees::compute(corpus);
-  EXPECT_TRUE(infer_clique(corpus, degrees, CliqueConfig{}).empty());
+  const auto arena = arena_of(paths::PathCorpus{});
+  const auto degrees = Degrees::compute(arena);
+  EXPECT_TRUE(infer_clique(arena, degrees, CliqueConfig{}).empty());
 }
 
 // ------------------------------------------------------------ pipeline ----
@@ -203,6 +209,23 @@ TEST(Pipeline, SanitizesBeforeInference) {
   EXPECT_EQ(result.audit.sanitize.reserved_discarded, 1u);
   EXPECT_EQ(result.audit.sanitize.loops_discarded, 1u);
   EXPECT_FALSE(result.graph.has_as(Asn(64512)));
+}
+
+TEST(Pipeline, KeptAs0HopsPlaceNoLinks) {
+  // With reserved-ASN discard off, AS0 survives sanitizing but is never
+  // interned: its paths count toward degrees and the clique and place no
+  // link.
+  auto corpus = hand_corpus();
+  corpus.add(rec(3, 900, {3, 0, 9}));
+  corpus.add(rec(5, 901, {5, 2, 0, 0, 9, 10}));
+  InferenceConfig config = hand_config();
+  config.sanitizer.discard_reserved = false;
+  const auto result = AsRankInference(config).run(corpus);
+  EXPECT_EQ(result.audit.sanitize.reserved_discarded, 0u);
+  EXPECT_EQ(result.sanitized.size(), hand_corpus().size() + 2);
+  EXPECT_FALSE(result.graph.has_as(Asn(9)));
+  EXPECT_EQ(result.graph.link_count(), hand_corpus().link_observations().size());
+  EXPECT_EQ(result.clique, (std::vector<Asn>{Asn(1), Asn(2)}));
 }
 
 TEST(Pipeline, DiscardsPoisonedPaths) {

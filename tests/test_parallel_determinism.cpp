@@ -6,6 +6,7 @@
 // ordered (non-commutative) reduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -158,6 +159,52 @@ const paths::PathCorpus& shared_corpus() {
   return corpus;
 }
 
+void expect_audit_eq(const core::StageAudit& got, const core::StageAudit& want,
+                     std::size_t threads) {
+  const auto& gs = got.sanitize;
+  const auto& ws = want.sanitize;
+  EXPECT_EQ(gs.input_records, ws.input_records) << threads;
+  EXPECT_EQ(gs.ixp_hops_stripped, ws.ixp_hops_stripped) << threads;
+  EXPECT_EQ(gs.reserved_hops_stripped, ws.reserved_hops_stripped) << threads;
+  EXPECT_EQ(gs.prepended_compressed, ws.prepended_compressed) << threads;
+  EXPECT_EQ(gs.loops_discarded, ws.loops_discarded) << threads;
+  EXPECT_EQ(gs.reserved_discarded, ws.reserved_discarded) << threads;
+  EXPECT_EQ(gs.duplicates_removed, ws.duplicates_removed) << threads;
+  EXPECT_EQ(gs.output_records, ws.output_records) << threads;
+  EXPECT_EQ(got.ranked_ases, want.ranked_ases) << threads;
+  EXPECT_EQ(got.clique_size, want.clique_size) << threads;
+  EXPECT_EQ(got.poisoned_discarded, want.poisoned_discarded) << threads;
+  EXPECT_EQ(got.partial_vps, want.partial_vps) << threads;
+  EXPECT_EQ(got.c2p_votes, want.c2p_votes) << threads;
+  EXPECT_EQ(got.apex_links_deferred, want.apex_links_deferred) << threads;
+  EXPECT_EQ(got.links_committed_c2p, want.links_committed_c2p) << threads;
+  EXPECT_EQ(got.vote_conflicts, want.vote_conflicts) << threads;
+  EXPECT_EQ(got.siblings_inferred, want.siblings_inferred) << threads;
+  EXPECT_EQ(got.triplet_inferred, want.triplet_inferred) << threads;
+  EXPECT_EQ(got.valley_violations, want.valley_violations) << threads;
+  EXPECT_EQ(got.providerless_repaired, want.providerless_repaired) << threads;
+  EXPECT_EQ(got.stub_clique_links, want.stub_clique_links) << threads;
+  EXPECT_EQ(got.clique_direction_fixes, want.clique_direction_fixes) << threads;
+  EXPECT_EQ(got.p2p_fallback, want.p2p_fallback) << threads;
+  EXPECT_EQ(got.cycle_edges_reoriented, want.cycle_edges_reoriented) << threads;
+  EXPECT_EQ(got.p2c_acyclic, want.p2c_acyclic) << threads;
+}
+
+void expect_degrees_eq(const core::Degrees& got, const core::Degrees& want,
+                       std::size_t threads) {
+  ASSERT_EQ(got.interner(), want.interner()) << threads;
+  EXPECT_EQ(got.ranked(), want.ranked()) << threads;
+  for (topology::NodeId id = 0; id < want.interner().size(); ++id) {
+    EXPECT_EQ(got.transit_degree(id), want.transit_degree(id)) << threads << " node " << id;
+    EXPECT_EQ(got.node_degree(id), want.node_degree(id)) << threads << " node " << id;
+    EXPECT_EQ(got.rank_of(id), want.rank_of(id)) << threads << " node " << id;
+    const auto got_row = got.adjacency().neighbors(id);
+    const auto want_row = want.adjacency().neighbors(id);
+    EXPECT_TRUE(std::equal(got_row.begin(), got_row.end(), want_row.begin(), want_row.end()))
+        << threads << " node " << id;
+  }
+}
+
 PipelineOutput run_pipeline(std::size_t threads) {
   core::InferenceConfig config;
   config.threads = threads;
@@ -193,16 +240,16 @@ TEST(ParallelDeterminism, PipelineIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.ranking[i].rank, reference.ranking[i].rank);
     }
 
-    // Stage audit: the counters describe the same computation.
-    EXPECT_EQ(parallel.result.audit.c2p_votes, reference.result.audit.c2p_votes);
-    EXPECT_EQ(parallel.result.audit.links_committed_c2p,
-              reference.result.audit.links_committed_c2p);
-    EXPECT_EQ(parallel.result.audit.poisoned_discarded,
-              reference.result.audit.poisoned_discarded);
-    EXPECT_EQ(parallel.result.audit.apex_links_deferred,
-              reference.result.audit.apex_links_deferred);
-    EXPECT_EQ(parallel.result.audit.siblings_inferred,
-              reference.result.audit.siblings_inferred);
+    // Stage audit: every counter describes the same computation.
+    expect_audit_eq(parallel.result.audit, reference.result.audit, threads);
+    expect_degrees_eq(parallel.result.degrees, reference.result.degrees, threads);
+    EXPECT_EQ(parallel.result.sanitized.records().size(),
+              reference.result.sanitized.records().size());
+    EXPECT_TRUE(std::equal(parallel.result.sanitized.records().begin(),
+                           parallel.result.sanitized.records().end(),
+                           reference.result.sanitized.records().begin(),
+                           reference.result.sanitized.records().end()))
+        << threads << " threads";
   }
 }
 
@@ -211,13 +258,7 @@ TEST(ParallelDeterminism, TallyStagesMatchSequential) {
   const auto degrees1 = core::Degrees::compute(corpus, 1);
   const auto visibility1 = core::link_visibility(corpus, 1);
   for (const std::size_t threads : {2u, 8u}) {
-    const auto degreesN = core::Degrees::compute(corpus, threads);
-    EXPECT_EQ(degreesN.ranked(), degrees1.ranked());
-    for (const Asn as : degrees1.ranked()) {
-      EXPECT_EQ(degreesN.transit_degree(as), degrees1.transit_degree(as));
-      EXPECT_EQ(degreesN.node_degree(as), degrees1.node_degree(as));
-      EXPECT_EQ(degreesN.rank_of(as), degrees1.rank_of(as));
-    }
+    expect_degrees_eq(core::Degrees::compute(corpus, threads), degrees1, threads);
 
     const auto visibilityN = core::link_visibility(corpus, threads);
     ASSERT_EQ(visibilityN.size(), visibility1.size());
@@ -230,6 +271,83 @@ TEST(ParallelDeterminism, TallyStagesMatchSequential) {
       EXPECT_EQ(it->second.edge_positions, link.edge_positions);
     }
   }
+}
+
+/// The pre-arena degree tally, kept as the oracle: translate each record,
+/// collapse prepending, and count distinct (node, neighbour) id pairs with a
+/// global sort.
+struct ReferenceDegrees {
+  topology::AsnInterner interner;
+  std::vector<std::uint32_t> node;
+  std::vector<std::uint32_t> transit;
+};
+
+ReferenceDegrees reference_degrees(const paths::PathCorpus& corpus) {
+  using topology::kNoNode;
+  using topology::NodeId;
+  ReferenceDegrees out;
+  std::vector<Asn> asns;
+  for (const auto& record : corpus.records()) {
+    asns.insert(asns.end(), record.path.hops().begin(), record.path.hops().end());
+  }
+  out.interner = topology::AsnInterner::from_asns(std::move(asns));
+  const auto pack = [](NodeId a, NodeId b) { return static_cast<std::uint64_t>(a) << 32 | b; };
+  std::vector<std::uint64_t> all, transit;
+  std::vector<NodeId> ids;
+  for (const auto& record : corpus.records()) {
+    out.interner.translate(record.path.compress_prepending().hops(), ids);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] == kNoNode) continue;
+      if (i > 0 && ids[i - 1] != kNoNode) {
+        all.push_back(pack(ids[i], ids[i - 1]));
+        all.push_back(pack(ids[i - 1], ids[i]));
+      }
+      if (i > 0 && i + 1 < ids.size()) {
+        if (ids[i - 1] != kNoNode) transit.push_back(pack(ids[i], ids[i - 1]));
+        if (ids[i + 1] != kNoNode) transit.push_back(pack(ids[i], ids[i + 1]));
+      }
+    }
+  }
+  const auto count = [&](std::vector<std::uint64_t>& pairs) {
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    std::vector<std::uint32_t> degree(out.interner.size(), 0);
+    for (const std::uint64_t p : pairs) ++degree[p >> 32];
+    return degree;
+  };
+  out.node = count(all);
+  out.transit = count(transit);
+  return out;
+}
+
+TEST(ParallelDeterminism, RawCorpusDegreesMatchReferenceTally) {
+  // Degrees::compute(raw corpus) builds a compress-only arena: prepending,
+  // AS0 hops, loops and duplicate records must all tally as the per-record
+  // reference does.
+  paths::PathCorpus corpus = shared_corpus();
+  const auto prefix = Prefix::v4(0x0a000000, 24);
+  corpus.add(Asn(4000001), prefix, AsPath{4000001, 4000001, 4000002, 4000002, 4000003});
+  corpus.add(Asn(4000001), prefix, AsPath{4000001, 0, 4000004, 0, 0, 4000005});
+  corpus.add(Asn(4000002), prefix, AsPath{4000002, 4000006, 4000002, 4000007});
+  corpus.add(Asn(4000002), prefix, AsPath{0, 0});
+  corpus.add(Asn(4000002), prefix, AsPath{4000008});
+  corpus.add(Asn(4000002), prefix, AsPath{});
+  corpus.add(Asn(4000001), prefix, AsPath{4000001, 4000001, 4000002, 4000002, 4000003});
+
+  const ReferenceDegrees want = reference_degrees(corpus);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const auto got = core::Degrees::compute(corpus, threads);
+    ASSERT_EQ(got.interner(), want.interner) << threads;
+    for (topology::NodeId id = 0; id < want.interner.size(); ++id) {
+      EXPECT_EQ(got.node_degree(id), want.node[id]) << threads << " node " << id;
+      EXPECT_EQ(got.transit_degree(id), want.transit[id]) << threads << " node " << id;
+    }
+  }
+  const auto degrees = core::Degrees::compute(corpus);
+  // 4000001 and 4000003 (first path), 4000006 and 4000007 (the looped one).
+  EXPECT_EQ(degrees.transit_degree(Asn(4000002)), 4u);
+  EXPECT_EQ(degrees.node_degree(Asn(4000004)), 0u);     // only beside AS0
+  EXPECT_FALSE(degrees.interner().contains(Asn(0)));
 }
 
 TEST(ParallelDeterminism, ConeClosureMatchesSequentialOnGroundTruth) {

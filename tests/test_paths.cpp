@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <unordered_set>
+
+#include "bgpsim/observation.h"
+#include "paths/arena.h"
 #include "paths/corpus.h"
 #include "paths/sanitizer.h"
+#include "topogen/topogen.h"
 
 namespace asrank::paths {
 namespace {
@@ -177,6 +184,225 @@ TEST(Sanitizer, StatsAddUp) {
   EXPECT_EQ(s.input_records, 4u);
   EXPECT_EQ(s.output_records,
             s.input_records - s.loops_discarded - s.reserved_discarded - s.duplicates_removed);
+}
+
+// -------------------------------------------------- sanitizer oracle ----
+
+/// The per-record sanitizer the arena replaced, kept as the oracle: every
+/// record walks every stage on its own copy of the hops, and dedup hashes
+/// whole records.
+SanitizeResult reference_sanitize(const PathCorpus& input, const SanitizerConfig& config) {
+  struct RecordHash {
+    std::size_t operator()(const PathRecord& record) const noexcept {
+      std::size_t h = std::hash<Asn>{}(record.vp);
+      h ^= std::hash<Prefix>{}(record.prefix) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      for (const Asn hop : record.path.hops()) {
+        h ^= std::hash<Asn>{}(hop) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      }
+      return h;
+    }
+  };
+  SanitizeResult result;
+  result.stats.input_records = input.size();
+  std::unordered_set<PathRecord, RecordHash> seen;
+  for (const PathRecord& record : input.records()) {
+    std::vector<Asn> hops(record.path.hops().begin(), record.path.hops().end());
+    if (config.strip_ixp_asns && !config.ixp_asns.empty()) {
+      const auto before = hops.size();
+      hops.erase(std::remove_if(hops.begin(), hops.end(),
+                                [&](Asn a) { return config.ixp_asns.contains(a); }),
+                 hops.end());
+      result.stats.ixp_hops_stripped += before - hops.size();
+    }
+    if (config.strip_reserved_asns) {
+      const auto before = hops.size();
+      hops.erase(std::remove_if(hops.begin(), hops.end(), [](Asn a) { return a.reserved(); }),
+                 hops.end());
+      result.stats.reserved_hops_stripped += before - hops.size();
+    }
+    AsPath path(std::move(hops));
+    if (config.compress_prepending && path.has_prepending()) {
+      path = path.compress_prepending();
+      ++result.stats.prepended_compressed;
+    }
+    if (config.discard_loops && path.has_loop()) {
+      ++result.stats.loops_discarded;
+      continue;
+    }
+    if (config.discard_reserved && path.has_reserved_asn()) {
+      ++result.stats.reserved_discarded;
+      continue;
+    }
+    if (path.empty()) continue;
+    PathRecord cleaned{record.vp, record.prefix, std::move(path)};
+    if (config.dedup && !seen.insert(cleaned).second) {
+      ++result.stats.duplicates_removed;
+      continue;
+    }
+    result.corpus.add(std::move(cleaned));
+  }
+  result.stats.output_records = result.corpus.size();
+  return result;
+}
+
+/// Every combination of the six stage switches, with and without an IXP set.
+std::vector<SanitizerConfig> all_configs(const std::unordered_set<Asn>& ixp_asns) {
+  std::vector<SanitizerConfig> configs;
+  for (unsigned bits = 0; bits < 64; ++bits) {
+    for (const bool with_ixps : {false, true}) {
+      SanitizerConfig config;
+      config.strip_ixp_asns = bits & 1;
+      config.strip_reserved_asns = bits & 2;
+      config.compress_prepending = bits & 4;
+      config.discard_loops = bits & 8;
+      config.discard_reserved = bits & 16;
+      config.dedup = bits & 32;
+      if (with_ixps) config.ixp_asns = ixp_asns;
+      configs.push_back(std::move(config));
+    }
+  }
+  return configs;
+}
+
+std::string describe(const SanitizerConfig& c) {
+  return "ixp=" + std::to_string(c.strip_ixp_asns) + "/" + std::to_string(c.ixp_asns.size()) +
+         " strip_reserved=" + std::to_string(c.strip_reserved_asns) +
+         " compress=" + std::to_string(c.compress_prepending) +
+         " loops=" + std::to_string(c.discard_loops) +
+         " reserved=" + std::to_string(c.discard_reserved) + " dedup=" + std::to_string(c.dedup);
+}
+
+void expect_stats_eq(const SanitizeStats& got, const SanitizeStats& want, const std::string& what) {
+  EXPECT_EQ(got.input_records, want.input_records) << what;
+  EXPECT_EQ(got.ixp_hops_stripped, want.ixp_hops_stripped) << what;
+  EXPECT_EQ(got.reserved_hops_stripped, want.reserved_hops_stripped) << what;
+  EXPECT_EQ(got.prepended_compressed, want.prepended_compressed) << what;
+  EXPECT_EQ(got.loops_discarded, want.loops_discarded) << what;
+  EXPECT_EQ(got.reserved_discarded, want.reserved_discarded) << what;
+  EXPECT_EQ(got.duplicates_removed, want.duplicates_removed) << what;
+  EXPECT_EQ(got.output_records, want.output_records) << what;
+}
+
+/// The structural promises of PathArena on top of the oracle's output.
+void expect_arena_invariants(const PathArena& arena, const std::string& what) {
+  std::size_t total = 0;
+  std::set<std::vector<topology::NodeId>> distinct;
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    EXPECT_GT(arena.multiplicity(p), 0u) << what;
+    total += arena.multiplicity(p);
+    const auto hops = arena.path(p);
+    EXPECT_FALSE(hops.empty()) << what;
+    distinct.emplace(hops.begin(), hops.end());
+  }
+  EXPECT_EQ(total, arena.stats().output_records) << what;
+  EXPECT_EQ(distinct.size(), arena.path_count()) << what << ": a path is stored twice";
+  // Path ids follow first occurrence among the records.
+  std::uint32_t next = 0;
+  for (const ArenaRecord& record : arena.records()) {
+    ASSERT_LE(record.path, next) << what;
+    if (record.path == next) ++next;
+  }
+  EXPECT_EQ(next, arena.path_count()) << what;
+}
+
+void expect_matches_oracle(const PathCorpus& corpus, const std::unordered_set<Asn>& ixp_asns) {
+  for (const SanitizerConfig& config : all_configs(ixp_asns)) {
+    const std::string what = describe(config);
+    const SanitizeResult want = reference_sanitize(corpus, config);
+    const SanitizeResult got = sanitize(corpus, config);
+    ASSERT_EQ(got.corpus.size(), want.corpus.size()) << what;
+    for (std::size_t r = 0; r < want.corpus.size(); ++r) {
+      ASSERT_EQ(got.corpus.records()[r], want.corpus.records()[r]) << what << " record " << r;
+    }
+    expect_stats_eq(got.stats, want.stats, what);
+    expect_arena_invariants(PathArena::build(corpus, config), what);
+  }
+}
+
+TEST(SanitizerOracle, HandCases) {
+  PathCorpus corpus;
+  corpus.add(rec(1, "10.0.0.0/24", {1, 2, 2, 3, 2}));      // prepending and a loop
+  corpus.add(rec(1, "10.0.1.0/24", {1, 0, 3}));            // AS0
+  corpus.add(rec(1, "10.0.2.0/24", {1, 0, 0, 3, 0}));      // AS0 runs, AS0 loop
+  corpus.add(rec(1, "10.0.3.0/24", {1, 64512, 23456, 4}));  // private use, AS_TRANS
+  corpus.add(rec(1, "10.0.4.0/24", {900, 901}));           // IXP strip empties it
+  corpus.add(rec(1, "10.0.5.0/24", {900}));
+  corpus.add(rec(1, "10.0.6.0/24", {1, 900, 1, 5}));       // IXP strip joins a run
+  corpus.add(rec(1, "10.0.7.0/24", {1, 900, 5, 1}));       // IXP strip keeps a loop
+  corpus.add(rec(1, "10.0.8.0/24", {}));                   // empty on arrival
+  corpus.add(rec(1, "10.0.9.0/24", {64512}));              // reserved only
+  for (const std::uint32_t vp : {1u, 6u, 7u}) {            // one path, several VPs
+    corpus.add(rec(vp, "10.1.0.0/24", {8, 9, 10}));
+    corpus.add(rec(vp, "10.1.1.0/24", {8, 9, 10}));
+  }
+  corpus.add(rec(6, "10.1.0.0/24", {8, 9, 10}));           // exact duplicate
+  corpus.add(rec(6, "10.1.0.0/24", {8, 8, 9, 10}));        // duplicate once compressed
+  corpus.add(rec(7, "10.1.0.0/24", {8, 9, 9, 10, 10}));
+  corpus.add(rec(1, "10.0.0.0/24", {1, 2, 2, 3, 2}));      // repeated raw path
+  expect_matches_oracle(corpus, {Asn(900), Asn(901)});
+}
+
+TEST(SanitizerOracle, BgpsimCorpusWithInjectedPathologies) {
+  auto gen = topogen::GenParams::preset("small");
+  gen.seed = 31;
+  const auto truth = topogen::generate(gen);
+  bgpsim::ObservationParams params;
+  params.seed = 32;
+  params.full_vps = 6;
+  params.partial_vps = 2;
+  params.destination_sample = 0.5;
+  params.prepend_prob = 0.2;
+  params.poison_prob = 0.05;
+  params.ixp_leak_prob = 0.3;
+  params.private_leak_prob = 0.05;
+  const auto observation = bgpsim::observe(truth, params);
+  ASSERT_GT(observation.audit.prepended, 0u);
+  ASSERT_GT(observation.audit.poisoned_loop, 0u);
+  ASSERT_GT(observation.audit.ixp_leaked, 0u);
+  ASSERT_GT(observation.audit.private_leaked, 0u);
+  PathCorpus corpus = PathCorpus::from_records(observation.routes);
+  // Re-feed a slice so dedup sees exact and compress-equal repeats.
+  for (std::size_t r = 0; r < observation.routes.size(); r += 7) {
+    corpus.add(observation.routes[r].vp, observation.routes[r].prefix,
+               observation.routes[r].path);
+  }
+  const std::unordered_set<Asn> ixps(truth.ixp_asns.begin(), truth.ixp_asns.end());
+  ASSERT_FALSE(ixps.empty());
+  expect_matches_oracle(corpus, ixps);
+}
+
+TEST(PathArena, SharesOnePathAcrossVantagePoints) {
+  PathCorpus corpus;
+  corpus.add(rec(1, "10.0.0.0/24", {4, 5, 6}));
+  corpus.add(rec(2, "10.0.0.0/24", {4, 5, 6}));
+  corpus.add(rec(3, "10.0.1.0/24", {4, 5, 5, 6}));
+  corpus.add(rec(3, "10.0.2.0/24", {6, 5}));
+  const PathArena arena = PathArena::build(corpus, SanitizerConfig{});
+  ASSERT_EQ(arena.path_count(), 2u);
+  EXPECT_EQ(arena.multiplicity(0), 3u);
+  EXPECT_EQ(arena.multiplicity(1), 1u);
+  const auto asns = arena.interner().asns();
+  EXPECT_EQ(std::vector<Asn>(asns.begin(), asns.end()), (std::vector<Asn>{Asn(4), Asn(5), Asn(6)}));
+  EXPECT_EQ(arena.as_path(0), (AsPath{4, 5, 6}));
+  EXPECT_EQ(arena.as_path(1), (AsPath{6, 5}));
+  const std::vector<topology::NodeId> ids(arena.path(1).begin(), arena.path(1).end());
+  EXPECT_EQ(ids, (std::vector<topology::NodeId>{2, 1}));
+  ASSERT_EQ(arena.records().size(), 4u);
+  EXPECT_EQ(arena.records()[2].vp, Asn(3));
+  EXPECT_EQ(arena.records()[2].path, 0u);
+  EXPECT_EQ(arena.materialize().records()[2].path, (AsPath{4, 5, 6}));
+}
+
+TEST(PathArena, KeptAs0HopIsNoNode) {
+  PathCorpus corpus;
+  corpus.add(rec(1, "10.0.0.0/24", {1, 0, 3}));
+  SanitizerConfig config;
+  config.discard_reserved = false;
+  const PathArena arena = PathArena::build(corpus, config);
+  ASSERT_EQ(arena.path_count(), 1u);
+  EXPECT_EQ(arena.interner().size(), 2u);  // AS0 is never interned
+  EXPECT_EQ(arena.path(0)[1], topology::kNoNode);
+  EXPECT_EQ(arena.as_path(0), (AsPath{1, 0, 3}));
 }
 
 }  // namespace
