@@ -42,17 +42,17 @@ constexpr int kReps = 2;  // min-of-reps damps scheduler noise
 paths::PathCorpus ascent_corpus(const topogen::GroundTruth& truth) {
   paths::PathCorpus corpus;
   for (const Asn as : truth.graph.ases()) {
-    std::vector<Asn> hops{as};
+    AsPath path{as.value()};
     Asn cursor = as;
-    while (hops.size() < 6) {
+    while (path.size() < 6) {
       const auto providers = truth.graph.providers(cursor);
       if (providers.empty()) break;
       cursor = providers.front();
-      hops.push_back(cursor);
+      path.push_back(cursor);
     }
-    if (hops.size() < 2) continue;
-    const Prefix prefix = Prefix::v4(hops.back().value() << 8, 24);
-    corpus.add(as, prefix, AsPath(std::move(hops)));
+    if (path.size() < 2) continue;
+    const Prefix prefix = Prefix::v4(path.last().value() << 8, 24);
+    corpus.add(as, prefix, std::move(path));
   }
   return corpus;
 }

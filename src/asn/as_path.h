@@ -4,9 +4,20 @@
 // itself for traffic engineering) is preserved on ingestion and removed by
 // the sanitization pipeline, so the type distinguishes raw from compressed
 // forms explicitly.
+//
+// Layout: a path of up to kInlineHops hops lives inline, in the 24 bytes
+// that otherwise hold the heap pointer; only longer paths allocate.  A u32
+// size and a u32 capacity follow, so an AsPath is 32 bytes.  Collector paths
+// are short (a mean of about 4.5 hops, and about 98% have at most six), so
+// decoding a RIB and copying its routes into a corpus allocates nothing per
+// route.  The price is a rule that std::vector does not impose: a span
+// returned by hops() points into the AsPath itself for an inline path, so it
+// does not survive a move of that AsPath, nor a reallocation of a container
+// holding it.  Take the span after the path has settled.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <span>
@@ -18,31 +29,51 @@
 
 namespace asrank {
 
+/// True if an ASN heads two different runs of `hops` (adjacent repeats are
+/// prepending, not loops).  Allocates nothing for paths of up to 16 runs;
+/// longer ones are sorted.
+[[nodiscard]] bool has_loop(std::span<const Asn> hops);
+
 class AsPath {
  public:
-  AsPath() = default;
-  explicit AsPath(std::vector<Asn> hops) : hops_(std::move(hops)) {}
-  AsPath(std::initializer_list<std::uint32_t> raw) {
-    hops_.reserve(raw.size());
-    for (auto v : raw) hops_.emplace_back(v);
-  }
+  /// Hops stored without a heap allocation.
+  static constexpr std::uint32_t kInlineHops = 6;
 
-  [[nodiscard]] bool empty() const noexcept { return hops_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return hops_.size(); }
-  [[nodiscard]] Asn at(std::size_t i) const { return hops_.at(i); }
-  [[nodiscard]] std::span<const Asn> hops() const noexcept { return hops_; }
+  AsPath() noexcept {}
+  explicit AsPath(std::span<const Asn> hops);
+  explicit AsPath(const std::vector<Asn>& hops) : AsPath(std::span<const Asn>(hops)) {}
+  AsPath(std::initializer_list<std::uint32_t> raw);
+
+  AsPath(const AsPath& other) : AsPath(other.hops()) {}
+  AsPath(AsPath&& other) noexcept { take(other); }
+  AsPath& operator=(const AsPath& other);
+  AsPath& operator=(AsPath&& other) noexcept;
+  ~AsPath() { release(); }
+
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] Asn at(std::size_t i) const;
+  [[nodiscard]] std::span<const Asn> hops() const noexcept { return {data(), size_}; }
 
   /// Nearest AS (the collector peer / vantage point side).
-  [[nodiscard]] Asn first() const { return hops_.at(0); }
+  [[nodiscard]] Asn first() const { return at(0); }
   /// Origin AS (announced the prefix).
-  [[nodiscard]] Asn last() const { return hops_.at(hops_.size() - 1); }
+  [[nodiscard]] Asn last() const { return at(size() - 1); }
 
-  void push_back(Asn a) { hops_.push_back(a); }
+  void push_back(Asn a) {
+    if (size_ == capacity_) grow(std::size_t{2} * capacity_);
+    data()[size_++] = a;
+  }
+
+  /// Make room for `hops` hops in total; no-op for short paths.
+  void reserve(std::size_t hops) {
+    if (hops > capacity_) grow(hops);
+  }
 
   /// True if any AS appears at two non-adjacent positions (adjacent repeats
   /// are prepending, not loops).  Looped paths signal poisoning or
   /// measurement error and are discarded by the sanitizer (paper §4 step 1).
-  [[nodiscard]] bool has_loop() const;
+  [[nodiscard]] bool has_loop() const { return asrank::has_loop(hops()); }
 
   /// True if any hop is an IANA-reserved ASN.
   [[nodiscard]] bool has_reserved_asn() const noexcept;
@@ -66,10 +97,28 @@ class AsPath {
   /// the sanitizer drops AS_SET paths before they reach this representation.
   [[nodiscard]] static std::optional<AsPath> parse(std::string_view text);
 
-  friend bool operator==(const AsPath& a, const AsPath& b) = default;
+  friend bool operator==(const AsPath& a, const AsPath& b) noexcept;
 
  private:
-  std::vector<Asn> hops_;
+  [[nodiscard]] bool on_heap() const noexcept { return capacity_ > kInlineHops; }
+  [[nodiscard]] const Asn* data() const noexcept { return on_heap() ? heap_ : inline_; }
+  [[nodiscard]] Asn* data() noexcept { return on_heap() ? heap_ : inline_; }
+
+  /// Move to a heap buffer of `capacity` (> size()) hops, keeping the hops.
+  void grow(std::size_t capacity);
+  /// Steal `other`'s hops (this holds none); leaves `other` empty and inline.
+  void take(AsPath& other) noexcept;
+  /// Free the heap buffer, if any; leaves this empty and inline.
+  void release() noexcept;
+
+  union {
+    Asn inline_[kInlineHops];
+    Asn* heap_;
+  };
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = kInlineHops;
 };
+
+static_assert(sizeof(AsPath) == 32, "six inline hops, a u32 size and a u32 capacity");
 
 }  // namespace asrank

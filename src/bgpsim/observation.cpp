@@ -113,7 +113,7 @@ AsPath inject_pathologies(const GroundTruth& truth, const ObservationParams& par
       const Asn origin = hops.back();
       const PoisonPlan& plan = plan_it->second;
       if (plan.clique_insert) {
-        if (!AsPath(hops).contains(plan.tier1)) {
+        if (std::find(hops.begin(), hops.end(), plan.tier1) == hops.end()) {
           hops.insert(hops.end() - 1, plan.tier1);
           ++audit.poisoned_insert;
         }
@@ -135,7 +135,7 @@ AsPath inject_pathologies(const GroundTruth& truth, const ObservationParams& par
     ++audit.private_leaked;
   }
 
-  return AsPath(std::move(hops));
+  return AsPath(hops);
 }
 
 }  // namespace
@@ -294,7 +294,10 @@ mrt::RibDump to_rib_dump(const Observation& observation, std::uint32_t timestamp
 }
 
 std::vector<ObservedRoute> from_rib_dump(const mrt::RibDump& dump) {
+  std::size_t routes = 0;
+  for (const mrt::RibEntry& entry : dump.rib) routes += entry.routes.size();
   std::vector<ObservedRoute> out;
+  out.reserve(routes);
   for (const mrt::RibEntry& entry : dump.rib) {
     for (const mrt::RibRoute& route : entry.routes) {
       if (route.peer_index >= dump.peers.size()) {

@@ -22,7 +22,7 @@ SelectedRoute RouteTable::route(Asn as) const noexcept {
 }
 
 AsPath RouteTable::path_from(Asn as) const {
-  std::vector<Asn> hops;
+  AsPath path;
   Asn current = as;
   // A strict Gao–Rexford table cannot loop (lengths strictly decrease), but
   // a route-leak table can chain a leaked customer-class route into a peer
@@ -30,11 +30,11 @@ AsPath RouteTable::path_from(Asn as) const {
   // prevention discards exactly those paths, so a non-terminating chain
   // reports unreachable rather than throwing.
   const std::size_t limit = routes_.size() + 2;
-  while (hops.size() < limit) {
+  while (path.size() < limit) {
     const auto it = routes_.find(current);
     if (it == routes_.end()) return AsPath{};  // unreachable
-    hops.push_back(current);
-    if (current == destination_) return AsPath(std::move(hops));
+    path.push_back(current);
+    if (current == destination_) return path;
     current = it->second.next_hop;
     if (!current.valid()) return AsPath{};
   }

@@ -47,6 +47,7 @@ void UpdateApplier::apply(const mrt::UpdateMessage& update) {
 
 paths::PathCorpus UpdateApplier::corpus() const {
   paths::PathCorpus out;
+  out.reserve(routes_.size());
   for (const auto& [key, path] : routes_) out.add(key.first, key.second, path);
   return out;
 }

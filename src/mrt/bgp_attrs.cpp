@@ -1,6 +1,7 @@
 #include "mrt/bgp_attrs.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace asrank::mrt {
@@ -99,25 +100,28 @@ BgpAttributes decode_attributes(ByteReader& reader) {
         break;
       }
       case kAsPath: {
+        // Segment words go straight into the path.  Every segment's words
+        // are read before its type is checked, so a short body is reported
+        // as truncated even when the segment type is also bad.
         saw_as_path = true;
-        std::vector<Asn> hops;
+        AsPath& path = attrs.as_path;
+        path = AsPath();  // a repeated AS_PATH replaces the earlier one
         while (!body.done()) {
           const std::uint8_t seg_type = body.get_u8();
           const std::uint8_t seg_len = body.get_u8();
-          std::vector<Asn> segment;
-          segment.reserve(seg_len);
-          for (std::uint8_t i = 0; i < seg_len; ++i) segment.emplace_back(body.get_u32());
           if (seg_type == kSegAsSequence) {
-            hops.insert(hops.end(), segment.begin(), segment.end());
-          } else if (seg_type == kSegAsSet) {
-            attrs.has_as_set = true;
-            std::sort(segment.begin(), segment.end());
-            hops.insert(hops.end(), segment.begin(), segment.end());
-          } else {
-            throw DecodeError("unknown AS_PATH segment type");
+            path.reserve(path.size() + seg_len);
+            for (std::uint8_t i = 0; i < seg_len; ++i) path.push_back(Asn(body.get_u32()));
+            continue;
           }
+          std::array<Asn, 255> segment;
+          for (std::uint8_t i = 0; i < seg_len; ++i) segment[i] = Asn(body.get_u32());
+          if (seg_type != kSegAsSet) throw DecodeError("unknown AS_PATH segment type");
+          attrs.has_as_set = true;
+          std::sort(segment.begin(), segment.begin() + seg_len);
+          path.reserve(path.size() + seg_len);
+          for (std::uint8_t i = 0; i < seg_len; ++i) path.push_back(segment[i]);
         }
-        attrs.as_path = AsPath(std::move(hops));
         break;
       }
       case kNextHop: {

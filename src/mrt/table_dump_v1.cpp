@@ -76,14 +76,15 @@ BgpAttributes decode_attrs_as2(ByteReader& reader) {
       }
       case 2: {
         saw_path = true;
-        std::vector<Asn> hops;
+        AsPath& path = attrs.as_path;
+        path = AsPath();  // a repeated AS_PATH replaces the earlier one
         while (!body.done()) {
           const std::uint8_t seg_type = body.get_u8();
           const std::uint8_t seg_len = body.get_u8();
-          for (std::uint8_t i = 0; i < seg_len; ++i) hops.emplace_back(body.get_u16());
+          path.reserve(path.size() + seg_len);
+          for (std::uint8_t i = 0; i < seg_len; ++i) path.push_back(Asn(body.get_u16()));
           if (seg_type == 1) attrs.has_as_set = true;
         }
-        attrs.as_path = AsPath(std::move(hops));
         break;
       }
       case 3: {

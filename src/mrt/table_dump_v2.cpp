@@ -114,13 +114,12 @@ RibEntry decode_rib_entry(ByteReader r) {
   const std::uint16_t count = r.get_u16();
   entry.routes.reserve(count);
   for (std::uint16_t i = 0; i < count; ++i) {
-    RibRoute route;
+    RibRoute& route = entry.routes.emplace_back();
     route.peer_index = r.get_u16();
     route.originated_time = r.get_u32();
     const std::uint16_t attr_len = r.get_u16();
     ByteReader attrs = r.sub(attr_len);
     route.attrs = decode_attributes(attrs);
-    entry.routes.push_back(std::move(route));
   }
   return entry;
 }
@@ -145,6 +144,7 @@ Result<RibDump> try_read_table_dump_v2(std::istream& is) {
     RibDump dump;
     bool saw_peer_table = false;
     std::vector<std::uint8_t> header_buf(12);
+    std::vector<std::uint8_t> body;  // reused: one allocation per dump, not per record
     while (is.read(reinterpret_cast<char*>(header_buf.data()), 12)) {
       ByteReader header(header_buf);
       const std::uint32_t timestamp = header.get_u32();
@@ -155,7 +155,7 @@ Result<RibDump> try_read_table_dump_v2(std::istream& is) {
         throw DecodeError("MRT record length " + std::to_string(length) +
                           " exceeds sanity cap");
       }
-      std::vector<std::uint8_t> body(length);
+      body.resize(length);
       if (!is.read(reinterpret_cast<char*>(body.data()), static_cast<std::streamsize>(length))) {
         throw DecodeError("truncated MRT record body");
       }

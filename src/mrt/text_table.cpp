@@ -63,13 +63,13 @@ std::vector<TextRoute> parse_show_ip_bgp(std::istream& is) {
     if (tokens.empty() || !is_origin_code(tokens.back())) {
       fail(line_no, "missing origin code");
     }
-    std::vector<Asn> hops;
+    AsPath path;
     for (; i + 1 < tokens.size(); ++i) {
       const auto asn = Asn::parse(tokens[i]);
       if (!asn) fail(line_no, "malformed AS path hop");
-      hops.push_back(*asn);
+      path.push_back(*asn);
     }
-    out.push_back(TextRoute{current_network, AsPath(std::move(hops)), best});
+    out.push_back(TextRoute{current_network, std::move(path), best});
   }
   return out;
 }

@@ -96,26 +96,6 @@ class FirstSeenIds {
   std::vector<Asn> asns_;
 };
 
-/// True if an ASN heads two different runs (adjacent repeats are
-/// prepending, not loops).  `scratch` is reused across calls.
-bool has_loop(std::span<const Asn> hops, std::vector<Asn>& scratch) {
-  scratch.clear();
-  for (std::size_t i = 0; i < hops.size(); ++i) {
-    if (i == 0 || hops[i] != hops[i - 1]) scratch.push_back(hops[i]);
-  }
-  if (scratch.size() <= 16) {  // typical paths: pairwise beats sorting
-    for (std::size_t i = 1; i < scratch.size(); ++i) {
-      if (std::find(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(i),
-                    scratch[i]) != scratch.begin() + static_cast<std::ptrdiff_t>(i)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  std::sort(scratch.begin(), scratch.end());
-  return std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end();
-}
-
 /// What sanitizing one distinct raw path did.  Every record carrying that
 /// raw path contributes the same counters and meets the same fate.
 struct RawOutcome {
@@ -162,7 +142,6 @@ PathArena PathArena::build(const PathCorpus& input, const SanitizerConfig& confi
   FirstSeenIds first_seen;
   std::vector<std::uint32_t> flat;  // distinct sanitized paths, first-seen ids
   std::vector<Asn> hops;
-  std::vector<Asn> scratch;
   std::vector<std::uint32_t> ids;
   HashIndex path_index(raw_offsets.size() - 1);
 
@@ -187,7 +166,7 @@ PathArena PathArena::build(const PathCorpus& input, const SanitizerConfig& confi
       out.compressed = kept != hops.end();
       hops.erase(kept, hops.end());
     }
-    if (config.discard_loops && has_loop(hops, scratch)) {
+    if (config.discard_loops && has_loop(hops)) {
       out.fate = RawOutcome::Fate::kLoop;
     } else if (config.discard_reserved &&
                std::any_of(hops.begin(), hops.end(), [](Asn a) { return a.reserved(); })) {
@@ -260,12 +239,12 @@ PathArena PathArena::build(const PathCorpus& input, const SanitizerConfig& confi
 }
 
 AsPath PathArena::as_path(std::size_t id) const {
-  std::vector<Asn> hops;
-  hops.reserve(offsets_[id + 1] - offsets_[id]);
+  AsPath out;
+  out.reserve(offsets_[id + 1] - offsets_[id]);
   for (const NodeId node : path(id)) {
-    hops.push_back(node == topology::kNoNode ? Asn() : interner_.asn_of(node));
+    out.push_back(node == topology::kNoNode ? Asn() : interner_.asn_of(node));
   }
-  return AsPath(std::move(hops));
+  return out;
 }
 
 PathCorpus PathArena::materialize() const {

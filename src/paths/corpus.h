@@ -4,11 +4,14 @@
 // collector RIB provides after per-peer best-path extraction.  The corpus is
 // format-agnostic: rows can come from the BGP simulator, an MRT dump, or a
 // text table — anything with vp/prefix/path fields.  Each record owns its
-// hop vector; the inference stages instead read a paths::PathArena
-// (paths/arena.h), which stores each distinct path once in NodeId space.
+// path by value: an AsPath holds up to six hops inline (asn/as_path.h), so
+// most records need no allocation of their own.  The inference stages
+// instead read a paths::PathArena (paths/arena.h), which stores each
+// distinct path once in NodeId space.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,7 +36,7 @@ class PathCorpus {
   PathCorpus() = default;
 
   void add(Asn vp, const Prefix& prefix, AsPath path) {
-    records_.push_back({vp, prefix, std::move(path)});
+    records_.emplace_back(vp, prefix, std::move(path));
   }
   void add(PathRecord record) { records_.push_back(std::move(record)); }
   void reserve(std::size_t records) { records_.reserve(records); }
@@ -43,7 +46,10 @@ class PathCorpus {
   template <typename Range>
   [[nodiscard]] static PathCorpus from_records(const Range& range) {
     PathCorpus corpus;
-    for (const auto& record : range) corpus.add(record.vp, record.prefix, record.path);
+    corpus.reserve(std::size(range));
+    for (const auto& record : range) {
+      corpus.records_.emplace_back(record.vp, record.prefix, record.path);
+    }
     return corpus;
   }
 

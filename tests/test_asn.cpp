@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "asn/as_path.h"
 #include "asn/asn.h"
 #include "asn/prefix.h"
@@ -230,6 +234,139 @@ TEST(AsPath, EqualityIsExact) {
   EXPECT_EQ((AsPath{1, 2}), (AsPath{1, 2}));
   EXPECT_NE((AsPath{1, 2}), (AsPath{2, 1}));
   EXPECT_NE((AsPath{1, 2}), (AsPath{1, 2, 2}));
+}
+
+// Representation: up to kInlineHops hops live inline, longer paths on the
+// heap.  Every operation must behave the same on both sides of the line.
+
+AsPath sequential_path(std::uint32_t hops, std::uint32_t base = 1) {
+  AsPath path;
+  for (std::uint32_t i = 0; i < hops; ++i) path.push_back(Asn(base + i));
+  return path;
+}
+
+void expect_hops(const AsPath& path, std::uint32_t hops, std::uint32_t base = 1) {
+  ASSERT_EQ(path.size(), hops);
+  EXPECT_EQ(path.empty(), hops == 0);
+  EXPECT_EQ(path.hops().size(), hops);
+  for (std::uint32_t i = 0; i < hops; ++i) EXPECT_EQ(path.hops()[i].value(), base + i);
+}
+
+TEST(AsPathLayout, ThirtyTwoBytesSixInline) {
+  EXPECT_EQ(sizeof(AsPath), 32u);
+  EXPECT_EQ(AsPath::kInlineHops, 6u);
+}
+
+TEST(AsPathLayout, LengthsAcrossTheInlineLimit) {
+  for (const std::uint32_t hops : {0u, 1u, 6u, 7u, 255u, 256u, 600u}) {
+    SCOPED_TRACE(hops);
+    const AsPath pushed = sequential_path(hops);
+    expect_hops(pushed, hops);
+
+    std::vector<Asn> raw;
+    for (std::uint32_t i = 0; i < hops; ++i) raw.emplace_back(1 + i);
+    const AsPath from_vector(raw);
+    const AsPath from_span{std::span<const Asn>(raw)};
+    EXPECT_EQ(from_vector, pushed);
+    EXPECT_EQ(from_span, pushed);
+
+    const auto parsed = AsPath::parse(pushed.str());
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(*parsed, pushed);
+    if (hops > 0) {
+      EXPECT_EQ(pushed.first().value(), 1u);
+      EXPECT_EQ(pushed.last().value(), hops);
+      EXPECT_EQ(pushed.index_of(Asn(hops)), hops - 1);
+    }
+    EXPECT_THROW((void)pushed.at(hops), std::out_of_range);
+  }
+  EXPECT_THROW((void)AsPath{}.first(), std::out_of_range);
+  EXPECT_THROW((void)AsPath{}.last(), std::out_of_range);
+}
+
+TEST(AsPathLayout, CopyAndMoveInlineAndHeap) {
+  for (const std::uint32_t hops : {3u, 6u, 7u, 600u}) {
+    SCOPED_TRACE(hops);
+    const AsPath original = sequential_path(hops);
+
+    AsPath copy(original);
+    expect_hops(copy, hops);
+    AsPath assigned = sequential_path(2, 900);
+    assigned = original;
+    expect_hops(assigned, hops);
+    AsPath long_target = sequential_path(300, 900);  // heap buffer reused
+    long_target = original;
+    expect_hops(long_target, hops);
+
+    AsPath moved(std::move(copy));
+    expect_hops(moved, hops);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    copy.push_back(Asn(42));    // a moved-from path is reusable
+    EXPECT_EQ(copy, (AsPath{42}));
+
+    AsPath move_assigned = sequential_path(300, 900);
+    move_assigned = std::move(moved);
+    expect_hops(move_assigned, hops);
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+    moved = sequential_path(8, 5);
+    expect_hops(moved, 8, 5);
+
+    AsPath& self = assigned;
+    assigned = self;
+    expect_hops(assigned, hops);
+    assigned = std::move(self);
+    expect_hops(assigned, hops);
+    EXPECT_EQ(original.hops().size(), hops);  // the source is untouched
+  }
+}
+
+TEST(AsPathLayout, EqualityIgnoresStorage) {
+  AsPath heap;
+  heap.reserve(100);  // three hops, but in a heap buffer
+  for (const std::uint32_t v : {701u, 174u, 3356u}) heap.push_back(Asn(v));
+  const AsPath inline_path{701, 174, 3356};
+  EXPECT_EQ(heap, inline_path);
+  EXPECT_EQ(inline_path, heap);
+  EXPECT_NE(heap, (AsPath{701, 174}));
+  EXPECT_EQ(AsPath(heap), inline_path);
+}
+
+TEST(AsPathLayout, PushBackCrossesToHeap) {
+  AsPath path;
+  for (std::uint32_t i = 1; i <= 6; ++i) path.push_back(Asn(i));
+  const auto inline_hops = path.hops();
+  expect_hops(path, 6);
+  path.push_back(Asn(7));  // spills to the heap; the old span is now stale
+  expect_hops(path, 7);
+  EXPECT_NE(path.hops().data(), inline_hops.data());
+  for (std::uint32_t i = 8; i <= 600; ++i) path.push_back(Asn(i));
+  expect_hops(path, 600);
+}
+
+TEST(AsPathLayout, CompressTakesHeapPathInline) {
+  AsPath path;
+  for (const std::uint32_t v : {701u, 174u, 3356u}) {
+    for (int copy = 0; copy < 5; ++copy) path.push_back(Asn(v));
+  }
+  ASSERT_EQ(path.size(), 15u);
+  const AsPath compressed = path.compress_prepending();
+  EXPECT_EQ(compressed, (AsPath{701, 174, 3356}));
+  EXPECT_FALSE(compressed.has_prepending());
+  const AsPath long_compressed = sequential_path(600).compress_prepending();
+  expect_hops(long_compressed, 600);
+}
+
+TEST(AsPathLayout, LoopCheckOverSpansPastSixteenRuns) {
+  // Beyond 16 runs the check sorts; it must agree with the pairwise one.
+  AsPath path = sequential_path(40);
+  EXPECT_FALSE(path.has_loop());
+  EXPECT_FALSE(has_loop(path.hops()));
+  path.push_back(Asn(40));  // prepending
+  EXPECT_FALSE(path.has_loop());
+  path.push_back(Asn(3));
+  EXPECT_TRUE(path.has_loop());
+  EXPECT_TRUE(has_loop(path.hops()));
+  EXPECT_FALSE(has_loop({}));
 }
 
 }  // namespace

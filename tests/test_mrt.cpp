@@ -2,6 +2,8 @@
 
 #include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mrt/bgp4mp.h"
 #include "mrt/bgp_attrs.h"
@@ -133,6 +135,84 @@ TEST(Attrs, AsSetDecodes) {
   EXPECT_THROW((void)encode_attributes(decoded), std::invalid_argument);
 }
 
+/// An attribute block holding only an AS_PATH with the given body.
+std::vector<std::uint8_t> as_path_attribute(const ByteWriter& body) {
+  ByteWriter w;
+  w.put_u8(0x40);  // transitive
+  w.put_u8(2);     // AS_PATH
+  w.put_u8(static_cast<std::uint8_t>(body.size()));
+  w.put_bytes(body.bytes());
+  return w.take();
+}
+
+TEST(Attrs, AsSetSortedWithinItsSegmentAcrossInlineLimit) {
+  // [1..5] {30,10,20} [7]: the set lands on both sides of the sixth hop and
+  // only its own members are sorted.
+  ByteWriter body;
+  body.put_u8(2);
+  body.put_u8(5);
+  for (std::uint32_t v = 1; v <= 5; ++v) body.put_u32(v);
+  body.put_u8(1);
+  body.put_u8(3);
+  for (const std::uint32_t v : {30u, 10u, 20u}) body.put_u32(v);
+  body.put_u8(2);
+  body.put_u8(1);
+  body.put_u32(7);
+  const auto wire = as_path_attribute(body);
+  ByteReader r(wire);
+  const auto decoded = decode_attributes(r);
+  EXPECT_TRUE(decoded.has_as_set);
+  EXPECT_EQ(decoded.as_path, (AsPath{1, 2, 3, 4, 5, 10, 20, 30, 7}));
+}
+
+TEST(Attrs, UnknownSegmentTypeIsCheckedAfterItsWords) {
+  // Segment type 3 is not defined.  With its words present the decoder
+  // rejects the type; with them cut short it reports the truncation.
+  ByteWriter whole;
+  whole.put_u8(3);
+  whole.put_u8(2);
+  whole.put_u32(10);
+  whole.put_u32(20);
+  const auto whole_wire = as_path_attribute(whole);
+  ByteReader whole_reader(whole_wire);
+  try {
+    (void)decode_attributes(whole_reader);
+    FAIL() << "expected DecodeError";
+  } catch (const DecodeError& error) {
+    EXPECT_STREQ(error.what(), "mrt: unknown AS_PATH segment type");
+  }
+
+  ByteWriter cut;
+  cut.put_u8(3);
+  cut.put_u8(2);
+  cut.put_u32(10);
+  const auto cut_wire = as_path_attribute(cut);
+  ByteReader cut_reader(cut_wire);
+  try {
+    (void)decode_attributes(cut_reader);
+    FAIL() << "expected DecodeError";
+  } catch (const DecodeError& error) {
+    EXPECT_NE(std::string(error.what()).find("truncated"), std::string::npos) << error.what();
+  }
+}
+
+TEST(Attrs, RepeatedAsPathReplacesTheFirst) {
+  ByteWriter first;
+  first.put_u8(2);
+  first.put_u8(7);
+  for (std::uint32_t v = 1; v <= 7; ++v) first.put_u32(v);
+  ByteWriter second;
+  second.put_u8(2);
+  second.put_u8(2);
+  second.put_u32(100);
+  second.put_u32(200);
+  auto wire = as_path_attribute(first);
+  const auto tail = as_path_attribute(second);
+  wire.insert(wire.end(), tail.begin(), tail.end());
+  ByteReader r(wire);
+  EXPECT_EQ(decode_attributes(r).as_path, (AsPath{100, 200}));
+}
+
 TEST(Attrs, UnknownAttributeRoundTripsOpaque) {
   BgpAttributes attrs;
   attrs.as_path = AsPath{1};
@@ -245,6 +325,24 @@ TEST(TableDumpV2, TruncatedBodyThrows) {
   EXPECT_THROW((void)read_table_dump_v2(truncated), DecodeError);
 }
 
+/// 600 hops: three AS_SEQUENCE segments (255 + 255 + 90) on the wire, and
+/// a heap-held path after decoding.
+AsPath six_hundred_hops() {
+  AsPath path;
+  for (std::uint32_t i = 0; i < 600; ++i) path.push_back(Asn(100000 + i));
+  return path;
+}
+
+TEST(TableDumpV2, SixHundredHopPathRoundTrips) {
+  auto dump = sample_dump();
+  dump.rib[0].routes[1].attrs.as_path = six_hundred_hops();
+  std::stringstream stream;
+  write_table_dump_v2(dump, stream);
+  const auto parsed = read_table_dump_v2(stream);
+  EXPECT_EQ(parsed, dump);
+  EXPECT_EQ(parsed.rib[0].routes[1].attrs.as_path.size(), 600u);
+}
+
 // -------------------------------------------------------------- bgp4mp ----
 
 TEST(Bgp4mp, UpdateRoundTrip) {
@@ -257,6 +355,21 @@ TEST(Bgp4mp, UpdateRoundTrip) {
   update.announced = {*Prefix::parse("192.0.2.0/24"), *Prefix::parse("10.0.0.0/8")};
   update.withdrawn = {*Prefix::parse("198.51.100.0/24")};
   update.attrs = sample_attrs();
+
+  std::stringstream stream;
+  write_update(update, stream);
+  const auto parsed = read_updates(stream);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0], update);
+}
+
+TEST(Bgp4mp, SixHundredHopPathRoundTrips) {
+  UpdateMessage update;
+  update.timestamp = 1367193600;
+  update.peer_as = Asn(100000);
+  update.local_as = Asn(6447);
+  update.announced = {*Prefix::parse("192.0.2.0/24")};
+  update.attrs.as_path = six_hundred_hops();
 
   std::stringstream stream;
   write_update(update, stream);

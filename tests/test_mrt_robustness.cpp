@@ -2,19 +2,167 @@
 // truncated input must either parse or throw DecodeError — never crash,
 // hang, or read out of bounds.  (Run under ASan/UBSan for full effect;
 // the assertions here pin down the throw-or-parse contract.)
+//
+// Each MrtFuzz suite also folds every round's outcome (a hash of the
+// decoded structure, or the exception type and message) into one digest
+// per seed and compares it with a pinned value, so a decoder rewrite that
+// changes what any mutated input decodes to, or how it fails, is caught.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <new>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 #include "bgpsim/observation.h"
 #include "mrt/bgp4mp.h"
 #include "mrt/table_dump_v1.h"
 #include "mrt/table_dump_v2.h"
 #include "topogen/topogen.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace asrank::mrt {
 namespace {
+
+/// Order-dependent fold of decoded structures and failure messages.
+class Digest {
+ public:
+  void add(std::uint64_t v) noexcept { h_ = util::mix64(h_, v); }
+  void add(std::string_view bytes) noexcept {
+    add(bytes.size());
+    add(util::fnv1a_64(bytes));
+  }
+  void add(const Prefix& prefix) noexcept {
+    add(static_cast<std::uint64_t>(prefix.family()));
+    add(static_cast<std::uint64_t>(prefix.bits() >> 64));
+    add(static_cast<std::uint64_t>(prefix.bits()));
+    add(prefix.length());
+  }
+  void add(const BgpAttributes& attrs) noexcept {
+    add(static_cast<std::uint64_t>(attrs.origin));
+    add(attrs.as_path.size());
+    for (const Asn hop : attrs.as_path.hops()) add(hop.value());
+    add(attrs.has_as_set ? 1 : 0);
+    add(attrs.next_hop ? 1 + std::uint64_t{*attrs.next_hop} : 0);
+    add(attrs.communities.size());
+    for (const Community c : attrs.communities) add(c.raw());
+    add(attrs.opaque.size());
+    for (const OpaqueAttr& attr : attrs.opaque) {
+      add(attr.flags);
+      add(attr.type);
+      add(std::string_view(reinterpret_cast<const char*>(attr.payload.data()),
+                           attr.payload.size()));
+    }
+  }
+  void add(const RibDump& dump) noexcept {
+    add(dump.collector_bgp_id);
+    add(dump.view_name);
+    add(dump.timestamp);
+    add(dump.peers.size());
+    for (const PeerEntry& peer : dump.peers) {
+      add(peer.bgp_id);
+      add(peer.ipv4);
+      add(peer.as.value());
+    }
+    add(dump.rib.size());
+    for (const RibEntry& entry : dump.rib) {
+      add(entry.prefix);
+      add(entry.routes.size());
+      for (const RibRoute& route : entry.routes) {
+        add(route.peer_index);
+        add(route.originated_time);
+        add(route.attrs);
+      }
+    }
+  }
+  void add(const std::vector<UpdateMessage>& updates) noexcept {
+    add(updates.size());
+    for (const UpdateMessage& update : updates) {
+      add(update.timestamp);
+      add(update.peer_as.value());
+      add(update.local_as.value());
+      add(update.peer_ip);
+      add(update.local_ip);
+      add(update.withdrawn.size());
+      for (const Prefix& prefix : update.withdrawn) add(prefix);
+      add(update.announced.size());
+      for (const Prefix& prefix : update.announced) add(prefix);
+      add(update.attrs);
+    }
+  }
+  void add(const std::vector<TableDumpV1Entry>& entries) noexcept {
+    add(entries.size());
+    for (const TableDumpV1Entry& entry : entries) {
+      add(entry.timestamp);
+      add(entry.prefix);
+      add(entry.originated_time);
+      add(entry.peer_ip);
+      add(entry.peer_as.value());
+      add(entry.attrs);
+    }
+  }
+  /// One failed round: which acceptable exception type, and its message.
+  void fail(std::uint64_t type, const std::exception& error) noexcept {
+    add(type);
+    add(std::string_view(error.what()));
+  }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0;
+};
+
+/// Decode `bytes` and fold the outcome: the decoded structure, or which
+/// acceptable exception it threw and its message.
+template <typename Decode>
+void fold_outcome(Digest& digest, const std::string& bytes, const Decode& decode) {
+  std::stringstream stream(bytes);
+  try {
+    digest.add(0);
+    digest.add(decode(stream));
+  } catch (const DecodeError& error) {
+    digest.fail(1, error);
+  } catch (const std::length_error& error) {
+    // allocation guard on absurd declared lengths: acceptable
+    digest.fail(2, error);
+  } catch (const std::bad_alloc& error) {
+    // mutated length field demanded a huge buffer: acceptable
+    digest.fail(3, error);
+  }
+}
+
+/// Per-seed digests (seeds 1..8) of each MrtFuzz suite's 50 outcomes.
+using Pinned = std::array<std::uint64_t, 8>;
+constexpr Pinned kMutatedV2Digests = {
+    0x41754f302aededa0ULL, 0xce0016359d74d39aULL,
+    0x48fa6d131a23bad8ULL, 0x315191cd9522730aULL,
+    0x6d565961cdcbeb8aULL, 0x485748b19ac0c7f5ULL,
+    0xb51fea173cf73587ULL, 0x6f8f6ecf85a194d6ULL};
+constexpr Pinned kTruncatedV2Digests = {
+    0xc8b29a78765ffd3dULL, 0xad16b0ad4d8b5e13ULL,
+    0x1fee60e2931fadb5ULL, 0xbece595924c6372cULL,
+    0x8ae230d036f9eaeeULL, 0x32293af4380f66a7ULL,
+    0x43e0ebe3f712fb2dULL, 0xb9c2d035c15454ecULL};
+constexpr Pinned kMutatedBgp4mpDigests = {
+    0x250b56b0386277cdULL, 0x70d9efd4ea50581bULL,
+    0xf6c83b4e6660eb56ULL, 0x9ec94b04bb231119ULL,
+    0x9dbfef04231c91d5ULL, 0xa94fe08f61850836ULL,
+    0x7c8d7ab7a72e49f7ULL, 0x6a5072eba8a435d0ULL};
+constexpr Pinned kMutatedV1Digests = {
+    0xb308fd77b632b05fULL, 0xc15f8054e9518cf9ULL,
+    0xcc181f620b9ebdddULL, 0x47617e503b04b2caULL,
+    0xe16701337b917960ULL, 0xcfb08586ad2fc2abULL,
+    0x568638855788ce7fULL, 0xa66483111e6e8155ULL};
+
+void expect_pinned(const Pinned& pinned, std::uint64_t seed, const Digest& digest) {
+  ASSERT_GE(seed, 1u);
+  ASSERT_LE(seed, pinned.size());
+  EXPECT_EQ(digest.value(), pinned[seed - 1])
+      << "seed " << seed << " digest 0x" << std::hex << digest.value();
+}
 
 std::string wellformed_v2_bytes() {
   const auto truth = topogen::generate(topogen::GenParams::preset("tiny"));
@@ -32,43 +180,42 @@ class MrtFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MrtFuzz, MutatedV2EitherParsesOrThrows) {
   static const std::string base = wellformed_v2_bytes();
   util::Rng rng(GetParam());
+  Digest digest;
   for (int round = 0; round < 50; ++round) {
     std::string bytes = base;
     const std::size_t flips = 1 + rng.uniform(8);
     for (std::size_t f = 0; f < flips; ++f) {
       bytes[rng.uniform(bytes.size())] ^= static_cast<char>(1 + rng.uniform(255));
     }
-    std::stringstream stream(bytes);
-    try {
-      const auto dump = read_table_dump_v2(stream);
+    fold_outcome(digest, bytes, [](std::istream& stream) {
+      auto dump = read_table_dump_v2(stream);
       // Parsed despite mutation: structure must still be sane.
       for (const auto& entry : dump.rib) {
         for (const auto& route : entry.routes) {
           EXPECT_LE(route.peer_index, 0xffff);
         }
       }
-    } catch (const DecodeError&) {
-      // acceptable
-    } catch (const std::length_error&) {
-      // allocation guard on absurd declared lengths: acceptable
-    } catch (const std::bad_alloc&) {
-      // mutated length field demanded a huge buffer: acceptable
-    }
+      return dump;
+    });
   }
+  expect_pinned(kMutatedV2Digests, GetParam(), digest);
 }
 
 TEST_P(MrtFuzz, TruncatedV2EitherParsesOrThrows) {
   static const std::string base = wellformed_v2_bytes();
   util::Rng rng(GetParam() + 1000);
+  Digest digest;
   for (int round = 0; round < 50; ++round) {
-    std::string bytes = base.substr(0, rng.uniform(base.size()));
+    const std::string bytes = base.substr(0, rng.uniform(base.size()));
     std::stringstream stream(bytes);
     try {
-      (void)read_table_dump_v2(stream);
-    } catch (const DecodeError&) {
-      // acceptable
+      digest.add(0);
+      digest.add(read_table_dump_v2(stream));
+    } catch (const DecodeError& error) {
+      digest.fail(1, error);
     }
   }
+  expect_pinned(kTruncatedV2Digests, GetParam(), digest);
 }
 
 TEST_P(MrtFuzz, MutatedBgp4mpEitherParsesOrThrows) {
@@ -86,19 +233,15 @@ TEST_P(MrtFuzz, MutatedBgp4mpEitherParsesOrThrows) {
   const std::string base = base_stream.str();
 
   util::Rng rng(GetParam() + 2000);
+  Digest digest;
   for (int round = 0; round < 50; ++round) {
     std::string bytes = base;
     for (std::size_t f = 0; f < 1 + rng.uniform(8); ++f) {
       bytes[rng.uniform(bytes.size())] ^= static_cast<char>(1 + rng.uniform(255));
     }
-    std::stringstream stream(bytes);
-    try {
-      (void)read_updates(stream);
-    } catch (const DecodeError&) {
-    } catch (const std::length_error&) {
-    } catch (const std::bad_alloc&) {
-    }
+    fold_outcome(digest, bytes, [](std::istream& stream) { return read_updates(stream); });
   }
+  expect_pinned(kMutatedBgp4mpDigests, GetParam(), digest);
 }
 
 TEST_P(MrtFuzz, MutatedV1EitherParsesOrThrows) {
@@ -114,19 +257,15 @@ TEST_P(MrtFuzz, MutatedV1EitherParsesOrThrows) {
   const std::string base = base_stream.str();
 
   util::Rng rng(GetParam() + 3000);
+  Digest digest;
   for (int round = 0; round < 50; ++round) {
     std::string bytes = base;
     for (std::size_t f = 0; f < 1 + rng.uniform(8); ++f) {
       bytes[rng.uniform(bytes.size())] ^= static_cast<char>(1 + rng.uniform(255));
     }
-    std::stringstream stream(bytes);
-    try {
-      (void)read_table_dump_v1(stream);
-    } catch (const DecodeError&) {
-    } catch (const std::length_error&) {
-    } catch (const std::bad_alloc&) {
-    }
+    fold_outcome(digest, bytes, [](std::istream& stream) { return read_table_dump_v1(stream); });
   }
+  expect_pinned(kMutatedV1Digests, GetParam(), digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MrtFuzz, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
