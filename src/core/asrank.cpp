@@ -1,8 +1,6 @@
 #include "core/asrank.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/cones.h"
 
@@ -10,6 +8,7 @@
 #include "obs/timer.h"
 #include "topology/interner.h"
 #include "topology/topology_view.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace asrank::core {
@@ -52,8 +51,14 @@ struct LinkState {
 /// path's span.  The link table is a sorted vector of packed (lo, hi) id
 /// pairs with a parallel LinkState array, and per-hop link indices sit
 /// parallel to the arena's hop buffer, so the vote and fixpoint inner loops
-/// never hash and never binary-search.  Interner ids ascend with ASN, so id
-/// comparisons and tie-breaks equal the ASN-based ones.
+/// never hash and never binary-search.  It is built in one walk over the
+/// surviving paths: each hop's packed pair is deduplicated through a
+/// util::HashIndex (sized by the degree tally's distinct-pair count, so it
+/// stays cache-resident) and the hop gets its link's first-seen id; then
+/// only the distinct keys are sorted and the per-hop ids renumbered to
+/// sorted order.  Interner ids ascend with ASN, so id comparisons and
+/// tie-breaks equal the ASN-based ones.  The arena and the survivor list
+/// move into the result, which materializes the sanitized corpus on demand.
 class Pipeline {
  public:
   Pipeline(const InferenceConfig& config, const PathCorpus& raw)
@@ -61,7 +66,11 @@ class Pipeline {
     run(raw);
   }
 
-  InferenceResult take() { return std::move(result_); }
+  InferenceResult take() {
+    result_.arena = std::move(arena_);
+    result_.survivors = std::move(survivors_);
+    return std::move(result_);
+  }
 
  private:
   void run(const PathCorpus& raw);
@@ -160,16 +169,17 @@ void Pipeline::run(const PathCorpus& raw) {
   }
 
   // Step 5, then register every observed link and transit AS of the
-  // surviving paths.
-  detect_partial_vps();
-  index_paths_and_links();
-
-  // Clique-internal links are p2p by assumption A1.
-  for (std::size_t i = 0; i < result_.clique.size(); ++i) {
-    for (std::size_t j = i + 1; j < result_.clique.size(); ++j) {
-      const std::uint32_t link = link_index(interner().id_of(result_.clique[i]),
-                                            interner().id_of(result_.clique[j]));
-      if (link != kNoLink) link_state_[link].kind = LinkState::Kind::kP2pFixed;
+  // surviving paths.  Clique-internal links are p2p by assumption A1.
+  {
+    obs::StageTimer timer("link_table");
+    detect_partial_vps();
+    index_paths_and_links();
+    for (std::size_t i = 0; i < result_.clique.size(); ++i) {
+      for (std::size_t j = i + 1; j < result_.clique.size(); ++j) {
+        const std::uint32_t link = link_index(interner().id_of(result_.clique[i]),
+                                              interner().id_of(result_.clique[j]));
+        if (link != kNoLink) link_state_[link].kind = LinkState::Kind::kP2pFixed;
+      }
     }
   }
 
@@ -183,9 +193,12 @@ void Pipeline::run(const PathCorpus& raw) {
     obs::StageTimer timer("valley_fixpoint");
     triplet_fixpoint();
   }
-  if (config_.provider_less_repair) repair_provider_less();
-  if (config_.stub_clique_pass) stub_clique_pass();
-  enforce_transit_free_clique();
+  {
+    obs::StageTimer timer("repairs");
+    if (config_.provider_less_repair) repair_provider_less();
+    if (config_.stub_clique_pass) stub_clique_pass();
+    enforce_transit_free_clique();
+  }
   {
     obs::StageTimer timer("finalize");
     finalize_graph();
@@ -219,13 +232,12 @@ void Pipeline::discard_poisoned() {
     });
   }
   const auto records = arena_.records();
-  result_.sanitized.reserve(records.size());
+  survivors_.reserve(records.size());
   for (std::size_t r = 0; r < records.size(); ++r) {
     if (poisoned[records[r].path]) {
       ++result_.audit.poisoned_discarded;
     } else {
       survivors_.push_back(static_cast<std::uint32_t>(r));
-      result_.sanitized.add(records[r].vp, records[r].prefix, arena_.as_path(records[r].path));
     }
   }
 }
@@ -245,30 +257,40 @@ void Pipeline::index_paths_and_links() {
     if (std::find(hops.begin(), hops.end(), kNoNode) != hops.end()) weight_[p] = {0, 0};
   }
 
-  // Link table: sorted unique packed pairs over all adjacent hops.
+  // Link table: deduplicate the packed hop pairs in one walk, giving each
+  // hop its link's first-seen id.  Observed links are distinct pairs of the
+  // degree tally plus, when the sanitizer leaves prepending uncompressed, at
+  // most one self-pair per node; that bounds the index.
   transit_bits_.assign(interner().size(), false);
+  link_of_hop_.assign(arena_.hop_count(), kNoLink);
+  std::vector<std::uint64_t> first_seen;
+  util::HashIndex index(result_.degrees.adjacency().pair_count() + interner().size());
   for (std::size_t p = 0; p < path_count; ++p) {
     if (!places_links(p)) continue;
     const auto hops = arena_.path(p);
-    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      link_keys_.push_back(pack(hops[i], hops[i + 1]));
-      if (i > 0) transit_bits_[hops[i]] = true;
+    for (std::size_t i = 1; i < hops.size(); ++i) {
+      const std::uint64_t key = pack(hops[i - 1], hops[i]);
+      const auto fresh = static_cast<std::uint32_t>(first_seen.size());
+      const std::uint32_t link = index.find_or_insert(
+          util::splitmix64(key), fresh, [&](std::uint32_t k) { return first_seen[k] == key; });
+      if (link == fresh) first_seen.push_back(key);
+      link_of_hop_[arena_.offset(p) + i] = link;
+      if (i + 1 < hops.size()) transit_bits_[hops[i]] = true;
     }
   }
-  std::sort(link_keys_.begin(), link_keys_.end());
-  link_keys_.erase(std::unique(link_keys_.begin(), link_keys_.end()), link_keys_.end());
-  link_state_.assign(link_keys_.size(), LinkState{});
 
-  // Per-hop link indices: the vote and fixpoint loops walk these flat
-  // arrays with zero lookups.
-  link_of_hop_.assign(arena_.hop_count(), kNoLink);
-  pool_.for_each_index(path_count, [&](std::size_t p) {
-    if (!places_links(p)) return;
-    const auto hops = arena_.path(p);
-    for (std::size_t i = 1; i < hops.size(); ++i) {
-      link_of_hop_[arena_.offset(p) + i] = link_index(hops[i - 1], hops[i]);
-    }
-  });
+  // Sort the distinct keys and renumber the per-hop ids to sorted order, so
+  // the vote and fixpoint loops walk these flat arrays with zero lookups.
+  link_keys_ = first_seen;
+  std::sort(link_keys_.begin(), link_keys_.end());
+  link_state_.assign(link_keys_.size(), LinkState{});
+  std::vector<std::uint32_t> sorted_id(first_seen.size());
+  for (std::size_t k = 0; k < first_seen.size(); ++k) {
+    sorted_id[k] = link_index(lo_of(first_seen[k]), hi_of(first_seen[k]));
+  }
+  for (std::uint32_t& link : link_of_hop_) {
+    if (link != kNoLink) link = sorted_id[link];
+  }
   for (std::size_t p = 0; p < path_count; ++p) {
     const std::uint32_t records = weight_[p].first + weight_[p].second;
     for (const std::uint32_t link : links_of(p)) {
@@ -280,22 +302,37 @@ void Pipeline::index_paths_and_links() {
 void Pipeline::detect_partial_vps() {
   const auto records = arena_.records();
   rec_partial_.assign(survivors_.size(), 0);
-  if (config_.partial_vp_threshold <= 0.0) return;
-  std::unordered_map<Asn, std::size_t> table_sizes;
-  for (const std::uint32_t row : survivors_) ++table_sizes[records[row].vp];
-  std::size_t max_size = 0;
-  for (const auto& [vp, size] : table_sizes) max_size = std::max(max_size, size);
-  std::unordered_set<Asn> partial;
-  for (const auto& [vp, size] : table_sizes) {
-    if (static_cast<double>(size) <
-        config_.partial_vp_threshold * static_cast<double>(max_size)) {
-      partial.insert(vp);
+  if (config_.partial_vp_threshold <= 0.0 || survivors_.empty()) return;
+  // Sort the few distinct VPs once; each survivor then tallies into its
+  // VP's position.  Runs of one VP skip the search.
+  std::vector<Asn> vps;
+  const auto position = [&](Asn vp, std::size_t hint) {
+    if (hint < vps.size() && vps[hint] == vp) return hint;
+    return static_cast<std::size_t>(std::lower_bound(vps.begin(), vps.end(), vp) - vps.begin());
+  };
+  std::size_t last = 0;
+  for (const std::uint32_t row : survivors_) {
+    const Asn vp = records[row].vp;
+    last = position(vp, last);
+    if (last == vps.size() || vps[last] != vp) {
+      vps.insert(vps.begin() + static_cast<std::ptrdiff_t>(last), vp);
     }
   }
+  std::vector<std::uint32_t> vp_of(survivors_.size());
+  std::vector<std::size_t> table_size(vps.size(), 0);
   for (std::size_t r = 0; r < survivors_.size(); ++r) {
-    rec_partial_[r] = partial.contains(records[survivors_[r]].vp);
+    last = vp_of[r] = static_cast<std::uint32_t>(position(records[survivors_[r]].vp, last));
+    ++table_size[last];
   }
-  result_.audit.partial_vps = partial.size();
+  const std::size_t max_size = *std::max_element(table_size.begin(), table_size.end());
+  std::vector<std::uint8_t> partial(vps.size(), 0);
+  for (std::size_t v = 0; v < vps.size(); ++v) {
+    partial[v] = static_cast<double>(table_size[v]) <
+                 config_.partial_vp_threshold * static_cast<double>(max_size);
+  }
+  for (std::size_t r = 0; r < survivors_.size(); ++r) rec_partial_[r] = partial[vp_of[r]];
+  result_.audit.partial_vps =
+      static_cast<std::size_t>(std::count(partial.begin(), partial.end(), 1));
 }
 
 void Pipeline::vote_on_paths() {
@@ -667,6 +704,16 @@ void Pipeline::repair_cycles() {
 }
 
 }  // namespace
+
+paths::PathCorpus InferenceResult::sanitized() const {
+  const auto records = arena.records();
+  paths::PathCorpus corpus;
+  corpus.reserve(survivors.size());
+  for (const std::uint32_t r : survivors) {
+    corpus.add(records[r].vp, records[r].prefix, arena.as_path(records[r].path));
+  }
+  return corpus;
+}
 
 InferenceResult AsRankInference::run(const paths::PathCorpus& raw) const {
   Pipeline pipeline(config_, raw);

@@ -42,11 +42,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "algo/algorithm.h"
 #include "core/clique.h"
 #include "core/degrees.h"
+#include "paths/arena.h"
 #include "paths/corpus.h"
 #include "paths/sanitizer.h"
 #include "topology/as_graph.h"
@@ -57,9 +59,9 @@ struct InferenceConfig {
   paths::SanitizerConfig sanitizer;
   CliqueConfig clique;
 
-  /// Worker threads for the data-parallel stages (degree-tally row sorts,
-  /// poisoned-path scan, link indexing, positional voting), each split over
-  /// the arena's distinct paths or nodes.  0 = all hardware threads; 1 runs
+  /// Worker threads for the data-parallel stages (degree-tally rows,
+  /// poisoned-path scan, positional voting), each split over the arena's
+  /// distinct paths or nodes.  0 = all hardware threads; 1 runs
   /// everything inline on the calling thread.  Results are bit-identical at
   /// any count: parallel stages use static chunking with per-chunk local
   /// tallies and ordered merges (util::ThreadPool), and order-sensitive
@@ -117,11 +119,19 @@ struct StageAudit {
 };
 
 struct InferenceResult {
-  AsGraph graph;               ///< every observed link, annotated c2p/p2p
-  std::vector<Asn> clique;     ///< inferred tier-1 clique, sorted
-  Degrees degrees;             ///< ranking used by the pipeline
-  paths::PathCorpus sanitized; ///< post-step-4 corpus (input to cones)
+  AsGraph graph;            ///< every observed link, annotated c2p/p2p
+  std::vector<Asn> clique;  ///< inferred tier-1 clique, sorted
+  Degrees degrees;          ///< ranking used by the pipeline
   StageAudit audit;
+  paths::PathArena arena;   ///< step 1's sanitized distinct paths and records
+  /// Index into arena.records() of each record that survived step 4, in
+  /// record order.
+  std::vector<std::uint32_t> survivors;
+
+  /// The post-step-4 corpus (input to cones): one row per survivor, in
+  /// record order.  Built from the arena on every call, so callers that
+  /// read it more than once should keep the copy.
+  [[nodiscard]] paths::PathCorpus sanitized() const;
 };
 
 /// The paper's algorithm, registered natively in the algo:: registry (no

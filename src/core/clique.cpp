@@ -10,10 +10,6 @@ using topology::AsnInterner;
 using topology::kNoNode;
 using topology::NodeId;
 
-constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
-  return static_cast<std::uint64_t>(a) << 32 | b;
-}
-
 /// Bron–Kerbosch with pivoting over a dense index adjacency matrix.  Emits
 /// each maximal clique as a sorted list of vertex indices.
 void bron_kerbosch(const std::vector<std::vector<bool>>& adj, std::vector<std::size_t>& r,
@@ -94,58 +90,63 @@ std::vector<std::vector<NodeId>> seed_cliques(const ObservedAdjacency& adjacency
   return out;
 }
 
-/// Customer evidence relative to a candidate member set: an AS observed
-/// directly after two consecutive members (either path direction) must buy
-/// transit from a member — the member-member link is p2p, so the next link
-/// can only be p2c.  An AS *sandwiched between* two members must buy from at
-/// least one (two consecutive p2p links would violate valley-freeness);
-/// this also neutralizes path poisoning that inserts a victim between two
-/// tier-1s.  The sandwich rule applies to members themselves: a "member"
-/// seen between two genuine members is a customer that slipped in.
-///
-/// Returns per-node distinct-witness counts: evidence is recorded per
-/// distinct origin AS — a single origin poisoning its announcements
-/// (inserting a real tier-1 ASN) taints every path toward itself but no path
-/// toward anyone else, so callers can demand independent witnesses where
-/// robustness matters.  Counting runs over sorted (flagged, origin) id pairs
-/// from the arena's distinct paths (a repeated path adds no new witness); an
-/// AS0 origin is the kNoNode id, still one distinct witness.
-std::vector<std::uint32_t> customer_evidence(const paths::PathArena& arena,
-                                             const std::vector<NodeId>& members) {
+}  // namespace
+
+std::vector<std::uint32_t> detail::paths_by_origin(const paths::PathArena& arena) {
+  // Counting sort on the origin id; kNoNode (an AS0 origin) is bucket n.
+  const std::size_t n = arena.interner().size();
+  const auto bucket = [&](std::size_t p) -> std::size_t {
+    const NodeId origin = arena.path(p).back();
+    return origin == kNoNode ? n : origin;
+  };
+  std::vector<std::uint32_t> start(n + 2, 0);
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    if (arena.path(p).size() >= 3) ++start[bucket(p) + 1];
+  }
+  for (std::size_t b = 0; b <= n; ++b) start[b + 1] += start[b];
+  std::vector<std::uint32_t> out(start[n + 1]);
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    if (arena.path(p).size() >= 3) out[start[bucket(p)]++] = static_cast<std::uint32_t>(p);
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> detail::customer_evidence(const paths::PathArena& arena,
+                                                     std::span<const std::uint32_t> by_origin,
+                                                     std::span<const NodeId> members) {
   const std::size_t n = arena.interner().size();
   std::vector<bool> member(n, false);
   for (const NodeId m : members) member[m] = true;
   const auto in = [&](NodeId id) { return id != kNoNode && member[id]; };
 
-  std::vector<std::uint64_t> pairs;
-  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+  // Paths arrive grouped by origin, so a node counts one witness per group:
+  // counted[v] is the last group (numbered from 1) that counted v, 0 if none.
+  std::vector<std::uint32_t> witnesses(n, 0);
+  std::vector<std::uint32_t> counted(n, 0);
+  std::uint32_t group = 0;
+  NodeId group_origin = kNoNode;
+  const auto witness = [&](NodeId v) {
+    if (counted[v] == group) return;
+    counted[v] = group;
+    ++witnesses[v];
+  };
+  for (const std::uint32_t p : by_origin) {
     const auto ids = arena.path(p);
-    if (ids.size() < 3) continue;
-    const NodeId origin = ids.back();
+    if (group == 0 || ids.back() != group_origin) {
+      ++group;
+      group_origin = ids.back();
+    }
     for (std::size_t i = 0; i + 2 < ids.size(); ++i) {
       const bool first_in = in(ids[i]);
       const bool mid_in = in(ids[i + 1]);
       const bool last_in = in(ids[i + 2]);
-      if (first_in && mid_in && !last_in && ids[i + 2] != kNoNode) {
-        pairs.push_back(pack(ids[i + 2], origin));
-      }
-      if (mid_in && last_in && !first_in && ids[i] != kNoNode) {
-        pairs.push_back(pack(ids[i], origin));
-      }
-      if (first_in && last_in && ids[i + 1] != kNoNode) {
-        pairs.push_back(pack(ids[i + 1], origin));  // sandwich
-      }
+      if (first_in && mid_in && !last_in && ids[i + 2] != kNoNode) witness(ids[i + 2]);
+      if (mid_in && last_in && !first_in && ids[i] != kNoNode) witness(ids[i]);
+      if (first_in && last_in && ids[i + 1] != kNoNode) witness(ids[i + 1]);  // sandwich
     }
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  std::vector<std::uint32_t> witnesses(n, 0);
-  for (const std::uint64_t p : pairs) ++witnesses[p >> 32];
   return witnesses;
 }
-
-}  // namespace
 
 std::vector<std::vector<Asn>> maximal_cliques(const AdjacencySet& adjacency,
                                               const std::vector<Asn>& vertices) {
@@ -193,6 +194,10 @@ std::vector<Asn> infer_clique(const paths::PathArena& arena, const Degrees& degr
   // removing them from the seed and retrying.
   std::vector<bool> banned(n, false);
   std::vector<NodeId> best;
+  std::vector<std::uint32_t> evidence(n, 0);  // customer evidence against `best`
+  const std::vector<std::uint32_t> by_origin =
+      config.reject_customer_evidence ? detail::paths_by_origin(arena)
+                                      : std::vector<std::uint32_t>{};
   for (int iteration = 0; iteration < 8; ++iteration) {
     std::vector<NodeId> seed;
     for (std::size_t i = 0; i < ranked_ids.size() && seed.size() < seed_size; ++i) {
@@ -217,7 +222,7 @@ std::vector<Asn> infer_clique(const paths::PathArena& arena, const Degrees& degr
 
     // Ejecting an established member requires independent witnesses (a lone
     // poisoning origin must not be able to evict true tier-1s).
-    const auto evidence = customer_evidence(arena, best);
+    evidence = detail::customer_evidence(arena, by_origin, best);
     std::size_t ejected = 0;
     for (const NodeId member : best) {
       if (evidence[member] >= config.customer_evidence_min_origins) {
@@ -230,13 +235,11 @@ std::vector<Asn> infer_clique(const paths::PathArena& arena, const Degrees& degr
 
   // Admission of *new* candidates is cheap to deny, so any single witness
   // suffices to reject — which also keeps a poisoning origin's inserted ASN
-  // out of the clique.
+  // out of the clique.  Every exit from the loop above leaves `evidence`
+  // computed against the final `best` (all zero when the test is off).
   std::vector<bool> below = banned;
-  if (config.reject_customer_evidence) {
-    const auto evidence = customer_evidence(arena, best);
-    for (NodeId id = 0; id < n; ++id) {
-      if (evidence[id] > 0) below[id] = true;
-    }
+  for (NodeId id = 0; id < n; ++id) {
+    if (evidence[id] > 0) below[id] = true;
   }
 
   // Expansion: candidates are ASes adjacent to (almost) all current members

@@ -9,11 +9,14 @@
 // The inference runs on the dense NodeId space of the path arena the Degrees
 // were tallied over: observed adjacency is the tally's CSR
 // (Degrees::adjacency), membership and ban sets are bitmaps, and
-// customer-evidence witnesses are counted via sorted pair lists over the
-// arena's distinct paths — no hashing and no ASN lookups in the path loops.
+// customer-evidence witnesses are counted over the arena's distinct paths
+// bucketed by origin, one stamp per node — no hashing, no sorting and no
+// ASN lookups in the path loops.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -63,6 +66,38 @@ using AdjacencySet = std::unordered_map<Asn, std::unordered_set<Asn>>;
 /// (Bron–Kerbosch with pivoting).  Intended for small vertex sets.
 [[nodiscard]] std::vector<std::vector<Asn>> maximal_cliques(const AdjacencySet& adjacency,
                                                             const std::vector<Asn>& vertices);
+
+namespace detail {
+
+/// Ids of the arena's distinct paths of three or more hops (the only ones
+/// that can carry customer evidence), grouped by origin (last hop): a
+/// counting sort on the origin id, with kNoNode (an AS0 origin) as its own
+/// last bucket.  Within a bucket, ids ascend.
+[[nodiscard]] std::vector<std::uint32_t> paths_by_origin(const paths::PathArena& arena);
+
+/// Customer evidence relative to a candidate member set: an AS observed
+/// directly after two consecutive members (either path direction) must buy
+/// transit from a member — the member-member link is p2p, so the next link
+/// can only be p2c.  An AS *sandwiched between* two members must buy from at
+/// least one (two consecutive p2p links would violate valley-freeness);
+/// this also neutralizes path poisoning that inserts a victim between two
+/// tier-1s.  The sandwich rule applies to members themselves: a "member"
+/// seen between two genuine members is a customer that slipped in.
+///
+/// Returns per-node distinct-witness counts: evidence is recorded per
+/// distinct origin AS — a single origin poisoning its announcements
+/// (inserting a real tier-1 ASN) taints every path toward itself but no path
+/// toward anyone else, so callers can demand independent witnesses where
+/// robustness matters.  `by_origin` must be paths_by_origin(arena): each
+/// origin bucket is one witness, so a per-node stamp of the last bucket
+/// that counted it dedups (node, origin) pairs in one linear walk, and a
+/// repeated path adds no new witness.  An AS0 origin (kNoNode) is still
+/// one distinct witness.
+[[nodiscard]] std::vector<std::uint32_t> customer_evidence(
+    const paths::PathArena& arena, std::span<const std::uint32_t> by_origin,
+    std::span<const topology::NodeId> members);
+
+}  // namespace detail
 
 /// Infer the top clique.  Returns members sorted ascending.  `degrees` must
 /// be Degrees::compute(arena): the clique reuses its ranking and observed

@@ -1,6 +1,9 @@
 #include "core/degrees.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -28,6 +31,13 @@ void for_each_compressed(const paths::PathArena& arena, Fn&& fn) {
 
 }  // namespace
 
+void detail::require_tally_id_space(std::size_t ids) {
+  if (ids > kMaxTallyIds) {
+    throw std::length_error("Degrees::compute: " + std::to_string(ids) +
+                            " ASes; the tally holds at most 2^31 - 1");
+  }
+}
+
 bool ObservedAdjacency::adjacent(NodeId a, NodeId b) const noexcept {
   const auto row = neighbors(a);
   return std::binary_search(row.begin(), row.end(), b);
@@ -43,10 +53,13 @@ Degrees Degrees::compute(const paths::PathCorpus& corpus, std::size_t threads) {
 }
 
 Degrees Degrees::compute(const paths::PathArena& arena, std::size_t threads) {
-  Degrees degrees;
   const std::size_t n = arena.interner().size();
+  detail::require_tally_id_space(n);
+  Degrees degrees;
 
   // Bucket every observed pair, both directions, by node (counting sort).
+  // Entry = neighbour << 1 | interior, interior set when the row's node sits
+  // between two hops at that occurrence.
   std::vector<std::uint64_t> start(n + 1, 0);
   for_each_compressed(arena, [&](std::span<const NodeId> ids) {
     for (std::size_t i = 1; i < ids.size(); ++i) {
@@ -56,70 +69,63 @@ Degrees Degrees::compute(const paths::PathArena& arena, std::size_t threads) {
     }
   });
   for (std::size_t x = 0; x < n; ++x) start[x + 1] += start[x];
-  std::vector<NodeId> pairs(start[n]);
+  static_assert(std::is_same_v<NodeId, std::uint32_t>, "entries share the NodeId buffer");
+  std::vector<std::uint32_t> entries(start[n]);
   {
     std::vector<std::uint64_t> fill(start.begin(), start.end() - 1);
     for_each_compressed(arena, [&](std::span<const NodeId> ids) {
       for (std::size_t i = 1; i < ids.size(); ++i) {
         const NodeId a = ids[i - 1], b = ids[i];
         if (a == kNoNode || b == kNoNode) continue;
-        pairs[fill[a]++] = b;
-        pairs[fill[b]++] = a;
+        entries[fill[a]++] = b << 1 | static_cast<std::uint32_t>(i >= 2);
+        entries[fill[b]++] = a << 1 | static_cast<std::uint32_t>(i + 1 < ids.size());
       }
     });
   }
 
-  // Per row: drop repeats against a chunk-local stamp array, then sort the
-  // survivors in place.  Rows are independent, so any chunking gives the
-  // same rows.
+  // Per row: keep the first entry of each neighbour, OR-ing the interior
+  // flags of its repeats into it (slot[] is a sparse set: slot[y] is valid
+  // only if the row entry it points at is y's), then sort the survivors in
+  // place.  A row's set flags are its node's transit degree.  Rows are
+  // independent, so any chunking gives the same rows.
   std::vector<std::uint32_t> row_size(n, 0);
+  degrees.transit_deg_.assign(n, 0);
   util::ThreadPool pool(threads);
   pool.for_chunks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
-    std::vector<NodeId> stamp(n, kNoNode);
+    std::vector<std::uint32_t> slot(n, 0);
     for (std::size_t x = begin; x < end; ++x) {
-      std::uint64_t out = start[x];
-      for (std::uint64_t k = start[x]; k < start[x + 1]; ++k) {
-        const NodeId y = pairs[k];
-        if (stamp[y] == x) continue;
-        stamp[y] = static_cast<NodeId>(x);
-        pairs[out++] = y;
+      const auto row = entries.begin() + static_cast<std::ptrdiff_t>(start[x]);
+      const std::uint64_t length = start[x + 1] - start[x];
+      std::uint32_t kept = 0;
+      for (std::uint64_t k = 0; k < length; ++k) {
+        const std::uint32_t entry = row[k];
+        const std::uint32_t at = slot[entry >> 1];
+        if (at < kept && (row[at] >> 1) == (entry >> 1)) {
+          row[at] |= entry & 1;
+        } else {
+          slot[entry >> 1] = kept;
+          row[kept++] = entry;
+        }
       }
-      std::sort(pairs.begin() + static_cast<std::ptrdiff_t>(start[x]),
-                pairs.begin() + static_cast<std::ptrdiff_t>(out));
-      row_size[x] = static_cast<std::uint32_t>(out - start[x]);
+      std::sort(row, row + kept);
+      row_size[x] = kept;
+      degrees.transit_deg_[x] = static_cast<std::uint32_t>(
+          std::count_if(row, row + kept, [](std::uint32_t e) { return (e & 1) != 0; }));
     }
   });
 
+  // Compact the rows to the front, entries becoming plain neighbour ids.
   std::vector<std::uint64_t> offsets(n + 1, 0);
   for (std::size_t x = 0; x < n; ++x) {
-    std::copy_n(pairs.begin() + static_cast<std::ptrdiff_t>(start[x]), row_size[x],
-                pairs.begin() + static_cast<std::ptrdiff_t>(offsets[x]));
+    for (std::uint32_t k = 0; k < row_size[x]; ++k) {
+      entries[offsets[x] + k] = entries[start[x] + k] >> 1;
+    }
     offsets[x + 1] = offsets[x] + row_size[x];
   }
-  pairs.resize(offsets[n]);
-  pairs.shrink_to_fit();
-
-  // Transit: flag each row entry seen beside its node at an interior hop.
-  std::vector<std::uint8_t> transit(pairs.size(), 0);
-  const auto flag = [&](NodeId x, NodeId y) {
-    if (y == kNoNode) return;
-    const auto row = pairs.begin() + static_cast<std::ptrdiff_t>(offsets[x]);
-    const auto row_end = pairs.begin() + static_cast<std::ptrdiff_t>(offsets[x + 1]);
-    transit[static_cast<std::size_t>(std::lower_bound(row, row_end, y) - pairs.begin())] = 1;
-  };
-  for_each_compressed(arena, [&](std::span<const NodeId> ids) {
-    for (std::size_t i = 1; i + 1 < ids.size(); ++i) {
-      if (ids[i] == kNoNode) continue;
-      flag(ids[i], ids[i - 1]);
-      flag(ids[i], ids[i + 1]);
-    }
-  });
-  degrees.transit_deg_.assign(n, 0);
-  for (std::size_t x = 0; x < n; ++x) {
-    for (std::uint64_t k = offsets[x]; k < offsets[x + 1]; ++k) degrees.transit_deg_[x] += transit[k];
-  }
+  entries.resize(offsets[n]);
+  entries.shrink_to_fit();
   degrees.node_deg_ = std::move(row_size);
-  degrees.adjacency_ = ObservedAdjacency(std::move(offsets), std::move(pairs));
+  degrees.adjacency_ = ObservedAdjacency(std::move(offsets), std::move(entries));
 
   // Rank every AS observed next to another (node degree > 0); ids ascend in
   // ASN order, so the id tie-break below *is* the lower-ASN tie-break.

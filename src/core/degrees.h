@@ -10,12 +10,15 @@
 // NodeId space; degrees count distinct neighbours, so duplicate records
 // add nothing and multiplicities are ignored.  Prepending runs are
 // collapsed on the fly and kNoNode (AS0) hops are skipped.  One pass
-// buckets every observed (node, neighbour) pair by node, a stamp array
-// drops repeats, and each row is sorted: the rows are the ObservedAdjacency
-// CSR and the row lengths are node degrees.  A second pass flags the row
-// entries seen beside the node at an interior position; the flag counts are
-// transit degrees.  No hashing, no global sort, and the clique stage reuses
-// the adjacency instead of rebuilding it.
+// buckets every observed (node, neighbour) pair by node as a 32-bit entry
+// `neighbour << 1 | interior`, where interior says the node sat between
+// two hops at that occurrence.  Per row, a sparse-set dedup keeps one entry
+// per neighbour and ORs the interior flags of its repeats into it, and the
+// row is sorted: the rows are the ObservedAdjacency CSR, the row lengths
+// are node degrees and the set flags are transit degrees.  No hashing, no
+// global sort, no per-hop search, and the clique stage reuses the adjacency
+// instead of rebuilding it.  The 31-bit neighbour field caps the id space
+// at 2^31 - 1 ASes (detail::require_tally_id_space).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +32,17 @@
 #include "topology/interner.h"
 
 namespace asrank::core {
+
+namespace detail {
+
+/// Largest id space the degree tally accepts: entries keep a neighbour id
+/// in 31 bits.
+inline constexpr std::size_t kMaxTallyIds = (std::size_t{1} << 31) - 1;
+
+/// Throws std::length_error if `ids` exceeds kMaxTallyIds.
+void require_tally_id_space(std::size_t ids);
+
+}  // namespace detail
 
 /// Undirected adjacency restricted to links observed in paths, keyed by
 /// dense node id (CSR, rows sorted ascending).  Produced by the degree tally
@@ -49,6 +63,9 @@ class ObservedAdjacency {
   /// O(log deg) membership test on the sorted row.
   [[nodiscard]] bool adjacent(topology::NodeId a, topology::NodeId b) const noexcept;
 
+  /// Distinct undirected pairs (each is an entry in two rows).
+  [[nodiscard]] std::size_t pair_count() const noexcept { return neighbors_.size() / 2; }
+
  private:
   std::vector<std::uint64_t> offsets_{0};     // node_count + 1
   std::vector<topology::NodeId> neighbors_;   // rows sorted ascending
@@ -57,8 +74,9 @@ class ObservedAdjacency {
 class Degrees {
  public:
   /// Tally the distinct paths of `arena`; ids are the arena's interner ids.
-  /// `threads`: worker count for the per-row sorts (0 = all hardware
-  /// threads); results are identical at any count.
+  /// `threads`: worker count for the per-row dedup and sorts (0 = all
+  /// hardware threads); results are identical at any count.  Throws
+  /// std::length_error if the interner holds 2^31 or more ids.
   [[nodiscard]] static Degrees compute(const paths::PathArena& arena, std::size_t threads = 1);
 
   /// Same over a corpus that need not be sanitized: builds a compress-only

@@ -1,7 +1,6 @@
 #include "paths/arena.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/hash.h"
 
@@ -26,39 +25,6 @@ std::uint64_t hash_ids(std::span<const std::uint32_t> ids) noexcept {
   for (const std::uint32_t id : ids) h = mix(h, id);
   return h;
 }
-
-/// Open-addressing index from a well-mixed 64-bit hash to caller-owned entry
-/// ids; the caller decides equality, so entries are never copied into the
-/// table.  Sized once for at most `max_entries` entries (load <= 2/3).
-class HashIndex {
- public:
-  explicit HashIndex(std::size_t max_entries)
-      : slots_(std::bit_ceil(std::max<std::size_t>(16, max_entries + max_entries / 2 + 1))),
-        mask_(slots_.size() - 1) {}
-
-  /// The id of a stored entry `equal` accepts, or else `fresh`, now stored.
-  template <typename Equal>
-  std::uint32_t find_or_insert(std::uint64_t hash, std::uint32_t fresh, const Equal& equal) {
-    const auto tag = static_cast<std::uint32_t>(hash >> 32);
-    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
-      Slot& slot = slots_[i];
-      if (slot.id == kEmpty) {
-        slot = {tag, fresh};
-        return fresh;
-      }
-      if (slot.tag == tag && equal(slot.id)) return slot.id;
-    }
-  }
-
- private:
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
-  struct Slot {
-    std::uint32_t tag = 0;
-    std::uint32_t id = kEmpty;
-  };
-  std::vector<Slot> slots_;
-  std::size_t mask_;
-};
 
 /// ASN -> dense first-seen id, open addressing with doubling.  Interning
 /// through it touches each distinct ASN once, instead of sorting every hop.
@@ -121,7 +87,7 @@ PathArena PathArena::build(const PathCorpus& input, const SanitizerConfig& confi
   std::vector<Asn> raw_flat;
   std::vector<std::uint32_t> raw_offsets{0};
   {
-    HashIndex raw_index(records.size());
+    util::HashIndex raw_index(records.size());
     for (std::size_t r = 0; r < records.size(); ++r) {
       const auto raw = records[r].path.hops();
       const auto fresh = static_cast<std::uint32_t>(raw_offsets.size() - 1);
@@ -143,7 +109,7 @@ PathArena PathArena::build(const PathCorpus& input, const SanitizerConfig& confi
   std::vector<std::uint32_t> flat;  // distinct sanitized paths, first-seen ids
   std::vector<Asn> hops;
   std::vector<std::uint32_t> ids;
-  HashIndex path_index(raw_offsets.size() - 1);
+  util::HashIndex path_index(raw_offsets.size() - 1);
 
   std::vector<RawOutcome> raw_outcomes(raw_offsets.size() - 1);
   for (std::size_t k = 0; k < raw_outcomes.size(); ++k) {
@@ -189,7 +155,7 @@ PathArena PathArena::build(const PathCorpus& input, const SanitizerConfig& confi
   }
 
   // Pass 3: every record inherits its raw path's counters and fate.
-  HashIndex record_index(config.dedup ? records.size() : 0);
+  util::HashIndex record_index(config.dedup ? records.size() : 0);
   arena.records_.reserve(records.size());
   for (std::size_t r = 0; r < records.size(); ++r) {
     const PathRecord& record = records[r];

@@ -1,16 +1,22 @@
-// Header-only non-cryptographic hashing used by the serving cluster layer:
-// splitmix64 for integer keys (ASN -> shard slot), FNV-1a for byte strings
-// (endpoint labels), and a two-input mixer for rendezvous (highest random
-// weight) ranking of (slot, endpoint) pairs.
+// Header-only non-cryptographic hashing: splitmix64 for integer keys (ASN
+// -> shard slot, packed link keys, path hashes), FNV-1a for byte strings
+// (endpoint labels), a two-input mixer for rendezvous (highest random
+// weight) ranking of (slot, endpoint) pairs, and HashIndex, the fixed-size
+// open-addressing table the path arena and the inference link table
+// deduplicate through.
 //
-// These are stable across platforms and process restarts by construction —
-// every ClusterClient must route a given ASN to the same slot and rank the
-// same replica list, so std::hash (which may be salted / implementation
-// defined) is not usable here.
+// The hashes are stable across platforms and process restarts by
+// construction — every ClusterClient must route a given ASN to the same slot
+// and rank the same replica list, so std::hash (which may be salted /
+// implementation defined) is not usable here.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace asrank::util {
 
@@ -39,5 +45,39 @@ namespace asrank::util {
                                             std::uint64_t b) noexcept {
   return splitmix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
+
+/// Open-addressing index from a well-mixed 64-bit hash to caller-owned entry
+/// ids; the caller decides equality, so entries are never copied into the
+/// table.  Sized once for at most `max_entries` entries (load <= 2/3);
+/// inserting more is a caller bug (the probe loop would never end).
+class HashIndex {
+ public:
+  explicit HashIndex(std::size_t max_entries)
+      : slots_(std::bit_ceil(std::max<std::size_t>(16, max_entries + max_entries / 2 + 1))),
+        mask_(slots_.size() - 1) {}
+
+  /// The id of a stored entry `equal` accepts, or else `fresh`, now stored.
+  template <typename Equal>
+  std::uint32_t find_or_insert(std::uint64_t hash, std::uint32_t fresh, const Equal& equal) {
+    const auto tag = static_cast<std::uint32_t>(hash >> 32);
+    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.id == kEmpty) {
+        slot = {tag, fresh};
+        return fresh;
+      }
+      if (slot.tag == tag && equal(slot.id)) return slot.id;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t id = kEmpty;
+  };
+  std::vector<Slot> slots_;
+  std::size_t mask_;
+};
 
 }  // namespace asrank::util

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <tuple>
+
 #include "core/asrank.h"
 #include "core/clique.h"
 #include "core/cones.h"
@@ -16,6 +22,111 @@ paths::PathRecord rec(std::uint32_t vp, std::uint32_t prefix_id,
 
 paths::PathArena arena_of(const paths::PathCorpus& corpus) {
   return paths::PathArena::build(corpus, paths::SanitizerConfig{});
+}
+
+using topology::kNoNode;
+using topology::NodeId;
+
+/// Seeded random corpus over ASNs 1..`ases` plus AS0: paths of 1 to 7 hops
+/// with prepending runs.
+paths::PathCorpus random_corpus(std::uint64_t seed, std::size_t records, std::uint32_t ases) {
+  std::mt19937_64 rng(seed);
+  paths::PathCorpus corpus;
+  for (std::size_t r = 0; r < records; ++r) {
+    const std::size_t length = 1 + rng() % 7;
+    std::vector<Asn> hops;
+    while (hops.size() < length) {
+      if (!hops.empty() && rng() % 4 == 0) {
+        hops.push_back(hops.back());  // prepending
+      } else if (rng() % 16 == 0) {
+        hops.push_back(Asn(0));
+      } else {
+        hops.push_back(Asn(1 + static_cast<std::uint32_t>(rng() % ases)));
+      }
+    }
+    corpus.add(Asn(1 + static_cast<std::uint32_t>(rng() % ases)),
+               Prefix::v4(static_cast<std::uint32_t>(r) << 8, 24), AsPath(hops));
+  }
+  return corpus;
+}
+
+/// Strips, compresses and discards nothing: the arena keeps prepending
+/// runs, loops and AS0 hops (as kNoNode).
+paths::SanitizerConfig permissive_sanitizer() {
+  paths::SanitizerConfig config;
+  config.strip_ixp_asns = false;
+  config.strip_reserved_asns = false;
+  config.compress_prepending = false;
+  config.discard_loops = false;
+  config.discard_reserved = false;
+  config.dedup = false;
+  return config;
+}
+
+/// Degree tally by definition, over std::set: adjacency is every pair of
+/// consecutive non-AS0 hops after collapsing prepending; a node's transit
+/// neighbours are those seen beside it while it sits between two hops.
+struct ReferenceDegrees {
+  std::vector<std::set<NodeId>> adjacent;
+  std::vector<std::set<NodeId>> transit;
+};
+
+ReferenceDegrees reference_degrees(const paths::PathArena& arena) {
+  const std::size_t n = arena.interner().size();
+  ReferenceDegrees ref{std::vector<std::set<NodeId>>(n), std::vector<std::set<NodeId>>(n)};
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    std::vector<NodeId> ids;
+    for (const NodeId id : arena.path(p)) {
+      if (ids.empty() || ids.back() != id) ids.push_back(id);
+    }
+    for (std::size_t i = 1; i < ids.size(); ++i) {
+      if (ids[i - 1] == kNoNode || ids[i] == kNoNode) continue;
+      ref.adjacent[ids[i - 1]].insert(ids[i]);
+      ref.adjacent[ids[i]].insert(ids[i - 1]);
+    }
+    for (std::size_t i = 1; i + 1 < ids.size(); ++i) {
+      if (ids[i] == kNoNode) continue;
+      for (const NodeId y : {ids[i - 1], ids[i + 1]}) {
+        if (y != kNoNode) ref.transit[ids[i]].insert(y);
+      }
+    }
+  }
+  return ref;
+}
+
+/// Customer-evidence witness counts the way the clique stage used to count
+/// them: collect every (flagged node, origin) pair, sort, unique, tally.
+std::vector<std::uint32_t> sorted_pair_evidence(const paths::PathArena& arena,
+                                                const std::vector<NodeId>& members) {
+  const std::size_t n = arena.interner().size();
+  std::vector<bool> member(n, false);
+  for (const NodeId m : members) member[m] = true;
+  const auto in = [&](NodeId id) { return id != kNoNode && member[id]; };
+  std::vector<std::uint64_t> pairs;
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    const auto ids = arena.path(p);
+    if (ids.size() < 3) continue;
+    const std::uint64_t origin = ids.back();
+    for (std::size_t i = 0; i + 2 < ids.size(); ++i) {
+      const bool first_in = in(ids[i]);
+      const bool mid_in = in(ids[i + 1]);
+      const bool last_in = in(ids[i + 2]);
+      if (first_in && mid_in && !last_in && ids[i + 2] != kNoNode) {
+        pairs.push_back(std::uint64_t{ids[i + 2]} << 32 | origin);
+      }
+      if (mid_in && last_in && !first_in && ids[i] != kNoNode) {
+        pairs.push_back(std::uint64_t{ids[i]} << 32 | origin);
+      }
+      if (first_in && last_in && ids[i + 1] != kNoNode) {
+        pairs.push_back(std::uint64_t{ids[i + 1]} << 32 | origin);
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::vector<std::uint32_t> witnesses(n, 0);
+  for (const std::uint64_t pair : pairs) ++witnesses[pair >> 32];
+  return witnesses;
 }
 
 // ------------------------------------------------------------- degrees ----
@@ -55,6 +166,52 @@ TEST(Degrees, RankingOrderAndTies) {
   EXPECT_LT(degrees.rank_of(Asn(3)), degrees.rank_of(Asn(4)));  // ASN tiebreak
   // Unknown AS ranks past the end.
   EXPECT_EQ(degrees.rank_of(Asn(999)), degrees.ranked().size());
+}
+
+TEST(Degrees, MatchesSetReferenceOnRandomArenas) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
+    const auto arena =
+        paths::PathArena::build(random_corpus(seed, 600, 40 + 20 * seed), permissive_sanitizer());
+    ASSERT_GT(arena.path_count(), 0u);
+    const ReferenceDegrees ref = reference_degrees(arena);
+    const std::size_t n = arena.interner().size();
+
+    // The ranking by definition: transit desc, node degree desc, ASN asc,
+    // over ASes with at least one neighbour.
+    std::vector<NodeId> order;
+    for (NodeId id = 0; id < n; ++id) {
+      if (!ref.adjacent[id].empty()) order.push_back(id);
+    }
+    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return std::tuple(ref.transit[b].size(), ref.adjacent[b].size(), a) <
+             std::tuple(ref.transit[a].size(), ref.adjacent[a].size(), b);
+    });
+    std::vector<Asn> ranked;
+    for (const NodeId id : order) ranked.push_back(arena.interner().asn_of(id));
+
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      const auto degrees = Degrees::compute(arena, threads);
+      std::size_t transit_total = 0;
+      for (NodeId id = 0; id < n; ++id) {
+        const auto row = degrees.adjacency().neighbors(id);
+        EXPECT_TRUE(std::equal(row.begin(), row.end(), ref.adjacent[id].begin(),
+                               ref.adjacent[id].end()))
+            << "seed " << seed << " threads " << threads << " id " << id;
+        EXPECT_EQ(degrees.node_degree(id), ref.adjacent[id].size()) << "seed " << seed;
+        EXPECT_EQ(degrees.transit_degree(id), ref.transit[id].size()) << "seed " << seed;
+        transit_total += ref.transit[id].size();
+      }
+      EXPECT_GT(transit_total, 0u);
+      EXPECT_EQ(degrees.ranked(), ranked) << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
+TEST(Degrees, RejectsIdSpacesTooWideForTheTallyEntry) {
+  EXPECT_NO_THROW(detail::require_tally_id_space(0));
+  EXPECT_NO_THROW(detail::require_tally_id_space(detail::kMaxTallyIds));
+  EXPECT_THROW(detail::require_tally_id_space(std::size_t{1} << 31), std::length_error);
+  EXPECT_THROW(detail::require_tally_id_space(std::size_t{1} << 32), std::length_error);
 }
 
 // -------------------------------------------------------------- clique ----
@@ -122,6 +279,49 @@ TEST(Clique, CustomerEvidenceBlocksBigCustomer) {
   config.max_missing_links = 3;  // adjacency tolerance alone could admit 40
   const auto clique = infer_clique(arena, degrees, config);
   EXPECT_EQ(std::count(clique.begin(), clique.end(), Asn(40)), 0);
+}
+
+TEST(Clique, OriginBucketsGroupEveryLongPathOnce) {
+  const auto arena = paths::PathArena::build(random_corpus(11, 500, 30), permissive_sanitizer());
+  const auto by_origin = detail::paths_by_origin(arena);
+  std::vector<std::uint32_t> expected;
+  for (std::size_t p = 0; p < arena.path_count(); ++p) {
+    if (arena.path(p).size() >= 3) expected.push_back(static_cast<std::uint32_t>(p));
+  }
+  std::vector<std::uint32_t> sorted(by_origin.begin(), by_origin.end());
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, expected);
+  // Origins ascend, kNoNode (AS0) last; ids ascend within an origin.
+  const auto key = [&](std::uint32_t p) {
+    const NodeId origin = arena.path(p).back();
+    return std::pair<std::uint64_t, std::uint32_t>(
+        origin == kNoNode ? arena.interner().size() : origin, p);
+  };
+  for (std::size_t i = 1; i < by_origin.size(); ++i) {
+    EXPECT_LT(key(by_origin[i - 1]), key(by_origin[i]));
+  }
+  EXPECT_EQ(arena.path(by_origin.back()).back(), kNoNode);
+}
+
+TEST(Clique, CustomerEvidenceMatchesSortedPairReference) {
+  std::size_t witnessed = 0;
+  for (const std::uint64_t seed : {21ULL, 22ULL, 23ULL, 24ULL}) {
+    const auto arena =
+        paths::PathArena::build(random_corpus(seed, 800, 25), permissive_sanitizer());
+    const auto by_origin = detail::paths_by_origin(arena);
+    std::mt19937_64 rng(seed);
+    for (int round = 0; round < 6; ++round) {
+      std::vector<NodeId> members;
+      for (NodeId id = 0; id < arena.interner().size(); ++id) {
+        if (rng() % 3 == 0) members.push_back(id);
+      }
+      const auto want = sorted_pair_evidence(arena, members);
+      EXPECT_EQ(detail::customer_evidence(arena, by_origin, members), want)
+          << "seed " << seed << " round " << round;
+      for (const std::uint32_t w : want) witnessed += w > 1;
+    }
+  }
+  EXPECT_GT(witnessed, 0u);  // multi-origin witnesses occur, so dedup is exercised
 }
 
 TEST(Clique, EmptyCorpusYieldsEmptyClique) {
@@ -222,7 +422,7 @@ TEST(Pipeline, KeptAs0HopsPlaceNoLinks) {
   config.sanitizer.discard_reserved = false;
   const auto result = AsRankInference(config).run(corpus);
   EXPECT_EQ(result.audit.sanitize.reserved_discarded, 0u);
-  EXPECT_EQ(result.sanitized.size(), hand_corpus().size() + 2);
+  EXPECT_EQ(result.sanitized().size(), hand_corpus().size() + 2);
   EXPECT_FALSE(result.graph.has_as(Asn(9)));
   EXPECT_EQ(result.graph.link_count(), hand_corpus().link_observations().size());
   EXPECT_EQ(result.clique, (std::vector<Asn>{Asn(1), Asn(2)}));
@@ -280,6 +480,50 @@ TEST(Pipeline, PartialVpPathsDescend) {
   EXPECT_GE(result.audit.partial_vps, 1u);
   EXPECT_EQ(result.graph.view(Asn(51), Asn(50)), RelView::kProvider);
   EXPECT_EQ(result.graph.view(Asn(52), Asn(51)), RelView::kProvider);
+}
+
+/// The post-step-4 corpus by definition: the sanitized records, in order,
+/// minus those whose clique hops are not one contiguous run.
+paths::PathCorpus reference_sanitized(const paths::PathCorpus& raw, const InferenceConfig& config,
+                                      const std::vector<Asn>& clique) {
+  const auto arena = paths::PathArena::build(raw, config.sanitizer);
+  paths::PathCorpus out;
+  for (const auto& record : arena.records()) {
+    const AsPath path = arena.as_path(record.path);
+    const auto hops = path.hops();
+    std::vector<std::size_t> at;
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      if (std::binary_search(clique.begin(), clique.end(), hops[i])) at.push_back(i);
+    }
+    const bool poisoned = config.discard_poisoned && !at.empty() &&
+                          at.back() - at.front() + 1 != at.size();
+    if (!poisoned) out.add(record.vp, record.prefix, path);
+  }
+  return out;
+}
+
+TEST(Pipeline, SanitizedReturnsSurvivingRecordsInOrder) {
+  auto corpus = hand_corpus();
+  corpus.add(rec(3, 902, {3, 1, 9, 2, 5}));  // poisoned (see DiscardsPoisonedPaths)
+  corpus.add(rec(5, 903, {5, 2, 9, 1, 3}));
+  corpus.add(rec(3, 904, {3, 1, 2, 1, 5}));  // loop
+  corpus.add(rec(3, 905, {3, 3, 1, 4}));     // prepending
+  corpus.add(rec(3, 905, {3, 1, 4}));        // duplicate once compressed
+  std::vector<std::pair<paths::PathCorpus, InferenceConfig>> cases;
+  cases.emplace_back(corpus, hand_config());
+  for (const std::uint64_t seed : {31ULL, 32ULL}) {
+    cases.emplace_back(random_corpus(seed, 500, 30), InferenceConfig{});
+  }
+  for (const auto& [raw, config] : cases) {
+    const auto result = AsRankInference(config).run(raw);
+    const auto sanitized = result.sanitized();
+    const auto want = reference_sanitized(raw, config, result.clique);
+    EXPECT_TRUE(std::equal(sanitized.records().begin(), sanitized.records().end(),
+                           want.records().begin(), want.records().end()));
+    EXPECT_EQ(sanitized.size() + result.audit.poisoned_discarded,
+              result.audit.sanitize.output_records);
+  }
+  EXPECT_EQ(AsRankInference(hand_config()).run(corpus).audit.poisoned_discarded, 2u);
 }
 
 TEST(Pipeline, StubCliqueHeuristic) {
@@ -492,8 +736,9 @@ TEST(Cones, ContainmentInvariant) {
   // recursive >= ppdc and recursive >= bgp-observed, member-wise.
   const auto result = run_hand();
   const auto recursive = recursive_cone(result.graph);
-  const auto ppdc = provider_peer_observed_cone(result.graph, result.sanitized);
-  const auto observed = bgp_observed_cone(result.graph, result.sanitized);
+  const auto sanitized = result.sanitized();
+  const auto ppdc = provider_peer_observed_cone(result.graph, sanitized);
+  const auto observed = bgp_observed_cone(result.graph, sanitized);
   for (const auto& [as, members] : recursive) {
     const auto& p = ppdc.at(as);
     const auto& o = observed.at(as);

@@ -211,7 +211,7 @@ PipelineOutput run_pipeline(std::size_t threads) {
   PipelineOutput out{core::AsRankInference(config).run(shared_corpus()), {}, {}, {}};
   out.recursive = core::recursive_cone(out.result.graph, threads);
   out.ppdc =
-      core::provider_peer_observed_cone(out.result.graph, out.result.sanitized, threads);
+      core::provider_peer_observed_cone(out.result.graph, out.result.sanitized(), threads);
   out.ranking = core::rank_by_cone(out.ppdc, out.result.degrees);
   return out;
 }
@@ -243,12 +243,13 @@ TEST(ParallelDeterminism, PipelineIsBitIdenticalAcrossThreadCounts) {
     // Stage audit: every counter describes the same computation.
     expect_audit_eq(parallel.result.audit, reference.result.audit, threads);
     expect_degrees_eq(parallel.result.degrees, reference.result.degrees, threads);
-    EXPECT_EQ(parallel.result.sanitized.records().size(),
-              reference.result.sanitized.records().size());
-    EXPECT_TRUE(std::equal(parallel.result.sanitized.records().begin(),
-                           parallel.result.sanitized.records().end(),
-                           reference.result.sanitized.records().begin(),
-                           reference.result.sanitized.records().end()))
+    const auto parallel_sanitized = parallel.result.sanitized();
+    const auto reference_sanitized = reference.result.sanitized();
+    EXPECT_EQ(parallel_sanitized.records().size(), reference_sanitized.records().size());
+    EXPECT_TRUE(std::equal(parallel_sanitized.records().begin(),
+                           parallel_sanitized.records().end(),
+                           reference_sanitized.records().begin(),
+                           reference_sanitized.records().end()))
         << threads << " threads";
   }
 }
@@ -393,14 +394,14 @@ TEST(ParallelDeterminism, ViewConeOverloadsMatchGraphOverloads) {
   const auto result = core::AsRankInference(config).run(shared_corpus());
   const auto view = result.graph.freeze();
   const auto recursive = core::recursive_cone(result.graph, 1);
-  const auto ppdc =
-      core::provider_peer_observed_cone(result.graph, result.sanitized, 1);
-  const auto observed = core::bgp_observed_cone(result.graph, result.sanitized, 1);
+  const auto sanitized = result.sanitized();
+  const auto ppdc = core::provider_peer_observed_cone(result.graph, sanitized, 1);
+  const auto observed = core::bgp_observed_cone(result.graph, sanitized, 1);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     EXPECT_EQ(core::recursive_cone(view, threads), recursive) << threads;
-    EXPECT_EQ(core::provider_peer_observed_cone(view, result.sanitized, threads), ppdc)
+    EXPECT_EQ(core::provider_peer_observed_cone(view, sanitized, threads), ppdc)
         << threads;
-    EXPECT_EQ(core::bgp_observed_cone(view, result.sanitized, threads), observed)
+    EXPECT_EQ(core::bgp_observed_cone(view, sanitized, threads), observed)
         << threads;
   }
 }

@@ -176,7 +176,7 @@ TEST(Properties, RecursiveConeDominatesObservedCones) {
   // recursive ⊇ BGP-observed, per AS, on the inferred graph with the real
   // (partial-visibility) corpus.
   for (const Sample& sample : samples()) {
-    const auto& corpus = sample.result.sanitized;
+    const auto corpus = sample.result.sanitized();
     const auto recursive = core::recursive_cone(sample.result.graph);
     const auto ppdc = core::provider_peer_observed_cone(sample.result.graph, corpus);
     const auto observed = core::bgp_observed_cone(sample.result.graph, corpus);
@@ -193,8 +193,9 @@ TEST(Properties, InternerRoundTripsAndPreservesOrder) {
   for (const Sample& sample : samples()) {
     // Build from the (unsorted, duplicated) corpus hop stream, as the
     // pipeline does.
+    const auto sanitized = sample.result.sanitized();
     std::vector<Asn> hops;
-    for (const auto& record : sample.result.sanitized.records()) {
+    for (const auto& record : sanitized.records()) {
       const auto path = record.path.hops();
       hops.insert(hops.end(), path.begin(), path.end());
     }
@@ -216,7 +217,7 @@ TEST(Properties, InternerRoundTripsAndPreservesOrder) {
 
     // translate() is asn_of's inverse on every corpus path.
     std::vector<NodeId> ids;
-    for (const auto& record : sample.result.sanitized.records()) {
+    for (const auto& record : sanitized.records()) {
       interner.translate(record.path.hops(), ids);
       ASSERT_EQ(ids.size(), record.path.hops().size());
       for (std::size_t i = 0; i < ids.size(); ++i) {
