@@ -31,6 +31,8 @@
 #include "topogen/topogen.h"
 #include "topology/interner.h"
 #include "topology/topology_view.h"
+#include "util/hash.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -108,6 +110,46 @@ void BM_Sanitize(benchmark::State& state) {
                           static_cast<std::int64_t>(raw_corpus().size()));
 }
 BENCHMARK(BM_Sanitize);
+
+/// The compress-only arena Degrees::compute(corpus) builds from a raw corpus.
+void BM_ArenaBuildCompressOnly(benchmark::State& state) {
+  paths::SanitizerConfig config;
+  config.strip_ixp_asns = false;
+  config.discard_loops = false;
+  config.discard_reserved = false;
+  config.dedup = false;
+  for (auto _ : state) {
+    auto arena = paths::PathArena::build(raw_corpus(), config);
+    benchmark::DoNotOptimize(arena.path_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw_corpus().size()));
+}
+BENCHMARK(BM_ArenaBuildCompressOnly);
+
+/// One burst of range(1) dependent mix64 steps on a fresh range(0)-worker pool,
+/// pool start and join included: how long a stage must run before its
+/// workers pay for themselves.
+void BM_ThreadPoolBurst(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  for (auto _ : state) {
+    util::ThreadPool pool(workers);
+    const std::uint64_t sum = pool.map_reduce(
+        n, std::uint64_t{0},
+        [](std::size_t begin, std::size_t end) {
+          std::uint64_t part = 0;
+          for (std::size_t i = begin; i < end; ++i) part = util::mix64(part, i);
+          return part;
+        },
+        [](std::uint64_t& acc, std::uint64_t part) { acc ^= part; });
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_ThreadPoolBurst)
+    ->ArgsProduct({{1, 4}, {1 << 20, 1 << 24}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DegreesCompute(benchmark::State& state) {
   for (auto _ : state) {

@@ -52,14 +52,6 @@ AsPath& AsPath::operator=(const AsPath& other) {
   return *this;
 }
 
-AsPath& AsPath::operator=(AsPath&& other) noexcept {
-  if (this != &other) {
-    release();
-    take(other);
-  }
-  return *this;
-}
-
 Asn AsPath::at(std::size_t i) const {
   if (i >= size_) throw std::out_of_range("AsPath::at");
   return data()[i];
@@ -74,18 +66,6 @@ void AsPath::grow(std::size_t capacity) {
   heap_ = buffer;
   size_ = size;
   capacity_ = static_cast<std::uint32_t>(capacity);
-}
-
-void AsPath::take(AsPath& other) noexcept {
-  if (other.on_heap()) {
-    heap_ = other.heap_;
-  } else {
-    std::copy_n(other.inline_, other.size_, inline_);
-  }
-  size_ = other.size_;
-  capacity_ = other.capacity_;
-  other.size_ = 0;
-  other.capacity_ = kInlineHops;
 }
 
 void AsPath::release() noexcept {

@@ -47,8 +47,16 @@ class AsPath {
   AsPath(const AsPath& other) : AsPath(other.hops()) {}
   AsPath(AsPath&& other) noexcept { take(other); }
   AsPath& operator=(const AsPath& other);
-  AsPath& operator=(AsPath&& other) noexcept;
-  ~AsPath() { release(); }
+  AsPath& operator=(AsPath&& other) noexcept {
+    if (this != &other) {
+      if (on_heap()) release();
+      take(other);
+    }
+    return *this;
+  }
+  ~AsPath() {
+    if (on_heap()) release();
+  }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -106,8 +114,19 @@ class AsPath {
 
   /// Move to a heap buffer of `capacity` (> size()) hops, keeping the hops.
   void grow(std::size_t capacity);
-  /// Steal `other`'s hops (this holds none); leaves `other` empty and inline.
-  void take(AsPath& other) noexcept;
+  /// Steal `other`'s hops (this holds none, inline); leaves `other` empty
+  /// and inline.  Copies only the size() live hops of an inline path.
+  void take(AsPath& other) noexcept {
+    if (other.on_heap()) {
+      heap_ = other.heap_;
+    } else {
+      for (std::uint32_t i = 0; i < other.size_; ++i) inline_[i] = other.inline_[i];
+    }
+    size_ = other.size_;
+    capacity_ = other.capacity_;
+    other.size_ = 0;
+    other.capacity_ = kInlineHops;
+  }
   /// Free the heap buffer, if any; leaves this empty and inline.
   void release() noexcept;
 

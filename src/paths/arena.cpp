@@ -1,6 +1,8 @@
 #include "paths/arena.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 
 #include "util/hash.h"
 
@@ -10,36 +12,23 @@ namespace {
 
 using topology::NodeId;
 
-/// Order-dependent combine; every step avalanches, so structured inputs
-/// (sequential ids, shared origins) do not cancel out.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept { return util::splitmix64(h ^ v); }
+/// How many entries ahead a pass prefetches the hash slot it will probe.
+constexpr std::size_t kAhead = 16;
 
-std::uint64_t hash_hops(std::span<const Asn> hops) noexcept {
-  std::uint64_t h = util::splitmix64(hops.size());
-  for (const Asn hop : hops) h = mix(h, hop.value());
-  return h;
-}
+constexpr std::uint32_t asn_word(Asn as) noexcept { return as.value(); }
 
-std::uint64_t hash_ids(std::span<const std::uint32_t> ids) noexcept {
-  std::uint64_t h = util::splitmix64(ids.size());
-  for (const std::uint32_t id : ids) h = mix(h, id);
-  return h;
-}
-
-/// ASN -> dense first-seen id, open addressing with doubling.  Interning
-/// through it touches each distinct ASN once, instead of sorting every hop.
+/// ASN -> dense first-seen id, open addressing with doubling.  A slot holds
+/// the (ASN, id) pair and the slot index is a multiplicative hash, so a hit
+/// reads one slot and nothing else.  Interning through it touches each
+/// distinct ASN once, instead of sorting every hop.
 class FirstSeenIds {
  public:
+  FirstSeenIds() { rehash(1024); }
+
   std::uint32_t id(Asn as) {
-    if (2 * (asns_.size() + 1) > slots_.size()) grow();
-    for (std::size_t i = util::splitmix64(as.value()) & (slots_.size() - 1);;
-         i = (i + 1) & (slots_.size() - 1)) {
-      if (slots_[i] == kEmpty) {
-        slots_[i] = static_cast<std::uint32_t>(asns_.size());
-        asns_.push_back(as);
-        return slots_[i];
-      }
-      if (asns_[slots_[i]] == as) return slots_[i];
+    for (std::size_t i = slot_of(as);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i].id == kEmpty) return insert(as);
+      if (slots_[i].asn == as) return slots_[i].id;
     }
   }
 
@@ -48,29 +37,38 @@ class FirstSeenIds {
 
  private:
   static constexpr std::uint32_t kEmpty = 0xffffffffu;
+  struct Slot {
+    Asn asn;
+    std::uint32_t id = kEmpty;
+  };
 
-  void grow() {
-    slots_.assign(std::max<std::size_t>(1024, 2 * slots_.size()), kEmpty);
-    for (std::uint32_t id = 0; id < asns_.size(); ++id) {
-      std::size_t i = util::splitmix64(asns_[id].value()) & (slots_.size() - 1);
-      while (slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = id;
-    }
+  [[nodiscard]] std::size_t slot_of(Asn as) const noexcept {
+    return (as.value() * 0x9e3779b97f4a7c15ULL) >> shift_;
   }
 
-  std::vector<std::uint32_t> slots_;
-  std::vector<Asn> asns_;
-};
+  std::uint32_t insert(Asn as) {
+    if (2 * (asns_.size() + 1) > slots_.size()) rehash(2 * slots_.size());
+    const auto id = static_cast<std::uint32_t>(asns_.size());
+    asns_.push_back(as);
+    place({as, id});
+    return id;
+  }
 
-/// What sanitizing one distinct raw path did.  Every record carrying that
-/// raw path contributes the same counters and meets the same fate.
-struct RawOutcome {
-  enum class Fate : std::uint8_t { kKept, kLoop, kReserved, kEmpty };
-  Fate fate = Fate::kKept;
-  bool compressed = false;
-  std::uint32_t ixp_stripped = 0;
-  std::uint32_t reserved_stripped = 0;
-  std::uint32_t path = 0;  ///< distinct sanitized path id when kept
+  void place(Slot entry) noexcept {
+    std::size_t i = slot_of(entry.asn);
+    while (slots_[i].id != kEmpty) i = (i + 1) & (slots_.size() - 1);
+    slots_[i] = entry;
+  }
+
+  void rehash(std::size_t slots) {
+    slots_.assign(slots, Slot{});
+    shift_ = 64 - std::countr_zero(slots);
+    for (std::uint32_t id = 0; id < asns_.size(); ++id) place({asns_[id], id});
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 0;
+  std::vector<Asn> asns_;
 };
 
 }  // namespace
@@ -81,126 +79,173 @@ PathArena PathArena::build(const PathCorpus& input, const SanitizerConfig& confi
   const auto records = input.records();
   stats.input_records = records.size();
 
-  // Pass 1: map every record to its distinct raw path, looked up by a hash
-  // of its hop span.  Distinct raw paths are copied once, contiguously.
+  // Pass 1: hash every record's hops (and, for dedup, its vp and prefix),
+  // then map each record to its distinct raw path.  A raw path is its first
+  // record: later records compare their hops in place against that
+  // record's, and nothing is copied.
+  std::vector<std::uint64_t> hash(records.size());
+  std::vector<std::uint64_t> row(config.dedup ? records.size() : 0);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const PathRecord& record = records[r];
+    hash[r] = util::hash_words(record.path.hops(), asn_word);
+    if (config.dedup) {
+      row[r] = util::mix64(std::hash<Prefix>{}(record.prefix), record.vp.value());
+    }
+  }
+  struct RawPath {
+    std::uint32_t first = 0;  ///< the first record carrying it
+    std::uint32_t count = 0;  ///< records carrying it
+  };
   std::vector<std::uint32_t> raw_of(records.size());
-  std::vector<Asn> raw_flat;
-  std::vector<std::uint32_t> raw_offsets{0};
+  std::vector<RawPath> raws;
+  raws.reserve(records.size());
+  std::size_t raw_hops = 0;
   {
     util::HashIndex raw_index(records.size());
     for (std::size_t r = 0; r < records.size(); ++r) {
+      if (r + kAhead < records.size()) raw_index.prefetch(hash[r + kAhead]);
       const auto raw = records[r].path.hops();
-      const auto fresh = static_cast<std::uint32_t>(raw_offsets.size() - 1);
-      raw_of[r] = raw_index.find_or_insert(hash_hops(raw), fresh, [&](std::uint32_t k) {
-        return std::equal(raw.begin(), raw.end(), raw_flat.begin() + raw_offsets[k],
-                          raw_flat.begin() + raw_offsets[k + 1]);
+      const auto fresh = static_cast<std::uint32_t>(raws.size());
+      const std::uint32_t k = raw_index.find_or_insert(hash[r], fresh, [&](std::uint32_t id) {
+        return std::ranges::equal(raw, records[raws[id].first].path.hops());
       });
-      if (raw_of[r] == fresh) {
-        raw_flat.insert(raw_flat.end(), raw.begin(), raw.end());
-        raw_offsets.push_back(static_cast<std::uint32_t>(raw_flat.size()));
+      if (k == fresh) {
+        raws.push_back({static_cast<std::uint32_t>(r), 0});
+        raw_hops += raw.size();
       }
+      ++raws[k].count;
+      raw_of[r] = k;
     }
   }
 
-  // Pass 2: sanitize each distinct raw path once.  Raw ids follow first
-  // occurrence, so kept paths get ids in first-occurrence order too.
+  // Pass 2: sanitize each distinct raw path once and add its counters,
+  // weighted by the records that carry it.  Raw ids follow first
+  // occurrence, so kept paths get ids in first-occurrence order too.  A
+  // path the stages left as it was keeps its raw hash.
+  constexpr std::uint32_t kDropped = 0xffffffffu;
   const bool strip_ixp = config.strip_ixp_asns && !config.ixp_asns.empty();
   FirstSeenIds first_seen;
-  std::vector<std::uint32_t> flat;  // distinct sanitized paths, first-seen ids
+  std::vector<NodeId>& flat = arena.hops_;  // first-seen ids until interned
+  flat.reserve(raw_hops);
+  arena.offsets_.reserve(raws.size() + 1);
   std::vector<Asn> hops;
   std::vector<std::uint32_t> ids;
-  util::HashIndex path_index(raw_offsets.size() - 1);
-
-  std::vector<RawOutcome> raw_outcomes(raw_offsets.size() - 1);
-  for (std::size_t k = 0; k < raw_outcomes.size(); ++k) {
-    RawOutcome& out = raw_outcomes[k];
-    hops.assign(raw_flat.begin() + raw_offsets[k], raw_flat.begin() + raw_offsets[k + 1]);
+  std::vector<std::uint32_t> path_of_raw(raws.size(), kDropped);
+  util::HashIndex path_index(raws.size());
+  for (std::size_t k = 0; k < raws.size(); ++k) {
+    // Most paths keep their raw hash: prefetch the slot it probes.
+    if (k + kAhead < raws.size()) path_index.prefetch(hash[raws[k + kAhead].first]);
+    const std::size_t count = raws[k].count;
+    const auto raw = records[raws[k].first].path.hops();
+    hops.assign(raw.begin(), raw.end());
     if (strip_ixp) {
       const auto kept = std::remove_if(hops.begin(), hops.end(),
                                        [&](Asn a) { return config.ixp_asns.contains(a); });
-      out.ixp_stripped = static_cast<std::uint32_t>(hops.end() - kept);
+      stats.ixp_hops_stripped += count * static_cast<std::size_t>(hops.end() - kept);
       hops.erase(kept, hops.end());
     }
     if (config.strip_reserved_asns) {
       const auto kept =
           std::remove_if(hops.begin(), hops.end(), [](Asn a) { return a.reserved(); });
-      out.reserved_stripped = static_cast<std::uint32_t>(hops.end() - kept);
+      stats.reserved_hops_stripped += count * static_cast<std::size_t>(hops.end() - kept);
       hops.erase(kept, hops.end());
     }
     if (config.compress_prepending) {
       const auto kept = std::unique(hops.begin(), hops.end());
-      out.compressed = kept != hops.end();
+      if (kept != hops.end()) stats.prepended_compressed += count;
       hops.erase(kept, hops.end());
     }
     if (config.discard_loops && has_loop(hops)) {
-      out.fate = RawOutcome::Fate::kLoop;
-    } else if (config.discard_reserved &&
-               std::any_of(hops.begin(), hops.end(), [](Asn a) { return a.reserved(); })) {
-      out.fate = RawOutcome::Fate::kReserved;
-    } else if (hops.empty()) {
-      out.fate = RawOutcome::Fate::kEmpty;
-    } else {
-      ids.clear();
-      for (const Asn hop : hops) ids.push_back(first_seen.id(hop));
-      const auto fresh = static_cast<std::uint32_t>(arena.path_count());
-      out.path = path_index.find_or_insert(hash_ids(ids), fresh, [&](std::uint32_t id) {
-        return std::equal(ids.begin(), ids.end(), flat.begin() + arena.offsets_[id],
-                          flat.begin() + arena.offsets_[id + 1]);
-      });
-      if (out.path == fresh) {
-        flat.insert(flat.end(), ids.begin(), ids.end());
-        arena.offsets_.push_back(static_cast<std::uint32_t>(flat.size()));
+      stats.loops_discarded += count;
+      continue;
+    }
+    if (config.discard_reserved &&
+        std::any_of(hops.begin(), hops.end(), [](Asn a) { return a.reserved(); })) {
+      stats.reserved_discarded += count;
+      continue;
+    }
+    if (hops.empty()) continue;
+
+    ids.clear();
+    for (const Asn hop : hops) ids.push_back(first_seen.id(hop));
+    const std::uint64_t h =
+        hops.size() == raw.size() ? hash[raws[k].first] : util::hash_words(hops, asn_word);
+    const auto fresh = static_cast<std::uint32_t>(arena.path_count());
+    path_of_raw[k] = path_index.find_or_insert(h, fresh, [&](std::uint32_t id) {
+      return std::equal(ids.begin(), ids.end(), flat.begin() + arena.offsets_[id],
+                        flat.begin() + arena.offsets_[id + 1]);
+    });
+    if (path_of_raw[k] == fresh) {
+      flat.insert(flat.end(), ids.begin(), ids.end());
+      arena.offsets_.push_back(static_cast<std::uint32_t>(flat.size()));
+    }
+  }
+
+  // Dedup filter: two bitmaps of about 8 bits per record, indexed by the
+  // top bits of each kept record's row hash ((vp, prefix) mixed with the
+  // path id).  `seen` marks a bucket some row hashed to, `shared` one that
+  // two or more did.  Duplicates share a bucket, so only rows in shared
+  // buckets reach the exact table, which is sized for them alone.
+  const int bucket_bits = std::bit_width(std::max<std::size_t>(64, 8 * records.size()) - 1);
+  std::vector<std::uint64_t> seen;
+  std::vector<std::uint64_t> shared;
+  const auto bucket = [&](std::uint64_t h) { return h >> (64 - bucket_bits); };
+  const auto test = [](const std::vector<std::uint64_t>& bits, std::uint64_t b) {
+    return (bits[b >> 6] >> (b & 63)) & 1;
+  };
+  std::size_t shared_records = 0;
+  if (config.dedup) {
+    seen.assign(std::size_t{1} << (bucket_bits - 6), 0);
+    shared.assign(seen.size(), 0);
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      const std::uint32_t path = path_of_raw[raw_of[r]];
+      if (path == kDropped) continue;
+      row[r] = util::mix64(row[r], path);
+      const std::uint64_t b = bucket(row[r]);
+      const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+      if (!test(seen, b)) {
+        seen[b >> 6] |= bit;
+      } else {
+        shared_records += test(shared, b) ? 1 : 2;
+        shared[b >> 6] |= bit;
       }
     }
   }
 
-  // Pass 3: every record inherits its raw path's counters and fate.
-  util::HashIndex record_index(config.dedup ? records.size() : 0);
+  // Pass 3: every record takes its raw path's fate.  Records in shared
+  // buckets are checked for an exact earlier duplicate.
+  util::HashIndex record_index(shared_records);
+  arena.multiplicity_.assign(arena.path_count(), 0);
   arena.records_.reserve(records.size());
   for (std::size_t r = 0; r < records.size(); ++r) {
+    const std::uint32_t path = path_of_raw[raw_of[r]];
+    if (path == kDropped) continue;
     const PathRecord& record = records[r];
-    const RawOutcome& out = raw_outcomes[raw_of[r]];
-    stats.ixp_hops_stripped += out.ixp_stripped;
-    stats.reserved_hops_stripped += out.reserved_stripped;
-    if (out.compressed) ++stats.prepended_compressed;
-    if (out.fate == RawOutcome::Fate::kLoop) {
-      ++stats.loops_discarded;
-      continue;
-    }
-    if (out.fate == RawOutcome::Fate::kReserved) {
-      ++stats.reserved_discarded;
-      continue;
-    }
-    if (out.fate == RawOutcome::Fate::kEmpty) continue;
-
-    const ArenaRecord row{record.prefix, record.vp, out.path};
-    if (config.dedup) {
+    if (config.dedup && test(shared, bucket(row[r]))) {
       const auto next = static_cast<std::uint32_t>(arena.records_.size());
-      const std::uint64_t h = mix(mix(util::splitmix64(out.path), record.vp.value()),
-                                  std::hash<Prefix>{}(record.prefix));
-      const std::uint32_t kept = record_index.find_or_insert(h, next, [&](std::uint32_t k) {
-        const ArenaRecord& other = arena.records_[k];
-        return other.path == row.path && other.vp == row.vp && other.prefix == row.prefix;
-      });
+      const auto same_row = [&](std::uint32_t id) {
+        const ArenaRecord& other = arena.records_[id];
+        return other.path == path && other.vp == record.vp && other.prefix == record.prefix;
+      };
+      const std::uint32_t kept = record_index.find_or_insert(row[r], next, same_row);
       if (kept != next) {
         ++stats.duplicates_removed;
         continue;
       }
     }
-    arena.records_.push_back(row);
+    arena.records_.push_back({record.prefix, record.vp, path});
+    ++arena.multiplicity_[path];
   }
   stats.output_records = arena.records_.size();
 
-  // Intern: sort the distinct ASNs once, then renumber the hop buffer.
+  // Intern: sort the distinct ASNs once, then renumber the hop buffer in
+  // place.
   arena.interner_ = topology::AsnInterner::from_asns(first_seen.asns());
   std::vector<NodeId> node_of(first_seen.asns().size());
   for (std::size_t i = 0; i < node_of.size(); ++i) {
     node_of[i] = arena.interner_.id_of(first_seen.asns()[i]);
   }
-  arena.hops_.resize(flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) arena.hops_[i] = node_of[flat[i]];
-  arena.multiplicity_.assign(arena.path_count(), 0);
-  for (const ArenaRecord& row : arena.records_) ++arena.multiplicity_[row.path];
+  for (NodeId& hop : arena.hops_) hop = node_of[hop];
   return arena;
 }
 

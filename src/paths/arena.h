@@ -19,6 +19,25 @@
 // the set of paths (degree tally, clique evidence, poisoned scan, voting)
 // walk path(p) weighted by multiplicity and never look up an ASN again;
 // order-sensitive stages walk records() and index each row's path span.
+//
+// build() makes three passes.  Each hash table is sized once, from a count
+// the build already holds:
+//
+//   raw dedup   every record's hops are hashed in one loop (util::hash_words),
+//               then a second loop maps each record to its distinct raw path,
+//               which is its first record: hops are compared in place, never
+//               copied.  That loop also counts the records per raw path.
+//   sanitize    each distinct raw path runs the stages once, and its
+//               counters (hops stripped, prepending compressed, loops and
+//               reserved discarded) are added once, weighted by its record
+//               count.  Survivors are interned through a first-seen id table
+//               whose slots hold the (ASN, id) pair.  A path the stages left
+//               as it was keeps its raw hash.
+//   records     each record takes its raw path's fate.  With dedup on, each
+//               kept row's hash first meets two bitmaps of about 8 bits per
+//               record (`seen`, `shared`); only rows whose bucket another
+//               row shares reach the exact util::HashIndex, sized for those
+//               rows alone.
 #pragma once
 
 #include <cstdint>

@@ -13,9 +13,11 @@
 // containing reserved ASNs -> drop emptied paths (uncounted) ->
 // deduplicate identical records.
 //
-// The stages run in paths::PathArena::build, once per distinct raw path; a
-// record inherits its raw path's outcome and counters.  sanitize() is that
-// build plus materializing the records back into a PathCorpus.
+// The stages run in paths::PathArena::build, once per distinct raw path.
+// Each counter is applied once per distinct raw path, multiplied by the
+// number of records carrying it, so the totals equal a per-record run.
+// sanitize() is that build plus materializing the records back into a
+// PathCorpus.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,16 @@
 // Header-only non-cryptographic hashing: splitmix64 for integer keys (ASN
-// -> shard slot, packed link keys, path hashes), FNV-1a for byte strings
-// (endpoint labels), a two-input mixer for rendezvous (highest random
-// weight) ranking of (slot, endpoint) pairs, and HashIndex, the fixed-size
-// open-addressing table the path arena and the inference link table
-// deduplicate through.
+// -> shard slot, packed link keys), hash_words for sequences of 32-bit words
+// (AS paths), FNV-1a for byte strings (endpoint labels), a two-input mixer
+// for rendezvous (highest random weight) ranking of (slot, endpoint) pairs
+// and for arena record keys, and HashIndex, the fixed-size open-addressing
+// table the path arena and the inference link table deduplicate through.
+//
+// hash_words is the one path hash: paths::PathArena hashes every record's
+// raw hops with it and reuses that value for a sanitized path the stages
+// left unchanged, so the raw and sanitized tables share it.  The arena sizes
+// each HashIndex from a count it already holds (the records, the distinct
+// raw paths, the records whose dedup bucket another record shares), so no
+// table grows, and prefetches the slot a later probe will read.
 //
 // The hashes are stable across platforms and process restarts by
 // construction — every ClusterClient must route a given ASN to the same slot
@@ -13,8 +20,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <string_view>
 #include <vector>
 
@@ -27,6 +37,18 @@ namespace asrank::util {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+/// Hash of a sequence of 32-bit words (`word` projects each element): one
+/// multiply-xorshift step per word, then one splitmix64 finalizer.  Seeded
+/// with the length and order-dependent, so "1 2" and "2 1" differ.
+template <typename Range, typename Word = std::identity>
+[[nodiscard]] constexpr std::uint64_t hash_words(const Range& words, Word word = {}) noexcept {
+  std::uint64_t h = std::size(words);
+  for (const auto& w : words) {
+    h = (h ^ (h >> 32) ^ static_cast<std::uint32_t>(word(w))) * 0x9e3779b97f4a7c15ULL;
+  }
+  return splitmix64(h ^ (h >> 32));
 }
 
 /// FNV-1a over bytes; stable string hash for endpoint labels.
@@ -49,12 +71,22 @@ namespace asrank::util {
 /// Open-addressing index from a well-mixed 64-bit hash to caller-owned entry
 /// ids; the caller decides equality, so entries are never copied into the
 /// table.  Sized once for at most `max_entries` entries (load <= 2/3);
-/// inserting more is a caller bug (the probe loop would never end).
+/// inserting more is a caller bug (the probe loop would never end), caught
+/// by an assert in builds without NDEBUG.
 class HashIndex {
  public:
   explicit HashIndex(std::size_t max_entries)
       : slots_(std::bit_ceil(std::max<std::size_t>(16, max_entries + max_entries / 2 + 1))),
-        mask_(slots_.size() - 1) {}
+        mask_(slots_.size() - 1) {
+#ifndef NDEBUG
+    max_entries_ = max_entries;
+#endif
+  }
+
+  /// Start loading the first slot `hash` probes, ahead of find_or_insert.
+  void prefetch(std::uint64_t hash) const noexcept {
+    __builtin_prefetch(&slots_[hash & mask_]);
+  }
 
   /// The id of a stored entry `equal` accepts, or else `fresh`, now stored.
   template <typename Equal>
@@ -63,6 +95,10 @@ class HashIndex {
     for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
       Slot& slot = slots_[i];
       if (slot.id == kEmpty) {
+#ifndef NDEBUG
+        ++entries_;
+        assert(entries_ <= max_entries_ && "HashIndex sized below its entry count");
+#endif
         slot = {tag, fresh};
         return fresh;
       }
@@ -78,6 +114,10 @@ class HashIndex {
   };
   std::vector<Slot> slots_;
   std::size_t mask_;
+#ifndef NDEBUG
+  std::size_t entries_ = 0;
+  std::size_t max_entries_ = 0;
+#endif
 };
 
 }  // namespace asrank::util

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "bgpsim/observation.h"
 #include "paths/arena.h"
@@ -369,6 +371,97 @@ TEST(SanitizerOracle, BgpsimCorpusWithInjectedPathologies) {
   const std::unordered_set<Asn> ixps(truth.ixp_asns.begin(), truth.ixp_asns.end());
   ASSERT_FALSE(ixps.empty());
   expect_matches_oracle(corpus, ixps);
+}
+
+TEST(SanitizerOracle, ManyAsnsGrowTheFirstSeenTable) {
+  // 3000 dense ASNs beside 3000 widely spaced ones, so the arena's
+  // first-seen id table grows several times; every 50th path carries AS0.
+  constexpr std::uint32_t kRun = 3000;
+  const auto dense = [](std::uint32_t i) { return 10000 + i % kRun; };
+  const auto spaced = [](std::uint32_t i) { return 200000 + (i % kRun) * 7919; };
+  PathCorpus corpus;
+  for (std::uint32_t i = 0; i < kRun; ++i) {
+    const Prefix prefix = Prefix::v4(0x0a000000u + (i << 8), 24);
+    corpus.add(Asn(dense(i)), prefix, AsPath{dense(i), spaced(i), dense(i * 7 + 1)});
+    if (i % 50 == 0) corpus.add(Asn(dense(i)), prefix, AsPath{dense(i), 0, 0, spaced(i + 1)});
+  }
+  const PathArena arena = PathArena::build(corpus, SanitizerConfig{});
+  ASSERT_GT(arena.interner().size(), 4096u);
+  // Kept AS0 hops are never interned.
+  SanitizerConfig keep_as0;
+  keep_as0.discard_reserved = false;
+  EXPECT_EQ(PathArena::build(corpus, keep_as0).interner().size(), arena.interner().size());
+  expect_matches_oracle(corpus, {Asn(dense(5)), Asn(spaced(9))});
+}
+
+/// Every record 1-4 times, later copies spread over the corpus.  Some
+/// copies are exact, some carry prepending or an IXP hop, so they turn
+/// into duplicates only once sanitized.
+PathCorpus duplicate_heavy_corpus() {
+  struct Base {
+    std::uint32_t vp;
+    Prefix prefix;
+    std::vector<std::uint32_t> hops;
+  };
+  std::vector<Base> bases;
+  for (std::uint32_t i = 0; i < 1500; ++i) {
+    const std::uint32_t a = 1 + i % 7;
+    const std::uint32_t b = 20 + i % 13;
+    const std::uint32_t c = 100 + i % 97;
+    bases.push_back({a, Prefix::v4(0x0a000000u + ((i / 3) << 8), 24), {a, b, c}});
+  }
+  PathCorpus corpus;
+  const auto add = [&](const Base& base, std::vector<std::uint32_t> hops) {
+    AsPath path;
+    for (const std::uint32_t hop : hops) path.push_back(Asn(hop));
+    corpus.add(Asn(base.vp), base.prefix, std::move(path));
+  };
+  for (std::size_t copy = 0; copy < 4; ++copy) {
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      if (copy > i % 4) continue;
+      const Base& base = bases[i];
+      std::vector<std::uint32_t> hops = base.hops;
+      const std::uint32_t middle = hops[1];
+      if (copy == 1) hops.insert(hops.begin() + 1, middle);  // 1 2 2 3 beside 1 2 3
+      if (copy == 2) hops.insert(hops.begin() + 2, 900);      // IXP hop stripped
+      add(base, std::move(hops));
+    }
+  }
+  return corpus;
+}
+
+TEST(SanitizerOracle, DuplicateHeavyCorpus) {
+  const PathCorpus corpus = duplicate_heavy_corpus();
+  SanitizerConfig config;
+  config.ixp_asns = {Asn(900)};
+  const PathArena arena = PathArena::build(corpus, config);
+  // Exact copies, copies equal once compressed, and copies equal once the
+  // IXP hop is stripped are all dropped.
+  EXPECT_EQ(arena.stats().duplicates_removed, corpus.size() - 1500);
+  expect_matches_oracle(corpus, {Asn(900)});
+}
+
+TEST(PathArena, TwoBuildsAreEqualFieldByField) {
+  const PathCorpus corpus = duplicate_heavy_corpus();
+  SanitizerConfig config;
+  config.ixp_asns = {Asn(900)};
+  const PathArena a = PathArena::build(corpus, config);
+  const PathArena b = PathArena::build(corpus, config);
+  EXPECT_EQ(a.interner(), b.interner());
+  ASSERT_EQ(a.path_count(), b.path_count());
+  EXPECT_EQ(a.hop_count(), b.hop_count());
+  for (std::size_t p = 0; p < a.path_count(); ++p) {
+    EXPECT_EQ(a.offset(p), b.offset(p));
+    EXPECT_EQ(a.multiplicity(p), b.multiplicity(p));
+    EXPECT_TRUE(std::ranges::equal(a.path(p), b.path(p))) << "path " << p;
+  }
+  ASSERT_EQ(a.records().size(), b.records().size());
+  for (std::size_t r = 0; r < a.records().size(); ++r) {
+    EXPECT_EQ(a.records()[r].prefix, b.records()[r].prefix);
+    EXPECT_EQ(a.records()[r].vp, b.records()[r].vp);
+    EXPECT_EQ(a.records()[r].path, b.records()[r].path);
+  }
+  expect_stats_eq(a.stats(), b.stats(), "second build");
 }
 
 TEST(PathArena, SharesOnePathAcrossVantagePoints) {
