@@ -3,13 +3,14 @@
 //
 //   1. How fast does UpdateApplier absorb a BGP4MP feed (updates/sec)?
 //   2. What does an epoch cost end to end (p50/p99 build latency over a
-//      replayed stream)?
+//      replayed stream), and how much of it is the applier's corpus() cut?
 //
 //     bench_ingest [preset] [seed] [json_out]
 //
 // Defaults: medium 42 BENCH_ingest.json.  Emits machine-readable JSON
-// (stamped with hardware_threads like the other BENCH_*.json artefacts) so
-// the trajectory tracks ingest performance across PRs.
+// (stamped with hardware_threads, build type and git sha like the other
+// BENCH_*.json artefacts) so the trajectory tracks ingest performance across
+// PRs.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -87,10 +88,17 @@ int main(int argc, char** argv) {
   obs::Registry replay_metrics;
   ingest::UpdateApplier replay_applier(replay_metrics);
   std::vector<std::uint64_t> build_micros;
+  std::vector<std::uint64_t> corpus_micros;
   for (const auto& step : stream) {
     for (const auto& update : step.updates) replay_applier.apply(update);
+    const auto cut = std::chrono::steady_clock::now();
+    const auto corpus = replay_applier.corpus();
+    corpus_micros.push_back(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - cut)
+            .count()));
     ingest::EpochBuildInfo info;
-    auto built = builder.build(replay_applier.corpus(), &info);
+    auto built = builder.build(corpus, &info);
     if (!built.ok()) {
       std::cerr << "FAIL: epoch build: " << built.error().context << "\n";
       return 1;
@@ -99,21 +107,28 @@ int main(int argc, char** argv) {
   }
   const double p50 = percentile(build_micros, 0.50);
   const double p99 = percentile(build_micros, 0.99);
+  const double corpus_p50 = percentile(corpus_micros, 0.50);
+  const double corpus_p99 = percentile(corpus_micros, 0.99);
   std::cout << "epoch build: " << build_micros.size() << " epochs, p50 "
-            << p50 / 1000.0 << " ms, p99 " << p99 / 1000.0 << " ms\n";
+            << p50 / 1000.0 << " ms, p99 " << p99 / 1000.0 << " ms; corpus() p50 "
+            << corpus_p50 / 1000.0 << " ms, p99 " << corpus_p99 / 1000.0 << " ms\n";
 
   std::ofstream json(json_out);
   json << "{\n  \"bench\": \"ingest\",\n";
   json << "  \"preset\": \"" << preset << "\",\n";
   json << "  \"seed\": " << seed << ",\n";
   json << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n";
+  json << "  \"build_type\": \"" << ASRANK_BUILD_TYPE << "\",\n";
+  json << "  \"git_sha\": \"" << ASRANK_GIT_SHA << "\",\n";
   json << "  \"stream\": {\"steps\": " << stream.size()
        << ", \"messages\": " << messages << ", \"routes\": " << applier.route_count()
        << "},\n";
   json << "  \"updates_per_sec\": " << static_cast<std::uint64_t>(updates_per_sec)
        << ",\n";
   json << "  \"epoch_build_micros\": {\"count\": " << build_micros.size()
-       << ", \"p50\": " << p50 << ", \"p99\": " << p99 << "}\n";
+       << ", \"p50\": " << p50 << ", \"p99\": " << p99 << "},\n";
+  json << "  \"corpus_micros\": {\"count\": " << corpus_micros.size()
+       << ", \"p50\": " << corpus_p50 << ", \"p99\": " << corpus_p99 << "}\n";
   json << "}\n";
   std::cout << "wrote " << json_out << "\n";
   return 0;

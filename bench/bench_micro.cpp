@@ -20,11 +20,14 @@
 
 #include "baselines/tor_local_search.h"
 #include "bgpsim/observation.h"
+#include "bgpsim/update_stream.h"
 #include "core/asrank.h"
 #include "core/cone_bitset.h"
 #include "core/cones.h"
 #include "core/degrees.h"
+#include "ingest/update_applier.h"
 #include "mrt/table_dump_v2.h"
+#include "obs/metrics.h"
 #include "paths/arena.h"
 #include "paths/sanitizer.h"
 #include "snapshot/snapshot.h"
@@ -280,6 +283,48 @@ void BM_RibToCorpus(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_RibToCorpus);
+
+/// One epoch of BGP4MP updates against the `medium` observation: the diff to
+/// the next evolved vintage, as bench_ingest generates it.
+const std::vector<mrt::UpdateMessage>& epoch_updates() {
+  static const auto updates = [] {
+    auto evolving = truth();
+    bgpsim::ObservationParams params;
+    params.full_vps = 20;
+    params.partial_vps = 5;
+    bgpsim::UpdateStreamParams stream;
+    stream.steps = 1;
+    stream.bootstrap = false;
+    stream.evolve.new_stubs = evolving.graph.as_count() / 50;
+    stream.evolve.new_peerings = evolving.graph.link_count() / 40;
+    return bgpsim::generate_update_stream(evolving, params, stream).front().updates;
+  }();
+  return updates;
+}
+
+/// An ingest epoch on a seeded table: apply one epoch of updates, then cut
+/// the corpus.  Seeding (and its one sort) is outside the timed region.
+void BM_ApplierCorpus(benchmark::State& state) {
+  const auto& routes = observation().routes;
+  const auto& updates = epoch_updates();
+  obs::Registry metrics;
+  std::size_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ingest::UpdateApplier applier(metrics);
+    for (const auto& route : routes) applier.seed(route.vp, route.prefix, route.path);
+    benchmark::DoNotOptimize(applier.route_count());
+    state.ResumeTiming();
+    for (const auto& update : updates) applier.apply(update);
+    const auto corpus = applier.corpus();
+    records = corpus.size();
+    benchmark::DoNotOptimize(records);
+  }
+  state.counters["updates"] = static_cast<double>(updates.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_ApplierCorpus)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Dense-representation microbenches (TopologyView substrate)

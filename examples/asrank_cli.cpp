@@ -954,7 +954,8 @@ int cmd_ingest(const Args& args) {
       return;  // empty table — an epoch with zero ASes helps nobody
     }
     ingest::EpochBuildInfo info;
-    auto built = builder.build(applier.corpus(), &info);
+    const auto corpus = applier.corpus();
+    auto built = builder.build(corpus, &info);
     if (!built.ok()) {
       obs::log_warn("ingest epoch build failed",
                     {{"reason", reason}, {"error", built.error().context}});
@@ -962,7 +963,6 @@ int cmd_ingest(const Args& args) {
       return;
     }
     if (!extra_algos.empty()) {
-      const auto corpus = applier.corpus();
       const auto degrees = core::Degrees::compute(corpus, infer_threads);
       std::vector<std::pair<std::string, snapshot::SnapshotIndex>> parts;
       parts.emplace_back("asrank", std::move(built).value());

@@ -47,8 +47,9 @@ struct LinkState {
 /// over one AsnInterner, plus per-record path ids.  Degrees, clique,
 /// poisoned scan, link table and voting walk the distinct paths (votes and
 /// observations weighted by how many surviving records carry each path);
-/// only the order-sensitive fixpoint walks records, each indexing its
-/// path's span.  The link table is a sorted vector of packed (lo, hi) id
+/// only the order-sensitive fixpoint visits records, walking a record's
+/// path span again only after a commit to one of its links.  The link
+/// table is a sorted vector of packed (lo, hi) id
 /// pairs with a parallel LinkState array, and per-hop link indices sit
 /// parallel to the arena's hop buffer, so the vote and fixpoint inner loops
 /// never hash and never binary-search.  It is built in one walk over the
@@ -517,9 +518,48 @@ void Pipeline::triplet_fixpoint() {
   //             every later link must descend (left side provides);
   //   backward: before a known p2p link or a known ascent, every earlier
   //             link must ascend (right side provides).
+  //
+  // A walk reads and writes only its own path's links, and otherwise
+  // depends only on its record's feed kind.  Walked again before any link
+  // on its path changes, it commits nothing and meets the same violations:
+  // its own commits read back as known links it passes.  So each (path,
+  // feed) key keeps its last walk's violation count and the commit count
+  // it has been checked against, each link keeps the commit count of its
+  // commit, and a record whose path has no link committed since its key
+  // was checked adds the kept count instead of walking.  Commits, counters
+  // and the iteration count are those of walking every record every time.
+  // A sanitizer that keeps loops or prepending can leave a link twice on a
+  // path, or a self-link, and a walk may then read its own commit from the
+  // other side; so then every record is walked.
+  const bool reuse_walks =
+      config_.sanitizer.discard_loops && config_.sanitizer.compress_prepending;
+  constexpr std::uint32_t kNever = 0xffffffffu;
+  std::uint32_t commits = 0;
+  std::vector<std::uint32_t> committed_at(link_keys_.size(), 0);
+  std::vector<std::uint32_t> checked_at(reuse_walks ? 2 * arena_.path_count() : 0, kNever);
+  std::vector<std::uint8_t> kept(checked_at.size(), 0);  // both by 2 * path + partial
+
   const std::size_t record_count = survivors_.size();
   bool changed = true;
   std::size_t iterations = 0;
+  const auto commit = [&](std::uint32_t link, NodeId provider, NodeId customer) {
+    set_c2p(link, provider, customer);
+    committed_at[link] = ++commits;
+    ++result_.audit.triplet_inferred;
+    changed = true;
+  };
+  // True if key's kept walk still holds; reads the path's links only when
+  // there have been commits since the key was last checked.
+  const auto unchanged = [&](std::uint32_t key, std::span<const std::uint32_t> links) {
+    if (checked_at[key] == kNever) return false;
+    if (checked_at[key] != commits) {
+      for (std::size_t j = 1; j < links.size(); ++j) {
+        if (committed_at[links[j]] > checked_at[key]) return false;
+      }
+      checked_at[key] = commits;
+    }
+    return true;
+  };
   while (changed && iterations < 16) {
     changed = false;
     ++iterations;
@@ -528,6 +568,11 @@ void Pipeline::triplet_fixpoint() {
       const auto hops = arena_.path(path);
       const auto links = links_of(path);
       if (hops.size() < 2 || !places_links(path)) continue;
+      const std::uint32_t key = 2 * path + rec_partial_[r];
+      if (reuse_walks && unchanged(key, links)) {
+        result_.audit.valley_violations += kept[key];
+        continue;
+      }
 
       auto classify = [&](std::size_t j) {
         // Link between hops[j-1] and hops[j].
@@ -546,18 +591,17 @@ void Pipeline::triplet_fixpoint() {
         return Info{kind, desc, asc};
       };
 
+      std::uint8_t violations = 0;
       bool descending = rec_partial_[r] != 0;
       for (std::size_t j = 1; j < hops.size(); ++j) {
         const auto info = classify(j);
         if (descending) {
           if (info.kind == LinkState::Kind::kUnknown) {
-            set_c2p(links[j], hops[j - 1], hops[j]);
-            ++result_.audit.triplet_inferred;
-            changed = true;
+            commit(links[j], hops[j - 1], hops[j]);
           } else if (info.ascending || info.kind == LinkState::Kind::kP2pFixed) {
             // Contradiction with commits made from stronger evidence; the
             // path is not valley-free under the current labelling.
-            ++result_.audit.valley_violations;
+            ++violations;
             break;
           }
         } else if (info.kind == LinkState::Kind::kP2pFixed || info.descending) {
@@ -570,16 +614,19 @@ void Pipeline::triplet_fixpoint() {
         const auto info = classify(j);
         if (ascending) {
           if (info.kind == LinkState::Kind::kUnknown) {
-            set_c2p(links[j], hops[j], hops[j - 1]);  // right side provides
-            ++result_.audit.triplet_inferred;
-            changed = true;
+            commit(links[j], hops[j], hops[j - 1]);  // right side provides
           } else if (info.descending || info.kind == LinkState::Kind::kP2pFixed) {
-            ++result_.audit.valley_violations;
+            ++violations;
             break;
           }
         } else if (info.kind == LinkState::Kind::kP2pFixed || info.ascending) {
           ascending = true;
         }
+      }
+      result_.audit.valley_violations += violations;
+      if (reuse_walks) {
+        kept[key] = violations;
+        checked_at[key] = commits;
       }
     }
   }

@@ -10,6 +10,16 @@
 // the same corpus bytes and therefore (via the deterministic inference
 // pipeline) the same ASRK1 epoch bytes.
 //
+// The table is one flat vector of rows sorted by (vp, prefix), so an epoch
+// cut is a sequential copy, not a tree walk.  Between cuts an update pays a
+// binary search: an announcement for a held key overwrites its path in
+// place, and a withdrawal only flags its row.  A key new since the last cut
+// waits in a small ordered side set.  corpus() compacts in place (drops the
+// flagged rows, merges the side set in from the back) and then copies the
+// rows out once.  seed() appends, and the seeded rows are sorted once on
+// first use, the last seed of a key winning; so a base RIB loads with one
+// sort instead of one tree insert per route.
+//
 // Semantics deliberately mirror bgpsim::apply_updates — the differential
 // suite replays streams through both and asserts the emitted epochs match a
 // from-scratch batch build — with one widening: an applier accepts every
@@ -20,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "asn/as_path.h"
 #include "asn/asn.h"
@@ -42,6 +53,8 @@ struct ApplierStats {
   friend bool operator==(const ApplierStats&, const ApplierStats&) = default;
 };
 
+/// Not thread-safe: one thread owns an applier, and the const accessors
+/// reorganize the table's storage (never its contents) on the way.
 class UpdateApplier {
  public:
   explicit UpdateApplier(obs::Registry& metrics = obs::Registry::global());
@@ -61,7 +74,10 @@ class UpdateApplier {
   /// order.  O(routes); called once per epoch flush.
   [[nodiscard]] paths::PathCorpus corpus() const;
 
-  [[nodiscard]] std::size_t route_count() const noexcept { return routes_.size(); }
+  [[nodiscard]] std::size_t route_count() const noexcept {
+    settle();
+    return live_;
+  }
   [[nodiscard]] const ApplierStats& stats() const noexcept { return stats_; }
 
   /// Flush bookkeeping: mark() at each epoch cut; messages_since_mark()
@@ -72,7 +88,33 @@ class UpdateApplier {
   }
 
  private:
-  std::map<std::pair<Asn, Prefix>, AsPath> routes_;
+  /// One table row.  The withdrawal flag sits in the padding after the vp,
+  /// so a row is no larger than a paths::PathRecord.
+  struct Row {
+    Asn vp;
+    bool withdrawn = false;
+    Prefix prefix;
+    AsPath path;
+  };
+  using Key = std::pair<Asn, Prefix>;
+
+  /// Sort the rows seed() appended before the first use, keeping the last
+  /// seed of each key.
+  void settle() const noexcept;
+  /// Insert or replace the route for `key`.
+  void upsert(const Key& key, AsPath path);
+  /// Remove the route for `key`; false if none was held.
+  bool erase(const Key& key);
+  /// The row holding `key` (withdrawn or not), or nullptr.
+  Row* find(const Key& key);
+
+  // Storage changes lazily under the const accessors: the seeded rows sort
+  // on first use, and corpus() folds withdrawals and new keys into rows_.
+  mutable std::vector<Row> rows_;     ///< sorted by (vp, prefix) once sorted_
+  mutable std::map<Key, AsPath> fresh_;  ///< keys added since the last corpus()
+  mutable std::size_t withdrawn_rows_ = 0;
+  mutable std::size_t live_ = 0;      ///< routes held
+  mutable bool sorted_ = false;       ///< false while seed() appends unsorted
   ApplierStats stats_;
   std::uint64_t mark_ = 0;
 

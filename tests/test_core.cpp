@@ -482,6 +482,24 @@ TEST(Pipeline, PartialVpPathsDescend) {
   EXPECT_EQ(result.graph.view(Asn(52), Asn(51)), RelView::kProvider);
 }
 
+// A looped path that crosses link 1-9 twice, once in each direction.  Its
+// first walk commits 1 -> 9 going backward from the clique link and then
+// reads the same link descending; walked again, it also reads it from the
+// other side.  So the fixpoint must re-walk it on every visit: counted from
+// its first walk, the second iteration would report one violation too few.
+// The expected counts are those of walking every record every iteration.
+TEST(Pipeline, FixpointRewalksPathsThatRepeatALink) {
+  auto corpus = hand_corpus();
+  corpus.add(rec(3, 920, {3, 1, 9, 1, 2}));
+  auto config = hand_config();
+  config.sanitizer.discard_loops = false;
+  config.discard_poisoned = false;
+  const auto result = AsRankInference(config).run(corpus);
+  EXPECT_EQ(result.graph.view(Asn(9), Asn(1)), RelView::kProvider);
+  EXPECT_EQ(result.audit.triplet_inferred, 4u);
+  EXPECT_EQ(result.audit.valley_violations, 3u);
+}
+
 /// The post-step-4 corpus by definition: the sanitized records, in order,
 /// minus those whose clique hops are not one contiguous run.
 paths::PathCorpus reference_sanitized(const paths::PathCorpus& raw, const InferenceConfig& config,

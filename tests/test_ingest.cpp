@@ -6,9 +6,12 @@
 // in test_differential.cpp.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgpsim/observation.h"
@@ -132,6 +135,112 @@ TEST(UpdateApplier, MarkTracksMessagesSinceLastFlush) {
   EXPECT_EQ(applier.messages_since_mark(), 0u);
   applier.apply(withdraw(1, "10.0.0.0/8"));
   EXPECT_EQ(applier.messages_since_mark(), 1u);
+}
+
+// Model-based check of the flat route table against a std::map reference.
+// Random streams of seeds, announcements, withdrawals, re-announcements,
+// AS_SET and empty-path messages over a small key space (so keys recur),
+// with corpus() cuts interleaved; every cut compares the rows in order, the
+// route count, the stats and the routes gauge.
+TEST(UpdateApplier, MatchesMapModelOnRandomStreams) {
+  using Key = std::pair<Asn, Prefix>;
+  std::vector<Prefix> prefixes;
+  for (std::uint32_t i = 0; i < 24; ++i) prefixes.push_back(Prefix::v4(0x0A000000 + (i << 8), 24));
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    prefixes.emplace_back(Prefix::Family::kIpv6,
+                          static_cast<unsigned __int128>(0x20010db8u + i) << 96, 32);
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+    const auto random_peer = [&] { return Asn(static_cast<std::uint32_t>(100 + pick(5))); };
+    // Lengths 1..9, so some paths leave AsPath's inline storage.
+    const auto random_path = [&](Asn peer) {
+      std::vector<Asn> hops{peer};
+      const std::size_t length = 1 + pick(9);
+      while (hops.size() < length) hops.emplace_back(static_cast<std::uint32_t>(1 + pick(50)));
+      return AsPath(hops);
+    };
+
+    obs::Registry metrics;
+    ingest::UpdateApplier applier(metrics);
+    std::map<Key, AsPath> model;
+    ingest::ApplierStats want;
+    const auto seed_row = [&] {
+      const Asn peer = random_peer();
+      const Prefix& prefix = prefixes[pick(prefixes.size())];
+      // A base RIB may hold an empty path; a seed keeps whatever it is given.
+      const AsPath path = pick(20) == 0 ? AsPath{} : random_path(peer);
+      applier.seed(peer, prefix, path);
+      model[{peer, prefix}] = path;
+      ++want.announced;
+    };
+    const auto check = [&](std::size_t step) {
+      const auto corpus = applier.corpus();
+      ASSERT_EQ(corpus.size(), model.size()) << "seed " << seed << " step " << step;
+      std::size_t i = 0;
+      for (const auto& [key, path] : model) {
+        const auto& row = corpus.records()[i++];
+        EXPECT_EQ(row.vp, key.first) << "seed " << seed << " step " << step << " row " << i;
+        EXPECT_EQ(row.prefix, key.second) << "seed " << seed << " step " << step << " row " << i;
+        EXPECT_EQ(row.path, path) << "seed " << seed << " step " << step << " row " << i;
+      }
+      EXPECT_EQ(applier.route_count(), model.size()) << "seed " << seed << " step " << step;
+      EXPECT_EQ(applier.stats(), want) << "seed " << seed << " step " << step;
+      EXPECT_EQ(metrics.gauge("asrank_ingest_routes", "").value(),
+                static_cast<std::int64_t>(model.size()))
+          << "seed " << seed << " step " << step;
+    };
+
+    // A base RIB of 0..150 rows, duplicate keys included (the last seed wins).
+    for (std::size_t n = pick(151); n > 0; --n) seed_row();
+    for (std::size_t step = 0; step < 600; ++step) {
+      const std::size_t op = pick(20);
+      if (op == 0) {
+        check(step);
+        continue;
+      }
+      if (op == 1) {
+        seed_row();  // a seed after the table is in use
+        continue;
+      }
+      mrt::UpdateMessage update;
+      update.peer_as = random_peer();
+      update.local_as = Asn(6447);
+      if (op < 9 || op >= 15) {
+        for (std::size_t n = 1 + pick(3); n > 0; --n) {
+          update.withdrawn.push_back(prefixes[pick(prefixes.size())]);
+        }
+      }
+      if (op >= 9) {
+        for (std::size_t n = 1 + pick(3); n > 0; --n) {
+          update.announced.push_back(prefixes[pick(prefixes.size())]);
+        }
+        const std::size_t kind = pick(10);
+        update.attrs.has_as_set = kind == 0;
+        if (kind != 1) update.attrs.as_path = random_path(update.peer_as);
+      }
+      applier.apply(update);
+      ++want.messages;
+      for (const Prefix& prefix : update.withdrawn) {
+        if (model.erase({update.peer_as, prefix}) == 0) ++want.noop_withdrawn;
+        ++want.withdrawn;
+      }
+      if (update.announced.empty()) continue;
+      if (update.attrs.has_as_set) {
+        want.as_set_rejected += update.announced.size();
+      } else if (update.attrs.as_path.empty()) {
+        want.empty_path_rejected += update.announced.size();
+      } else {
+        for (const Prefix& prefix : update.announced) {
+          model[{update.peer_as, prefix}] = update.attrs.as_path;
+          ++want.announced;
+        }
+      }
+    }
+    check(600);
+    check(601);  // a cut with nothing new since the last one
+  }
 }
 
 TEST(FlushPolicy, CountTrigger) {

@@ -417,5 +417,106 @@ TEST(ParallelDeterminism, ParallelClosureDetectsCycles) {
   EXPECT_THROW(core::recursive_cone(graph, 4), std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// Pinned stage audit
+// ---------------------------------------------------------------------------
+
+/// A seeded bgpsim corpus with partial-view VPs, and a config whose
+/// sanitizer knows the ground truth's IXPs.
+struct PinnedWorld {
+  paths::PathCorpus corpus;
+  core::InferenceConfig config;
+};
+
+PinnedWorld pinned_world(const char* preset, std::uint64_t seed, std::size_t full_vps,
+                         std::size_t partial_vps, double destination_sample) {
+  auto gen = topogen::GenParams::preset(preset);
+  gen.seed = seed;
+  const auto truth = topogen::generate(gen);
+  bgpsim::ObservationParams obs;
+  obs.seed = seed + 1;
+  obs.full_vps = full_vps;
+  obs.partial_vps = partial_vps;
+  obs.destination_sample = destination_sample;
+  PinnedWorld out{paths::PathCorpus::from_records(bgpsim::observe(truth, obs).routes), {}};
+  out.config.sanitizer.ixp_asns.insert(truth.ixp_asns.begin(), truth.ixp_asns.end());
+  return out;
+}
+
+void expect_pinned_audit(const paths::PathCorpus& corpus, core::InferenceConfig config,
+                         const core::StageAudit& want) {
+  for (const std::size_t threads : {1u, 4u}) {
+    config.threads = threads;
+    expect_audit_eq(core::AsRankInference(config).run(corpus).audit, want, threads);
+  }
+}
+
+// Every StageAudit counter on four corpora, pinned at 1 and 4 threads.  The
+// valley-free fixpoint's counters (triplet_inferred, valley_violations) are
+// the ones its skipping of unchanged walks must keep.
+TEST(StageAuditPin, SharedCorpus) {
+  expect_pinned_audit(shared_corpus(), {}, {
+      .sanitize = {
+          .input_records = 17854, .ixp_hops_stripped = 0, .reserved_hops_stripped = 0,
+          .prepended_compressed = 544, .loops_discarded = 26, .reserved_discarded = 60,
+          .duplicates_removed = 0, .output_records = 17768},
+      .ranked_ases = 302, .clique_size = 6, .poisoned_discarded = 0, .partial_vps = 4,
+      .c2p_votes = 12882, .apex_links_deferred = 29349, .links_committed_c2p = 350,
+      .vote_conflicts = 6, .siblings_inferred = 4, .triplet_inferred = 123,
+      .valley_violations = 44, .providerless_repaired = 2, .stub_clique_links = 2,
+      .clique_direction_fixes = 0, .p2p_fallback = 258, .cycle_edges_reoriented = 0,
+      .p2c_acyclic = true});
+}
+
+TEST(StageAuditPin, IxpStrippedCorpus) {
+  const auto world = pinned_world("small", 9001, 12, 6, 1.0);
+  expect_pinned_audit(world.corpus, world.config, {
+      .sanitize = {
+          .input_records = 9335, .ixp_hops_stripped = 20, .reserved_hops_stripped = 0,
+          .prepended_compressed = 284, .loops_discarded = 2, .reserved_discarded = 25,
+          .duplicates_removed = 0, .output_records = 9308},
+      .ranked_ases = 300, .clique_size = 6, .poisoned_discarded = 3, .partial_vps = 3,
+      .c2p_votes = 5887, .apex_links_deferred = 17005, .links_committed_c2p = 303,
+      .vote_conflicts = 6, .siblings_inferred = 4, .triplet_inferred = 107,
+      .valley_violations = 36, .providerless_repaired = 2, .stub_clique_links = 2,
+      .clique_direction_fixes = 1, .p2p_fallback = 184, .cycle_edges_reoriented = 0,
+      .p2c_acyclic = true});
+}
+
+// With loops left in, some paths repeat a link; the fixpoint walks those on
+// every visit.
+TEST(StageAuditPin, LoopedCorpus) {
+  auto world = pinned_world("small", 9001, 12, 6, 1.0);
+  world.config.sanitizer.discard_loops = false;
+  expect_pinned_audit(world.corpus, world.config, {
+      .sanitize = {
+          .input_records = 9335, .ixp_hops_stripped = 20, .reserved_hops_stripped = 0,
+          .prepended_compressed = 284, .loops_discarded = 0, .reserved_discarded = 25,
+          .duplicates_removed = 0, .output_records = 9310},
+      .ranked_ases = 300, .clique_size = 6, .poisoned_discarded = 4, .partial_vps = 3,
+      .c2p_votes = 5890, .apex_links_deferred = 17007, .links_committed_c2p = 304,
+      .vote_conflicts = 7, .siblings_inferred = 4, .triplet_inferred = 107,
+      .valley_violations = 40, .providerless_repaired = 2, .stub_clique_links = 2,
+      .clique_direction_fixes = 1, .p2p_fallback = 183, .cycle_edges_reoriented = 0,
+      .p2c_acyclic = true});
+}
+
+// Few VPs: here a later record's fixpoint commit lands on a link of a path
+// already walked, so that path's next walk commits more (three iterations).
+TEST(StageAuditPin, FewVantagePointsCorpus) {
+  const auto world = pinned_world("small", 242, 5, 2, 1.0);
+  expect_pinned_audit(world.corpus, world.config, {
+      .sanitize = {
+          .input_records = 3800, .ixp_hops_stripped = 4, .reserved_hops_stripped = 0,
+          .prepended_compressed = 159, .loops_discarded = 0, .reserved_discarded = 11,
+          .duplicates_removed = 0, .output_records = 3789},
+      .ranked_ases = 300, .clique_size = 5, .poisoned_discarded = 4, .partial_vps = 2,
+      .c2p_votes = 2684, .apex_links_deferred = 6818, .links_committed_c2p = 313,
+      .vote_conflicts = 6, .siblings_inferred = 3, .triplet_inferred = 73,
+      .valley_violations = 24, .providerless_repaired = 6, .stub_clique_links = 10,
+      .clique_direction_fixes = 0, .p2p_fallback = 133, .cycle_edges_reoriented = 0,
+      .p2c_acyclic = true});
+}
+
 }  // namespace
 }  // namespace asrank
