@@ -398,6 +398,8 @@ int main(int argc, char** argv) {
   std::ofstream json(json_out);
   json << "{\n  \"bench\": \"serve_load\",\n";
   json << "  \"hardware_threads\": " << hardware_threads << ",\n";
+  json << "  \"build_type\": \"" << ASRANK_BUILD_TYPE << "\",\n";
+  json << "  \"git_sha\": \"" << ASRANK_GIT_SHA << "\",\n";
   json << "  \"connections\": " << connections << ",\n";
   json << "  \"requests_per_connection\": " << kRequestsPerConnection << ",\n";
   json << "  \"duration_ms\": " << duration_ms << ",\n";

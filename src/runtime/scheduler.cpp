@@ -1,41 +1,29 @@
 #include "runtime/scheduler.h"
 
+#include <string>
+
 #include "util/thread_pool.h"
 
 namespace asrank::runtime {
 
 TaskScheduler::TaskScheduler(TaskSchedulerConfig config, obs::Registry* registry)
-    : config_(std::move(config)) {
+    : config_(config) {
   std::size_t n = util::resolve_threads(config_.workers);
   workers_.reserve(n);
-  const std::string& p = config_.metric_prefix;
-  task_latency_ = &registry->histogram(p + "_task_latency_micros",
-                                       "post-to-run latency of scheduled tasks");
   for (std::size_t i = 0; i < n; ++i) {
     auto w = std::make_unique<Worker>();
-    w->reactor = std::make_unique<Reactor>(config_.force_poll_reactor);
-    obs::Labels labels{{"worker", std::to_string(i)}};
-    w->queue_depth =
-        &registry->gauge(p + "_queue_depth", "tasks waiting per worker", labels);
-    w->tasks_total =
-        &registry->counter(p + "_tasks_total", "tasks executed per worker", labels);
     w->parks_total = &registry->counter(
-        p + "_parks_total", "idle reactor parks (no tasks, no io) per worker", labels);
-    w->wakeups_total = &registry->counter(
-        p + "_wakeups_total", "cross-thread wakeups delivered per worker", labels);
+        "asrankd_runtime_parks_total", "idle reactor parks (no tasks, no io) per worker",
+        {{"worker", std::to_string(i)}});
     workers_.push_back(std::move(w));
   }
-  registry->gauge(p + "_workers", "worker threads in the task scheduler")
+  registry->gauge("asrankd_runtime_workers", "worker threads in the task scheduler")
       .set(static_cast<std::int64_t>(n));
 }
 
 TaskScheduler::~TaskScheduler() {
   stop();
   join();
-  // Free any tasks posted after the workers exited (none should run).
-  for (auto& w : workers_) {
-    while (TaskNode* node = w->queue.pop()) delete node;
-  }
 }
 
 void TaskScheduler::start(Hooks hooks) {
@@ -48,7 +36,7 @@ void TaskScheduler::start(Hooks hooks) {
 
 void TaskScheduler::stop() noexcept {
   stop_.store(true, std::memory_order_release);
-  for (auto& w : workers_) w->reactor->wake();
+  for (auto& w : workers_) w->reactor.wake();
 }
 
 void TaskScheduler::join() {
@@ -59,50 +47,27 @@ void TaskScheduler::join() {
   joined_ = true;
 }
 
-void TaskScheduler::post(std::size_t worker, std::function<void()> fn) {
+void TaskScheduler::notify(std::size_t worker) noexcept {
   Worker& w = *workers_[worker];
-  auto* node = new TaskNode;
-  node->fn = std::move(fn);
-  node->enqueued = std::chrono::steady_clock::now();
-  w.depth.fetch_add(1, std::memory_order_relaxed);
-  w.queue.push(node);
-  // Pairs with the sleeping protocol in worker_main: the push above is
-  // visible to the worker's post-flag emptiness re-check, so either we see
-  // sleeping==true and wake it, or the worker sees our node and skips the
-  // park.
-  if (w.sleeping.load(std::memory_order_seq_cst)) {
-    w.wakeups_total->inc();
-    w.reactor->wake();
-  }
-}
-
-std::size_t TaskScheduler::drain_tasks(Worker& w) {
-  std::size_t ran = 0;
-  while (TaskNode* node = w.queue.pop()) {
-    w.depth.fetch_sub(1, std::memory_order_relaxed);
-    auto now = std::chrono::steady_clock::now();
-    task_latency_->observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(now - node->enqueued)
-            .count()));
-    node->fn();
-    delete node;
-    ++ran;
-  }
-  if (ran != 0) w.tasks_total->inc(ran);
-  w.queue_depth->set(w.depth.load(std::memory_order_relaxed));
-  return ran;
+  // Pairs with the park protocol in worker_main: either the worker's
+  // post-announce re-check sees the flag and skips the park, or we see
+  // sleeping==true and wake the reactor.
+  w.notified.store(true, std::memory_order_seq_cst);
+  if (w.sleeping.load(std::memory_order_seq_cst)) w.reactor.wake();
 }
 
 void TaskScheduler::worker_main(std::size_t index) {
   Worker& w = *workers_[index];
   if (hooks_.on_start) hooks_.on_start(index);
   while (!stop_.load(std::memory_order_acquire)) {
-    bool did_work = drain_tasks(w) != 0;
+    // Clearing by exchange reads the notifier's store, so whatever it
+    // published before notify() is visible to this pass's on_pass.
+    w.notified.exchange(false, std::memory_order_acq_rel);
 
     auto now = TimerQueue::Clock::now();
-    did_work |= w.timers.expire(now, [&](std::uint64_t id, std::uint32_t kind) {
-                  if (hooks_.on_timer) hooks_.on_timer(index, id, kind);
-                }) != 0;
+    bool did_work = w.timers.expire(now, [&](std::uint64_t id, std::uint32_t kind) {
+                      if (hooks_.on_timer) hooks_.on_timer(index, id, kind);
+                    }) != 0;
 
     if (hooks_.on_pass) did_work |= hooks_.on_pass(index);
 
@@ -113,24 +78,22 @@ void TaskScheduler::worker_main(std::size_t index) {
       timeout = w.timers.poll_timeout_ms(TimerQueue::Clock::now(), config_.tick_ms);
     }
     if (timeout > 0) {
-      // Park protocol: announce intent to sleep, then re-check the queue.
-      // A producer that pushed before reading `sleeping` is either seen by
+      // Park protocol: announce intent to sleep, then re-check the flag.
+      // A notify() that set it before reading `sleeping` is either seen by
       // this re-check or sees sleeping==true and wakes the reactor.
       w.sleeping.store(true, std::memory_order_seq_cst);
-      if (!w.queue.empty() || stop_.load(std::memory_order_acquire)) {
+      if (w.notified.load(std::memory_order_seq_cst) ||
+          stop_.load(std::memory_order_acquire)) {
         w.sleeping.store(false, std::memory_order_relaxed);
         continue;
       }
-      int events = w.reactor->poll_once(timeout);
+      int events = w.reactor.poll_once(timeout);
       w.sleeping.store(false, std::memory_order_relaxed);
       if (events == 0) w.parks_total->inc();
     } else {
-      w.reactor->poll_once(0);
+      w.reactor.poll_once(0);
     }
   }
-  // Final drain so no posted closure is silently dropped (e.g. admission
-  // drains racing shutdown); on_stop then cleans up whatever they produced.
-  drain_tasks(w);
   if (hooks_.on_stop) hooks_.on_stop(index);
 }
 

@@ -1,17 +1,14 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "runtime/mpsc_queue.h"
 #include "runtime/reactor.h"
 #include "runtime/timer_queue.h"
 
@@ -22,17 +19,13 @@ struct TaskSchedulerConfig {
   std::size_t workers = 0;
   /// Upper bound on how long a worker parks with no timers pending.
   int tick_ms = 200;
-  /// Force the poll(2) reactor backend (tests).
-  bool force_poll_reactor = false;
-  /// Metric name prefix, e.g. "asrankd_runtime".
-  std::string metric_prefix = "asrank_runtime";
 };
 
-/// Per-core worker scheduler: each worker owns a lock-free MPSC task queue,
-/// an edge-notified Reactor, and a TimerQueue, and runs a single-threaded
-/// event loop over them. Cross-core submission lands on the owning worker's
-/// queue (`post(worker, fn)`); there is no work stealing of posted tasks, so
-/// any state a task touches is single-threaded once it is owned by a worker.
+/// Per-core worker scheduler: each worker owns an edge-notified Reactor and a
+/// TimerQueue, and runs a single-threaded event loop over them. Another
+/// thread reaches a worker only through `notify(worker)`, which makes the
+/// worker run its next pass (and so its `on_pass` hook) promptly; any state a
+/// worker's callbacks touch is single-threaded once that worker owns it.
 ///
 /// The embedding layer (the serve daemon) drives connection state machines
 /// from reactor callbacks and uses the hooks for lifecycle and per-pass work
@@ -42,10 +35,10 @@ class TaskScheduler {
   struct Hooks {
     /// Runs on the worker thread before the first pass.
     std::function<void(std::size_t worker)> on_start;
-    /// Runs on the worker thread after the loop exits (final task drain done).
+    /// Runs on the worker thread after the loop exits.
     std::function<void(std::size_t worker)> on_stop;
-    /// Runs every pass after tasks and timers; return true if it did work
-    /// (suppresses parking this pass).
+    /// Runs every pass after timers; return true if it did work (suppresses
+    /// parking this pass). A notify() is seen by the next pass that starts.
     std::function<bool(std::size_t worker)> on_pass;
     /// Fired timer checkpoints: (worker, id, kind).
     std::function<void(std::size_t worker, std::uint64_t id, std::uint32_t kind)>
@@ -69,13 +62,14 @@ class TaskScheduler {
   /// Joins the worker threads (after stop()).
   void join();
 
-  /// Enqueues fn on the given worker's queue and wakes it if parked.
-  /// Safe from any thread, including the workers themselves.
-  void post(std::size_t worker, std::function<void()> fn);
+  /// Makes the worker start another pass: it will not park before running
+  /// on_pass once more, and is woken if it is parked now. Notifies before
+  /// that pass coalesce. Safe from any thread.
+  void notify(std::size_t worker) noexcept;
 
   /// The worker's reactor/timers. Only the worker thread itself may use
   /// these (except Reactor::wake).
-  Reactor& reactor(std::size_t worker) { return *workers_[worker]->reactor; }
+  Reactor& reactor(std::size_t worker) { return workers_[worker]->reactor; }
   TimerQueue& timers(std::size_t worker) { return workers_[worker]->timers; }
 
   [[nodiscard]] bool stopping() const noexcept {
@@ -83,27 +77,16 @@ class TaskScheduler {
   }
 
  private:
-  struct TaskNode {
-    std::atomic<TaskNode*> next{nullptr};
-    std::function<void()> fn;
-    std::chrono::steady_clock::time_point enqueued{};
-  };
-
   struct Worker {
-    MpscQueue<TaskNode> queue;
     std::atomic<bool> sleeping{false};
-    std::atomic<std::int64_t> depth{0};
-    std::unique_ptr<Reactor> reactor;
+    std::atomic<bool> notified{false};
+    Reactor reactor;
     TimerQueue timers;
     std::thread thread;
-    obs::Gauge* queue_depth = nullptr;
-    obs::Counter* tasks_total = nullptr;
     obs::Counter* parks_total = nullptr;
-    obs::Counter* wakeups_total = nullptr;
   };
 
   void worker_main(std::size_t index);
-  std::size_t drain_tasks(Worker& w);
 
   TaskSchedulerConfig config_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -111,7 +94,6 @@ class TaskScheduler {
   std::atomic<bool> stop_{false};
   bool started_ = false;
   bool joined_ = false;
-  obs::Histogram* task_latency_ = nullptr;
 };
 
 }  // namespace asrank::runtime

@@ -772,7 +772,7 @@ class Server::TaskConn final : public runtime::IoHandler {
       }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      fail(std::string("recv: ") + std::strerror(errno));
+      fail_io("recv");
       return;
     }
     process_input();
@@ -866,7 +866,10 @@ class Server::TaskConn final : public runtime::IoHandler {
 
   void flush() {
     while (wpos_ < wbuf_.size()) {
-      const ssize_t n = ::write(fd_, wbuf_.data() + wpos_, wbuf_.size() - wpos_);
+      // MSG_NOSIGNAL: a peer that reset the connection is an EPIPE here,
+      // not a SIGPIPE that kills the daemon.
+      const ssize_t n =
+          ::send(fd_, wbuf_.data() + wpos_, wbuf_.size() - wpos_, MSG_NOSIGNAL);
       if (n > 0) {
         wpos_ += static_cast<std::size_t>(n);
         continue;
@@ -879,7 +882,7 @@ class Server::TaskConn final : public runtime::IoHandler {
         }
         return;
       }
-      fail(std::string("send: ") + std::strerror(errno));
+      fail_io("send");
       return;
     }
     wbuf_.clear();
@@ -927,6 +930,21 @@ class Server::TaskConn final : public runtime::IoHandler {
   void fail(const std::string& what) {
     server_.protocol_errors_total_->inc();
     obs::log_warn("connection dropped", {{"error", what}});
+    close_conn();
+  }
+
+  /// A failed recv/send. A peer reset is an expected close: it is counted
+  /// by reason and logged at DEBUG; any other errno is a WARN like fail().
+  void fail_io(const char* op) {
+    const int err = errno;
+    const std::string what = std::string(op) + ": " + std::strerror(err);
+    if (err != ECONNRESET && err != EPIPE) {
+      fail(what);
+      return;
+    }
+    server_.protocol_errors_total_->inc();
+    server_.peer_resets_total_->inc();
+    obs::log_debug("connection reset by peer", {{"error", what}});
     close_conn();
   }
 
@@ -984,6 +1002,9 @@ Server::Server(SnapshotRegistry& registry, ServerConfig config)
       protocol_errors_total_(&registry.registry().counter(
           "asrankd_protocol_errors_total",
           "Connections dropped on framing or socket errors")),
+      peer_resets_total_(&registry.registry().counter(
+          "asrankd_connections_closed_total", "Connections closed, by reason",
+          {{"reason", "peer_reset"}})),
       shed_total_(&registry.registry().counter(
           "asrankd_connections_shed_total",
           "Connections refused at the admission limit")),
@@ -1076,7 +1097,6 @@ void Server::run() {
   runtime::TaskSchedulerConfig scfg;
   scfg.workers = threads_;
   scfg.tick_ms = poll_tick_ms_;
-  scfg.metric_prefix = "asrankd_runtime";
   scheduler_ = std::make_unique<runtime::TaskScheduler>(scfg, &registry_.registry());
 
   // Admission capacity tracks the connection bound, so with max_connections
@@ -1187,7 +1207,7 @@ void Server::accept_loop() {
         active_connections_.fetch_sub(1, std::memory_order_relaxed);
         continue;
       }
-      scheduler_->post(hint, [this, hint] { drain_admissions(hint); });
+      scheduler_->notify(hint);
     }
   }
 }

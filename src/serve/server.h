@@ -138,6 +138,7 @@ class Server {
   obs::Counter* frames_total_;            ///< asrankd_frames_total
   obs::Counter* text_commands_total_;     ///< asrankd_text_commands_total
   obs::Counter* protocol_errors_total_;   ///< asrankd_protocol_errors_total
+  obs::Counter* peer_resets_total_;       ///< asrankd_connections_closed_total{reason="peer_reset"}
   obs::Counter* shed_total_;              ///< asrankd_connections_shed_total
   obs::Counter* idle_timeouts_total_;     ///< asrankd_idle_timeouts_total
   obs::Counter* deadline_timeouts_total_; ///< asrankd_deadline_timeouts_total

@@ -1,19 +1,19 @@
 // Unit and stress tests for the task-serving runtime primitives
-// (src/runtime): the MPSC task queue, the bounded MPMC admission queue, the
-// timer heap, the reactor (both backends), epoch-based reclamation, and the
-// per-core TaskScheduler. The stress tests are deliberately small enough to
-// run under ThreadSanitizer in CI (the .github tsan job) yet still exercise
-// real cross-thread interleavings.
+// (src/runtime): the bounded MPMC admission queue, the timer heap, the
+// reactor (both backends), epoch-based reclamation, and the per-core
+// TaskScheduler with its notify/park handshake. The stress tests are
+// deliberately small enough to run under ThreadSanitizer in CI (the .github
+// tsan job) yet still exercise real cross-thread interleavings.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <set>
 #include <thread>
@@ -23,7 +23,6 @@
 #include "obs/metrics.h"
 #include "runtime/ebr.h"
 #include "runtime/mpmc_queue.h"
-#include "runtime/mpsc_queue.h"
 #include "runtime/reactor.h"
 #include "runtime/scheduler.h"
 #include "runtime/timer_queue.h"
@@ -34,86 +33,6 @@ namespace asrank::runtime {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ------------------------------------------------------------ MPSC queue --
-
-struct Node {
-  std::atomic<Node*> next{nullptr};
-  int producer = 0;
-  int value = 0;
-};
-
-TEST(MpscQueue, FifoSingleThread) {
-  MpscQueue<Node> queue;
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.pop(), nullptr);
-
-  std::vector<Node> nodes(16);
-  for (int i = 0; i < 16; ++i) {
-    nodes[i].value = i;
-    queue.push(&nodes[i]);
-  }
-  EXPECT_FALSE(queue.empty());
-  for (int i = 0; i < 16; ++i) {
-    Node* node = queue.pop();
-    ASSERT_NE(node, nullptr);
-    EXPECT_EQ(node->value, i);
-  }
-  EXPECT_EQ(queue.pop(), nullptr);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(MpscQueue, InterleavedPushPopReusesNodes) {
-  MpscQueue<Node> queue;
-  Node a, b;
-  a.value = 1;
-  b.value = 2;
-  queue.push(&a);
-  EXPECT_EQ(queue.pop(), &a);
-  queue.push(&b);
-  EXPECT_EQ(queue.pop(), &b);
-  EXPECT_EQ(queue.pop(), nullptr);
-  queue.push(&a);  // a node may be re-pushed after it was popped
-  EXPECT_EQ(queue.pop(), &a);
-}
-
-TEST(MpscQueue, MultiProducerStressDeliversEveryNodeInProducerOrder) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  MpscQueue<Node> queue;
-
-  std::vector<std::deque<Node>> nodes(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    nodes[p].resize(kPerProducer);
-    for (int i = 0; i < kPerProducer; ++i) {
-      nodes[p][i].producer = p;
-      nodes[p][i].value = i;
-    }
-  }
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, &nodes, p] {
-      for (int i = 0; i < kPerProducer; ++i) queue.push(&nodes[p][i]);
-    });
-  }
-
-  // Single consumer: spin-pop (transient empties while a producer is between
-  // its two stores are expected and must resolve).
-  std::vector<int> next_expected(kProducers, 0);
-  int received = 0;
-  while (received < kProducers * kPerProducer) {
-    Node* node = queue.pop();
-    if (node == nullptr) continue;
-    // Per-producer FIFO: each producer's nodes arrive in push order.
-    EXPECT_EQ(node->value, next_expected[node->producer]);
-    ++next_expected[node->producer];
-    ++received;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(queue.pop(), nullptr);
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_expected[p], kPerProducer);
-}
 
 // ------------------------------------------------------------ MPMC queue --
 
@@ -412,43 +331,86 @@ TEST(Ebr, StressReadersNeverObserveAFreedObject) {
 
 // --------------------------------------------------------- TaskScheduler --
 
-TEST(TaskScheduler, RunsPostedTasksOnTheTargetWorker) {
+TEST(TaskScheduler, NotifyWakesAParkedWorkerWithinOneTick) {
+  constexpr int kTickMs = 200;
+  constexpr int kRounds = 100;
   obs::Registry metrics;
   TaskSchedulerConfig config;
-  config.workers = 2;
-  config.tick_ms = 5;
+  config.workers = 1;
+  config.tick_ms = kTickMs;
   TaskScheduler scheduler(config, &metrics);
-  ASSERT_EQ(scheduler.worker_count(), 2u);
 
-  std::atomic<int> ran{0};
-  std::atomic<int> started{0};
-  std::atomic<int> stopped{0};
+  // The notifier publishes a round number, then notifies; on_pass reports
+  // the round it saw. A lost wakeup shows as a round that takes a full tick.
+  std::atomic<int> published{0};
+  std::atomic<int> observed{0};
   TaskScheduler::Hooks hooks;
-  hooks.on_start = [&](std::size_t) { started.fetch_add(1); };
-  hooks.on_stop = [&](std::size_t) { stopped.fetch_add(1); };
+  hooks.on_pass = [&](std::size_t) {
+    observed.store(published.load(std::memory_order_relaxed),
+                   std::memory_order_release);
+    return false;  // no work: the worker parks for a whole tick
+  };
   scheduler.start(std::move(hooks));
 
-  constexpr int kTasks = 200;
-  for (int i = 0; i < kTasks; ++i) {
-    scheduler.post(i % 2, [&ran] { ran.fetch_add(1); });
-  }
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (ran.load() < kTasks && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(ran.load(), kTasks);
+  std::chrono::steady_clock::duration slowest{};
+  std::thread notifier([&] {
+    for (int round = 1; round <= kRounds; ++round) {
+      // Even rounds let the worker settle into its park, so notify() must
+      // wake the reactor; odd rounds race the worker's park announcement.
+      if (round % 2 == 0) std::this_thread::sleep_for(2ms);
+      const auto start = std::chrono::steady_clock::now();
+      published.store(round, std::memory_order_relaxed);
+      scheduler.notify(0);
+      const auto deadline = start + 5s;
+      while (observed.load(std::memory_order_acquire) < round &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      slowest = std::max(slowest, std::chrono::steady_clock::now() - start);
+    }
+  });
+  notifier.join();
+  EXPECT_EQ(observed.load(), kRounds);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(slowest).count(),
+            kTickMs / 4);
 
   scheduler.stop();
   scheduler.join();
-  EXPECT_EQ(started.load(), 2);
-  EXPECT_EQ(stopped.load(), 2);
-  EXPECT_TRUE(scheduler.stopping());
+  // A wake-pipe return dispatches no I/O, so each woken park is counted.
+  EXPECT_GE(metrics.counter("asrankd_runtime_parks_total", "", {{"worker", "0"}}).value(),
+            1u);
+}
 
-  // Per-worker instrumentation exists and adds up.
-  const auto total =
-      metrics.counter("asrank_runtime_tasks_total", "", {{"worker", "0"}}).value() +
-      metrics.counter("asrank_runtime_tasks_total", "", {{"worker", "1"}}).value();
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kTasks));
+TEST(TaskScheduler, NotifyBetweenPassAndParkIsNotLost) {
+  // A notify that lands after a pass cleared the flag but before the worker
+  // announces its park must cost one more pass, not a tick. An on_pass that
+  // notifies its own worker lands in that window every time.
+  constexpr int kTickMs = 200;
+  constexpr int kPasses = 20;
+  obs::Registry metrics;
+  TaskSchedulerConfig config;
+  config.workers = 1;
+  config.tick_ms = kTickMs;
+  TaskScheduler scheduler(config, &metrics);
+
+  std::atomic<int> passes{0};
+  TaskScheduler::Hooks hooks;
+  hooks.on_pass = [&](std::size_t worker) {
+    if (passes.fetch_add(1) + 1 < kPasses) scheduler.notify(worker);
+    return false;
+  };
+  const auto start = std::chrono::steady_clock::now();
+  scheduler.start(std::move(hooks));
+  const auto deadline = start + 10s;
+  while (passes.load() < kPasses && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  scheduler.stop();
+  scheduler.join();
+  EXPECT_GE(passes.load(), kPasses);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
+            kTickMs / 4);
 }
 
 TEST(TaskScheduler, FiresTimerCheckpointsViaHook) {
@@ -461,16 +423,16 @@ TEST(TaskScheduler, FiresTimerCheckpointsViaHook) {
   std::atomic<std::uint64_t> fired_id{0};
   std::atomic<std::uint32_t> fired_kind{0};
   TaskScheduler::Hooks hooks;
+  // Timers are worker-owned: schedule from the worker's own on_start.
+  hooks.on_start = [&scheduler](std::size_t worker) {
+    scheduler.timers(worker).schedule(TimerQueue::Clock::now() + 10ms, 42, 7);
+  };
   hooks.on_timer = [&](std::size_t, std::uint64_t id, std::uint32_t kind) {
     fired_id.store(id);
     fired_kind.store(kind);
   };
   scheduler.start(std::move(hooks));
 
-  // Timers are worker-owned: schedule from a task on that worker.
-  scheduler.post(0, [&scheduler] {
-    scheduler.timers(0).schedule(TimerQueue::Clock::now() + 10ms, 42, 7);
-  });
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (fired_id.load() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
@@ -482,20 +444,33 @@ TEST(TaskScheduler, FiresTimerCheckpointsViaHook) {
   scheduler.join();
 }
 
-TEST(TaskScheduler, StopIsIdempotentAndDrainsQueuedTasks) {
+TEST(TaskScheduler, StopAndJoinAreIdempotent) {
   obs::Registry metrics;
   TaskSchedulerConfig config;
-  config.workers = 1;
+  config.workers = 2;
   config.tick_ms = 5;
+  {
+    TaskScheduler never_started(config, &metrics);
+    never_started.stop();
+    never_started.join();  // nothing to join; the destructor stops again
+  }
+
   TaskScheduler scheduler(config, &metrics);
-  std::atomic<int> ran{0};
-  scheduler.start({});
-  for (int i = 0; i < 50; ++i) scheduler.post(0, [&ran] { ran.fetch_add(1); });
+  ASSERT_EQ(scheduler.worker_count(), 2u);
+  std::atomic<int> started{0};
+  std::atomic<int> stopped{0};
+  TaskScheduler::Hooks hooks;
+  hooks.on_start = [&](std::size_t) { started.fetch_add(1); };
+  hooks.on_stop = [&](std::size_t) { stopped.fetch_add(1); };
+  scheduler.start(std::move(hooks));
   scheduler.stop();
   scheduler.stop();
   scheduler.join();
-  // The final drain runs tasks already queued at stop time.
-  EXPECT_EQ(ran.load(), 50);
+  scheduler.join();
+  EXPECT_TRUE(scheduler.stopping());
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_EQ(stopped.load(), 2);
+  EXPECT_EQ(metrics.gauge("asrankd_runtime_workers").value(), 2);
 }
 
 // ----------------------------------------- registry torture (EBR + RCU) --

@@ -1460,6 +1460,108 @@ TEST(Server, StalledRequestsHitTheReadDeadline) {
   runner.join();
 }
 
+TEST(Server, AdmissionWakesAParkedWorkerWithinOneTick) {
+  ServeRig rig;
+  ServerConfig config;
+  config.port = 0;
+  config.threads = 1;
+  config.idle_timeout_ms = 0;  // tick = 200ms
+  Server server(*rig.snapshots, config);
+  std::thread runner([&server] { server.run(); });
+  Client idle = Client::dial("127.0.0.1", server.port()).value();
+  ASSERT_TRUE(idle.try_ping().ok());  // the worker now parks in its keep-alive poll
+
+  // A fresh connection is no reactor event of the parked worker: only the
+  // acceptor's notify() wakes it to adopt the admission.
+  for (int i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));  // let it park again
+    const auto start = std::chrono::steady_clock::now();
+    Client fresh = Client::dial("127.0.0.1", server.port()).value();
+    ASSERT_TRUE(fresh.try_ping().ok());
+    const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    // A lost wakeup is adopted only when the parked worker's tick ends,
+    // about a whole tick after the dial.
+    EXPECT_LT(elapsed_ms, server.poll_tick_ms() / 2) << "dial " << i;
+  }
+
+  server.stop();
+  runner.join();
+}
+
+TEST(Server, PeerResetsAreCountedAsExpectedCloses) {
+  ServeRig rig;
+  ServerConfig config;
+  config.port = 0;
+  config.threads = 1;
+  Server server(*rig.snapshots, config);
+  std::thread runner([&server] { server.run(); });
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  obs::Counter& resets = rig.metrics.counter(
+      "asrankd_connections_closed_total", "Connections closed, by reason",
+      {{"reason", "peer_reset"}});
+  // Linger {1, 0}: close() sends RST instead of FIN.
+  const auto reset_and_await = [&resets](int fd, std::uint64_t expected) {
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset), 0);
+    ::close(fd);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (resets.value() < expected && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(resets.value(), expected);
+  };
+  const auto read_reply = [](int fd, std::string_view terminator) {
+    std::string reply;
+    char c = 0;
+    while (!reply.ends_with(terminator) && read_exact(fd, &c, 1)) reply.push_back(c);
+    return reply;
+  };
+
+  // An idle connection reset after a PING: the server's recv fails with
+  // ECONNRESET.
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  write_all(idle, "PING\n", 5);
+  EXPECT_EQ(read_reply(idle, "\n"), "OK pong\n");
+  reset_and_await(idle, 1);
+  // A reset is still a socket error, as asrankd_protocol_errors_total counts.
+  EXPECT_EQ(rig.metrics
+                .counter("asrankd_protocol_errors_total",
+                         "Connections dropped on framing or socket errors")
+                .value(),
+            1u);
+
+  // A reset while the server owes more replies than the socket buffers
+  // hold, after our FIN: its next send fails with EPIPE, which must be a
+  // counted close, not a SIGPIPE that ends the process. A fixed small
+  // receive buffer, set before connect so it also caps the window, leaves
+  // the server only its own send buffer (at most 4 MiB by default).
+  const int busy = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(busy, 0);
+  const int rcvbuf = 64 << 10;
+  ASSERT_EQ(::setsockopt(busy, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf), 0);
+  ASSERT_EQ(::connect(busy, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  write_all(busy, "METRICS\n", 8);
+  const std::size_t reply_size = read_reply(busy, "\n.\n").size();
+  std::string pipeline;
+  for (std::size_t owed = 0; owed < (std::size_t{8} << 20); owed += reply_size) {
+    pipeline += "METRICS\n";
+  }
+  write_all(busy, pipeline.data(), pipeline.size());
+  ASSERT_EQ(::shutdown(busy, SHUT_WR), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  reset_and_await(busy, 2);
+
+  server.stop();
+  runner.join();
+}
+
 TEST(Server, ConcurrentReloadTorture) {
   // Reinstall the same epoch label with alternating indexes while clients
   // hammer queries: every answer must be internally consistent with one of
