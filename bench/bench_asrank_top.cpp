@@ -39,24 +39,23 @@ int main(int argc, char** argv) {
   util::TableWriter table(
       {"rank", "AS", "tier", "inferred cone", "true cone", "transit degree", "in clique"});
   for (const auto& entry : core::top_n(inferred_cones, world.result.degrees, 15)) {
-    const auto truth_it = truth_cones.find(entry.as);
     const bool in_clique = std::binary_search(world.truth.clique.begin(),
                                               world.truth.clique.end(), entry.as);
     table.add_row({std::to_string(entry.rank), "AS" + entry.as.str(),
                    tier_name(world.truth.tiers.at(entry.as)),
                    util::fmt_count(entry.cone_size),
-                   truth_it == truth_cones.end() ? "-"
-                                                 : util::fmt_count(truth_it->second.size()),
+                   truth_cones.contains(entry.as)
+                       ? util::fmt_count(truth_cones.at(entry.as).size())
+                       : "-",
                    util::fmt_count(entry.transit_degree), in_clique ? "yes" : "no"});
   }
   table.render(std::cout);
 
   std::vector<double> inferred_sizes, true_sizes;
   for (const auto& [as, members] : inferred_cones) {
-    const auto it = truth_cones.find(as);
-    if (it == truth_cones.end()) continue;
+    if (!truth_cones.contains(as)) continue;
     inferred_sizes.push_back(static_cast<double>(members.size()));
-    true_sizes.push_back(static_cast<double>(it->second.size()));
+    true_sizes.push_back(static_cast<double>(truth_cones.at(as).size()));
   }
   std::cout << "rank correlation (inferred vs true cone sizes): kendall tau = "
             << util::fmt(util::kendall_tau(inferred_sizes, true_sizes), 3)

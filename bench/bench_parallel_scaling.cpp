@@ -4,8 +4,9 @@
 // the util::ThreadPool engine: it measures wall-clock speedup at 1/2/4/8
 // workers on a topogen graph (default 50k ASes), verifies that every stage's
 // output is identical to the single-threaded run, and emits machine-readable
-// JSON (stamped with hardware threads, build type and git sha) so the
-// BENCH_*.json trajectory tracks scaling across PRs.
+// JSON (stamped with hardware threads, build type and git sha, plus the
+// process's peak RSS) so the BENCH_*.json trajectory tracks scaling across
+// PRs.
 //
 //     bench_parallel_scaling [total_ases] [seed] [json_out]
 //
@@ -20,6 +21,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "core/asrank.h"
 #include "core/cones.h"
@@ -69,15 +72,23 @@ double time_ms(const std::function<void()>& fn) {
   return best;
 }
 
+/// The process's peak resident set so far (ru_maxrss is in KiB on Linux).
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 void write_json(std::ostream& os, std::size_t ases, std::uint64_t seed,
                 const std::map<std::string, std::map<std::size_t, double>>& timings,
-                bool identical) {
+                bool identical, double rss_mb) {
   os << "{\n  \"bench\": \"parallel_scaling\",\n";
   os << "  \"total_ases\": " << ases << ",\n  \"seed\": " << seed << ",\n";
   os << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n";
   os << "  \"build_type\": \"" << ASRANK_BUILD_TYPE << "\",\n";
   os << "  \"git_sha\": \"" << ASRANK_GIT_SHA << "\",\n";
   os << "  \"outputs_identical\": " << (identical ? "true" : "false") << ",\n";
+  os << "  \"peak_rss_mb\": " << rss_mb << ",\n";
   os << "  \"stages\": {\n";
   bool first_stage = true;
   for (const auto& [stage, by_threads] : timings) {
@@ -187,9 +198,11 @@ int main(int argc, char** argv) {
     std::cout << "single hardware thread: speedup assertion skipped\n";
   }
 
-  write_json(std::cout, total_ases, seed, timings, identical);
+  const double rss_mb = peak_rss_mb();
+  std::cout << "peak RSS: " << rss_mb << " MiB\n";
+  write_json(std::cout, total_ases, seed, timings, identical, rss_mb);
   std::ofstream file(json_out);
-  write_json(file, total_ases, seed, timings, identical);
+  write_json(file, total_ases, seed, timings, identical, rss_mb);
   std::cout << "wrote " << json_out << "\n";
 
   return identical && speedup_ok ? 0 : 1;

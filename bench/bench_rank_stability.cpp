@@ -74,10 +74,9 @@ int main(int argc, char** argv) {
       double jaccard_sum = 0;
       std::size_t jaccard_n = 0;
       for (std::size_t i = 0; i < std::min<std::size_t>(10, previous_ranked.size()); ++i) {
-        const auto before = previous_cones.find(previous_ranked[i]);
-        const auto after = cones.find(previous_ranked[i]);
-        if (before == previous_cones.end() || after == cones.end()) continue;
-        jaccard_sum += core::cone_jaccard(before->second, after->second);
+        const Asn as = previous_ranked[i];
+        if (!previous_cones.contains(as) || !cones.contains(as)) continue;
+        jaccard_sum += core::cone_jaccard(previous_cones.at(as), cones.at(as));
         ++jaccard_n;
       }
       table.add_row(

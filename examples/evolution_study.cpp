@@ -87,10 +87,9 @@ int main(int argc, char** argv) {
       double total = 0;
       std::size_t counted = 0;
       for (std::size_t i = 0; i < std::min<std::size_t>(10, previous_ranked.size()); ++i) {
-        const auto before_it = previous_cones.find(previous_ranked[i]);
-        const auto after_it = cones.find(previous_ranked[i]);
-        if (before_it == previous_cones.end() || after_it == cones.end()) continue;
-        total += core::cone_jaccard(before_it->second, after_it->second);
+        const Asn as = previous_ranked[i];
+        if (!previous_cones.contains(as) || !cones.contains(as)) continue;
+        total += core::cone_jaccard(previous_cones.at(as), cones.at(as));
         ++counted;
       }
       if (counted > 0) jaccard = util::fmt(total / static_cast<double>(counted), 3);

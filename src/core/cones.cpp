@@ -1,10 +1,7 @@
 #include "core/cones.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/timer.h"
@@ -20,40 +17,23 @@ using topology::kNoNode;
 using topology::NodeId;
 using topology::TopologyView;
 
-/// Fixed-width bitset over node ids for fast cone unions (the shared
-/// blocked-bitset utility also backing core::ConeBitset in the serving
-/// layer).
-using Bits = topology::DenseBitset;
-
-/// Set-bit extraction in id order (== ascending ASN), skipping zero words.
-std::vector<Asn> members_of(const Bits& bits, const AsnInterner& interner) {
-  std::vector<Asn> members;
-  topology::for_each_bit(bits.words(), [&](std::size_t id) {
-    members.push_back(interner.asn_of(static_cast<NodeId>(id)));
-  });
-  return members;
-}
-
-/// Reverse-topological levels of the customer DAG: level 0 holds childless
-/// nodes, and every node sits strictly above all of its customers.  Within a
-/// level no node depends on another, which is what makes the level-parallel
-/// closure race-free.  Throws on cycles (assumption A3), like the DFS path.
+/// Reverse-topological levels of the ASes that have customers (the childless
+/// level 0 is left out): every AS sits strictly above all of its customers,
+/// so within a level no AS depends on another, which is what makes the
+/// level-parallel closure race-free.  Throws on cycles (assumption A3).
 template <typename CustomersFn>
-std::vector<std::vector<NodeId>> reverse_topo_levels(std::size_t n,
-                                                     const CustomersFn& customers) {
+std::vector<std::vector<NodeId>> provider_levels(std::size_t n, const CustomersFn& customers) {
   std::vector<std::size_t> pending(n, 0);
   std::vector<std::vector<NodeId>> parents(n);
+  std::vector<NodeId> frontier;
   for (NodeId i = 0; i < n; ++i) {
     const auto row = customers(i);
     pending[i] = row.size();
+    if (row.empty()) frontier.push_back(i);
     for (const NodeId c : row) parents[c].push_back(i);
   }
 
   std::vector<std::vector<NodeId>> levels;
-  std::vector<NodeId> frontier;
-  for (NodeId i = 0; i < n; ++i) {
-    if (pending[i] == 0) frontier.push_back(i);
-  }
   std::size_t finalized = 0;
   while (!frontier.empty()) {
     finalized += frontier.size();
@@ -70,71 +50,53 @@ std::vector<std::vector<NodeId>> reverse_topo_levels(std::size_t n,
   if (finalized != n) {
     throw std::invalid_argument("customer cones: provider graph has a cycle");
   }
+  if (!levels.empty()) levels.erase(levels.begin());  // level 0: the childless ASes
   return levels;
 }
 
-/// Memoized post-order closure over an arbitrary p2c sub-relation given as a
-/// per-node customer-row accessor (NodeId -> span<const NodeId>).  The loop
-/// body is pure array traversal plus bitset unions — no hashing anywhere.
-/// threads == 1 runs the legacy sequential DFS; more workers merge each
-/// reverse-topological level in parallel — every node writes only its own
-/// cone and reads only cones from strictly lower levels, so the bitsets (and
-/// therefore the output) are identical at any worker count.
+/// Closure over an arbitrary p2c sub-relation given as a per-node
+/// customer-row accessor (NodeId -> span<const NodeId>).  Only ASes with
+/// customers get a bitset row (a childless customer is one bit; a childless
+/// AS's cone is itself), built level by level from rows of strictly lower
+/// levels, so the output is identical at any worker count.  Row sizes are
+/// popcounts, offsets their prefix sum, and members are filled in place.
 template <typename CustomersFn>
 ConeMap closure(const AsnInterner& interner, const CustomersFn& customers,
                 std::size_t threads) {
   obs::StageTimer stage_timer("cone_closure");
   const std::size_t n = interner.size();
   util::ThreadPool pool(threads);
-  std::vector<Bits> cones(n, Bits(n));
-
-  if (pool.worker_count() <= 1) {
-    std::vector<std::uint8_t> state(n, 0);  // 0 = new, 1 = visiting, 2 = done
-    for (NodeId root = 0; root < n; ++root) {
-      if (state[root] == 2) continue;
-      // Iterative DFS post-order.
-      std::vector<std::pair<NodeId, std::size_t>> frames{{root, 0}};
-      while (!frames.empty()) {
-        const NodeId node = frames.back().first;
-        std::size_t& child = frames.back().second;
-        const auto row = customers(node);
-        if (child == 0) {
-          if (state[node] == 2) {
-            frames.pop_back();
-            continue;
-          }
-          state[node] = 1;
-          cones[node].set(node);
+  std::vector<topology::DenseBitset> rows(n);  // no words for an AS without customers
+  for (const std::vector<NodeId>& level : provider_levels(n, customers)) {
+    // Allocated here, not in the workers, so that rows share one malloc arena.
+    for (const NodeId node : level) rows[node] = topology::DenseBitset(n);
+    pool.for_each_index(level.size(), [&](std::size_t k) {
+      topology::DenseBitset& row = rows[level[k]];
+      row.set(level[k]);
+      for (const NodeId c : customers(level[k])) {
+        if (rows[c].word_count() == 0) {
+          row.set(c);
+        } else {
+          row.merge(rows[c]);
         }
-        if (child < row.size()) {
-          const NodeId next = row[child];
-          ++child;
-          if (state[next] == 1) {
-            throw std::invalid_argument("customer cones: provider graph has a cycle");
-          }
-          if (state[next] != 2) frames.push_back({next, 0});
-          continue;
-        }
-        for (const NodeId c : row) cones[node].merge(cones[c]);
-        state[node] = 2;
-        frames.pop_back();
       }
-    }
-  } else {
-    for (const std::vector<NodeId>& level : reverse_topo_levels(n, customers)) {
-      pool.for_each_index(level.size(), [&](std::size_t k) {
-        const NodeId node = level[k];
-        cones[node].set(node);
-        for (const NodeId c : customers(node)) cones[node].merge(cones[c]);
-      });
-    }
+    });
   }
 
-  std::vector<std::vector<Asn>> members(n);
-  pool.for_each_index(n, [&](std::size_t i) { members[i] = members_of(cones[i], interner); });
-  ConeMap out;
-  for (NodeId i = 0; i < n; ++i) out.emplace(interner.asn_of(i), std::move(members[i]));
-  return out;
+  std::vector<std::uint64_t> offsets(n + 1, 0);
+  for (NodeId i = 0; i < n; ++i) {
+    offsets[i + 1] = offsets[i] + (rows[i].word_count() == 0 ? 1 : rows[i].count());
+  }
+  std::vector<Asn> members(offsets[n]);
+  pool.for_each_index(n, [&](std::size_t i) {
+    Asn* out = members.data() + offsets[i];
+    if (rows[i].word_count() == 0) *out = interner.asn_of(static_cast<NodeId>(i));
+    topology::for_each_bit(rows[i].words(), [&](std::size_t id) {
+      *out++ = interner.asn_of(static_cast<NodeId>(id));
+    });
+  });
+  return ConeMap({interner.asns().begin(), interner.asns().end()}, std::move(offsets),
+                 std::move(members));
 }
 
 /// Is the link a -> b a known p2c (b is a's customer)?  kNoNode-safe.
@@ -142,6 +104,38 @@ bool is_p2c(const TopologyView& view, NodeId a, NodeId b) {
   if (a == kNoNode || b == kNoNode) return false;
   const auto rel = view.relationship(a, b);
   return rel && *rel == RelView::kCustomer;
+}
+
+constexpr std::uint64_t pack(std::uint32_t a, std::uint32_t b) noexcept {
+  return std::uint64_t{a} << 32 | b;
+}
+
+/// `init` plus every packed pair `emit(hops, ids, out)` pushes per path (ids:
+/// the hops' NodeIds or kNoNode), sorted and deduplicated, so the result is
+/// the same at any worker count.
+template <typename EmitFn>
+std::vector<std::uint64_t> collect_pairs(util::ThreadPool& pool,
+                                         const paths::PathCorpus& corpus,
+                                         const AsnInterner& interner,
+                                         std::vector<std::uint64_t> init, const EmitFn& emit) {
+  using PairList = std::vector<std::uint64_t>;
+  const auto records = corpus.records();
+  PairList pairs = pool.map_reduce<PairList>(
+      records.size(), std::move(init),
+      [&](std::size_t begin, std::size_t end) {
+        PairList local;
+        std::vector<NodeId> ids;
+        for (std::size_t r = begin; r < end; ++r) {
+          const auto hops = records[r].path.hops();
+          interner.translate(hops, ids);
+          emit(hops, std::span<const NodeId>(ids), local);
+        }
+        return local;
+      },
+      [](PairList& acc, PairList&& part) { acc.insert(acc.end(), part.begin(), part.end()); });
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
 }
 
 }  // namespace
@@ -157,51 +151,37 @@ ConeMap recursive_cone(const AsGraph& graph, std::size_t threads) {
 
 ConeMap bgp_observed_cone(const TopologyView& view, const paths::PathCorpus& corpus,
                           std::size_t threads) {
-  using SetMap = std::unordered_map<Asn, std::unordered_set<Asn>>;
-  util::ThreadPool pool(threads);
-  const auto records = corpus.records();
-  const AsnInterner& interner = view.interner();
-
   // Cone keys/members stay ASN-typed: observed paths may cross ASes the
-  // annotated graph has never seen, which have no NodeId.  Only the p2c
-  // classification runs on the dense view.  Per-chunk membership sets merge
-  // by set union — commutative, so the ordered reduction yields the
-  // sequential result at any worker count.
-  SetMap cones = pool.map_reduce<SetMap>(
-      records.size(), SetMap{},
-      [&](std::size_t begin, std::size_t end) {
-        SetMap local;
-        std::vector<NodeId> ids;
-        for (std::size_t r = begin; r < end; ++r) {
-          const auto hops = records[r].path.hops();
-          if (hops.size() < 2) continue;
-          interner.translate(hops, ids);
-          // reach_end[i]: last index of the contiguous p2c descent starting
-          // at i.  Computed right-to-left in one pass.
-          std::vector<std::size_t> reach_end(hops.size());
-          reach_end[hops.size() - 1] = hops.size() - 1;
-          for (std::size_t i = hops.size() - 1; i-- > 0;) {
-            reach_end[i] = is_p2c(view, ids[i], ids[i + 1]) ? reach_end[i + 1] : i;
+  // annotated graph has never seen, which have no NodeId (they head no
+  // descent and get an empty row).  Only p2c classification uses the view.
+  const AsnInterner& interner = view.interner();
+  util::ThreadPool pool(threads);
+  std::vector<std::uint64_t> init;
+  for (const Asn as : interner.asns()) init.push_back(pack(as.value(), as.value()));
+  const auto pairs = collect_pairs(
+      pool, corpus, interner, std::move(init),
+      [&](std::span<const Asn> hops, std::span<const NodeId> ids, auto& out) {
+        if (hops.size() < 2) return;
+        // Right to left: `end` is the last index of the contiguous p2c
+        // descent starting at i.
+        std::size_t end = hops.size() - 1;
+        for (std::size_t i = hops.size() - 1; i-- > 0;) {
+          if (!is_p2c(view, ids[i], ids[i + 1])) end = i;
+          if (ids[i] == kNoNode) out.push_back(pack(hops[i].value(), hops[i].value()));
+          for (std::size_t j = i + 1; j <= end; ++j) {
+            out.push_back(pack(hops[i].value(), hops[j].value()));
           }
-          for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-            auto& cone = local[hops[i]];
-            for (std::size_t j = i + 1; j <= reach_end[i]; ++j) cone.insert(hops[j]);
-          }
-        }
-        return local;
-      },
-      [](SetMap& acc, SetMap&& part) {
-        for (auto& [as, members] : part) {
-          acc[as].insert(members.begin(), members.end());
         }
       });
-  for (const Asn as : interner.asns()) cones[as].insert(as);
 
   ConeMap out;
-  for (auto& [as, members] : cones) {
-    std::vector<Asn> sorted(members.begin(), members.end());
-    std::sort(sorted.begin(), sorted.end());
-    out.emplace(as, std::move(sorted));
+  std::vector<Asn> row;
+  for (std::size_t i = 0; i < pairs.size();) {
+    const Asn as(static_cast<std::uint32_t>(pairs[i] >> 32));
+    for (row.clear(); i < pairs.size() && pairs[i] >> 32 == as.value(); ++i) {
+      row.emplace_back(static_cast<std::uint32_t>(pairs[i]));
+    }
+    out.append(as, interner.contains(as) ? std::span<const Asn>(row) : std::span<const Asn>());
   }
   return out;
 }
@@ -214,43 +194,26 @@ ConeMap bgp_observed_cone(const AsGraph& graph, const paths::PathCorpus& corpus,
 ConeMap provider_peer_observed_cone(const TopologyView& view,
                                     const paths::PathCorpus& corpus, std::size_t threads) {
   // Collect p2c links observed while descending from above: the provider
-  // hop was itself preceded by one of its providers or peers.  Each chunk
-  // emits packed (provider, customer) id pairs; the final sort+unique makes
-  // the result independent of chunk order, so concatenation merging is safe.
+  // hop was itself preceded by one of its providers or peers.
   const AsnInterner& interner = view.interner();
   util::ThreadPool pool(threads);
-  const auto records = corpus.records();
-
-  using PairList = std::vector<std::uint64_t>;
-  PairList pairs = pool.map_reduce<PairList>(
-      records.size(), PairList{},
-      [&](std::size_t begin, std::size_t end) {
-        PairList local;
-        std::vector<NodeId> ids;
-        for (std::size_t r = begin; r < end; ++r) {
-          const auto hops = records[r].path.hops();
-          interner.translate(hops, ids);
-          for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
-            if (ids[i] == kNoNode || ids[i - 1] == kNoNode) continue;
-            const auto preceding = view.relationship(ids[i], ids[i - 1]);
-            const bool from_above = preceding && (*preceding == RelView::kProvider ||
-                                                  *preceding == RelView::kPeer);
-            if (!from_above) continue;
-            // Every contiguous p2c link after i is proven to carry traffic
-            // downward.
-            for (std::size_t j = i; j + 1 < hops.size(); ++j) {
-              if (!is_p2c(view, ids[j], ids[j + 1])) break;
-              local.push_back(static_cast<std::uint64_t>(ids[j]) << 32 | ids[j + 1]);
-            }
+  const auto pairs = collect_pairs(
+      pool, corpus, interner, {},
+      [&](std::span<const Asn> hops, std::span<const NodeId> ids, auto& out) {
+        for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
+          if (ids[i] == kNoNode || ids[i - 1] == kNoNode) continue;
+          const auto preceding = view.relationship(ids[i], ids[i - 1]);
+          const bool from_above = preceding && (*preceding == RelView::kProvider ||
+                                                *preceding == RelView::kPeer);
+          if (!from_above) continue;
+          // Every contiguous p2c link after i is proven to carry traffic
+          // downward.
+          for (std::size_t j = i; j + 1 < hops.size(); ++j) {
+            if (!is_p2c(view, ids[j], ids[j + 1])) break;
+            out.push_back(pack(ids[j], ids[j + 1]));
           }
         }
-        return local;
-      },
-      [](PairList& acc, PairList&& part) {
-        acc.insert(acc.end(), part.begin(), part.end());
       });
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
   // CSR over the filtered sub-relation: pairs are sorted by (provider,
   // customer), so each row comes out sorted.
@@ -275,22 +238,6 @@ ConeMap provider_peer_observed_cone(const TopologyView& view,
 ConeMap provider_peer_observed_cone(const AsGraph& graph, const paths::PathCorpus& corpus,
                                     std::size_t threads) {
   return provider_peer_observed_cone(graph.freeze(), corpus, threads);
-}
-
-ConeMap compute_cone(ConeMethod method, const TopologyView& view,
-                     const paths::PathCorpus& corpus, std::size_t threads) {
-  switch (method) {
-    case ConeMethod::kRecursive: return recursive_cone(view, threads);
-    case ConeMethod::kBgpObserved: return bgp_observed_cone(view, corpus, threads);
-    case ConeMethod::kProviderPeerObserved:
-      return provider_peer_observed_cone(view, corpus, threads);
-  }
-  throw std::invalid_argument("compute_cone: unknown method");
-}
-
-ConeMap compute_cone(ConeMethod method, const AsGraph& graph,
-                     const paths::PathCorpus& corpus, std::size_t threads) {
-  return compute_cone(method, graph.freeze(), corpus, threads);
 }
 
 std::size_t break_provider_cycles(AsGraph& graph, const Degrees& degrees) {

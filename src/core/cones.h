@@ -19,14 +19,14 @@
 //
 // All computations run on the dense-id CSR substrate (topology::TopologyView):
 // the closure walks flat customer rows indexed by NodeId and unions fixed-
-// width bitsets, so the hot loop is cache-linear with no hashing.  The
-// AsGraph overloads freeze the graph first; callers that already hold a view
-// (the CLI, the snapshot builder) should pass it directly and pay the freeze
-// cost once.
+// width bitsets (one per AS that has customers) straight into the CSR
+// ConeMap, so the hot loop is cache-linear with no hashing.  The AsGraph
+// overloads freeze the graph first; callers that already hold a view (the
+// CLI, the snapshot builder) should pass it directly and pay the freeze cost
+// once.
 #pragma once
 
 #include <cstddef>
-#include <string_view>
 
 #include "core/degrees.h"
 #include "paths/corpus.h"
@@ -36,22 +36,11 @@
 
 namespace asrank::core {
 
-enum class ConeMethod { kRecursive, kBgpObserved, kProviderPeerObserved };
-
-[[nodiscard]] constexpr std::string_view to_string(ConeMethod method) noexcept {
-  switch (method) {
-    case ConeMethod::kRecursive: return "recursive";
-    case ConeMethod::kBgpObserved: return "bgp-observed";
-    case ConeMethod::kProviderPeerObserved: return "provider-peer-observed";
-  }
-  return "?";
-}
-
-// Every computation below takes a worker-thread count: 1 (the default) is
-// the exact sequential legacy path, 0 means all hardware threads, and the
-// result is bit-identical at any count (see util/thread_pool.h — the closure
-// parallelizes over reverse-topological levels of the p2c DAG, the observed
-// cones over path-corpus chunks with commutative merges).
+// Every computation below takes a worker-thread count: 1 (the default) runs
+// the same code inline on the calling thread, 0 means all hardware threads,
+// and the result is bit-identical at any count (see util/thread_pool.h — the
+// closure parallelizes within reverse-topological levels of the p2c DAG, the
+// observed cones over path-corpus chunks with commutative merges).
 
 /// Establish assumption A3 in place: inside every strongly connected
 /// component of the provider->customer digraph, re-orient c2p edges so the
@@ -87,13 +76,5 @@ std::size_t break_provider_cycles(AsGraph& graph, const Degrees& degrees);
 [[nodiscard]] ConeMap provider_peer_observed_cone(const AsGraph& graph,
                                                   const paths::PathCorpus& corpus,
                                                   std::size_t threads = 1);
-
-/// Dispatch by method.  kRecursive ignores `corpus`.
-[[nodiscard]] ConeMap compute_cone(ConeMethod method, const AsGraph& graph,
-                                   const paths::PathCorpus& corpus,
-                                   std::size_t threads = 1);
-[[nodiscard]] ConeMap compute_cone(ConeMethod method, const topology::TopologyView& view,
-                                   const paths::PathCorpus& corpus,
-                                   std::size_t threads = 1);
 
 }  // namespace asrank::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <queue>
 
 namespace asrank::core {
@@ -65,24 +66,12 @@ std::unordered_map<Asn, std::size_t> hierarchy_depths(const AsGraph& graph) {
   return depth;
 }
 
-double cone_jaccard(const std::vector<Asn>& a, const std::vector<Asn>& b) {
+double cone_jaccard(std::span<const Asn> a, std::span<const Asn> b) {
   if (a.empty() && b.empty()) return 1.0;
-  std::size_t intersection = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++intersection;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  const std::size_t union_size = a.size() + b.size() - intersection;
-  return union_size == 0 ? 1.0
-                         : static_cast<double>(intersection) / static_cast<double>(union_size);
+  std::vector<Asn> common;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(common));
+  return static_cast<double>(common.size()) /
+         static_cast<double>(a.size() + b.size() - common.size());
 }
 
 double mean_rank_change(const std::vector<Asn>& before, const std::vector<Asn>& after,

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -56,8 +57,8 @@ struct HierarchySummary {
 [[nodiscard]] std::unordered_map<Asn, std::size_t> hierarchy_depths(const AsGraph& graph);
 
 /// Jaccard similarity between two customer cones (used by rank-stability
-/// analyses).  Inputs must be sorted ascending, as ConeMap stores them.
-[[nodiscard]] double cone_jaccard(const std::vector<Asn>& a, const std::vector<Asn>& b);
+/// analyses).  Inputs must be strictly ascending, as every ConeMap row is.
+[[nodiscard]] double cone_jaccard(std::span<const Asn> a, std::span<const Asn> b);
 
 /// Rank stability between two ranked AS lists (e.g. consecutive snapshots):
 /// for each AS in both lists, the absolute rank change; summarized as the

@@ -8,11 +8,7 @@ std::vector<RankEntry> rank_by_cone(const ConeMap& cones, const Degrees& degrees
   std::vector<RankEntry> entries;
   entries.reserve(cones.size());
   for (const auto& [as, members] : cones) {
-    RankEntry entry;
-    entry.as = as;
-    entry.cone_size = members.size();
-    entry.transit_degree = degrees.transit_degree(as);
-    entries.push_back(entry);
+    entries.push_back({0, as, members.size(), degrees.transit_degree(as)});
   }
   std::sort(entries.begin(), entries.end(), [](const RankEntry& a, const RankEntry& b) {
     if (a.cone_size != b.cone_size) return a.cone_size > b.cone_size;

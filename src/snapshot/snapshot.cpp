@@ -734,19 +734,23 @@ SnapshotIndex build_snapshot(const topology::TopologyView& view,
   adj_nbr.reserve(view_nbr.size());
   for (const topology::NodeId id : view_nbr) adj_nbr.push_back(interner.asn_of(id));
 
+  // One merge walk of the AS table against the cone keys (both ascending)
+  // copies the rows as they are; a key not in the graph stops the walk.
+  // kFull validation below rejects a malformed row.
   std::vector<std::uint64_t> cone_off(n + 1, 0);
   std::vector<Asn> cone_mem;
+  std::vector<std::uint32_t> ranked_ids;
   std::vector<std::uint32_t> rank(n, 0);
   std::vector<std::uint32_t> tdeg(n, 0);
 
-  for (std::size_t id = 0; id < n; ++id) {
+  auto cone = cones.begin();
+  for (std::uint32_t id = 0; id < n; ++id) {
     const Asn as = asns[id];
-    const auto cone_it = cones.find(as);
-    if (cone_it != cones.end()) {
-      std::vector<Asn> members = cone_it->second;
-      std::sort(members.begin(), members.end());
-      members.erase(std::unique(members.begin(), members.end()), members.end());
+    if (cone != cones.end() && (*cone).first == as) {
+      const auto members = (*cone).second;
       cone_mem.insert(cone_mem.end(), members.begin(), members.end());
+      ranked_ids.push_back(id);
+      ++cone;
     }
     cone_off[id + 1] = cone_mem.size();
 
@@ -755,21 +759,13 @@ SnapshotIndex build_snapshot(const topology::TopologyView& view,
       tdeg[id] = static_cast<std::uint32_t>(deg_it->second);
     }
   }
-
-  for (const auto& [as, members] : cones) {
-    if (!interner.contains(as)) {
-      throw SnapshotError("cone key AS" + as.str() + " is not in the graph");
-    }
-    (void)members;
+  if (cone != cones.end()) {
+    throw SnapshotError("cone key AS" + (*cone).first.str() + " is not in the graph");
   }
 
   // Freeze the ranking with the pipeline's exact order: cone size desc,
   // transit degree desc, ASN asc (core::rank_by_cone).  Only cone-covered
   // ASes are ranked; the rest keep rank 0.
-  std::vector<std::uint32_t> ranked_ids;
-  for (std::uint32_t id = 0; id < n; ++id) {
-    if (cones.contains(asns[id])) ranked_ids.push_back(id);
-  }
   std::sort(ranked_ids.begin(), ranked_ids.end(),
             [&](std::uint32_t a, std::uint32_t b) {
               const auto cone_a = cone_off[a + 1] - cone_off[a];

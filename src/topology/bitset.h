@@ -24,14 +24,16 @@ class DenseBitset {
   explicit DenseBitset(std::size_t bits) : words_((bits + 63) / 64, 0) {}
 
   void set(std::size_t i) noexcept { words_[i >> 6] |= (1ULL << (i & 63)); }
-  [[nodiscard]] bool test(std::size_t i) const noexcept {
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
-  }
   /// Word-wise OR of an equally-sized bitset.
   void merge(const DenseBitset& other) noexcept {
     for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
   }
 
+  [[nodiscard]] std::size_t count() const noexcept {
+    std::size_t total = 0;
+    for (const std::uint64_t word : words_) total += static_cast<std::size_t>(std::popcount(word));
+    return total;
+  }
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return words_; }
   [[nodiscard]] std::size_t word_count() const noexcept { return words_.size(); }
 

@@ -1,9 +1,11 @@
 #include "topology/serialization.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 
 #include "util/strings.h"
 
@@ -75,6 +77,32 @@ AsGraph read_as_rel(std::istream& is) {
   return std::move(parsed).value();
 }
 
+ConeMap::ConeMap(std::vector<Asn> keys, std::vector<std::uint64_t> offsets,
+                 std::vector<Asn> members)
+    : keys_(std::move(keys)), offsets_(std::move(offsets)), members_(std::move(members)) {
+  if (offsets_.size() != keys_.size() + 1 || offsets_.front() != 0 ||
+      offsets_.back() != members_.size() || !std::is_sorted(offsets_.begin(), offsets_.end()) ||
+      std::adjacent_find(keys_.begin(), keys_.end(), [](Asn a, Asn b) { return !(a < b); }) !=
+          keys_.end()) {
+    throw std::invalid_argument("ConeMap: malformed CSR table");
+  }
+}
+
+void ConeMap::append(Asn as, std::span<const Asn> members) {
+  if (size() > 0 && !(keys_.back() < as)) {
+    throw std::invalid_argument("ConeMap: key AS" + as.str() + " does not ascend");
+  }
+  keys_.push_back(as);
+  members_.insert(members_.end(), members.begin(), members.end());
+  offsets_.push_back(members_.size());
+}
+
+std::span<const Asn> ConeMap::at(Asn as) const {
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), as);
+  if (it == keys_.end() || *it != as) throw std::out_of_range("ConeMap: no cone for AS" + as.str());
+  return row(static_cast<std::size_t>(it - keys_.begin()));
+}
+
 void write_ppdc(const ConeMap& cones, std::ostream& os) {
   os << "# format: <as> <cone member> ...\n";
   for (const auto& [as, members] : cones) {
@@ -85,7 +113,14 @@ void write_ppdc(const ConeMap& cones, std::ostream& os) {
 }
 
 Result<ConeMap> try_read_ppdc(std::istream& is) {
-  ConeMap cones;
+  // Rows go to one flat buffer in file order, then to the table in key order.
+  struct Row {
+    Asn as;
+    std::size_t begin, end;
+  };
+  std::vector<Row> rows;
+  std::vector<Asn> members;
+  std::unordered_set<Asn> seen;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
@@ -95,22 +130,27 @@ Result<ConeMap> try_read_ppdc(std::istream& is) {
     const auto tokens = util::split_ws(text);
     const auto as = parse_field_asn(tokens[0]);
     if (!as) return fail(line_no, "malformed AS");
-    std::vector<Asn> members;
-    members.reserve(tokens.size() - 1);
+    const std::size_t begin = members.size();
     bool has_self = false;
     for (std::size_t i = 1; i < tokens.size(); ++i) {
       const auto member = parse_field_asn(tokens[i]);
       if (!member) return fail(line_no, "malformed cone member '" + std::string(tokens[i]) + "'");
-      if (!members.empty() && !(members.back() < *member)) {
+      if (members.size() > begin && !(members.back() < *member)) {
         return fail(line_no, "cone members not strictly ascending");
       }
       has_self = has_self || *member == *as;
       members.push_back(*member);
     }
     if (!has_self) return fail(line_no, "cone does not contain its own AS");
-    if (!cones.emplace(*as, std::move(members)).second) {
+    if (!seen.insert(*as).second) {
       return fail(line_no, "duplicate cone for AS" + as->str());
     }
+    rows.push_back({*as, begin, members.size()});
+  }
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) { return a.as < b.as; });
+  ConeMap cones;
+  for (const Row& row : rows) {
+    cones.append(row.as, std::span<const Asn>(members).subspan(row.begin, row.end - row.begin));
   }
   return cones;
 }

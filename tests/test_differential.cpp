@@ -48,12 +48,11 @@ using snapshot::SnapshotIndex;
 // the choice is deterministic) leaves those ASes with empty cones in the
 // snapshot, which both kernel families must agree on.
 ConeMap cones_with_gaps(const AsGraph& graph) {
-  auto cones = core::recursive_cone(graph);
-  std::vector<Asn> keys;
-  keys.reserve(cones.size());
-  for (const auto& [as, members] : cones) keys.push_back(as);
-  std::sort(keys.begin(), keys.end());
-  for (std::size_t i = 0; i < keys.size(); i += 7) cones.erase(keys[i]);
+  ConeMap cones;
+  std::size_t i = 0;
+  for (const auto& [as, members] : core::recursive_cone(graph)) {
+    if (i++ % 7 != 0) cones.append(as, members);
+  }
   return cones;
 }
 

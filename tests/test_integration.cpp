@@ -187,10 +187,9 @@ TEST(Integration, InferredConeCorrelatesWithTruthCone) {
   const auto truth_cones = core::recursive_cone(world.truth.graph);
   std::vector<double> inferred_sizes, truth_sizes;
   for (const auto& [as, members] : inferred_cones) {
-    const auto it = truth_cones.find(as);
-    if (it == truth_cones.end()) continue;
+    if (!truth_cones.contains(as)) continue;
     inferred_sizes.push_back(static_cast<double>(members.size()));
-    truth_sizes.push_back(static_cast<double>(it->second.size()));
+    truth_sizes.push_back(static_cast<double>(truth_cones.at(as).size()));
   }
   EXPECT_GT(util::kendall_tau(inferred_sizes, truth_sizes), 0.6);
 }

@@ -352,7 +352,7 @@ TEST(ParallelDeterminism, RawCorpusDegreesMatchReferenceTally) {
 }
 
 TEST(ParallelDeterminism, ConeClosureMatchesSequentialOnGroundTruth) {
-  // The level-parallel closure path (threads > 1) against the DFS path.
+  // The level walk with several workers against the same walk run inline.
   auto gen = topogen::GenParams::preset("small");
   gen.seed = 99;
   const auto truth = topogen::generate(gen);
@@ -407,8 +407,8 @@ TEST(ParallelDeterminism, ViewConeOverloadsMatchGraphOverloads) {
 }
 
 TEST(ParallelDeterminism, ParallelClosureDetectsCycles) {
-  // The Kahn-level path must reject cyclic provider graphs exactly like the
-  // DFS path (assumption A3).
+  // The Kahn-level walk must reject cyclic provider graphs at any worker
+  // count (assumption A3).
   AsGraph graph;
   graph.add_p2c(Asn(1), Asn(2));
   graph.add_p2c(Asn(2), Asn(3));

@@ -53,10 +53,9 @@ TEST_P(PipelineSweep, InvariantsOnTinyTopologies) {
   const auto ppdc = core::provider_peer_observed_cone(result.graph, result.sanitized());
   for (const auto& [as, members] : recursive) {
     EXPECT_TRUE(std::binary_search(members.begin(), members.end(), as));
-    const auto it = ppdc.find(as);
-    ASSERT_NE(it, ppdc.end());
-    EXPECT_TRUE(std::includes(members.begin(), members.end(), it->second.begin(),
-                              it->second.end()))
+    ASSERT_TRUE(ppdc.contains(as));
+    const auto proven = ppdc.at(as);
+    EXPECT_TRUE(std::includes(members.begin(), members.end(), proven.begin(), proven.end()))
         << "seed " << GetParam() << " AS" << as.value();
   }
 }

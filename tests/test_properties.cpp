@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "bgpsim/observation.h"
@@ -66,7 +67,7 @@ const std::vector<Sample>& samples() {
 }
 
 /// True iff sorted `inner` is a subset of sorted `outer`.
-bool subset_of(const std::vector<Asn>& inner, const std::vector<Asn>& outer) {
+bool subset_of(std::span<const Asn> inner, std::span<const Asn> outer) {
   return std::includes(outer.begin(), outer.end(), inner.begin(), inner.end());
 }
 

@@ -1059,7 +1059,8 @@ TEST_F(ServeFixture, SocketAnswersMatchBatchComputation) {
 
   ASSERT_TRUE(client.try_ping().ok());
   for (const Asn as : graph.ases()) {
-    EXPECT_EQ(client.try_cone(as).value(), cones.at(as));
+    const auto cone = cones.at(as);
+    EXPECT_EQ(client.try_cone(as).value(), std::vector<Asn>(cone.begin(), cone.end()));
     EXPECT_EQ(client.try_cone_size(as).value(), cones.at(as).size());
     std::vector<Asn> providers(graph.providers(as).begin(),
                                graph.providers(as).end());

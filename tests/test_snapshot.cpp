@@ -69,7 +69,7 @@ void expect_equivalent(const SnapshotIndex& index, const AsGraph& graph,
   EXPECT_EQ(index.link_count(), graph.link_count());
   for (const Asn as : graph.ases()) {
     ASSERT_TRUE(index.has_as(as));
-    EXPECT_EQ(to_vec(index.cone(as)), cones.at(as));
+    EXPECT_EQ(to_vec(index.cone(as)), to_vec(cones.at(as)));
     EXPECT_EQ(index.cone_size(as), cones.at(as).size());
     for (const Asn member : cones.at(as)) EXPECT_TRUE(index.in_cone(as, member));
     for (const Asn other : graph.ases()) {
@@ -151,18 +151,41 @@ TEST(Snapshot, TextFormatsToSnapshotEquivalence) {
   expect_equivalent(index, graph, cones);
 }
 
+/// `cones` with `as`'s row replaced by (or, for a new key, extended with)
+/// `members`, taken as given.
+ConeMap with_row(const ConeMap& cones, Asn as, const std::vector<Asn>& members) {
+  ConeMap out;
+  bool placed = false;
+  for (const auto& [key, row] : cones) {
+    if (!placed && !(key < as)) {
+      out.append(as, members);
+      placed = true;
+      if (key == as) continue;
+    }
+    out.append(key, row);
+  }
+  if (!placed) out.append(as, members);
+  return out;
+}
+
 TEST(Snapshot, BuildRejectsInconsistentInputs) {
   const auto graph = make_graph();
   const auto cones = core::recursive_cone(graph);
 
-  auto bad_cone_key = cones;
-  bad_cone_key[Asn(99)] = {Asn(99)};
+  const auto bad_cone_key = with_row(cones, Asn(99), {Asn(99)});
   EXPECT_THROW((void)build_snapshot(graph, make_tdeg(), bad_cone_key, make_clique()),
                SnapshotError);
 
-  auto no_self = cones;
-  no_self[Asn(4)] = {Asn(5)};
+  const auto no_self = with_row(cones, Asn(4), {Asn(5)});
   EXPECT_THROW((void)build_snapshot(graph, make_tdeg(), no_self, make_clique()),
+               SnapshotError);
+
+  // Rows are copied as given, not sorted or deduplicated.
+  const auto not_ascending = with_row(cones, Asn(3), {Asn(4), Asn(3)});
+  EXPECT_THROW((void)build_snapshot(graph, make_tdeg(), not_ascending, make_clique()),
+               SnapshotError);
+  const auto duplicate_member = with_row(cones, Asn(3), {Asn(3), Asn(3), Asn(4)});
+  EXPECT_THROW((void)build_snapshot(graph, make_tdeg(), duplicate_member, make_clique()),
                SnapshotError);
 
   EXPECT_THROW((void)build_snapshot(graph, make_tdeg(), cones, {Asn(99)}),

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "topology/as_graph.h"
 #include "topology/relationship.h"
 #include "topology/serialization.h"
+// rng.h before hash.h: hash.h's splitmix64(u64) overload would make the
+// splitmix64(u64&) call inside rng.h ambiguous.
+#include "util/rng.h"
+#include "util/hash.h"
 
 namespace asrank {
 namespace {
@@ -192,12 +200,36 @@ TEST(Serialization, AsRelRejectsMalformed) {
 
 TEST(Serialization, PpdcRoundTrip) {
   ConeMap cones;
-  cones[Asn(1)] = {Asn(1), Asn(2), Asn(3)};
-  cones[Asn(2)] = {Asn(2)};
+  cones.append(Asn(1), std::vector<Asn>{Asn(1), Asn(2), Asn(3)});
+  cones.append(Asn(2), std::vector<Asn>{Asn(2)});
   std::stringstream text;
   write_ppdc(cones, text);
   const ConeMap parsed = read_ppdc(text);
   EXPECT_EQ(parsed, cones);
+}
+
+TEST(Serialization, ConeMapIsACheckedCsrTable) {
+  ConeMap cones;
+  cones.append(Asn(2), std::vector<Asn>{Asn(2), Asn(5)});
+  cones.append(Asn(5), std::vector<Asn>{Asn(5)});
+  EXPECT_THROW(cones.append(Asn(5), std::vector<Asn>{Asn(5)}), std::invalid_argument);
+  EXPECT_THROW(cones.append(Asn(3), std::vector<Asn>{Asn(3)}), std::invalid_argument);
+  EXPECT_EQ(cones.size(), 2u);
+  EXPECT_TRUE(cones.contains(Asn(5)));
+  EXPECT_FALSE(cones.contains(Asn(3)));
+  EXPECT_EQ(cones.at(Asn(2)).size(), 2u);
+  EXPECT_THROW((void)cones.at(Asn(3)), std::out_of_range);
+  std::vector<Asn> keys;
+  for (const auto& [as, members] : cones) keys.push_back(as);
+  EXPECT_EQ(keys, (std::vector<Asn>{Asn(2), Asn(5)}));
+
+  // The adopting constructor takes the same table, and rejects a malformed one.
+  const std::vector<Asn> members = {Asn(2), Asn(5), Asn(5)};
+  EXPECT_EQ(ConeMap({Asn(2), Asn(5)}, {0, 2, 3}, members), cones);
+  EXPECT_THROW(ConeMap({Asn(5), Asn(2)}, {0, 2, 3}, members), std::invalid_argument);
+  EXPECT_THROW(ConeMap({Asn(2), Asn(5)}, {0, 2}, members), std::invalid_argument);
+  EXPECT_THROW(ConeMap({Asn(2), Asn(5)}, {0, 3, 2}, members), std::invalid_argument);
+  EXPECT_THROW(ConeMap({Asn(2), Asn(5)}, {0, 2, 4}, members), std::invalid_argument);
 }
 
 TEST(Serialization, PpdcRejectsMalformed) {
@@ -301,6 +333,128 @@ TEST(Serialization, TryReadPpdcReturnsTypedLineErrors) {
   ASSERT_TRUE(cones.ok());
   EXPECT_EQ(cones.value().at(Asn(1)).size(), 2u);
   EXPECT_EQ(cones.value().at(Asn(2)).size(), 1u);
+}
+
+TEST(Serialization, PpdcKeysInAnyOrder) {
+  const std::vector<std::string> lines = {"3 3", "7 2 7 9", "9 9", "12 3 9 12"};
+  std::string sorted = "# format: <as> <cone member> ...\n";
+  std::string descending;
+  for (const std::string& line : lines) sorted += line + "\n";
+  for (auto it = lines.rbegin(); it != lines.rend(); ++it) descending += *it + "\n";
+  const std::string shuffled = lines[2] + "\n" + lines[0] + "\n" + lines[3] + "\n" +
+                               lines[1] + "\n";
+
+  std::stringstream sorted_text(sorted);
+  const ConeMap expected = read_ppdc(sorted_text);
+  ASSERT_EQ(expected.size(), lines.size());
+  for (const std::string& text : {descending, shuffled}) {
+    std::stringstream is(text);
+    const ConeMap parsed = read_ppdc(is);
+    EXPECT_EQ(parsed, expected) << text;
+    std::stringstream written;
+    write_ppdc(parsed, written);
+    EXPECT_EQ(written.str(), sorted) << text;
+  }
+}
+
+// PpdcFuzz: every prefix and every single-byte flip of a few valid .ppdc
+// texts must parse or fail with a kCorrupt line error.  Each outcome (the
+// parsed cones, or the error) folds into one digest per seed, pinned so a
+// reader rewrite that changes what any damaged text parses to, or how it
+// fails, is caught.
+
+/// A valid .ppdc text of 6-11 ASes with seeded ASNs of 1-6 digits and
+/// seeded cones, its cone lines in seeded order (not ascending by key).
+std::string fuzz_ppdc_text(util::Rng& rng) {
+  std::vector<std::uint32_t> asns;
+  const std::size_t n = 6 + rng.uniform(6);
+  while (asns.size() < n) {
+    const auto as = static_cast<std::uint32_t>(1 + rng.uniform(std::uint64_t{1}
+                                                                << (4 + rng.uniform(16))));
+    if (std::find(asns.begin(), asns.end(), as) == asns.end()) asns.push_back(as);
+  }
+  std::vector<std::uint32_t> sorted = asns;
+  std::sort(sorted.begin(), sorted.end());
+  std::string text = "# format: <as> <cone member> ...\n";
+  for (const std::uint32_t as : asns) {
+    text += std::to_string(as);
+    for (const std::uint32_t member : sorted) {
+      if (member == as || rng.bernoulli(0.3)) text += " " + std::to_string(member);
+    }
+    text += rng.bernoulli(0.2) ? "\n\n" : "\n";
+  }
+  return text;
+}
+
+class PpdcDigest {
+ public:
+  void add(std::uint64_t v) noexcept { h_ = util::mix64(h_, v); }
+  /// Parse `text` and fold the outcome: every (AS, members) row in key
+  /// order, or the error code and its "line <n>: ..." context.
+  void fold(const std::string& text) {
+    std::stringstream is(text);
+    const auto parsed = try_read_ppdc(is);
+    if (!parsed.ok()) {
+      add(1);
+      add(static_cast<std::uint64_t>(parsed.error().code));
+      add(util::fnv1a_64(parsed.error().context));
+      EXPECT_EQ(parsed.error().code, ErrorCode::kCorrupt);
+      EXPECT_EQ(parsed.error().context.rfind("line ", 0), 0u) << parsed.error().context;
+      return;
+    }
+    add(0);
+    add(parsed.value().size());
+    for (const auto& [as, members] : parsed.value()) {
+      add(as.value());
+      add(members.size());
+      for (const Asn member : members) add(member.value());
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0;
+};
+
+/// Per-seed digests (seeds 1..4), each over three texts' outcomes.
+using PinnedPpdc = std::array<std::uint64_t, 4>;
+constexpr PinnedPpdc kPpdcPrefixDigests = {
+    0x1cd4282908c065acULL, 0x784b60fd6e0a1f0fULL,
+    0xb7b8d956ce855a54ULL, 0xadce1689e4144c04ULL};
+constexpr PinnedPpdc kPpdcFlipDigests = {
+    0x146f245cea3caf3eULL, 0xa80da2fad330c9a0ULL,
+    0xe7baf6e4ff5e7a6cULL, 0xab4b1ffa77a64a41ULL};
+
+TEST(PpdcFuzz, EveryPrefixParsesOrFailsWithALineError) {
+  for (std::uint64_t seed = 1; seed <= kPpdcPrefixDigests.size(); ++seed) {
+    util::Rng rng(seed);
+    PpdcDigest digest;
+    for (int text_no = 0; text_no < 3; ++text_no) {
+      const std::string text = fuzz_ppdc_text(rng);
+      for (std::size_t length = 0; length <= text.size(); ++length) {
+        digest.fold(text.substr(0, length));
+      }
+    }
+    EXPECT_EQ(digest.value(), kPpdcPrefixDigests[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << digest.value();
+  }
+}
+
+TEST(PpdcFuzz, EverySingleByteFlipParsesOrFailsWithALineError) {
+  for (std::uint64_t seed = 1; seed <= kPpdcFlipDigests.size(); ++seed) {
+    util::Rng rng(seed + 1000);
+    PpdcDigest digest;
+    for (int text_no = 0; text_no < 3; ++text_no) {
+      const std::string text = fuzz_ppdc_text(rng);
+      for (std::size_t at = 0; at < text.size(); ++at) {
+        std::string flipped = text;
+        flipped[at] ^= static_cast<char>(1 + rng.uniform(255));
+        digest.fold(flipped);
+      }
+    }
+    EXPECT_EQ(digest.value(), kPpdcFlipDigests[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << digest.value();
+  }
 }
 
 }  // namespace
