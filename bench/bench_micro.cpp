@@ -114,21 +114,18 @@ void BM_Sanitize(benchmark::State& state) {
 }
 BENCHMARK(BM_Sanitize);
 
-/// The compress-only arena Degrees::compute(corpus) builds from a raw corpus.
-void BM_ArenaBuildCompressOnly(benchmark::State& state) {
-  paths::SanitizerConfig config;
-  config.strip_ixp_asns = false;
-  config.discard_loops = false;
-  config.discard_reserved = false;
-  config.dedup = false;
+/// The degree tally straight over the raw corpus records (no arena), on a
+/// pool of range(0) workers, pool start and join included.
+void BM_DegreesComputeRawCorpus(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto arena = paths::PathArena::build(raw_corpus(), config);
-    benchmark::DoNotOptimize(arena.path_count());
+    auto degrees = core::Degrees::compute(raw_corpus(), threads);
+    benchmark::DoNotOptimize(degrees.ranked().size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(raw_corpus().size()));
 }
-BENCHMARK(BM_ArenaBuildCompressOnly);
+BENCHMARK(BM_DegreesComputeRawCorpus)->Arg(1)->Arg(4)->UseRealTime();
 
 /// One burst of range(1) dependent mix64 steps on a fresh range(0)-worker pool,
 /// pool start and join included: how long a stage must run before its

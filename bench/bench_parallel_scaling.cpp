@@ -60,6 +60,19 @@ paths::PathCorpus ascent_corpus(const topogen::GroundTruth& truth) {
   return corpus;
 }
 
+/// Every field of two degree tallies: interner, adjacency rows, node and
+/// transit degrees, and the ranking.
+bool same_degrees(const core::Degrees& a, const core::Degrees& b) {
+  if (a.interner() != b.interner() || a.ranked() != b.ranked()) return false;
+  for (topology::NodeId id = 0; id < a.interner().size(); ++id) {
+    if (a.node_degree(id) != b.node_degree(id) || a.transit_degree(id) != b.transit_degree(id) ||
+        !std::ranges::equal(a.adjacency().neighbors(id), b.adjacency().neighbors(id))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 double time_ms(const std::function<void()>& fn) {
   double best = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -160,7 +173,7 @@ int main(int argc, char** argv) {
 
     if (threads != 1) {
       identical = identical && core::recursive_cone(truth.graph, threads) == ref_cones &&
-                  core::Degrees::compute(corpus, threads).ranked() == ref_degrees.ranked();
+                  same_degrees(core::Degrees::compute(corpus, threads), ref_degrees);
       const auto visibility = core::link_visibility(corpus, threads);
       identical = identical && visibility.size() == ref_visibility.size();
       for (const auto& [key, link] : ref_visibility) {

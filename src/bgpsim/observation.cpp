@@ -29,7 +29,7 @@ std::vector<VantagePoint> choose_vps(const GroundTruth& truth,
   }
   auto score = [&](Asn as) {
     std::uint64_t mix = params.seed ^ (0xa5a5a5a5a5a5a5a5ULL + as.value());
-    return util::splitmix64(mix);
+    return util::splitmix64_next(mix);
   };
   auto pick_top = [&](std::vector<Asn>& pool, std::size_t want) {
     std::sort(pool.begin(), pool.end(),
@@ -157,7 +157,7 @@ DestinationRows observe_destination(const GroundTruth& truth, const ObservationP
   // A per-destination RNG stream keeps results identical across thread
   // counts and schedules.
   std::uint64_t mix = params.seed ^ (0x9e3779b97f4a7c15ULL * destination.value());
-  util::Rng rng(util::splitmix64(mix));
+  util::Rng rng(util::splitmix64_next(mix));
 
   if (params.destination_sample < 1.0 && !rng.bernoulli(params.destination_sample)) {
     return out;

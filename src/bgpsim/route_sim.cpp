@@ -85,7 +85,7 @@ std::uint64_t tie_hash(Asn dest, Asn node, Asn neighbor) noexcept {
   std::uint64_t state = (static_cast<std::uint64_t>(dest.value()) << 32) ^
                         (static_cast<std::uint64_t>(node.value()) << 16) ^
                         neighbor.value();
-  return asrank::util::splitmix64(state);
+  return asrank::util::splitmix64_next(state);
 }
 
 }  // namespace

@@ -151,9 +151,10 @@ ConeMap recursive_cone(const AsGraph& graph, std::size_t threads) {
 
 ConeMap bgp_observed_cone(const TopologyView& view, const paths::PathCorpus& corpus,
                           std::size_t threads) {
-  // Cone keys/members stay ASN-typed: observed paths may cross ASes the
-  // annotated graph has never seen, which have no NodeId (they head no
-  // descent and get an empty row).  Only p2c classification uses the view.
+  // Observed paths may cross ASes the annotated graph has never seen.  They
+  // have no NodeId, head no p2c descent and sit in none, so they get no
+  // row: every key is a graph AS, as read_ppdc requires.  Only p2c
+  // classification uses the view.
   const AsnInterner& interner = view.interner();
   util::ThreadPool pool(threads);
   std::vector<std::uint64_t> init;
@@ -167,7 +168,6 @@ ConeMap bgp_observed_cone(const TopologyView& view, const paths::PathCorpus& cor
         std::size_t end = hops.size() - 1;
         for (std::size_t i = hops.size() - 1; i-- > 0;) {
           if (!is_p2c(view, ids[i], ids[i + 1])) end = i;
-          if (ids[i] == kNoNode) out.push_back(pack(hops[i].value(), hops[i].value()));
           for (std::size_t j = i + 1; j <= end; ++j) {
             out.push_back(pack(hops[i].value(), hops[j].value()));
           }
@@ -181,7 +181,7 @@ ConeMap bgp_observed_cone(const TopologyView& view, const paths::PathCorpus& cor
     for (row.clear(); i < pairs.size() && pairs[i] >> 32 == as.value(); ++i) {
       row.emplace_back(static_cast<std::uint32_t>(pairs[i]));
     }
-    out.append(as, interner.contains(as) ? std::span<const Asn>(row) : std::span<const Asn>());
+    out.append(as, row);
   }
   return out;
 }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -85,6 +86,83 @@ class AsnInterner {
   explicit AsnInterner(std::vector<Asn> sorted) : asns_(std::move(sorted)) {}
 
   std::vector<Asn> asns_;  ///< strictly ascending; index = NodeId
+};
+
+/// ASN -> dense first-seen id, open addressing with doubling.  A slot holds
+/// the (ASN, id) pair and the slot index is a multiplicative hash, so a hit
+/// reads one slot and nothing else.  Interning a hop sequence through it
+/// touches each distinct ASN once instead of sorting every hop; renumber()
+/// then moves the ids to the sorted AsnInterner order.  AS0 is never
+/// interned: id() and find() give kNoNode for it.  find() is const and may
+/// run on many threads at once; id() and renumber() may not.
+class FirstSeenIds {
+ public:
+  FirstSeenIds() { rehash(1024); }
+
+  /// The id of `as`, assigned now if `as` is new.
+  NodeId id(Asn as) {
+    if (!as.valid()) return kNoNode;
+    for (std::size_t i = slot_of(as);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i].id == kNoNode) return insert(as);
+      if (slots_[i].asn == as) return slots_[i].id;
+    }
+  }
+
+  /// The id of `as`, or kNoNode if it was never seen.
+  [[nodiscard]] NodeId find(Asn as) const noexcept {
+    for (std::size_t i = slot_of(as);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i].id == kNoNode || slots_[i].asn == as) return slots_[i].id;
+    }
+  }
+
+  /// Every ASN seen, indexed by first-seen id.
+  [[nodiscard]] const std::vector<Asn>& asns() const noexcept { return asns_; }
+
+  /// Replace every id by `interner`'s id of the same ASN (the interner must
+  /// hold every ASN interned), so find() answers in the interner's id space.
+  /// Returns the first-seen id -> interner id map.  Call id() no more.
+  std::vector<NodeId> renumber(const AsnInterner& interner) {
+    std::vector<NodeId> node_of(asns_.size());
+    for (std::size_t i = 0; i < node_of.size(); ++i) node_of[i] = interner.id_of(asns_[i]);
+    for (Slot& slot : slots_) {
+      if (slot.id != kNoNode) slot.id = node_of[slot.id];
+    }
+    return node_of;
+  }
+
+ private:
+  struct Slot {
+    Asn asn;
+    NodeId id = kNoNode;
+  };
+
+  [[nodiscard]] std::size_t slot_of(Asn as) const noexcept {
+    return (as.value() * 0x9e3779b97f4a7c15ULL) >> shift_;
+  }
+
+  NodeId insert(Asn as) {
+    if (2 * (asns_.size() + 1) > slots_.size()) rehash(2 * slots_.size());
+    const auto id = static_cast<NodeId>(asns_.size());
+    asns_.push_back(as);
+    place({as, id});
+    return id;
+  }
+
+  void place(Slot entry) noexcept {
+    std::size_t i = slot_of(entry.asn);
+    while (slots_[i].id != kNoNode) i = (i + 1) & (slots_.size() - 1);
+    slots_[i] = entry;
+  }
+
+  void rehash(std::size_t slots) {
+    slots_.assign(slots, Slot{});
+    shift_ = 64 - std::countr_zero(slots);
+    for (NodeId id = 0; id < asns_.size(); ++id) place({asns_[id], id});
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 0;
+  std::vector<Asn> asns_;
 };
 
 }  // namespace asrank::topology

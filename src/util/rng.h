@@ -14,8 +14,10 @@
 
 namespace asrank::util {
 
-/// splitmix64 step; used for seeding and as a cheap stateless mixer.
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+/// Advances `state` by one splitmix64 step and returns the step's output;
+/// used for seeding.  The output equals util::splitmix64(state) (util/hash.h)
+/// of the state before the step.
+[[nodiscard]] constexpr std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = state;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -33,7 +35,7 @@ class Rng {
 
   void reseed(std::uint64_t seed) noexcept {
     std::uint64_t sm = seed;
-    for (auto& word : state_) word = splitmix64(sm);
+    for (auto& word : state_) word = splitmix64_next(sm);
   }
 
   static constexpr result_type min() noexcept { return 0; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <tuple>
 
@@ -720,6 +721,27 @@ TEST(Cones, BgpObservedStopsAtNonP2cLink) {
   corpus.add(rec(9, 1, {1, 2, 4, 6}));  // 4-6 is peering: descent ends at 4
   const auto cones = bgp_observed_cone(g, corpus);
   EXPECT_EQ(row(cones, Asn(1)), (std::vector<Asn>{Asn(1), Asn(2), Asn(4)}));
+}
+
+TEST(Cones, BgpObservedKeysOnlyGraphAsesAndRoundTripsThroughPpdc) {
+  // 99 and 98 are not in the graph: 99 heads the path and 98 ends one, so
+  // neither gets a row, and the written file reads back as the same cones.
+  const AsGraph g = cone_graph();
+  paths::PathCorpus corpus;
+  corpus.add(rec(99, 1, {99, 1, 2, 4}));
+  corpus.add(rec(3, 2, {3, 5, 98}));
+  const auto cones = bgp_observed_cone(g, corpus);
+  EXPECT_FALSE(cones.contains(Asn(99)));
+  EXPECT_FALSE(cones.contains(Asn(98)));
+  EXPECT_EQ(cones.size(), g.ases().size());
+  EXPECT_EQ(row(cones, Asn(1)), (std::vector<Asn>{Asn(1), Asn(2), Asn(4)}));
+  EXPECT_EQ(row(cones, Asn(3)), (std::vector<Asn>{Asn(3), Asn(5)}));
+
+  std::stringstream text;
+  write_ppdc(cones, text);
+  const auto read = try_read_ppdc(text);
+  ASSERT_TRUE(read.ok()) << read.error().message();
+  EXPECT_EQ(read.value(), cones);
 }
 
 TEST(Cones, ProviderPeerObservedRequiresDescentFromAbove) {

@@ -1,15 +1,25 @@
-// util/hash.h: the path hash and the arena's fixed-size HashIndex.  A file
-// of its own: util/rng.h declares a stepping splitmix64(uint64_t&) that is
-// ambiguous with hash.h's splitmix64(uint64_t) on an lvalue argument.
+// util/hash.h: the path hash and the arena's fixed-size HashIndex.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace asrank::util {
 namespace {
+
+TEST(SplitMix64, SteppingFormMatchesTheFinalizer) {
+  // rng.h's stepping splitmix64_next and hash.h's finalizer live side by
+  // side: one step outputs the finalizer of the state before it.
+  std::uint64_t state = 42;
+  for (int i = 0; i < 4; ++i) {
+    const std::uint64_t before = state;
+    EXPECT_EQ(splitmix64_next(state), splitmix64(before));
+    EXPECT_EQ(state, before + 0x9e3779b97f4a7c15ULL);
+  }
+}
 
 TEST(HashWords, OrderLengthAndProjection) {
   using Words = std::vector<std::uint32_t>;

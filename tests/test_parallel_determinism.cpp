@@ -11,6 +11,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -276,11 +277,14 @@ TEST(ParallelDeterminism, TallyStagesMatchSequential) {
 
 /// The pre-arena degree tally, kept as the oracle: translate each record,
 /// collapse prepending, and count distinct (node, neighbour) id pairs with a
-/// global sort.
+/// global sort.  The ranking follows its definition: transit degree desc,
+/// node degree desc, ASN asc, over ASes with a neighbour.
 struct ReferenceDegrees {
   topology::AsnInterner interner;
   std::vector<std::uint32_t> node;
   std::vector<std::uint32_t> transit;
+  std::vector<std::vector<topology::NodeId>> rows;
+  std::vector<Asn> ranked;
 };
 
 ReferenceDegrees reference_degrees(const paths::PathCorpus& corpus) {
@@ -318,13 +322,40 @@ ReferenceDegrees reference_degrees(const paths::PathCorpus& corpus) {
   };
   out.node = count(all);
   out.transit = count(transit);
+  out.rows.resize(out.interner.size());
+  for (const std::uint64_t p : all) out.rows[p >> 32].push_back(static_cast<NodeId>(p));
+  std::vector<NodeId> order;
+  for (NodeId id = 0; id < out.interner.size(); ++id) {
+    if (out.node[id] > 0) order.push_back(id);
+  }
+  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    return std::tuple(out.transit[b], out.node[b], a) < std::tuple(out.transit[a], out.node[a], b);
+  });
+  for (const NodeId id : order) out.ranked.push_back(out.interner.asn_of(id));
   return out;
 }
 
+void expect_matches_reference(const paths::PathCorpus& corpus, const std::string& what) {
+  const ReferenceDegrees want = reference_degrees(corpus);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const auto got = core::Degrees::compute(corpus, threads);
+    ASSERT_EQ(got.interner(), want.interner) << what << " " << threads;
+    EXPECT_EQ(got.ranked(), want.ranked) << what << " " << threads;
+    for (topology::NodeId id = 0; id < want.interner.size(); ++id) {
+      EXPECT_EQ(got.node_degree(id), want.node[id]) << what << " " << threads << " node " << id;
+      EXPECT_EQ(got.transit_degree(id), want.transit[id])
+          << what << " " << threads << " node " << id;
+      const auto row = got.adjacency().neighbors(id);
+      EXPECT_TRUE(std::ranges::equal(row, want.rows[id]))
+          << what << " " << threads << " node " << id;
+    }
+  }
+}
+
 TEST(ParallelDeterminism, RawCorpusDegreesMatchReferenceTally) {
-  // Degrees::compute(raw corpus) builds a compress-only arena: prepending,
-  // AS0 hops, loops and duplicate records must all tally as the per-record
-  // reference does.
+  // Degrees::compute(raw corpus) tallies the records themselves:
+  // prepending, AS0 hops, loops and duplicate records must all tally as the
+  // per-record reference does.
   paths::PathCorpus corpus = shared_corpus();
   const auto prefix = Prefix::v4(0x0a000000, 24);
   corpus.add(Asn(4000001), prefix, AsPath{4000001, 4000001, 4000002, 4000002, 4000003});
@@ -334,21 +365,40 @@ TEST(ParallelDeterminism, RawCorpusDegreesMatchReferenceTally) {
   corpus.add(Asn(4000002), prefix, AsPath{4000008});
   corpus.add(Asn(4000002), prefix, AsPath{});
   corpus.add(Asn(4000001), prefix, AsPath{4000001, 4000001, 4000002, 4000002, 4000003});
+  expect_matches_reference(corpus, "shared");
 
-  const ReferenceDegrees want = reference_degrees(corpus);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    const auto got = core::Degrees::compute(corpus, threads);
-    ASSERT_EQ(got.interner(), want.interner) << threads;
-    for (topology::NodeId id = 0; id < want.interner.size(); ++id) {
-      EXPECT_EQ(got.node_degree(id), want.node[id]) << threads << " node " << id;
-      EXPECT_EQ(got.transit_degree(id), want.transit[id]) << threads << " node " << id;
-    }
-  }
   const auto degrees = core::Degrees::compute(corpus);
   // 4000001 and 4000003 (first path), 4000006 and 4000007 (the looped one).
   EXPECT_EQ(degrees.transit_degree(Asn(4000002)), 4u);
   EXPECT_EQ(degrees.node_degree(Asn(4000004)), 0u);     // only beside AS0
   EXPECT_FALSE(degrees.interner().contains(Asn(0)));
+
+  // A seeded bgpsim corpus with prepending, poisoned loops and private-ASN
+  // leaks, plus AS0 and reserved hops spliced into some records.
+  auto gen = topogen::GenParams::preset("small");
+  gen.seed = 77;
+  const auto truth = topogen::generate(gen);
+  bgpsim::ObservationParams obs;
+  obs.seed = 78;
+  obs.full_vps = 8;
+  obs.partial_vps = 3;
+  obs.prepend_prob = 0.2;
+  obs.poison_prob = 0.05;
+  obs.private_leak_prob = 0.05;
+  const auto observation = bgpsim::observe(truth, obs);
+  ASSERT_GT(observation.audit.prepended, 0u);
+  ASSERT_GT(observation.audit.poisoned_loop, 0u);
+  ASSERT_GT(observation.audit.private_leaked, 0u);
+  paths::PathCorpus injected;
+  for (std::size_t r = 0; r < observation.routes.size(); ++r) {
+    const auto& route = observation.routes[r];
+    std::vector<Asn> hops(route.path.hops().begin(), route.path.hops().end());
+    const auto middle = [&] { return hops.begin() + static_cast<std::ptrdiff_t>(hops.size() / 2); };
+    if (r % 11 == 0) hops.insert(middle(), Asn(0));
+    if (r % 13 == 0) hops.insert(middle(), Asn(64512));
+    injected.add(route.vp, route.prefix, AsPath(hops));
+  }
+  expect_matches_reference(injected, "injected");
 }
 
 TEST(ParallelDeterminism, ConeClosureMatchesSequentialOnGroundTruth) {
@@ -445,13 +495,13 @@ PinnedWorld pinned_world(const char* preset, std::uint64_t seed, std::size_t ful
 
 void expect_pinned_audit(const paths::PathCorpus& corpus, core::InferenceConfig config,
                          const core::StageAudit& want) {
-  for (const std::size_t threads : {1u, 4u}) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     config.threads = threads;
     expect_audit_eq(core::AsRankInference(config).run(corpus).audit, want, threads);
   }
 }
 
-// Every StageAudit counter on four corpora, pinned at 1 and 4 threads.  The
+// Every StageAudit counter on four corpora, pinned at 1, 2, 4 and 8 threads.  The
 // valley-free fixpoint's counters (triplet_inferred, valley_violations) are
 // the ones its skipping of unchanged walks must keep.
 TEST(StageAuditPin, SharedCorpus) {

@@ -11,6 +11,7 @@
 #include "paths/corpus.h"
 #include "paths/sanitizer.h"
 #include "topogen/topogen.h"
+#include "util/thread_pool.h"
 
 namespace asrank::paths {
 namespace {
@@ -307,7 +308,28 @@ void expect_arena_invariants(const PathArena& arena, const std::string& what) {
   EXPECT_EQ(next, arena.path_count()) << what;
 }
 
+/// Every field of two arenas, path by path and record by record.
+void expect_arenas_equal(const PathArena& got, const PathArena& want, const std::string& what) {
+  EXPECT_EQ(got.interner(), want.interner()) << what;
+  ASSERT_EQ(got.path_count(), want.path_count()) << what;
+  EXPECT_EQ(got.hop_count(), want.hop_count()) << what;
+  for (std::size_t p = 0; p < want.path_count(); ++p) {
+    EXPECT_EQ(got.offset(p), want.offset(p)) << what;
+    EXPECT_EQ(got.multiplicity(p), want.multiplicity(p)) << what;
+    EXPECT_TRUE(std::ranges::equal(got.path(p), want.path(p))) << what << " path " << p;
+  }
+  ASSERT_EQ(got.records().size(), want.records().size()) << what;
+  for (std::size_t r = 0; r < want.records().size(); ++r) {
+    EXPECT_EQ(got.records()[r].prefix, want.records()[r].prefix) << what;
+    EXPECT_EQ(got.records()[r].vp, want.records()[r].vp) << what;
+    EXPECT_EQ(got.records()[r].path, want.records()[r].path) << what;
+  }
+  expect_stats_eq(got.stats(), want.stats(), what);
+}
+
 void expect_matches_oracle(const PathCorpus& corpus, const std::unordered_set<Asn>& ixp_asns) {
+  // Three workers split every pass unevenly; the arena must not notice.
+  util::ThreadPool pool(3);
   for (const SanitizerConfig& config : all_configs(ixp_asns)) {
     const std::string what = describe(config);
     const SanitizeResult want = reference_sanitize(corpus, config);
@@ -317,7 +339,9 @@ void expect_matches_oracle(const PathCorpus& corpus, const std::unordered_set<As
       ASSERT_EQ(got.corpus.records()[r], want.corpus.records()[r]) << what << " record " << r;
     }
     expect_stats_eq(got.stats, want.stats, what);
-    expect_arena_invariants(PathArena::build(corpus, config), what);
+    const PathArena arena = PathArena::build(corpus, config);
+    expect_arena_invariants(arena, what);
+    expect_arenas_equal(PathArena::build(corpus, config, pool), arena, what + " on 3 workers");
   }
 }
 
@@ -344,33 +368,48 @@ TEST(SanitizerOracle, HandCases) {
   expect_matches_oracle(corpus, {Asn(900), Asn(901)});
 }
 
+/// A seeded bgpsim corpus with every pathology the sanitizer handles
+/// injected (prepending, poisoned loops, IXP and private-ASN leaks), plus a
+/// re-fed slice so dedup sees exact and compress-equal repeats.
+struct InjectedWorld {
+  PathCorpus corpus;
+  std::unordered_set<Asn> ixps;
+};
+
+const InjectedWorld& injected_world() {
+  static const InjectedWorld world = [] {
+    auto gen = topogen::GenParams::preset("small");
+    gen.seed = 31;
+    const auto truth = topogen::generate(gen);
+    bgpsim::ObservationParams params;
+    params.seed = 32;
+    params.full_vps = 6;
+    params.partial_vps = 2;
+    params.destination_sample = 0.5;
+    params.prepend_prob = 0.2;
+    params.poison_prob = 0.05;
+    params.ixp_leak_prob = 0.3;
+    params.private_leak_prob = 0.05;
+    const auto observation = bgpsim::observe(truth, params);
+    EXPECT_GT(observation.audit.prepended, 0u);
+    EXPECT_GT(observation.audit.poisoned_loop, 0u);
+    EXPECT_GT(observation.audit.ixp_leaked, 0u);
+    EXPECT_GT(observation.audit.private_leaked, 0u);
+    InjectedWorld out{PathCorpus::from_records(observation.routes),
+                      {truth.ixp_asns.begin(), truth.ixp_asns.end()}};
+    for (std::size_t r = 0; r < observation.routes.size(); r += 7) {
+      out.corpus.add(observation.routes[r].vp, observation.routes[r].prefix,
+                     observation.routes[r].path);
+    }
+    return out;
+  }();
+  return world;
+}
+
 TEST(SanitizerOracle, BgpsimCorpusWithInjectedPathologies) {
-  auto gen = topogen::GenParams::preset("small");
-  gen.seed = 31;
-  const auto truth = topogen::generate(gen);
-  bgpsim::ObservationParams params;
-  params.seed = 32;
-  params.full_vps = 6;
-  params.partial_vps = 2;
-  params.destination_sample = 0.5;
-  params.prepend_prob = 0.2;
-  params.poison_prob = 0.05;
-  params.ixp_leak_prob = 0.3;
-  params.private_leak_prob = 0.05;
-  const auto observation = bgpsim::observe(truth, params);
-  ASSERT_GT(observation.audit.prepended, 0u);
-  ASSERT_GT(observation.audit.poisoned_loop, 0u);
-  ASSERT_GT(observation.audit.ixp_leaked, 0u);
-  ASSERT_GT(observation.audit.private_leaked, 0u);
-  PathCorpus corpus = PathCorpus::from_records(observation.routes);
-  // Re-feed a slice so dedup sees exact and compress-equal repeats.
-  for (std::size_t r = 0; r < observation.routes.size(); r += 7) {
-    corpus.add(observation.routes[r].vp, observation.routes[r].prefix,
-               observation.routes[r].path);
-  }
-  const std::unordered_set<Asn> ixps(truth.ixp_asns.begin(), truth.ixp_asns.end());
-  ASSERT_FALSE(ixps.empty());
-  expect_matches_oracle(corpus, ixps);
+  const InjectedWorld& world = injected_world();
+  ASSERT_FALSE(world.ixps.empty());
+  expect_matches_oracle(world.corpus, world.ixps);
 }
 
 TEST(SanitizerOracle, ManyAsnsGrowTheFirstSeenTable) {
@@ -430,6 +469,11 @@ PathCorpus duplicate_heavy_corpus() {
   return corpus;
 }
 
+const PathCorpus& duplicate_heavy_corpus_ref() {
+  static const PathCorpus corpus = duplicate_heavy_corpus();
+  return corpus;
+}
+
 TEST(SanitizerOracle, DuplicateHeavyCorpus) {
   const PathCorpus corpus = duplicate_heavy_corpus();
   SanitizerConfig config;
@@ -445,23 +489,31 @@ TEST(PathArena, TwoBuildsAreEqualFieldByField) {
   const PathCorpus corpus = duplicate_heavy_corpus();
   SanitizerConfig config;
   config.ixp_asns = {Asn(900)};
-  const PathArena a = PathArena::build(corpus, config);
-  const PathArena b = PathArena::build(corpus, config);
-  EXPECT_EQ(a.interner(), b.interner());
-  ASSERT_EQ(a.path_count(), b.path_count());
-  EXPECT_EQ(a.hop_count(), b.hop_count());
-  for (std::size_t p = 0; p < a.path_count(); ++p) {
-    EXPECT_EQ(a.offset(p), b.offset(p));
-    EXPECT_EQ(a.multiplicity(p), b.multiplicity(p));
-    EXPECT_TRUE(std::ranges::equal(a.path(p), b.path(p))) << "path " << p;
+  expect_arenas_equal(PathArena::build(corpus, config), PathArena::build(corpus, config),
+                      "second build");
+}
+
+TEST(PathArena, ChunkedBuildIsIdenticalAtAnyWorkerCount) {
+  // The default config (with the IXP set) and a compress-only one, which
+  // keeps loops, reserved ASNs, AS0 hops and duplicate records.
+  SanitizerConfig sanitizing;
+  sanitizing.ixp_asns = injected_world().ixps;
+  SanitizerConfig compress_only;
+  compress_only.strip_ixp_asns = false;
+  compress_only.discard_loops = false;
+  compress_only.discard_reserved = false;
+  compress_only.dedup = false;
+  for (const PathCorpus* corpus : {&injected_world().corpus, &duplicate_heavy_corpus_ref()}) {
+    for (const SanitizerConfig* config : {&sanitizing, &compress_only}) {
+      const PathArena want = PathArena::build(*corpus, *config);
+      ASSERT_GT(want.path_count(), 0u);
+      for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+        util::ThreadPool pool(workers);
+        expect_arenas_equal(PathArena::build(*corpus, *config, pool), want,
+                            describe(*config) + " on " + std::to_string(workers) + " workers");
+      }
+    }
   }
-  ASSERT_EQ(a.records().size(), b.records().size());
-  for (std::size_t r = 0; r < a.records().size(); ++r) {
-    EXPECT_EQ(a.records()[r].prefix, b.records()[r].prefix);
-    EXPECT_EQ(a.records()[r].vp, b.records()[r].vp);
-    EXPECT_EQ(a.records()[r].path, b.records()[r].path);
-  }
-  expect_stats_eq(a.stats(), b.stats(), "second build");
 }
 
 TEST(PathArena, SharesOnePathAcrossVantagePoints) {

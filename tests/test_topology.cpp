@@ -9,10 +9,8 @@
 #include "topology/as_graph.h"
 #include "topology/relationship.h"
 #include "topology/serialization.h"
-// rng.h before hash.h: hash.h's splitmix64(u64) overload would make the
-// splitmix64(u64&) call inside rng.h ambiguous.
-#include "util/rng.h"
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace asrank {
 namespace {
