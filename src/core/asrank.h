@@ -59,9 +59,10 @@ struct InferenceConfig {
   paths::SanitizerConfig sanitizer;
   CliqueConfig clique;
 
-  /// Worker threads for the data-parallel stages (degree-tally rows,
-  /// poisoned-path scan, positional voting), each split over the arena's
-  /// distinct paths or nodes.  0 = all hardware threads; 1 runs
+  /// Worker threads for the data-parallel stages (the arena build's chunked
+  /// passes, the degree tally, poisoned-path scan, partial-VP detection,
+  /// link table, positional voting), each split over records, the arena's
+  /// distinct paths, or nodes.  0 = all hardware threads; 1 runs
   /// everything inline on the calling thread.  Results are bit-identical at
   /// any count: parallel stages use static chunking with per-chunk local
   /// tallies and ordered merges (util::ThreadPool), and order-sensitive
