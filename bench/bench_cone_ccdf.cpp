@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
 
   const auto world = bench::make_world(options);
   const auto recursive = core::recursive_cone(world.result.graph);
-  const auto sanitized = world.result.sanitized();
-  const auto ppdc = core::provider_peer_observed_cone(world.result.graph, sanitized);
-  const auto observed = core::bgp_observed_cone(world.result.graph, sanitized);
+  const auto view = world.result.graph.freeze();
+  const auto ppdc = core::provider_peer_observed_cone(view, world.result.arena);
+  const auto observed = core::bgp_observed_cone(view, world.result.arena);
 
   auto sizes = [](const ConeMap& cones) {
     std::vector<double> out;

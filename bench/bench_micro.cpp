@@ -191,11 +191,6 @@ const core::InferenceResult& inference_result() {
   return result;
 }
 
-const paths::PathCorpus& sanitized_corpus() {
-  static const auto corpus = inference_result().sanitized();
-  return corpus;
-}
-
 void BM_RecursiveCone(benchmark::State& state) {
   for (auto _ : state) {
     auto cones = core::recursive_cone(inference_result().graph);
@@ -206,8 +201,8 @@ BENCHMARK(BM_RecursiveCone);
 
 void BM_PpdcCone(benchmark::State& state) {
   for (auto _ : state) {
-    auto cones =
-        core::provider_peer_observed_cone(inference_result().graph, sanitized_corpus());
+    auto cones = core::provider_peer_observed_cone(inference_result().graph.freeze(),
+                                                   inference_result().arena);
     benchmark::DoNotOptimize(cones.size());
   }
 }
@@ -464,7 +459,7 @@ void write_topology_view_json(const std::string& path) {
   constexpr std::uint8_t kNoRel = 0xff;
 
   const AsGraph& graph = inference_result().graph;
-  const paths::PathCorpus& corpus = sanitized_corpus();
+  const paths::PathCorpus corpus = inference_result().arena.materialize();
   const auto view = graph.freeze();
 
   const double interner_ms = min_time_ms(kReps, [] {

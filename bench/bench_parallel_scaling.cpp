@@ -6,7 +6,9 @@
 // output is identical to the single-threaded run, and emits machine-readable
 // JSON (stamped with hardware threads, build type and git sha, plus the
 // process's peak RSS) so the BENCH_*.json trajectory tracks scaling across
-// PRs.
+// PRs.  Each stage time is the median of kReps runs, stamped with its
+// interquartile range; speedups and the 2-worker inference gate read the
+// medians.
 //
 //     bench_parallel_scaling [total_ases] [seed] [json_out]
 //
@@ -30,13 +32,21 @@
 #include "core/visibility.h"
 #include "paths/corpus.h"
 #include "topogen/topogen.h"
+#include "util/stats.h"
 
 namespace {
 
 using namespace asrank;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
-constexpr int kReps = 2;  // min-of-reps damps scheduler noise
+constexpr int kReps = 5;  // runs per stage and worker count
+
+/// The median of kReps runs and their interquartile range.
+struct Timing {
+  double ms = 0.0;
+  double iqr_ms = 0.0;
+};
+using Timings = std::map<std::string, std::map<std::size_t, Timing>>;
 
 /// Synthetic observation corpus that exercises the tally stages without a
 /// full route simulation (O(n^2) at 50k ASes): every AS contributes its
@@ -73,16 +83,17 @@ bool same_degrees(const core::Degrees& a, const core::Degrees& b) {
   return true;
 }
 
-double time_ms(const std::function<void()>& fn) {
-  double best = 0.0;
+Timing time_ms(const std::function<void()>& fn) {
+  std::vector<double> samples;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
     fn();
-    const auto elapsed = std::chrono::duration<double, std::milli>(
-        std::chrono::steady_clock::now() - start);
-    if (rep == 0 || elapsed.count() < best) best = elapsed.count();
+    samples.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
   }
-  return best;
+  return {util::quantile(samples, 0.5),
+          util::quantile(samples, 0.75) - util::quantile(samples, 0.25)};
 }
 
 /// The process's peak resident set so far (ru_maxrss is in KiB on Linux).
@@ -92,8 +103,7 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-void write_json(std::ostream& os, std::size_t ases, std::uint64_t seed,
-                const std::map<std::string, std::map<std::size_t, double>>& timings,
+void write_json(std::ostream& os, std::size_t ases, std::uint64_t seed, const Timings& timings,
                 bool identical, double rss_mb) {
   os << "{\n  \"bench\": \"parallel_scaling\",\n";
   os << "  \"total_ases\": " << ases << ",\n  \"seed\": " << seed << ",\n";
@@ -102,27 +112,31 @@ void write_json(std::ostream& os, std::size_t ases, std::uint64_t seed,
   os << "  \"git_sha\": \"" << ASRANK_GIT_SHA << "\",\n";
   os << "  \"outputs_identical\": " << (identical ? "true" : "false") << ",\n";
   os << "  \"peak_rss_mb\": " << rss_mb << ",\n";
+  os << "  \"repetitions\": " << kReps << ",\n";
+  os << "  \"timing\": \"ms: median of repetitions; iqr_ms: their interquartile range; "
+        "speedup: of medians\",\n";
   os << "  \"stages\": {\n";
   bool first_stage = true;
   for (const auto& [stage, by_threads] : timings) {
     if (!first_stage) os << ",\n";
     first_stage = false;
-    os << "    \"" << stage << "\": {\"ms\": {";
-    bool first = true;
-    for (const auto& [threads, ms] : by_threads) {
-      if (!first) os << ", ";
-      first = false;
-      os << "\"" << threads << "\": " << ms;
-    }
-    os << "}, \"speedup\": {";
-    const double base = by_threads.at(1);
-    first = true;
-    for (const auto& [threads, ms] : by_threads) {
-      if (!first) os << ", ";
-      first = false;
-      os << "\"" << threads << "\": " << (ms > 0.0 ? base / ms : 0.0);
-    }
-    os << "}}";
+    const double base = by_threads.at(1).ms;
+    const auto field = [&](const char* name, const auto& value) {
+      os << "\"" << name << "\": {";
+      bool first = true;
+      for (const auto& [threads, timing] : by_threads) {
+        os << (first ? "" : ", ") << "\"" << threads << "\": " << value(timing);
+        first = false;
+      }
+      os << "}";
+    };
+    os << "    \"" << stage << "\": {";
+    field("ms", [](const Timing& t) { return t.ms; });
+    os << ", ";
+    field("iqr_ms", [](const Timing& t) { return t.iqr_ms; });
+    os << ", ";
+    field("speedup", [&](const Timing& t) { return t.ms > 0.0 ? base / t.ms : 0.0; });
+    os << "}";
   }
   os << "\n  }\n}\n";
 }
@@ -150,7 +164,7 @@ int main(int argc, char** argv) {
             << " paths\n";
 
   core::InferenceConfig base_config;
-  std::map<std::string, std::map<std::size_t, double>> timings;
+  Timings timings;
   bool identical = true;
 
   // Single-threaded reference outputs for the identity check.
@@ -184,15 +198,15 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::cout << threads << " thread(s): cone "
-              << timings["cone_closure"][threads] << " ms, degrees "
-              << timings["degrees"][threads] << " ms, visibility "
-              << timings["visibility"][threads] << " ms, inference "
-              << timings["inference"][threads] << " ms\n";
+    std::cout << threads << " thread(s), median of " << kReps << ": cone "
+              << timings["cone_closure"][threads].ms << " ms, degrees "
+              << timings["degrees"][threads].ms << " ms, visibility "
+              << timings["visibility"][threads].ms << " ms, inference "
+              << timings["inference"][threads].ms << " ms\n";
   }
 
   const double cone_speedup_4t =
-      timings["cone_closure"][1] / std::max(timings["cone_closure"][4], 1e-9);
+      timings["cone_closure"][1].ms / std::max(timings["cone_closure"][4].ms, 1e-9);
   std::cout << "cone-closure speedup at 4 threads: " << cone_speedup_4t << "x\n";
   std::cout << "outputs identical across thread counts: "
             << (identical ? "yes" : "NO — BUG") << "\n";
@@ -203,9 +217,9 @@ int main(int argc, char** argv) {
   bool speedup_ok = true;
   if (std::thread::hardware_concurrency() >= 2) {
     const double inference_speedup_2t =
-        timings["inference"][1] / std::max(timings["inference"][2], 1e-9);
+        timings["inference"][1].ms / std::max(timings["inference"][2].ms, 1e-9);
     speedup_ok = inference_speedup_2t > 1.05;
-    std::cout << "inference speedup at 2 threads: " << inference_speedup_2t
+    std::cout << "inference speedup at 2 threads (medians): " << inference_speedup_2t
               << "x (assert > 1.05x: " << (speedup_ok ? "pass" : "FAIL") << ")\n";
   } else {
     std::cout << "single hardware thread: speedup assertion skipped\n";

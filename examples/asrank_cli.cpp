@@ -45,6 +45,7 @@
 #include "obs/log.h"
 #include "mrt/table_dump_v2.h"
 #include "mrt/text_table.h"
+#include "paths/arena.h"
 #include "serve/client.h"
 #include "serve/cluster_client.h"
 #include "serve/cluster_map.h"
@@ -54,8 +55,10 @@
 #include "topogen/topogen.h"
 #include "topology/graph_diff.h"
 #include "topology/serialization.h"
+#include "topology/topology_view.h"
 #include "util/strings.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "validation/ppv.h"
 
 namespace {
@@ -210,6 +213,21 @@ snapshot::SnapshotIndex build_algorithm_part(const std::string& name,
   return snapshot::build_snapshot(graph, transit, cones, clique);
 }
 
+/// The observed cone ("observed" = BGP-observed, else provider/peer-observed)
+/// of a raw corpus.  Its arena runs no sanitizer stage, so the descent walk
+/// sees every hop as read: prepending, loops and reserved ASNs stay.
+ConeMap observed_cone(const std::string& method, const topology::TopologyView& view,
+                      const paths::PathCorpus& corpus, std::size_t threads) {
+  paths::SanitizerConfig raw;
+  raw.compress_prepending = false;
+  raw.discard_loops = false;
+  raw.discard_reserved = false;
+  util::ThreadPool pool(threads);
+  const auto arena = paths::PathArena::build(corpus, raw, pool);
+  return method == "observed" ? core::bgp_observed_cone(view, arena, threads)
+                              : core::provider_peer_observed_cone(view, arena, threads);
+}
+
 /// Load a path corpus from --mrt (binary) or --pipe (text) input.
 paths::PathCorpus load_corpus(const Args& args) {
   if (const auto mrt_path = args.get("mrt")) {
@@ -311,15 +329,9 @@ int cmd_cones(const Args& args) {
   const AsGraph graph = read_as_rel(graph_in);
   const std::string method = args.get_or("method", "ppdc");
   const std::size_t threads = args.get_u64("threads", 0);  // 0 = all hardware threads
-  ConeMap cones;
-  if (method == "recursive") {
-    cones = core::recursive_cone(graph, threads);
-  } else {
-    const auto corpus = load_corpus(args);
-    cones = method == "observed"
-                ? core::bgp_observed_cone(graph, corpus, threads)
-                : core::provider_peer_observed_cone(graph, corpus, threads);
-  }
+  const ConeMap cones = method == "recursive"
+                            ? core::recursive_cone(graph, threads)
+                            : observed_cone(method, graph.freeze(), load_corpus(args), threads);
   auto out = open_out(args.require("out"));
   write_ppdc(cones, out);
   std::cerr << "wrote " << cones.size() << " cones (" << method << ")\n";
@@ -332,7 +344,7 @@ int cmd_rank(const Args& args) {
   const auto corpus = load_corpus(args);
   const std::size_t threads = args.get_u64("threads", 0);  // 0 = all hardware threads
   const auto degrees = core::Degrees::compute(corpus, threads);
-  const auto cones = core::provider_peer_observed_cone(graph, corpus, threads);
+  const auto cones = observed_cone("ppdc", graph.freeze(), corpus, threads);
   const auto hierarchy = core::analyze_hierarchy(graph, graph.provider_free_ases());
 
   util::TableWriter table({"rank", "AS", "cone", "transit degree", "class"});
@@ -559,6 +571,7 @@ int cmd_snapshot(const Args& args) {
   }
   auto graph_in = open_in(args.require("as-rel"));
   const AsGraph graph = read_as_rel(graph_in);
+  const topology::TopologyView view = graph.freeze();
   const std::size_t threads = args.get_u64("threads", 0);  // 0 = all hardware threads
 
   std::optional<paths::PathCorpus> corpus;
@@ -571,11 +584,9 @@ int cmd_snapshot(const Args& args) {
     cones = read_ppdc(ppdc_in);
     method = "ppdc-file";
   } else if (method == "recursive") {
-    cones = core::recursive_cone(graph, threads);
+    cones = core::recursive_cone(view, threads);
   } else if (corpus) {
-    cones = method == "observed"
-                ? core::bgp_observed_cone(graph, *corpus, threads)
-                : core::provider_peer_observed_cone(graph, *corpus, threads);
+    cones = observed_cone(method, view, *corpus, threads);
   } else {
     throw std::runtime_error("--method " + method + " needs --mrt or --pipe input");
   }
@@ -597,7 +608,7 @@ int cmd_snapshot(const Args& args) {
     clique = graph.provider_free_ases();
   }
 
-  const auto index = snapshot::build_snapshot(graph, transit, cones, clique);
+  const auto index = snapshot::build_snapshot(view, transit, cones, clique);
   snapshot::write_snapshot_file(index, args.require("out"));
   std::cerr << "froze " << index.as_count() << " ASes, " << index.link_count()
             << " links, " << cones.size() << " cones (" << method << "), clique "

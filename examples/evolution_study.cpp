@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     std::size_t max_depth = 0;
     for (const auto& [as, depth] : depths) max_depth = std::max(max_depth, depth);
 
-    const auto cones = core::provider_peer_observed_cone(result.graph, result.sanitized());
+    const auto cones = core::provider_peer_observed_cone(result.graph.freeze(), result.arena);
     std::vector<Asn> ranked;
     for (const auto& entry : core::rank_by_cone(cones, result.degrees)) {
       ranked.push_back(entry.as);

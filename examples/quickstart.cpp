@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   }
 
   // 5. Customer cones and AS Rank.
-  const auto cones = core::provider_peer_observed_cone(result.graph, result.sanitized());
+  const auto cones = core::provider_peer_observed_cone(result.graph.freeze(), result.arena);
   util::TableWriter table({"rank", "AS", "cone size", "transit degree"});
   for (const auto& entry : core::top_n(cones, result.degrees, 10)) {
     table.add_row({std::to_string(entry.rank), "AS" + entry.as.str(),

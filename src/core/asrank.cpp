@@ -90,9 +90,11 @@ class LinkSlots {
 /// paths::PathArena: every distinct surviving path stored once as NodeIds
 /// over one AsnInterner, plus per-record path ids.  Degrees, clique,
 /// poisoned scan, link table and voting walk the distinct paths (votes and
-/// observations weighted by how many surviving records carry each path);
-/// only the order-sensitive fixpoint visits records, walking a record's
-/// path span again only after a commit to one of its links.  The link
+/// observations weighted by how many records carry each path); only the
+/// order-sensitive fixpoint visits records, walking a record's path span
+/// again only after a commit to one of its links.  Step 4 cuts the arena
+/// itself: it drops the records of poisoned paths (PathArena::drop_paths),
+/// so every later stage reads arena_.records() directly.  The link
 /// table is a sorted vector of packed (lo, hi) id
 /// pairs with a parallel LinkState array, and per-hop link indices sit
 /// parallel to the arena's hop buffer, so the vote and fixpoint inner loops
@@ -103,8 +105,7 @@ class LinkSlots {
 /// keys are sorted and the per-hop slots renumbered to sorted order, so no
 /// id depends on which chunk saw a link first.  Interner ids ascend with
 /// ASN, so id comparisons and tie-breaks equal the ASN-based ones.  The
-/// arena and the survivor list move into the result, which materializes
-/// the sanitized corpus on demand.
+/// cut arena, the post-step-4 corpus, moves into the result.
 class Pipeline {
  public:
   Pipeline(const InferenceConfig& config, const PathCorpus& raw)
@@ -114,7 +115,6 @@ class Pipeline {
 
   InferenceResult take() {
     result_.arena = std::move(arena_);
-    result_.survivors = std::move(survivors_);
     return std::move(result_);
   }
 
@@ -148,10 +148,6 @@ class Pipeline {
 
   [[nodiscard]] const AsnInterner& interner() const noexcept { return arena_.interner(); }
 
-  /// Path id of surviving record r.
-  [[nodiscard]] std::uint32_t path_of(std::size_t r) const noexcept {
-    return arena_.records()[survivors_[r]].path;
-  }
   /// Path p survived step 4 and places links (see index_paths_and_links).
   [[nodiscard]] bool places_links(std::size_t p) const noexcept {
     return weight_[p].first + weight_[p].second > 0;
@@ -171,9 +167,8 @@ class Pipeline {
   std::vector<bool> clique_bits_;      ///< by NodeId
   std::vector<std::uint8_t> transit_bits_;  ///< seen between two other ASes
 
-  std::vector<std::uint32_t> survivors_;   ///< arena record index of each post-step-4 record
-  std::vector<std::uint8_t> rec_partial_;  ///< survivor from a partial-view VP
-  /// Per path: surviving records carrying it from full / partial-view VPs.
+  std::vector<std::uint8_t> rec_partial_;  ///< by record: from a partial-view VP
+  /// Per path: records carrying it from full / partial-view VPs.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> weight_;
 
   std::vector<std::uint64_t> link_keys_;   ///< sorted packed (lo, hi) id pairs
@@ -258,8 +253,8 @@ void Pipeline::run(const PathCorpus& raw) {
 }
 
 void Pipeline::discard_poisoned() {
-  // Per-path classification is independent, so it parallelizes; the ordered
-  // walk below keeps the surviving records in the original record order.
+  // Per-path classification is independent, so it parallelizes; the cut
+  // keeps the surviving records in the original record order.
   std::vector<std::uint8_t> poisoned(arena_.path_count(), 0);
   if (config_.discard_poisoned && !result_.clique.empty()) {
     pool_.for_each_index(arena_.path_count(), [&](std::size_t p) {
@@ -277,22 +272,15 @@ void Pipeline::discard_poisoned() {
       poisoned[p] = count > 0 && (last - first + 1) != count;
     });
   }
-  const auto records = arena_.records();
-  survivors_.reserve(records.size());
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    if (poisoned[records[r].path]) {
-      ++result_.audit.poisoned_discarded;
-    } else {
-      survivors_.push_back(static_cast<std::uint32_t>(r));
-    }
-  }
+  result_.audit.poisoned_discarded = arena_.drop_paths(poisoned);
 }
 
 void Pipeline::index_paths_and_links() {
   const std::size_t path_count = arena_.path_count();
+  const auto records = arena_.records();
   weight_.assign(path_count, {0, 0});
-  for (std::size_t r = 0; r < survivors_.size(); ++r) {
-    auto& [full, partial] = weight_[path_of(r)];
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    auto& [full, partial] = weight_[records[r].path];
     ++(rec_partial_[r] ? partial : full);
   }
   // An AS0 hop kept by a permissive SanitizerConfig has no NodeId and no
@@ -355,7 +343,7 @@ void Pipeline::index_paths_and_links() {
 
   // Renumber the per-hop slots to sorted order, so the vote and fixpoint
   // loops walk these flat arrays with zero lookups, and add each path's
-  // surviving records to its links' observations, per chunk.
+  // records to its links' observations, per chunk.
   std::vector<std::uint32_t> link_of_slot(slots.slot_count());
   pool_.for_chunks(link_keys_.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
@@ -372,9 +360,9 @@ void Pipeline::index_paths_and_links() {
   pool_.for_chunks(path_count, [&](std::size_t c, std::size_t begin, std::size_t end) {
     std::uint32_t* observations = seen.data() + c * links;
     for (std::size_t p = begin; p < end; ++p) {
-      const std::uint32_t records = weight_[p].first + weight_[p].second;
+      const std::uint32_t carried = weight_[p].first + weight_[p].second;
       for (const std::uint32_t link : links_of(p)) {
-        if (link != kNoLink) observations[link] += records;
+        if (link != kNoLink) observations[link] += carried;
       }
     }
   });
@@ -388,9 +376,8 @@ void Pipeline::index_paths_and_links() {
 
 void Pipeline::detect_partial_vps() {
   const auto records = arena_.records();
-  rec_partial_.assign(survivors_.size(), 0);
-  if (config_.partial_vp_threshold <= 0.0 || survivors_.empty()) return;
-  const auto vp_at = [&](std::size_t r) { return records[survivors_[r]].vp; };
+  rec_partial_.assign(records.size(), 0);
+  if (config_.partial_vp_threshold <= 0.0 || records.empty()) return;
   // Position of `vp` in the sorted `vps`; runs of one VP skip the search.
   const auto position = [](std::span<const Asn> vps, Asn vp, std::size_t hint) {
     if (hint < vps.size() && vps[hint] == vp) return hint;
@@ -400,14 +387,14 @@ void Pipeline::detect_partial_vps() {
   // The few distinct VPs: each chunk keeps its own sorted list in its slice
   // of `found`, and the lists are merged.
   const std::size_t chunks = pool_.worker_count();
-  const std::vector<std::size_t> bounds = pool_.chunk_bounds(survivors_.size());
-  std::vector<Asn> found(survivors_.size());
+  const std::vector<std::size_t> bounds = pool_.chunk_bounds(records.size());
+  std::vector<Asn> found(records.size());
   std::vector<std::size_t> found_size(chunks, 0);
-  pool_.for_chunks(survivors_.size(), [&](std::size_t c, std::size_t begin, std::size_t end) {
+  pool_.for_chunks(records.size(), [&](std::size_t c, std::size_t begin, std::size_t end) {
     Asn* list = found.data() + begin;
     std::size_t size = 0, last = 0;
     for (std::size_t r = begin; r < end; ++r) {
-      const Asn vp = vp_at(r);
+      const Asn vp = records[r].vp;
       last = position(std::span<const Asn>(list, size), vp, last);
       if (last == size || list[last] != vp) {
         std::copy_backward(list + last, list + size, list + size + 1);
@@ -424,16 +411,16 @@ void Pipeline::detect_partial_vps() {
   std::sort(vps.begin(), vps.end());
   vps.erase(std::unique(vps.begin(), vps.end()), vps.end());
 
-  // Per-VP table sizes: each chunk tallies its survivors, and the tallies
+  // Per-VP table sizes: each chunk tallies its records, and the tallies
   // add up.  Chunks' tallies sit a cache line apart.
-  const auto vp_of = std::make_unique_for_overwrite<std::uint32_t[]>(survivors_.size());
+  const auto vp_of = std::make_unique_for_overwrite<std::uint32_t[]>(records.size());
   const std::size_t stride = vps.size() + 8;
   std::vector<std::size_t> tally(chunks * stride, 0);
-  pool_.for_chunks(survivors_.size(), [&](std::size_t c, std::size_t begin, std::size_t end) {
+  pool_.for_chunks(records.size(), [&](std::size_t c, std::size_t begin, std::size_t end) {
     std::size_t* table_size = tally.data() + c * stride;
     std::size_t last = 0;
     for (std::size_t r = begin; r < end; ++r) {
-      last = position(vps, vp_at(r), last);
+      last = position(vps, records[r].vp, last);
       vp_of[r] = static_cast<std::uint32_t>(last);
       ++table_size[last];
     }
@@ -448,7 +435,7 @@ void Pipeline::detect_partial_vps() {
     partial[v] = static_cast<double>(table_size[v]) <
                  config_.partial_vp_threshold * static_cast<double>(max_size);
   }
-  pool_.for_chunks(survivors_.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  pool_.for_chunks(records.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) rec_partial_[r] = partial[vp_of[r]];
   });
   result_.audit.partial_vps =
@@ -658,7 +645,7 @@ void Pipeline::triplet_fixpoint() {
   std::vector<std::uint32_t> checked_at(reuse_walks ? 2 * arena_.path_count() : 0, kNever);
   std::vector<std::uint8_t> kept(checked_at.size(), 0);  // both by 2 * path + partial
 
-  const std::size_t record_count = survivors_.size();
+  const auto records = arena_.records();
   bool changed = true;
   std::size_t iterations = 0;
   const auto commit = [&](std::uint32_t link, NodeId provider, NodeId customer) {
@@ -682,8 +669,8 @@ void Pipeline::triplet_fixpoint() {
   while (changed && iterations < 16) {
     changed = false;
     ++iterations;
-    for (std::size_t r = 0; r < record_count; ++r) {
-      const std::uint32_t path = path_of(r);
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      const std::uint32_t path = records[r].path;
       const auto hops = arena_.path(path);
       const auto links = links_of(path);
       if (hops.size() < 2 || !places_links(path)) continue;
@@ -870,16 +857,6 @@ void Pipeline::repair_cycles() {
 }
 
 }  // namespace
-
-paths::PathCorpus InferenceResult::sanitized() const {
-  const auto records = arena.records();
-  paths::PathCorpus corpus;
-  corpus.reserve(survivors.size());
-  for (const std::uint32_t r : survivors) {
-    corpus.add(records[r].vp, records[r].prefix, arena.as_path(records[r].path));
-  }
-  return corpus;
-}
 
 InferenceResult AsRankInference::run(const paths::PathCorpus& raw) const {
   Pipeline pipeline(config_, raw);

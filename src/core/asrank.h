@@ -12,7 +12,8 @@
 //   2.  Rank ASes by transit degree (core::Degrees).
 //   3.  Infer the top clique (core::infer_clique, Bron–Kerbosch).
 //   4.  Discard poisoned paths: a path whose clique members do not form one
-//       contiguous segment indicates poisoning or leak artifacts.
+//       contiguous segment indicates poisoning or leak artifacts.  Their
+//       records are cut from the arena, which later stages read as is.
 //   5.  Detect partial-view VPs (table far smaller than the largest feed);
 //       their paths are customer-routes-only and thus descend everywhere.
 //   6.  Vote c2p along every path from its peak location: for paths crossing
@@ -124,20 +125,16 @@ struct InferenceResult {
   std::vector<Asn> clique;  ///< inferred tier-1 clique, sorted
   Degrees degrees;          ///< ranking used by the pipeline
   StageAudit audit;
-  paths::PathArena arena;   ///< step 1's sanitized distinct paths and records
-  /// Index into arena.records() of each record that survived step 4, in
-  /// record order.
-  std::vector<std::uint32_t> survivors;
-
-  /// The post-step-4 corpus (input to cones): one row per survivor, in
-  /// record order.  Built from the arena on every call, so callers that
-  /// read it more than once should keep the copy.
-  [[nodiscard]] paths::PathCorpus sanitized() const;
+  /// The post-step-4 corpus: step 1's sanitized distinct paths, with the
+  /// records of step 4's poisoned paths dropped (those paths keep their ids
+  /// and hops, with multiplicity 0).  The observed cones walk it directly;
+  /// arena.materialize() gives its records as a PathCorpus.
+  paths::PathArena arena;
 };
 
 /// The paper's algorithm, registered natively in the algo:: registry (no
 /// adapter): infer() runs the full pipeline and keeps the graph.  Callers
-/// needing the clique/audit/sanitized corpus use run() directly.
+/// needing the clique, audit or post-step-4 arena use run() directly.
 class AsRankInference final : public algo::InferenceAlgorithm {
  public:
   explicit AsRankInference(InferenceConfig config = {}) : config_(std::move(config)) {}

@@ -58,39 +58,32 @@ void bron_kerbosch(const std::vector<std::vector<bool>>& adj, std::vector<std::s
   }
 }
 
-std::vector<std::vector<std::size_t>> index_cliques(const std::vector<std::vector<bool>>& adj) {
-  std::vector<std::size_t> p(adj.size());
-  for (std::size_t i = 0; i < adj.size(); ++i) p[i] = i;
-  std::vector<std::size_t> r;
-  std::vector<std::vector<std::size_t>> out;
-  bron_kerbosch(adj, r, std::move(p), {}, out);
-  return out;
-}
+}  // namespace
 
-/// Maximal cliques of the sub-graph induced by `seed`, as sorted NodeId
-/// lists.  Sorted ids translate to sorted ASNs (interner order-preservation),
-/// so clique comparison below matches the legacy ASN-lexicographic order.
-std::vector<std::vector<NodeId>> seed_cliques(const ObservedAdjacency& adjacency,
-                                              const std::vector<NodeId>& seed) {
-  const std::size_t n = seed.size();
+std::vector<std::vector<NodeId>> detail::maximal_cliques(const ObservedAdjacency& adjacency,
+                                                         const std::vector<NodeId>& vertices) {
+  const std::size_t n = vertices.size();
   std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (adjacency.adjacent(seed[i], seed[j])) adj[i][j] = adj[j][i] = true;
+      if (adjacency.adjacent(vertices[i], vertices[j])) adj[i][j] = adj[j][i] = true;
     }
   }
+  std::vector<std::size_t> p(n);
+  for (std::size_t i = 0; i < n; ++i) p[i] = i;
+  std::vector<std::size_t> r;
+  std::vector<std::vector<std::size_t>> found;
+  bron_kerbosch(adj, r, std::move(p), {}, found);
   std::vector<std::vector<NodeId>> out;
-  for (const auto& indices : index_cliques(adj)) {
+  for (const auto& indices : found) {
     std::vector<NodeId> clique;
     clique.reserve(indices.size());
-    for (const std::size_t i : indices) clique.push_back(seed[i]);
+    for (const std::size_t i : indices) clique.push_back(vertices[i]);
     std::sort(clique.begin(), clique.end());
     out.push_back(std::move(clique));
   }
   return out;
 }
-
-}  // namespace
 
 std::vector<std::uint32_t> detail::paths_by_origin(const paths::PathArena& arena) {
   // Counting sort on the origin id; kNoNode (an AS0 origin) is bucket n.
@@ -148,30 +141,6 @@ std::vector<std::uint32_t> detail::customer_evidence(const paths::PathArena& are
   return witnesses;
 }
 
-std::vector<std::vector<Asn>> maximal_cliques(const AdjacencySet& adjacency,
-                                              const std::vector<Asn>& vertices) {
-  const std::size_t n = vertices.size();
-  const auto adjacent = [&](Asn a, Asn b) {
-    const auto it = adjacency.find(a);
-    return it != adjacency.end() && it->second.contains(b);
-  };
-  std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (adjacent(vertices[i], vertices[j])) adj[i][j] = adj[j][i] = true;
-    }
-  }
-  std::vector<std::vector<Asn>> out;
-  for (const auto& indices : index_cliques(adj)) {
-    std::vector<Asn> clique;
-    clique.reserve(indices.size());
-    for (const std::size_t i : indices) clique.push_back(vertices[i]);
-    std::sort(clique.begin(), clique.end());
-    out.push_back(std::move(clique));
-  }
-  return out;
-}
-
 std::vector<Asn> infer_clique(const paths::PathArena& arena, const Degrees& degrees,
                               const CliqueConfig& config) {
   const auto& ranked = degrees.ranked();
@@ -212,7 +181,7 @@ std::vector<Asn> infer_clique(const paths::PathArena& arena, const Degrees& degr
     // sparse vantage-point coverage; the customer-evidence iteration below
     // ejects intruders either way.
     best.clear();
-    for (auto& clique : seed_cliques(adjacency, seed)) {
+    for (auto& clique : detail::maximal_cliques(adjacency, seed)) {
       if (clique.size() > best.size() || (clique.size() == best.size() && clique < best)) {
         best = std::move(clique);
       }

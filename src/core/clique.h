@@ -17,8 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "asn/asn.h"
@@ -57,17 +55,13 @@ struct CliqueConfig {
   std::size_t customer_evidence_min_origins = 2;
 };
 
-/// Undirected adjacency as nested hash sets.  Legacy representation kept for
-/// hand-built test fixtures and small ad-hoc queries; the inference itself
-/// uses ObservedAdjacency.
-using AdjacencySet = std::unordered_map<Asn, std::unordered_set<Asn>>;
-
-/// All maximal cliques of the sub-graph induced by `vertices`
-/// (Bron–Kerbosch with pivoting).  Intended for small vertex sets.
-[[nodiscard]] std::vector<std::vector<Asn>> maximal_cliques(const AdjacencySet& adjacency,
-                                                            const std::vector<Asn>& vertices);
-
 namespace detail {
+
+/// All maximal cliques of the sub-graph of `adjacency` induced by
+/// `vertices` (Bron–Kerbosch with pivoting), each as a sorted NodeId list.
+/// Intended for small vertex sets (infer_clique's seed).
+[[nodiscard]] std::vector<std::vector<topology::NodeId>> maximal_cliques(
+    const ObservedAdjacency& adjacency, const std::vector<topology::NodeId>& vertices);
 
 /// Ids of the arena's distinct paths of three or more hops (the only ones
 /// that can carry customer evidence), grouped by origin (last hop): a

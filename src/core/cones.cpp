@@ -62,10 +62,9 @@ std::vector<std::vector<NodeId>> provider_levels(std::size_t n, const CustomersF
 /// popcounts, offsets their prefix sum, and members are filled in place.
 template <typename CustomersFn>
 ConeMap closure(const AsnInterner& interner, const CustomersFn& customers,
-                std::size_t threads) {
+                util::ThreadPool& pool) {
   obs::StageTimer stage_timer("cone_closure");
   const std::size_t n = interner.size();
-  util::ThreadPool pool(threads);
   std::vector<topology::DenseBitset> rows(n);  // no words for an AS without customers
   for (const std::vector<NodeId>& level : provider_levels(n, customers)) {
     // Allocated here, not in the workers, so that rows share one malloc arena.
@@ -106,29 +105,42 @@ bool is_p2c(const TopologyView& view, NodeId a, NodeId b) {
   return rel && *rel == RelView::kCustomer;
 }
 
-constexpr std::uint64_t pack(std::uint32_t a, std::uint32_t b) noexcept {
-  return std::uint64_t{a} << 32 | b;
+constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept { return std::uint64_t{a} << 32 | b; }
+
+/// The view id of each arena id, kNoNode for an AS the view lacks.  Both
+/// interners ascend by ASN, so one merge walk pairs them.
+std::vector<NodeId> view_ids(const AsnInterner& arena, const AsnInterner& view) {
+  const auto from = arena.asns();
+  const auto to = view.asns();
+  std::vector<NodeId> out(from.size(), kNoNode);
+  for (std::size_t i = 0, j = 0; i < from.size(); ++i) {
+    while (j < to.size() && to[j] < from[i]) ++j;
+    if (j < to.size() && to[j] == from[i]) out[i] = static_cast<NodeId>(j);
+  }
+  return out;
 }
 
-/// `init` plus every packed pair `emit(hops, ids, out)` pushes per path (ids:
-/// the hops' NodeIds or kNoNode), sorted and deduplicated, so the result is
-/// the same at any worker count.
+/// `init` plus every pair `emit(ids, out)` pushes per distinct arena path
+/// that some record carries (ids: its hops as view ids, kNoNode for AS0 and
+/// for ASes the view lacks), sorted and deduplicated, so the result is the
+/// same at any worker count.
 template <typename EmitFn>
-std::vector<std::uint64_t> collect_pairs(util::ThreadPool& pool,
-                                         const paths::PathCorpus& corpus,
-                                         const AsnInterner& interner,
+std::vector<std::uint64_t> collect_pairs(util::ThreadPool& pool, const TopologyView& view,
+                                         const paths::PathArena& arena,
                                          std::vector<std::uint64_t> init, const EmitFn& emit) {
   using PairList = std::vector<std::uint64_t>;
-  const auto records = corpus.records();
+  const std::vector<NodeId> to_view = view_ids(arena.interner(), view.interner());
   PairList pairs = pool.map_reduce<PairList>(
-      records.size(), std::move(init),
+      arena.path_count(), std::move(init),
       [&](std::size_t begin, std::size_t end) {
         PairList local;
         std::vector<NodeId> ids;
-        for (std::size_t r = begin; r < end; ++r) {
-          const auto hops = records[r].path.hops();
-          interner.translate(hops, ids);
-          emit(hops, std::span<const NodeId>(ids), local);
+        for (std::size_t p = begin; p < end; ++p) {
+          const auto hops = arena.path(p);
+          if (arena.multiplicity(p) == 0 || hops.size() < 2) continue;
+          ids.clear();
+          for (const NodeId hop : hops) ids.push_back(hop == kNoNode ? kNoNode : to_view[hop]);
+          emit(std::span<const NodeId>(ids), local);
         }
         return local;
       },
@@ -138,69 +150,63 @@ std::vector<std::uint64_t> collect_pairs(util::ThreadPool& pool,
   return pairs;
 }
 
+/// CSR offsets (n + 1 entries) of sorted pairs grouped by their first id,
+/// which is below n.
+std::vector<std::uint64_t> row_offsets(std::size_t n, std::span<const std::uint64_t> pairs) {
+  std::vector<std::uint64_t> offsets(n + 1, 0);
+  for (const std::uint64_t pair : pairs) ++offsets[(pair >> 32) + 1];
+  for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+  return offsets;
+}
+
 }  // namespace
 
 ConeMap recursive_cone(const TopologyView& view, std::size_t threads) {
-  return closure(view.interner(), [&](NodeId node) { return view.customers(node); },
-                 threads);
+  util::ThreadPool pool(threads);
+  return closure(view.interner(), [&](NodeId node) { return view.customers(node); }, pool);
 }
 
 ConeMap recursive_cone(const AsGraph& graph, std::size_t threads) {
   return recursive_cone(graph.freeze(), threads);
 }
 
-ConeMap bgp_observed_cone(const TopologyView& view, const paths::PathCorpus& corpus,
+ConeMap bgp_observed_cone(const TopologyView& view, const paths::PathArena& arena,
                           std::size_t threads) {
   // Observed paths may cross ASes the annotated graph has never seen.  They
-  // have no NodeId, head no p2c descent and sit in none, so they get no
+  // have no view id, head no p2c descent and sit in none, so they get no
   // row: every key is a graph AS, as read_ppdc requires.  Only p2c
   // classification uses the view.
   const AsnInterner& interner = view.interner();
   util::ThreadPool pool(threads);
   std::vector<std::uint64_t> init;
-  for (const Asn as : interner.asns()) init.push_back(pack(as.value(), as.value()));
-  const auto pairs = collect_pairs(
-      pool, corpus, interner, std::move(init),
-      [&](std::span<const Asn> hops, std::span<const NodeId> ids, auto& out) {
-        if (hops.size() < 2) return;
-        // Right to left: `end` is the last index of the contiguous p2c
-        // descent starting at i.
-        std::size_t end = hops.size() - 1;
-        for (std::size_t i = hops.size() - 1; i-- > 0;) {
-          if (!is_p2c(view, ids[i], ids[i + 1])) end = i;
-          for (std::size_t j = i + 1; j <= end; ++j) {
-            out.push_back(pack(hops[i].value(), hops[j].value()));
-          }
-        }
-      });
-
-  ConeMap out;
-  std::vector<Asn> row;
-  for (std::size_t i = 0; i < pairs.size();) {
-    const Asn as(static_cast<std::uint32_t>(pairs[i] >> 32));
-    for (row.clear(); i < pairs.size() && pairs[i] >> 32 == as.value(); ++i) {
-      row.emplace_back(static_cast<std::uint32_t>(pairs[i]));
+  for (NodeId id = 0; id < interner.size(); ++id) init.push_back(pack(id, id));
+  const auto descents = [&](std::span<const NodeId> ids, auto& out) {
+    // Right to left: `end` is the last index of the contiguous p2c descent
+    // starting at i.
+    std::size_t end = ids.size() - 1;
+    for (std::size_t i = ids.size() - 1; i-- > 0;) {
+      if (!is_p2c(view, ids[i], ids[i + 1])) end = i;
+      for (std::size_t j = i + 1; j <= end; ++j) out.push_back(pack(ids[i], ids[j]));
     }
-    out.append(as, row);
+  };
+  const auto pairs = collect_pairs(pool, view, arena, std::move(init), descents);
+
+  std::vector<Asn> members(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    members[i] = interner.asn_of(static_cast<NodeId>(pairs[i]));
   }
-  return out;
+  return ConeMap({interner.asns().begin(), interner.asns().end()},
+                 row_offsets(interner.size(), pairs), std::move(members));
 }
 
-ConeMap bgp_observed_cone(const AsGraph& graph, const paths::PathCorpus& corpus,
-                          std::size_t threads) {
-  return bgp_observed_cone(graph.freeze(), corpus, threads);
-}
-
-ConeMap provider_peer_observed_cone(const TopologyView& view,
-                                    const paths::PathCorpus& corpus, std::size_t threads) {
+ConeMap provider_peer_observed_cone(const TopologyView& view, const paths::PathArena& arena,
+                                    std::size_t threads) {
   // Collect p2c links observed while descending from above: the provider
   // hop was itself preceded by one of its providers or peers.
-  const AsnInterner& interner = view.interner();
   util::ThreadPool pool(threads);
-  const auto pairs = collect_pairs(
-      pool, corpus, interner, {},
-      [&](std::span<const Asn> hops, std::span<const NodeId> ids, auto& out) {
-        for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
+  const auto pairs =
+      collect_pairs(pool, view, arena, {}, [&](std::span<const NodeId> ids, auto& out) {
+        for (std::size_t i = 1; i + 1 < ids.size(); ++i) {
           if (ids[i] == kNoNode || ids[i - 1] == kNoNode) continue;
           const auto preceding = view.relationship(ids[i], ids[i - 1]);
           const bool from_above = preceding && (*preceding == RelView::kProvider ||
@@ -208,7 +214,7 @@ ConeMap provider_peer_observed_cone(const TopologyView& view,
           if (!from_above) continue;
           // Every contiguous p2c link after i is proven to carry traffic
           // downward.
-          for (std::size_t j = i; j + 1 < hops.size(); ++j) {
+          for (std::size_t j = i; j + 1 < ids.size(); ++j) {
             if (!is_p2c(view, ids[j], ids[j + 1])) break;
             out.push_back(pack(ids[j], ids[j + 1]));
           }
@@ -217,27 +223,16 @@ ConeMap provider_peer_observed_cone(const TopologyView& view,
 
   // CSR over the filtered sub-relation: pairs are sorted by (provider,
   // customer), so each row comes out sorted.
-  const std::size_t n = interner.size();
-  std::vector<std::uint64_t> offsets(n + 1, 0);
+  const std::vector<std::uint64_t> offsets = row_offsets(view.interner().size(), pairs);
   std::vector<NodeId> customers(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ++offsets[(pairs[i] >> 32) + 1];
-    customers[i] = static_cast<NodeId>(pairs[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
-
+  for (std::size_t i = 0; i < pairs.size(); ++i) customers[i] = static_cast<NodeId>(pairs[i]);
   return closure(
-      interner,
+      view.interner(),
       [&](NodeId node) {
-        return std::span<const NodeId>(customers).subspan(
-            offsets[node], offsets[node + 1] - offsets[node]);
+        return std::span<const NodeId>(customers).subspan(offsets[node],
+                                                          offsets[node + 1] - offsets[node]);
       },
-      threads);
-}
-
-ConeMap provider_peer_observed_cone(const AsGraph& graph, const paths::PathCorpus& corpus,
-                                    std::size_t threads) {
-  return provider_peer_observed_cone(graph.freeze(), corpus, threads);
+      pool);
 }
 
 std::size_t break_provider_cycles(AsGraph& graph, const Degrees& degrees) {

@@ -20,16 +20,22 @@
 // All computations run on the dense-id CSR substrate (topology::TopologyView):
 // the closure walks flat customer rows indexed by NodeId and unions fixed-
 // width bitsets (one per AS that has customers) straight into the CSR
-// ConeMap, so the hot loop is cache-linear with no hashing.  The AsGraph
-// overloads freeze the graph first; callers that already hold a view (the
-// CLI, the snapshot builder) should pass it directly and pay the freeze cost
-// once.
+// ConeMap, so the hot loop is cache-linear with no hashing.  The observed
+// cones walk a paths::PathArena's distinct paths that some record carries
+// (multiplicity > 0), once each: cones are sets, so how many records carry
+// a path does not matter.  Arena ids map to view ids through one table
+// built by a merge walk of the two interners (both ascend by ASN); AS0 and
+// ASes the view lacks map to kNoNode.  The pipeline's InferenceResult::arena
+// is the post-step-4 corpus; a raw corpus is passed as an arena built with
+// every sanitizer stage off, so the walk sees its hops as they were read.
+// recursive_cone's AsGraph overload freezes the graph first; callers that
+// already hold a view should pass it and pay the freeze once.
 #pragma once
 
 #include <cstddef>
 
 #include "core/degrees.h"
-#include "paths/corpus.h"
+#include "paths/arena.h"
 #include "topology/as_graph.h"
 #include "topology/serialization.h"
 #include "topology/topology_view.h"
@@ -40,7 +46,8 @@ namespace asrank::core {
 // the same code inline on the calling thread, 0 means all hardware threads,
 // and the result is bit-identical at any count (see util/thread_pool.h — the
 // closure parallelizes within reverse-topological levels of the p2c DAG, the
-// observed cones over path-corpus chunks with commutative merges).
+// observed cones over chunks of arena paths with sorted merges).  Each call
+// makes one pool of that many workers.
 
 /// Establish assumption A3 in place: inside every strongly connected
 /// component of the provider->customer digraph, re-orient c2p edges so the
@@ -60,21 +67,16 @@ std::size_t break_provider_cycles(AsGraph& graph, const Degrees& degrees);
                                      std::size_t threads = 1);
 [[nodiscard]] ConeMap recursive_cone(const AsGraph& graph, std::size_t threads = 1);
 
-/// Direct observation: contiguous descending chains after each AS in paths,
-/// using the view to classify links as p2c.
+/// Direct observation: contiguous descending chains after each AS in the
+/// arena's paths, using the view to classify links as p2c.
 [[nodiscard]] ConeMap bgp_observed_cone(const topology::TopologyView& view,
-                                        const paths::PathCorpus& corpus,
-                                        std::size_t threads = 1);
-[[nodiscard]] ConeMap bgp_observed_cone(const AsGraph& graph, const paths::PathCorpus& corpus,
+                                        const paths::PathArena& arena,
                                         std::size_t threads = 1);
 
 /// Closure over p2c links observed in descending path positions where the
 /// provider was reached via one of its providers or peers.
 [[nodiscard]] ConeMap provider_peer_observed_cone(const topology::TopologyView& view,
-                                                  const paths::PathCorpus& corpus,
-                                                  std::size_t threads = 1);
-[[nodiscard]] ConeMap provider_peer_observed_cone(const AsGraph& graph,
-                                                  const paths::PathCorpus& corpus,
+                                                  const paths::PathArena& arena,
                                                   std::size_t threads = 1);
 
 }  // namespace asrank::core

@@ -272,4 +272,14 @@ PathCorpus PathArena::materialize() const {
   return corpus;
 }
 
+std::size_t PathArena::drop_paths(std::span<const std::uint8_t> flagged) {
+  // erase_if moves no record before the first dropped one.
+  const std::size_t dropped =
+      std::erase_if(records_, [&](const ArenaRecord& row) { return flagged[row.path] != 0; });
+  for (std::size_t p = 0; p < flagged.size(); ++p) {
+    if (flagged[p]) multiplicity_[p] = 0;
+  }
+  return dropped;
+}
+
 }  // namespace asrank::paths

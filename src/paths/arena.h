@@ -10,9 +10,9 @@
 //                    permissive SanitizerConfig is stored as kNoNode)
 //   path(p)          the hops of path p: a span of one flat NodeId buffer,
 //                    delimited by an offsets array (path_count() + 1 entries)
-//   multiplicity(p)  how many output records carry path p
-//   records()        one (prefix, vp, path id) row per output record, in the
-//                    order the input corpus first produced them
+//   multiplicity(p)  how many records carry path p
+//   records()        one (prefix, vp, path id) row per record, in the order
+//                    the input corpus first produced them
 //
 // Path ids are assigned in first-occurrence order of the output records, so
 // the arena is a pure function of (input, config).  Stages that only need
@@ -51,6 +51,13 @@
 //
 // Last, the distinct ASNs are sorted into the interner and the hop buffer
 // is renumbered to its ids (chunked).
+//
+// drop_paths() is the one later edit: it removes the records of flagged
+// paths, as the inference's step 4 does to poisoned paths, and leaves
+// those paths in place with multiplicity 0.  Path ids, hops, the interner
+// and stats() (the sanitizer's counts) do not change, so stages that walk
+// every path (degrees, clique evidence) and stages that walk records or
+// weigh by multiplicity read the same arena.
 #pragma once
 
 #include <cstdint>
@@ -116,6 +123,11 @@ class PathArena {
 
   /// Every record as a PathCorpus row, in record order.
   [[nodiscard]] PathCorpus materialize() const;
+
+  /// Drop every record whose path p has `flagged[p]` set (one entry per
+  /// path), keeping record order, and set those paths' multiplicity to 0.
+  /// Returns the number of records dropped.
+  std::size_t drop_paths(std::span<const std::uint8_t> flagged);
 
  private:
   topology::AsnInterner interner_;

@@ -35,8 +35,7 @@ void write_as_rel(const AsGraph& graph, std::ostream& os);
 
 /// Customer cones as one CSR table, the layout of ASRK1's cone sections:
 /// keys strictly ascending, keys+1 row offsets, one flat member array.  Each
-/// row is strictly ascending and contains its key (CAIDA convention; only
-/// core::bgp_observed_cone gives an AS its view does not know an empty row).
+/// row is strictly ascending and contains its key (CAIDA convention).
 /// The table checks only key order; snapshot::build_snapshot checks rows.
 class ConeMap {
  public:

@@ -1,17 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 
+#include "bgpsim/observation.h"
 #include "core/asrank.h"
 #include "core/clique.h"
 #include "core/cones.h"
 #include "core/degrees.h"
 #include "core/ranking.h"
+#include "topogen/topogen.h"
 
 namespace asrank::core {
 namespace {
@@ -217,27 +220,37 @@ TEST(Degrees, RejectsIdSpacesTooWideForTheTallyEntry) {
 
 // -------------------------------------------------------------- clique ----
 
+/// Observed adjacency over ids 0..nodes-1 with the given undirected edges.
+ObservedAdjacency adjacency_of(std::size_t nodes,
+                               std::initializer_list<std::pair<NodeId, NodeId>> edges) {
+  std::vector<std::vector<NodeId>> rows(nodes);
+  for (const auto& [a, b] : edges) {
+    rows[a].push_back(b);
+    rows[b].push_back(a);
+  }
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<NodeId> neighbors;
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    neighbors.insert(neighbors.end(), row.begin(), row.end());
+    offsets.push_back(neighbors.size());
+  }
+  return ObservedAdjacency(std::move(offsets), std::move(neighbors));
+}
+
 TEST(Clique, BronKerboschFindsAllMaximalCliques) {
   // Graph: triangle {1,2,3} plus edge 3-4.
-  AdjacencySet adjacency;
-  auto connect = [&](std::uint32_t a, std::uint32_t b) {
-    adjacency[Asn(a)].insert(Asn(b));
-    adjacency[Asn(b)].insert(Asn(a));
-  };
-  connect(1, 2);
-  connect(1, 3);
-  connect(2, 3);
-  connect(3, 4);
-  auto cliques = maximal_cliques(adjacency, {Asn(1), Asn(2), Asn(3), Asn(4)});
+  const auto adjacency = adjacency_of(5, {{1, 2}, {1, 3}, {2, 3}, {3, 4}});
+  auto cliques = detail::maximal_cliques(adjacency, {1, 2, 3, 4});
   std::sort(cliques.begin(), cliques.end());
   ASSERT_EQ(cliques.size(), 2u);
-  EXPECT_EQ(cliques[0], (std::vector<Asn>{Asn(1), Asn(2), Asn(3)}));
-  EXPECT_EQ(cliques[1], (std::vector<Asn>{Asn(3), Asn(4)}));
+  EXPECT_EQ(cliques[0], (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(cliques[1], (std::vector<NodeId>{3, 4}));
 }
 
 TEST(Clique, SingletonWhenNoEdges) {
-  AdjacencySet adjacency;
-  const auto cliques = maximal_cliques(adjacency, {Asn(1), Asn(2)});
+  const auto adjacency = adjacency_of(3, {});
+  const auto cliques = detail::maximal_cliques(adjacency, {1, 2});
   EXPECT_EQ(cliques.size(), 2u);  // two singletons
 }
 
@@ -423,7 +436,7 @@ TEST(Pipeline, KeptAs0HopsPlaceNoLinks) {
   config.sanitizer.discard_reserved = false;
   const auto result = AsRankInference(config).run(corpus);
   EXPECT_EQ(result.audit.sanitize.reserved_discarded, 0u);
-  EXPECT_EQ(result.sanitized().size(), hand_corpus().size() + 2);
+  EXPECT_EQ(result.arena.records().size(), hand_corpus().size() + 2);
   EXPECT_FALSE(result.graph.has_as(Asn(9)));
   EXPECT_EQ(result.graph.link_count(), hand_corpus().link_observations().size());
   EXPECT_EQ(result.clique, (std::vector<Asn>{Asn(1), Asn(2)}));
@@ -535,11 +548,11 @@ TEST(Pipeline, SanitizedReturnsSurvivingRecordsInOrder) {
   }
   for (const auto& [raw, config] : cases) {
     const auto result = AsRankInference(config).run(raw);
-    const auto sanitized = result.sanitized();
+    const auto sanitized = result.arena.materialize();
     const auto want = reference_sanitized(raw, config, result.clique);
     EXPECT_TRUE(std::equal(sanitized.records().begin(), sanitized.records().end(),
                            want.records().begin(), want.records().end()));
-    EXPECT_EQ(sanitized.size() + result.audit.poisoned_discarded,
+    EXPECT_EQ(result.arena.records().size() + result.audit.poisoned_discarded,
               result.audit.sanitize.output_records);
   }
   EXPECT_EQ(AsRankInference(hand_config()).run(corpus).audit.poisoned_discarded, 2u);
@@ -651,6 +664,12 @@ AsGraph cone_graph() {
   return g;
 }
 
+/// `corpus` as an arena with every sanitizer stage off, as the CLI passes a
+/// raw corpus to the observed cones.
+paths::PathArena raw_arena(const paths::PathCorpus& corpus) {
+  return paths::PathArena::build(corpus, permissive_sanitizer());
+}
+
 std::vector<Asn> row(const ConeMap& cones, Asn as) {
   const auto members = cones.at(as);
   return {members.begin(), members.end()};
@@ -708,7 +727,7 @@ TEST(Cones, BgpObservedNeedsActualPaths) {
   const AsGraph g = cone_graph();
   paths::PathCorpus corpus;
   corpus.add(rec(9, 1, {1, 2, 4}));  // descent 1->2->4 observed
-  const auto cones = bgp_observed_cone(g, corpus);
+  const auto cones = bgp_observed_cone(g.freeze(), raw_arena(corpus));
   EXPECT_EQ(row(cones, Asn(1)), (std::vector<Asn>{Asn(1), Asn(2), Asn(4)}));
   // 5 was never observed below anyone.
   EXPECT_EQ(row(cones, Asn(3)), (std::vector<Asn>{Asn(3)}));
@@ -719,7 +738,7 @@ TEST(Cones, BgpObservedStopsAtNonP2cLink) {
   g.add_p2p(Asn(4), Asn(6));
   paths::PathCorpus corpus;
   corpus.add(rec(9, 1, {1, 2, 4, 6}));  // 4-6 is peering: descent ends at 4
-  const auto cones = bgp_observed_cone(g, corpus);
+  const auto cones = bgp_observed_cone(g.freeze(), raw_arena(corpus));
   EXPECT_EQ(row(cones, Asn(1)), (std::vector<Asn>{Asn(1), Asn(2), Asn(4)}));
 }
 
@@ -730,7 +749,7 @@ TEST(Cones, BgpObservedKeysOnlyGraphAsesAndRoundTripsThroughPpdc) {
   paths::PathCorpus corpus;
   corpus.add(rec(99, 1, {99, 1, 2, 4}));
   corpus.add(rec(3, 2, {3, 5, 98}));
-  const auto cones = bgp_observed_cone(g, corpus);
+  const auto cones = bgp_observed_cone(g.freeze(), raw_arena(corpus));
   EXPECT_FALSE(cones.contains(Asn(99)));
   EXPECT_FALSE(cones.contains(Asn(98)));
   EXPECT_EQ(cones.size(), g.ases().size());
@@ -751,7 +770,7 @@ TEST(Cones, ProviderPeerObservedRequiresDescentFromAbove) {
   // proven.  The 1->2 link itself has nobody above 1, so cone(1) via this
   // method includes only what the closure over proven links gives it.
   corpus.add(rec(9, 1, {1, 2, 5}));
-  const auto cones = provider_peer_observed_cone(g, corpus);
+  const auto cones = provider_peer_observed_cone(g.freeze(), raw_arena(corpus));
   EXPECT_EQ(row(cones, Asn(2)), (std::vector<Asn>{Asn(2), Asn(5)}));
   EXPECT_EQ(row(cones, Asn(1)), (std::vector<Asn>{Asn(1)}));  // no proven 1->x link
 }
@@ -761,17 +780,18 @@ TEST(Cones, ProviderPeerUsesPeerPrecedingToo) {
   g.add_p2p(Asn(1), Asn(7));
   paths::PathCorpus corpus;
   corpus.add(rec(9, 1, {7, 1, 2, 5}));  // 1 reached via peer 7: 1->2, 2->5 proven
-  const auto cones = provider_peer_observed_cone(g, corpus);
+  const auto cones = provider_peer_observed_cone(g.freeze(), raw_arena(corpus));
   EXPECT_EQ(row(cones, Asn(1)), (std::vector<Asn>{Asn(1), Asn(2), Asn(5)}));
 }
 
 TEST(Cones, EveryConeContainsSelf) {
   const AsGraph g = cone_graph();
-  const paths::PathCorpus corpus;
+  const auto view = g.freeze();
+  const auto arena = raw_arena(paths::PathCorpus{});
   for (const auto& [name, cones] :
        {std::pair{"recursive", recursive_cone(g)},
-        std::pair{"bgp-observed", bgp_observed_cone(g, corpus)},
-        std::pair{"provider-peer-observed", provider_peer_observed_cone(g, corpus)}}) {
+        std::pair{"bgp-observed", bgp_observed_cone(view, arena)},
+        std::pair{"provider-peer-observed", provider_peer_observed_cone(view, arena)}}) {
     for (const auto& [as, members] : cones) {
       EXPECT_TRUE(std::binary_search(members.begin(), members.end(), as)) << name;
     }
@@ -781,15 +801,143 @@ TEST(Cones, EveryConeContainsSelf) {
 TEST(Cones, ContainmentInvariant) {
   // recursive >= ppdc and recursive >= bgp-observed, member-wise.
   const auto result = run_hand();
-  const auto recursive = recursive_cone(result.graph);
-  const auto sanitized = result.sanitized();
-  const auto ppdc = provider_peer_observed_cone(result.graph, sanitized);
-  const auto observed = bgp_observed_cone(result.graph, sanitized);
+  const auto view = result.graph.freeze();
+  const auto recursive = recursive_cone(view);
+  const auto ppdc = provider_peer_observed_cone(view, result.arena);
+  const auto observed = bgp_observed_cone(view, result.arena);
   for (const auto& [as, members] : recursive) {
     const auto& p = ppdc.at(as);
     const auto& o = observed.at(as);
     EXPECT_TRUE(std::includes(members.begin(), members.end(), p.begin(), p.end()));
     EXPECT_TRUE(std::includes(members.begin(), members.end(), o.begin(), o.end()));
+  }
+}
+
+/// Is b a customer of a in `g`?  AS0 and ASes outside the graph have no
+/// links.
+bool reference_p2c(const AsGraph& g, Asn a, Asn b) {
+  const auto rel = g.view(a, b);
+  return rel && *rel == RelView::kCustomer;
+}
+
+/// One row per graph AS, from per-AS member sets that hold only graph ASes.
+ConeMap reference_cone_map(const AsGraph& g, std::map<Asn, std::set<Asn>> members) {
+  ConeMap out;
+  for (const Asn as : g.ases()) {
+    members[as].insert(as);
+    const std::vector<Asn> row(members[as].begin(), members[as].end());
+    out.append(as, row);
+  }
+  return out;
+}
+
+/// BGP-observed cones by definition, one record at a time in ASN space:
+/// every AS on a contiguous p2c descent after `as` in some path.
+ConeMap reference_bgp_observed(const AsGraph& g, const paths::PathCorpus& corpus) {
+  std::map<Asn, std::set<Asn>> members;
+  for (const auto& record : corpus.records()) {
+    const auto hops = record.path.hops();
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      for (std::size_t j = i + 1; j < hops.size() && reference_p2c(g, hops[j - 1], hops[j]);
+           ++j) {
+        members[hops[i]].insert(hops[j]);
+      }
+    }
+  }
+  return reference_cone_map(g, std::move(members));
+}
+
+/// Provider/peer-observed cones by definition: the p2c links seen on a
+/// descent that entered its first provider from that provider's provider or
+/// peer, one record at a time, then closed by depth-first search.
+ConeMap reference_ppdc(const AsGraph& g, const paths::PathCorpus& corpus) {
+  std::map<Asn, std::set<Asn>> proven;
+  for (const auto& record : corpus.records()) {
+    const auto hops = record.path.hops();
+    for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
+      const auto preceding = g.view(hops[i], hops[i - 1]);
+      if (!preceding || (*preceding != RelView::kProvider && *preceding != RelView::kPeer)) {
+        continue;
+      }
+      for (std::size_t j = i; j + 1 < hops.size() && reference_p2c(g, hops[j], hops[j + 1]);
+           ++j) {
+        proven[hops[j]].insert(hops[j + 1]);
+      }
+    }
+  }
+  std::map<Asn, std::set<Asn>> members;
+  for (const Asn as : g.ases()) {
+    std::vector<Asn> stack{as};
+    while (!stack.empty()) {
+      const Asn top = stack.back();
+      stack.pop_back();
+      for (const Asn customer : proven[top]) {
+        if (members[as].insert(customer).second) stack.push_back(customer);
+      }
+    }
+  }
+  return reference_cone_map(g, std::move(members));
+}
+
+TEST(Cones, ObservedConesMatchPerRecordReference) {
+  // Seeded worlds with every pathology the simulator injects, plus AS0 hops
+  // and ASes outside both graphs.  Each arena is checked against the
+  // per-record reference over its own records: the pipeline's (post-step-4)
+  // arena, under default sanitizing and with AS0 hops kept, and an arena
+  // with every stage off over the raw corpus.  Against the inferred graph
+  // and the ground truth, at 1, 2 and 4 workers.
+  for (const std::uint64_t seed : {3ULL, 17ULL}) {
+    auto gen = topogen::GenParams::preset("tiny");
+    gen.seed = seed;
+    const auto truth = topogen::generate(gen);
+    bgpsim::ObservationParams params;
+    params.seed = seed + 1;
+    params.full_vps = 12;
+    params.partial_vps = 4;
+    params.prepend_prob = 0.1;
+    params.poison_prob = 0.05;
+    params.private_leak_prob = 0.05;
+    const auto observation = bgpsim::observe(truth, params);
+    ASSERT_GT(observation.audit.prepended, 0u);
+    ASSERT_GT(observation.audit.poisoned(), 0u);
+    ASSERT_GT(observation.audit.private_leaked, 0u);
+
+    std::mt19937_64 rng(seed);
+    paths::PathCorpus raw;
+    for (std::size_t r = 0; r < observation.routes.size(); ++r) {
+      const auto& route = observation.routes[r];
+      std::vector<Asn> hops(route.path.hops().begin(), route.path.hops().end());
+      if (r % 11 == 0) hops.insert(hops.begin() + rng() % (hops.size() + 1), Asn(0));
+      if (r % 13 == 0) {
+        const Asn stranger(3000000000U + static_cast<std::uint32_t>(rng() % 4));
+        hops.insert(hops.begin() + rng() % (hops.size() + 1), stranger);
+      }
+      raw.add(route.vp, route.prefix, AsPath(hops));
+    }
+
+    std::vector<std::pair<paths::PathArena, paths::PathCorpus>> arenas;
+    arenas.emplace_back(raw_arena(raw), raw);
+    std::vector<AsGraph> graphs{truth.graph};
+    for (const bool keep_as0 : {false, true}) {
+      InferenceConfig config;
+      config.sanitizer.discard_reserved = !keep_as0;
+      auto result = AsRankInference(config).run(raw);
+      auto records = reference_sanitized(raw, config, result.clique);
+      arenas.emplace_back(std::move(result.arena), std::move(records));
+      graphs.push_back(std::move(result.graph));
+    }
+    for (const AsGraph& graph : graphs) {
+      const auto view = graph.freeze();
+      for (const auto& [arena, records] : arenas) {
+        const auto bgp = reference_bgp_observed(graph, records);
+        const auto ppdc = reference_ppdc(graph, records);
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          EXPECT_EQ(bgp_observed_cone(view, arena, threads), bgp) << seed << " " << threads;
+          EXPECT_EQ(provider_peer_observed_cone(view, arena, threads), ppdc)
+              << seed << " " << threads;
+        }
+      }
+    }
   }
 }
 

@@ -73,7 +73,7 @@ TEST(Golden, InferenceOutputIsByteIdenticalToCommittedFixtures) {
           << fixture.tag << " as-rel differs at " << threads << " threads";
 
       std::ostringstream ppdc;
-      write_ppdc(core::provider_peer_observed_cone(result.graph, result.sanitized(),
+      write_ppdc(core::provider_peer_observed_cone(result.graph.freeze(), result.arena,
                                                    threads),
                  ppdc);
       EXPECT_EQ(ppdc.str(), want_ppdc)

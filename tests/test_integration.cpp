@@ -141,7 +141,7 @@ TEST(Integration, SanitizerRemovesExactlyInjectedLoops) {
   EXPECT_GE(world.result.audit.sanitize.loops_discarded +
                 world.result.audit.sanitize.duplicates_removed,
             world.observation.audit.poisoned_loop);
-  const auto sanitized = world.result.sanitized();
+  const auto sanitized = world.result.arena.materialize();
   for (const auto& record : sanitized.records()) {
     EXPECT_FALSE(record.path.has_loop());
     EXPECT_FALSE(record.path.has_reserved_asn());
@@ -152,9 +152,9 @@ TEST(Integration, SanitizerRemovesExactlyInjectedLoops) {
 TEST(Integration, ConeSizeOrderingAcrossMethods) {
   const auto& world = small_world();
   const auto recursive = core::recursive_cone(world.result.graph);
-  const auto sanitized = world.result.sanitized();
-  const auto ppdc = core::provider_peer_observed_cone(world.result.graph, sanitized);
-  const auto observed = core::bgp_observed_cone(world.result.graph, sanitized);
+  const auto view = world.result.graph.freeze();
+  const auto ppdc = core::provider_peer_observed_cone(view, world.result.arena);
+  const auto observed = core::bgp_observed_cone(view, world.result.arena);
   std::size_t sum_recursive = 0, sum_ppdc = 0, sum_observed = 0;
   for (const auto& [as, members] : recursive) sum_recursive += members.size();
   for (const auto& [as, members] : ppdc) sum_ppdc += members.size();
@@ -170,7 +170,7 @@ TEST(Integration, ConeSizeOrderingAcrossMethods) {
 TEST(Integration, TopOfRankingIsCliqueDominated) {
   const auto& world = small_world();
   const auto cones =
-      core::provider_peer_observed_cone(world.result.graph, world.result.sanitized());
+      core::provider_peer_observed_cone(world.result.graph.freeze(), world.result.arena);
   const auto top = core::top_n(cones, world.result.degrees, world.truth.clique.size());
   std::size_t clique_in_top = 0;
   for (const auto& entry : top) {

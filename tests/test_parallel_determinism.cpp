@@ -212,7 +212,7 @@ PipelineOutput run_pipeline(std::size_t threads) {
   PipelineOutput out{core::AsRankInference(config).run(shared_corpus()), {}, {}, {}};
   out.recursive = core::recursive_cone(out.result.graph, threads);
   out.ppdc =
-      core::provider_peer_observed_cone(out.result.graph, out.result.sanitized(), threads);
+      core::provider_peer_observed_cone(out.result.graph.freeze(), out.result.arena, threads);
   out.ranking = core::rank_by_cone(out.ppdc, out.result.degrees);
   return out;
 }
@@ -244,8 +244,8 @@ TEST(ParallelDeterminism, PipelineIsBitIdenticalAcrossThreadCounts) {
     // Stage audit: every counter describes the same computation.
     expect_audit_eq(parallel.result.audit, reference.result.audit, threads);
     expect_degrees_eq(parallel.result.degrees, reference.result.degrees, threads);
-    const auto parallel_sanitized = parallel.result.sanitized();
-    const auto reference_sanitized = reference.result.sanitized();
+    const auto parallel_sanitized = parallel.result.arena.materialize();
+    const auto reference_sanitized = reference.result.arena.materialize();
     EXPECT_EQ(parallel_sanitized.records().size(), reference_sanitized.records().size());
     EXPECT_TRUE(std::equal(parallel_sanitized.records().begin(),
                            parallel_sanitized.records().end(),
@@ -437,21 +437,21 @@ TEST(ParallelDeterminism, FrozenViewIsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, ViewConeOverloadsMatchGraphOverloads) {
-  // The TopologyView overloads are the primary path; the AsGraph overloads
-  // freeze and delegate.  Both must agree at every worker count.
+  // recursive_cone's TopologyView overload is the primary path; the AsGraph
+  // overload freezes and delegates.  Both must agree at every worker count,
+  // and the observed cones must match their 1-worker result.
   core::InferenceConfig config;
   config.threads = 1;
   const auto result = core::AsRankInference(config).run(shared_corpus());
   const auto view = result.graph.freeze();
   const auto recursive = core::recursive_cone(result.graph, 1);
-  const auto sanitized = result.sanitized();
-  const auto ppdc = core::provider_peer_observed_cone(result.graph, sanitized, 1);
-  const auto observed = core::bgp_observed_cone(result.graph, sanitized, 1);
+  const auto ppdc = core::provider_peer_observed_cone(view, result.arena, 1);
+  const auto observed = core::bgp_observed_cone(view, result.arena, 1);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     EXPECT_EQ(core::recursive_cone(view, threads), recursive) << threads;
-    EXPECT_EQ(core::provider_peer_observed_cone(view, sanitized, threads), ppdc)
+    EXPECT_EQ(core::provider_peer_observed_cone(view, result.arena, threads), ppdc)
         << threads;
-    EXPECT_EQ(core::bgp_observed_cone(view, sanitized, threads), observed)
+    EXPECT_EQ(core::bgp_observed_cone(view, result.arena, threads), observed)
         << threads;
   }
 }

@@ -50,7 +50,7 @@ TEST_P(PipelineSweep, InvariantsOnTinyTopologies) {
 
   // Cone invariants.
   const auto recursive = core::recursive_cone(result.graph);
-  const auto ppdc = core::provider_peer_observed_cone(result.graph, result.sanitized());
+  const auto ppdc = core::provider_peer_observed_cone(result.graph.freeze(), result.arena);
   for (const auto& [as, members] : recursive) {
     EXPECT_TRUE(std::binary_search(members.begin(), members.end(), as));
     ASSERT_TRUE(ppdc.contains(as));

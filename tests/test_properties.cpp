@@ -13,11 +13,14 @@
 //   * inferred clique members are pairwise non-c2p (assumption A1);
 //   * the recursive and BGP-observed cone definitions agree on
 //     full-visibility inputs (a corpus containing every maximal p2c descent
-//     chain).
+//     chain);
+//   * each cone definition's write_ppdc output reads back equal through
+//     try_read_ppdc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
+#include <sstream>
 #include <vector>
 
 #include "bgpsim/observation.h"
@@ -64,6 +67,16 @@ const std::vector<Sample>& samples() {
     return built;
   }();
   return all;
+}
+
+/// `corpus` as an arena with every sanitizer stage off: the observed cones
+/// see its hops as they are.
+paths::PathArena raw_arena(const paths::PathCorpus& corpus) {
+  paths::SanitizerConfig raw;
+  raw.compress_prepending = false;
+  raw.discard_loops = false;
+  raw.discard_reserved = false;
+  return paths::PathArena::build(corpus, raw);
 }
 
 /// True iff sorted `inner` is a subset of sorted `outer`.
@@ -167,7 +180,7 @@ TEST(Properties, RecursiveAndBgpObservedConesAgreeUnderFullVisibility) {
       append_descent_chains(truth.graph, as, corpus);
     }
     const auto recursive = core::recursive_cone(truth.graph);
-    const auto observed = core::bgp_observed_cone(truth.graph, corpus);
+    const auto observed = core::bgp_observed_cone(truth.graph.freeze(), raw_arena(corpus));
     EXPECT_EQ(recursive, observed) << "seed " << seed;
   }
 }
@@ -177,13 +190,31 @@ TEST(Properties, RecursiveConeDominatesObservedCones) {
   // recursive ⊇ BGP-observed, per AS, on the inferred graph with the real
   // (partial-visibility) corpus.
   for (const Sample& sample : samples()) {
-    const auto corpus = sample.result.sanitized();
-    const auto recursive = core::recursive_cone(sample.result.graph);
-    const auto ppdc = core::provider_peer_observed_cone(sample.result.graph, corpus);
-    const auto observed = core::bgp_observed_cone(sample.result.graph, corpus);
+    const auto view = sample.result.graph.freeze();
+    const auto recursive = core::recursive_cone(view);
+    const auto ppdc = core::provider_peer_observed_cone(view, sample.result.arena);
+    const auto observed = core::bgp_observed_cone(view, sample.result.arena);
     for (const auto& [as, members] : recursive) {
       EXPECT_TRUE(subset_of(ppdc.at(as), members));
       EXPECT_TRUE(subset_of(observed.at(as), members));
+    }
+  }
+}
+
+TEST(Properties, EveryConeRoundTripsThroughPpdc) {
+  // Every writer's output is accepted by its reader: each cone definition,
+  // written as a .ppdc-ases file, reads back as the same table.
+  for (const Sample& sample : samples()) {
+    const auto view = sample.result.graph.freeze();
+    for (const auto& [name, cones] :
+         {std::pair{"recursive", core::recursive_cone(view)},
+          std::pair{"ppdc", core::provider_peer_observed_cone(view, sample.result.arena)},
+          std::pair{"observed", core::bgp_observed_cone(view, sample.result.arena)}}) {
+      std::stringstream text;
+      write_ppdc(cones, text);
+      const auto read = try_read_ppdc(text);
+      ASSERT_TRUE(read.ok()) << name << ": " << read.error().message();
+      EXPECT_EQ(read.value(), cones) << name;
     }
   }
 }
@@ -194,7 +225,7 @@ TEST(Properties, InternerRoundTripsAndPreservesOrder) {
   for (const Sample& sample : samples()) {
     // Build from the (unsorted, duplicated) corpus hop stream, as the
     // pipeline does.
-    const auto sanitized = sample.result.sanitized();
+    const auto sanitized = sample.result.arena.materialize();
     std::vector<Asn> hops;
     for (const auto& record : sanitized.records()) {
       const auto path = record.path.hops();

@@ -384,29 +384,18 @@ std::string fuzz_ppdc_text(util::Rng& rng) {
   return text;
 }
 
-class PpdcDigest {
+/// One digest over a text reader's outcomes.
+class FuzzDigest {
  public:
   void add(std::uint64_t v) noexcept { h_ = util::mix64(h_, v); }
-  /// Parse `text` and fold the outcome: every (AS, members) row in key
-  /// order, or the error code and its "line <n>: ..." context.
-  void fold(const std::string& text) {
-    std::stringstream is(text);
-    const auto parsed = try_read_ppdc(is);
-    if (!parsed.ok()) {
-      add(1);
-      add(static_cast<std::uint64_t>(parsed.error().code));
-      add(util::fnv1a_64(parsed.error().context));
-      EXPECT_EQ(parsed.error().code, ErrorCode::kCorrupt);
-      EXPECT_EQ(parsed.error().context.rfind("line ", 0), 0u) << parsed.error().context;
-      return;
-    }
-    add(0);
-    add(parsed.value().size());
-    for (const auto& [as, members] : parsed.value()) {
-      add(as.value());
-      add(members.size());
-      for (const Asn member : members) add(member.value());
-    }
+  /// Fold a failed parse, which must be a kCorrupt "line <n>: ..." error:
+  /// its code and context.
+  void fold_error(const Error& error) {
+    add(1);
+    add(static_cast<std::uint64_t>(error.code));
+    add(util::fnv1a_64(error.context));
+    EXPECT_EQ(error.code, ErrorCode::kCorrupt);
+    EXPECT_EQ(error.context.rfind("line ", 0), 0u) << error.context;
   }
   [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
@@ -414,44 +403,141 @@ class PpdcDigest {
   std::uint64_t h_ = 0;
 };
 
+/// Parse `text` as .ppdc and fold the outcome: every (AS, members) row in
+/// key order, or the error.
+void fold_ppdc(FuzzDigest& digest, const std::string& text) {
+  std::stringstream is(text);
+  const auto parsed = try_read_ppdc(is);
+  if (!parsed.ok()) return digest.fold_error(parsed.error());
+  digest.add(0);
+  digest.add(parsed.value().size());
+  for (const auto& [as, members] : parsed.value()) {
+    digest.add(as.value());
+    digest.add(members.size());
+    for (const Asn member : members) digest.add(member.value());
+  }
+}
+
 /// Per-seed digests (seeds 1..4), each over three texts' outcomes.
-using PinnedPpdc = std::array<std::uint64_t, 4>;
-constexpr PinnedPpdc kPpdcPrefixDigests = {
+using PinnedDigests = std::array<std::uint64_t, 4>;
+constexpr PinnedDigests kPpdcPrefixDigests = {
     0x1cd4282908c065acULL, 0x784b60fd6e0a1f0fULL,
     0xb7b8d956ce855a54ULL, 0xadce1689e4144c04ULL};
-constexpr PinnedPpdc kPpdcFlipDigests = {
+constexpr PinnedDigests kPpdcFlipDigests = {
     0x146f245cea3caf3eULL, 0xa80da2fad330c9a0ULL,
     0xe7baf6e4ff5e7a6cULL, 0xab4b1ffa77a64a41ULL};
 
+/// Digest of the outcomes of every prefix of three seeded texts.
+template <typename TextFn, typename FoldFn>
+std::uint64_t prefix_digest(std::uint64_t seed, const TextFn& make_text, const FoldFn& fold) {
+  util::Rng rng(seed);
+  FuzzDigest digest;
+  for (int text_no = 0; text_no < 3; ++text_no) {
+    const std::string text = make_text(rng);
+    for (std::size_t length = 0; length <= text.size(); ++length) {
+      fold(digest, text.substr(0, length));
+    }
+  }
+  return digest.value();
+}
+
+/// Digest of the outcomes of one seeded flip of each byte of three seeded
+/// texts.
+template <typename TextFn, typename FoldFn>
+std::uint64_t flip_digest(std::uint64_t seed, const TextFn& make_text, const FoldFn& fold) {
+  util::Rng rng(seed + 1000);
+  FuzzDigest digest;
+  for (int text_no = 0; text_no < 3; ++text_no) {
+    const std::string text = make_text(rng);
+    for (std::size_t at = 0; at < text.size(); ++at) {
+      std::string flipped = text;
+      flipped[at] ^= static_cast<char>(1 + rng.uniform(255));
+      fold(digest, flipped);
+    }
+  }
+  return digest.value();
+}
+
 TEST(PpdcFuzz, EveryPrefixParsesOrFailsWithALineError) {
   for (std::uint64_t seed = 1; seed <= kPpdcPrefixDigests.size(); ++seed) {
-    util::Rng rng(seed);
-    PpdcDigest digest;
-    for (int text_no = 0; text_no < 3; ++text_no) {
-      const std::string text = fuzz_ppdc_text(rng);
-      for (std::size_t length = 0; length <= text.size(); ++length) {
-        digest.fold(text.substr(0, length));
-      }
-    }
-    EXPECT_EQ(digest.value(), kPpdcPrefixDigests[seed - 1])
-        << "seed " << seed << " digest 0x" << std::hex << digest.value();
+    const std::uint64_t digest = prefix_digest(seed, fuzz_ppdc_text, fold_ppdc);
+    EXPECT_EQ(digest, kPpdcPrefixDigests[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << digest;
   }
 }
 
 TEST(PpdcFuzz, EverySingleByteFlipParsesOrFailsWithALineError) {
   for (std::uint64_t seed = 1; seed <= kPpdcFlipDigests.size(); ++seed) {
-    util::Rng rng(seed + 1000);
-    PpdcDigest digest;
-    for (int text_no = 0; text_no < 3; ++text_no) {
-      const std::string text = fuzz_ppdc_text(rng);
-      for (std::size_t at = 0; at < text.size(); ++at) {
-        std::string flipped = text;
-        flipped[at] ^= static_cast<char>(1 + rng.uniform(255));
-        digest.fold(flipped);
-      }
-    }
-    EXPECT_EQ(digest.value(), kPpdcFlipDigests[seed - 1])
-        << "seed " << seed << " digest 0x" << std::hex << digest.value();
+    const std::uint64_t digest = flip_digest(seed, fuzz_ppdc_text, fold_ppdc);
+    EXPECT_EQ(digest, kPpdcFlipDigests[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << digest;
+  }
+}
+
+// AsRelFuzz: the same for the .as-rel reader, the other untrusted file
+// asrank_cli reads.
+
+/// A valid .as-rel text of 6-11 links over seeded ASNs of 1-6 digits, with
+/// seeded relationship codes (-1, 0, 2), in seeded order.
+std::string fuzz_as_rel_text(util::Rng& rng) {
+  std::vector<std::uint32_t> asns;
+  while (asns.size() < 8) {
+    const auto as = static_cast<std::uint32_t>(1 + rng.uniform(std::uint64_t{1}
+                                                                << (4 + rng.uniform(16))));
+    if (std::find(asns.begin(), asns.end(), as) == asns.end()) asns.push_back(as);
+  }
+  constexpr std::array<const char*, 3> kCodes = {"-1", "0", "2"};
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  std::string text = "# format: <provider|peer>|<customer|peer>|<-1 p2c, 0 p2p, 2 s2s>\n";
+  const std::size_t links = 6 + rng.uniform(6);
+  while (pairs.size() < links) {
+    const std::uint32_t a = asns[rng.uniform(asns.size())];
+    const std::uint32_t b = asns[rng.uniform(asns.size())];
+    const auto pair = std::pair{std::min(a, b), std::max(a, b)};
+    if (a == b || std::find(pairs.begin(), pairs.end(), pair) != pairs.end()) continue;
+    pairs.push_back(pair);
+    text += std::to_string(a) + "|" + std::to_string(b) + "|" + kCodes[rng.uniform(3)];
+    text += rng.bernoulli(0.2) ? "\n\n" : "\n";
+  }
+  return text;
+}
+
+/// Parse `text` as .as-rel and fold the outcome: the AS count and every
+/// link in normalized order with its type, or the error.
+void fold_as_rel(FuzzDigest& digest, const std::string& text) {
+  std::stringstream is(text);
+  const auto parsed = try_read_as_rel(is);
+  if (!parsed.ok()) return digest.fold_error(parsed.error());
+  digest.add(0);
+  digest.add(parsed.value().as_count());
+  for (const Link& link : parsed.value().links()) {
+    digest.add(link.a.value());
+    digest.add(link.b.value());
+    digest.add(static_cast<std::uint64_t>(link.type));
+  }
+}
+
+/// Per-seed digests (seeds 1..4), each over three texts' outcomes.
+constexpr PinnedDigests kAsRelPrefixDigests = {
+    0xfd5a44334479f87aULL, 0xa1afcac82ac31baaULL,
+    0x76a863c795ac60eeULL, 0x29e24fdcbd80d609ULL};
+constexpr PinnedDigests kAsRelFlipDigests = {
+    0x49162a75bcfe12e1ULL, 0x12df0dca7f862eb8ULL,
+    0xcef0bf021bf74d6fULL, 0x6af3c106a23dd7a5ULL};
+
+TEST(AsRelFuzz, EveryPrefixParsesOrFailsWithALineError) {
+  for (std::uint64_t seed = 1; seed <= kAsRelPrefixDigests.size(); ++seed) {
+    const std::uint64_t digest = prefix_digest(seed, fuzz_as_rel_text, fold_as_rel);
+    EXPECT_EQ(digest, kAsRelPrefixDigests[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << digest;
+  }
+}
+
+TEST(AsRelFuzz, EverySingleByteFlipParsesOrFailsWithALineError) {
+  for (std::uint64_t seed = 1; seed <= kAsRelFlipDigests.size(); ++seed) {
+    const std::uint64_t digest = flip_digest(seed, fuzz_as_rel_text, fold_as_rel);
+    EXPECT_EQ(digest, kAsRelFlipDigests[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << digest;
   }
 }
 
