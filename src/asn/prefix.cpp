@@ -98,28 +98,31 @@ Prefix::Prefix(Family family, unsigned __int128 bits, std::uint8_t length) noexc
     : family_(family) {
   const std::uint8_t width = family == Family::kIpv4 ? 32 : 128;
   length_ = std::min(length, width);
-  bits_ = bits & top_mask(length_, width);
+  bits &= top_mask(length_, width);
+  for (std::size_t i = words_.size(); i-- > 0; bits >>= 32) {
+    words_[i] = static_cast<std::uint32_t>(bits);
+  }
 }
 
 bool Prefix::contains(const Prefix& other) const noexcept {
   if (family_ != other.family_ || other.length_ < length_) return false;
   const std::uint8_t width = max_length();
   const auto mask = top_mask(length_, width);
-  return (bits_ & mask) == (other.bits_ & mask);
+  return (bits() & mask) == (other.bits() & mask);
 }
 
 std::string Prefix::str() const {
   std::ostringstream oss;
   if (family_ == Family::kIpv4) {
-    const auto addr = static_cast<std::uint32_t>(bits_);
+    const std::uint32_t addr = words_[3];
     oss << ((addr >> 24) & 0xff) << '.' << ((addr >> 16) & 0xff) << '.'
         << ((addr >> 8) & 0xff) << '.' << (addr & 0xff);
   } else {
     // Uncompressed colon-hex; adequate for logs and round-trip parsing.
     oss << std::hex;
-    for (int g = 7; g >= 0; --g) {
-      oss << static_cast<std::uint16_t>(bits_ >> (g * 16));
+    for (std::size_t g = 0; g < 8; ++g) {
       if (g != 0) oss << ':';
+      oss << static_cast<std::uint16_t>(words_[g / 2] >> (g % 2 == 0 ? 16 : 0));
     }
   }
   oss << std::dec << '/' << static_cast<unsigned>(length_);

@@ -1,8 +1,15 @@
 // IP prefix type covering IPv4 and IPv6, stored canonically (host bits
-// zeroed) in a 128-bit value.  Prefixes identify destinations in the BGP
+// zeroed) as a 128-bit value.  Prefixes identify destinations in the BGP
 // simulator's RIBs and key the MRT RIB entries.
+//
+// Layout: the 128 bits are four u32 words, most significant first, so a
+// Prefix is 20 bytes with 4-byte alignment.  An `unsigned __int128` member
+// would make it 32 bytes with 16-byte alignment, and every route record
+// that holds a Prefix (paths::PathRecord, bgpsim::ObservedRoute) would pay
+// that padding.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -13,7 +20,7 @@
 namespace asrank {
 
 /// An IPv4 or IPv6 prefix in canonical form.  IPv4 addresses occupy the low
-/// 32 bits of the 128-bit storage.  Construction canonicalizes by masking
+/// 32 bits of the 128-bit value.  Construction canonicalizes by masking
 /// host bits; `parse` rejects malformed textual input.
 class Prefix {
  public:
@@ -32,7 +39,11 @@ class Prefix {
 
   [[nodiscard]] Family family() const noexcept { return family_; }
   [[nodiscard]] std::uint8_t length() const noexcept { return length_; }
-  [[nodiscard]] unsigned __int128 bits() const noexcept { return bits_; }
+  [[nodiscard]] unsigned __int128 bits() const noexcept {
+    unsigned __int128 bits = 0;
+    for (const std::uint32_t word : words_) bits = (bits << 32) | word;
+    return bits;
+  }
   [[nodiscard]] std::uint8_t max_length() const noexcept {
     return family_ == Family::kIpv4 ? 32 : 128;
   }
@@ -50,16 +61,19 @@ class Prefix {
   friend bool operator==(const Prefix& a, const Prefix& b) noexcept = default;
   friend std::strong_ordering operator<=>(const Prefix& a, const Prefix& b) noexcept {
     if (a.family_ != b.family_) return a.family_ <=> b.family_;
-    if (a.bits_ != b.bits_) return a.bits_ < b.bits_ ? std::strong_ordering::less
-                                                     : std::strong_ordering::greater;
+    // Word-wise, most significant first: the order of the 128-bit values.
+    if (const auto order = a.words_ <=> b.words_; order != 0) return order;
     return a.length_ <=> b.length_;
   }
 
  private:
-  unsigned __int128 bits_ = 0;
+  std::array<std::uint32_t, 4> words_{};  ///< bits(), most significant word first
   std::uint8_t length_ = 0;
   Family family_ = Family::kIpv4;
 };
+
+static_assert(sizeof(Prefix) == 20 && alignof(Prefix) == 4,
+              "Prefix is four u32 words, a length and a family");
 
 }  // namespace asrank
 

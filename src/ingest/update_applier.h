@@ -88,14 +88,16 @@ class UpdateApplier {
   }
 
  private:
-  /// One table row.  The withdrawal flag sits in the padding after the vp,
-  /// so a row is no larger than a paths::PathRecord.
+  /// One table row: a paths::PathRecord's fields and a withdrawal flag.  A
+  /// PathRecord has no padding to hide the flag in, so a row is one 8-byte
+  /// word larger.
   struct Row {
     Asn vp;
     bool withdrawn = false;
     Prefix prefix;
     AsPath path;
   };
+  static_assert(sizeof(Row) == sizeof(paths::PathRecord) + 8);
   using Key = std::pair<Asn, Prefix>;
 
   /// Sort the rows seed() appended before the first use, keeping the last

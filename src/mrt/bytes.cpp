@@ -12,4 +12,9 @@ void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   patch_u16(offset + 2, static_cast<std::uint16_t>(v));
 }
 
+void ByteReader::truncated(std::size_t n) const {
+  throw DecodeError("truncated input: need " + std::to_string(n) + " bytes, have " +
+                    std::to_string(remaining()));
+}
+
 }  // namespace asrank::mrt

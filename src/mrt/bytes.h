@@ -2,7 +2,9 @@
 //
 // ByteWriter owns a growing buffer; ByteReader is a non-owning cursor over a
 // span that throws DecodeError on underrun, so corrupt or truncated dumps
-// surface as exceptions rather than silent misparses.
+// surface as exceptions rather than silent misparses.  Each fixed-width read
+// makes one range check; the message an underrun throws is built out of
+// line, off the decoding path.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +59,12 @@ class ByteWriter {
   std::vector<std::uint8_t> buf_;
 };
 
+/// The big-endian u32 at `p` (four readable bytes).
+[[nodiscard]] inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
+  return (static_cast<std::uint32_t>(p[0]) << 24) | (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
+}
+
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) noexcept : data_(data) {}
@@ -69,12 +77,21 @@ class ByteReader {
     return data_[pos_++];
   }
   std::uint16_t get_u16() {
-    const auto bytes = get_bytes(2);
-    return static_cast<std::uint16_t>((bytes[0] << 8) | bytes[1]);
+    need(2);
+    const std::uint8_t* p = data_.data() + pos_;
+    pos_ += 2;
+    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
   }
   std::uint32_t get_u32() {
-    const std::uint32_t high = get_u16();
-    return (high << 16) | get_u16();
+    if (remaining() < 4) [[unlikely]] {
+      // The error is that of two u16 reads: the half that runs out names
+      // the shortfall.
+      if (remaining() >= 2) pos_ += 2;
+      truncated(2);
+    }
+    const std::uint32_t value = load_u32(data_.data() + pos_);
+    pos_ += 4;
+    return value;
   }
   std::span<const std::uint8_t> get_bytes(std::size_t n) {
     need(n);
@@ -92,11 +109,10 @@ class ByteReader {
 
  private:
   void need(std::size_t n) const {
-    if (remaining() < n) {
-      throw DecodeError("truncated input: need " + std::to_string(n) + " bytes, have " +
-                        std::to_string(remaining()));
-    }
+    if (remaining() < n) [[unlikely]] truncated(n);
   }
+  /// Throw "truncated input: need n bytes, have remaining()".
+  [[noreturn]] void truncated(std::size_t n) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -37,6 +37,7 @@ struct RibRoute {
 
   friend bool operator==(const RibRoute&, const RibRoute&) = default;
 };
+static_assert(sizeof(RibRoute) <= 104, "8 B of route header and 96 B of attributes");
 
 struct RibEntry {
   Prefix prefix;

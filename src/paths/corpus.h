@@ -5,7 +5,9 @@
 // format-agnostic: rows can come from the BGP simulator, an MRT dump, or a
 // text table — anything with vp/prefix/path fields.  Each record owns its
 // path by value: an AsPath holds up to six hops inline (asn/as_path.h), so
-// most records need no allocation of their own.  The inference stages
+// most records need no allocation of their own.  A record is 56 bytes with
+// no padding (a 4 B vp, a 20 B prefix, a 32 B path), and so is the
+// bgpsim::ObservedRoute it is usually copied from.  The inference stages
 // instead read a paths::PathArena (paths/arena.h), which stores each
 // distinct path once in NodeId space.
 #pragma once
@@ -30,6 +32,7 @@ struct PathRecord {
 
   friend bool operator==(const PathRecord&, const PathRecord&) = default;
 };
+static_assert(sizeof(PathRecord) == 56, "a 4 B vp, a 20 B prefix and a 32 B path, unpadded");
 
 class PathCorpus {
  public:

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
 #include <span>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "asn/as_path.h"
 #include "asn/asn.h"
 #include "asn/prefix.h"
+#include "util/rng.h"
 
 namespace asrank {
 namespace {
@@ -181,6 +187,103 @@ TEST(Prefix, HashDistinguishes) {
   const std::hash<Prefix> h;
   EXPECT_NE(h(*Prefix::parse("10.0.0.0/8")), h(*Prefix::parse("10.0.0.0/9")));
   EXPECT_EQ(h(*Prefix::parse("10.9.9.9/8")), h(*Prefix::parse("10.0.0.0/8")));
+}
+
+// A prefix as one 128-bit value, with the comparison, hash, containment and
+// rendering Prefix had when it stored its bits that way.  Prefix now stores
+// four u32 words; it must still mean exactly this.
+struct RefPrefix {
+  Prefix::Family family;
+  unsigned __int128 bits;
+  std::uint8_t length;
+
+  RefPrefix(Prefix::Family f, unsigned __int128 raw, unsigned len) : family(f) {
+    const unsigned width = f == Prefix::Family::kIpv4 ? 32 : 128;
+    length = static_cast<std::uint8_t>(std::min(len, width));
+    bits = raw & mask(length, width);
+  }
+  static unsigned __int128 mask(unsigned length, unsigned width) {
+    unsigned __int128 keep = 0;
+    for (unsigned i = 0; i < length; ++i) keep |= static_cast<unsigned __int128>(1) << (width - 1 - i);
+    return keep;
+  }
+  std::strong_ordering operator<=>(const RefPrefix& o) const {
+    if (family != o.family) return family <=> o.family;
+    if (bits != o.bits) return bits < o.bits ? std::strong_ordering::less
+                                             : std::strong_ordering::greater;
+    return length <=> o.length;
+  }
+  bool operator==(const RefPrefix& o) const {
+    return family == o.family && bits == o.bits && length == o.length;
+  }
+  std::size_t hash() const {
+    const auto low = static_cast<std::uint64_t>(bits);
+    const auto high = static_cast<std::uint64_t>(bits >> 64);
+    std::uint64_t h = low * 0x9e3779b97f4a7c15ULL;
+    h ^= high + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h ^= (static_cast<std::uint64_t>(length) << 8) | static_cast<std::uint64_t>(family);
+    return static_cast<std::size_t>(h);
+  }
+  bool contains(const RefPrefix& o) const {
+    if (family != o.family || o.length < length) return false;
+    const auto keep = mask(length, family == Prefix::Family::kIpv4 ? 32 : 128);
+    return (bits & keep) == (o.bits & keep);
+  }
+  std::string str() const {
+    std::ostringstream oss;
+    if (family == Prefix::Family::kIpv4) {
+      const auto addr = static_cast<std::uint32_t>(bits);
+      oss << (addr >> 24) << '.' << ((addr >> 16) & 0xff) << '.' << ((addr >> 8) & 0xff) << '.'
+          << (addr & 0xff);
+    } else {
+      oss << std::hex;
+      for (int g = 7; g >= 0; --g) {
+        oss << static_cast<std::uint16_t>(bits >> (g * 16));
+        if (g != 0) oss << ':';
+      }
+    }
+    oss << std::dec << '/' << static_cast<unsigned>(length);
+    return oss.str();
+  }
+};
+
+TEST(Prefix, WordLayoutMatches128BitReference) {
+  util::Rng rng(20240917);
+  std::vector<std::pair<Prefix, RefPrefix>> pairs;
+  for (int i = 0; i < 4000; ++i) {
+    const bool v6 = rng.bernoulli(0.5);
+    const auto family = v6 ? Prefix::Family::kIpv6 : Prefix::Family::kIpv4;
+    // Few distinct high words, so equal, nested and adjacent prefixes occur.
+    unsigned __int128 raw = (static_cast<unsigned __int128>(rng.uniform(4)) << 126) |
+                            (static_cast<unsigned __int128>(rng()) << 64) | rng();
+    if (!v6) raw = (rng.uniform(4) << 30) | (rng() & 0x3fffffffu);
+    if (i > 0 && rng.bernoulli(0.3)) {  // a sibling or sub-prefix of the last one
+      raw = pairs.back().second.bits | (raw & rng.uniform(4));
+    }
+    const auto length = static_cast<unsigned>(rng.uniform(v6 ? 131 : 35));
+    pairs.emplace_back(Prefix(family, raw, static_cast<std::uint8_t>(length)),
+                       RefPrefix(family, raw, length));
+  }
+  const std::hash<Prefix> hash;
+  std::size_t nested = 0;  // distinct pairs where one contains the other
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [p, ref] = pairs[i];
+    ASSERT_EQ(p.bits(), ref.bits) << ref.str();
+    ASSERT_EQ(p.length(), ref.length) << ref.str();
+    ASSERT_EQ(p.family(), ref.family) << ref.str();
+    ASSERT_EQ(hash(p), ref.hash()) << ref.str();
+    ASSERT_EQ(p.str(), ref.str());
+    ASSERT_EQ(Prefix::parse(p.str()), p) << ref.str();
+    for (const std::size_t j : {i, i == 0 ? i : i - 1, (i * 7919) % pairs.size()}) {
+      const auto& [q, qref] = pairs[j];
+      ASSERT_EQ(p <=> q, ref <=> qref) << ref.str() << " vs " << qref.str();
+      ASSERT_EQ(p == q, ref == qref) << ref.str() << " vs " << qref.str();
+      ASSERT_EQ(p.contains(q), ref.contains(qref)) << ref.str() << " vs " << qref.str();
+      ASSERT_EQ(q.contains(p), qref.contains(ref)) << qref.str() << " vs " << ref.str();
+      if (j != i && (ref.contains(qref) || qref.contains(ref))) ++nested;
+    }
+  }
+  EXPECT_GT(nested, 200u);
 }
 
 // -------------------------------------------------------------- AsPath ----
