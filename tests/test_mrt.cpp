@@ -146,8 +146,9 @@ std::vector<std::uint8_t> as_path_attribute(const ByteWriter& body) {
 }
 
 TEST(Attrs, AsSetSortedWithinItsSegmentAcrossInlineLimit) {
-  // [1..5] {30,10,20} [7]: the set lands on both sides of the sixth hop and
-  // only its own members are sorted.
+  // [1..5] {30,10,20} [7 4294967294]: the set lands on both sides of the
+  // sixth hop and only its own members are sorted; a hop with its high bit
+  // set decodes unsigned.
   ByteWriter body;
   body.put_u8(2);
   body.put_u8(5);
@@ -156,13 +157,14 @@ TEST(Attrs, AsSetSortedWithinItsSegmentAcrossInlineLimit) {
   body.put_u8(3);
   for (const std::uint32_t v : {30u, 10u, 20u}) body.put_u32(v);
   body.put_u8(2);
-  body.put_u8(1);
+  body.put_u8(2);
   body.put_u32(7);
+  body.put_u32(4294967294u);
   const auto wire = as_path_attribute(body);
   ByteReader r(wire);
   const auto decoded = decode_attributes(r);
   EXPECT_TRUE(decoded.has_as_set);
-  EXPECT_EQ(decoded.as_path, (AsPath{1, 2, 3, 4, 5, 10, 20, 30, 7}));
+  EXPECT_EQ(decoded.as_path, (AsPath{1, 2, 3, 4, 5, 10, 20, 30, 7, 4294967294u}));
 }
 
 TEST(Attrs, UnknownSegmentTypeIsCheckedAfterItsWords) {
