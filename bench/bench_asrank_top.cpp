@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   const auto world = bench::make_world(options);
   const auto inferred_cones =
-      core::provider_peer_observed_cone(world.result.graph.freeze(), world.result.arena);
+      core::provider_peer_observed_cone(world.result.graph, world.result.arena);
   const auto truth_cones = core::recursive_cone(world.truth.graph);
 
   util::TableWriter table(

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
       "(the largest transit providers)");
 
   const auto world = bench::make_world(options);
-  const auto recursive = core::recursive_cone(world.result.graph);
-  const auto view = world.result.graph.freeze();
+  const auto& view = world.result.graph;
+  const auto recursive = core::recursive_cone(view);
   const auto ppdc = core::provider_peer_observed_cone(view, world.result.arena);
   const auto observed = core::bgp_observed_cone(view, world.result.arena);
 

@@ -191,9 +191,15 @@ const core::InferenceResult& inference_result() {
   return result;
 }
 
+/// The inferred graph as an AsGraph, for the benchmarks of its freeze.
+const AsGraph& inferred_graph() {
+  static const AsGraph graph = inference_result().graph.to_graph();
+  return graph;
+}
+
 void BM_RecursiveCone(benchmark::State& state) {
   for (auto _ : state) {
-    auto cones = core::recursive_cone(inference_result().graph);
+    auto cones = core::recursive_cone(inferred_graph());
     benchmark::DoNotOptimize(cones.size());
   }
 }
@@ -201,7 +207,7 @@ BENCHMARK(BM_RecursiveCone);
 
 void BM_PpdcCone(benchmark::State& state) {
   for (auto _ : state) {
-    auto cones = core::provider_peer_observed_cone(inference_result().graph.freeze(),
+    auto cones = core::provider_peer_observed_cone(inference_result().graph,
                                                    inference_result().arena);
     benchmark::DoNotOptimize(cones.size());
   }
@@ -346,14 +352,14 @@ BENCHMARK(BM_InternerBuild);
 
 void BM_TopologyFreeze(benchmark::State& state) {
   for (auto _ : state) {
-    auto view = inference_result().graph.freeze(inference_result().clique);
+    auto view = inferred_graph().freeze(inference_result().clique);
     benchmark::DoNotOptimize(view.link_count());
   }
 }
 BENCHMARK(BM_TopologyFreeze);
 
 void BM_RecursiveConeDense(benchmark::State& state) {
-  const auto view = inference_result().graph.freeze();
+  const auto& view = inference_result().graph;
   for (auto _ : state) {
     auto cones = core::recursive_cone(view, 1);
     benchmark::DoNotOptimize(cones.size());
@@ -458,7 +464,7 @@ void write_topology_view_json(const std::string& path) {
   constexpr int kSweeps = 8;  // fixpoint-style repeated evaluation
   constexpr std::uint8_t kNoRel = 0xff;
 
-  const AsGraph& graph = inference_result().graph;
+  const AsGraph& graph = inferred_graph();
   const paths::PathCorpus corpus = inference_result().arena.materialize();
   const auto view = graph.freeze();
 
@@ -620,6 +626,8 @@ void write_snapshot_mmap_json(const std::string& path) {
   os << "{\n  \"bench\": \"snapshot_mmap\",\n";
   os << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
      << ",\n";
+  os << "  \"build_type\": \"" << ASRANK_BUILD_TYPE << "\",\n";
+  os << "  \"git_sha\": \"" << ASRANK_GIT_SHA << "\",\n";
   os << "  \"ases\": " << mapped.as_count() << ",\n";
   os << "  \"links\": " << mapped.link_count() << ",\n";
   os << "  \"cone_members\": " << cone_members << ",\n";

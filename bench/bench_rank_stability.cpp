@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                             .run(paths::PathCorpus::from_records(observation.routes));
     const auto cones = core::recursive_cone(result.graph);
     const auto ppdc_cones =
-        core::provider_peer_observed_cone(result.graph.freeze(), result.arena);
+        core::provider_peer_observed_cone(result.graph, result.arena);
     const auto true_cones = core::recursive_cone(truth.graph);
     std::vector<Asn> ranked, ppdc_ranked, true_ranked;
     for (const auto& entry : core::rank_by_cone(cones, result.degrees)) {

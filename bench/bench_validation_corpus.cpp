@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   table.add_row({"total (deduplicated)", util::fmt_count(synth.corpus.size()), "100.00%"});
   table.render(std::cout);
 
-  const auto ppv = validation::evaluate_ppv(world.result.graph, synth.corpus);
+  const auto ppv = validation::evaluate_ppv(world.inferred, synth.corpus);
   std::cout << "raw assertions: direct " << synth.direct_assertions << ", rpsl "
             << synth.rpsl_assertions << ", communities " << synth.community_assertions
             << "\n";

@@ -182,35 +182,35 @@ std::vector<std::string> algorithm_list(const std::string& spec) {
 
 /// Build one single-algorithm snapshot part: infer from the corpus, freeze
 /// recursive cones over the inferred graph and the corpus transit degrees.
-/// "asrank" keeps its own clique; the baselines use provider-free ASes.
+/// "asrank" keeps its own clique and hands over its view as is; the
+/// baselines use provider-free ASes, and their AsGraph is frozen once.
 snapshot::SnapshotIndex build_algorithm_part(const std::string& name,
                                              const paths::PathCorpus& corpus,
                                              const core::Degrees& degrees,
                                              std::size_t threads) {
-  AsGraph graph;
+  topology::TopologyView view;
   std::vector<Asn> clique;
   if (name == "asrank") {
     core::InferenceConfig config;
     config.threads = threads;
     auto result = core::AsRankInference(config).run(corpus);
-    graph = std::move(result.graph);
+    view = std::move(result.graph);
     clique = std::move(result.clique);
   } else {
     algo::AlgorithmOptions options;
     options.threads = threads;
     auto algorithm = algo::create(name, options);
     if (!algorithm.ok()) throw UsageError(algorithm.error().context);
-    graph = algorithm.value()->infer(corpus);
+    AsGraph graph = algorithm.value()->infer(corpus);
     // The baselines promise nothing about provider-cycle freedom, but the
     // recursive cone closure (and so the snapshot) requires a DAG; impose
     // the same rank-order repair the asrank pipeline applies (step 11).
     core::break_provider_cycles(graph, degrees);
     clique = graph.provider_free_ases();
+    view = graph.freeze();
   }
-  std::unordered_map<Asn, std::size_t> transit;
-  for (const Asn as : graph.ases()) transit[as] = degrees.transit_degree(as);
-  const auto cones = core::recursive_cone(graph, threads);
-  return snapshot::build_snapshot(graph, transit, cones, clique);
+  const auto cones = core::recursive_cone(view, threads);
+  return snapshot::build_snapshot(view, degrees, cones, clique);
 }
 
 /// The observed cone ("observed" = BGP-observed, else provider/peer-observed)
@@ -311,10 +311,11 @@ int cmd_infer(const Args& args) {
     }
   }
   const auto result = core::AsRankInference(config).run(corpus);
+  const AsGraph graph = result.graph.to_graph();
   auto out = open_out(args.require("out"));
-  write_as_rel(result.graph, out);
+  write_as_rel(graph, out);
 
-  const auto counts = result.graph.link_counts();
+  const auto counts = graph.link_counts();
   std::cerr << "inferred " << counts.p2c << " c2p + " << counts.p2p << " p2p links; clique";
   for (const Asn as : result.clique) std::cerr << " AS" << as.value();
   std::cerr << "\nsanitize: " << result.audit.sanitize.input_records << " -> "
@@ -373,7 +374,7 @@ int cmd_validate(const Args& args) {
       if (name == "asrank") {
         core::InferenceConfig config;
         config.threads = threads;
-        inferred = core::AsRankInference(config).run(corpus).graph;
+        inferred = core::AsRankInference(config).run(corpus).graph.to_graph();
       } else {
         algo::AlgorithmOptions options;
         options.threads = threads;

@@ -70,12 +70,13 @@ int main(int argc, char** argv) {
     const auto result = core::AsRankInference(config).run(
         paths::PathCorpus::from_records(observation.routes));
 
-    const auto hierarchy = core::analyze_hierarchy(result.graph, result.clique);
-    const auto depths = core::hierarchy_depths(result.graph);
+    const AsGraph inferred = result.graph.to_graph();
+    const auto hierarchy = core::analyze_hierarchy(inferred, result.clique);
+    const auto depths = core::hierarchy_depths(inferred);
     std::size_t max_depth = 0;
     for (const auto& [as, depth] : depths) max_depth = std::max(max_depth, depth);
 
-    const auto cones = core::provider_peer_observed_cone(result.graph.freeze(), result.arena);
+    const auto cones = core::provider_peer_observed_cone(result.graph, result.arena);
     std::vector<Asn> ranked;
     for (const auto& entry : core::rank_by_cone(cones, result.degrees)) {
       ranked.push_back(entry.as);

@@ -46,12 +46,13 @@ int main(int argc, char** argv) {
   config.sanitizer.ixp_asns.insert(truth.ixp_asns.begin(), truth.ixp_asns.end());
   const auto result =
       core::AsRankInference(config).run(paths::PathCorpus::from_records(observation.routes));
-  const auto inferred_counts = result.graph.link_counts();
+  const AsGraph inferred = result.graph.to_graph();
+  const auto inferred_counts = inferred.link_counts();
   std::cout << "inferred: " << inferred_counts.p2c << " c2p / " << inferred_counts.p2p
             << " p2p links; clique size " << result.clique.size() << "\n";
 
   // 4. Score against ground truth.
-  const auto accuracy = validation::evaluate_against_truth(result.graph, truth.graph);
+  const auto accuracy = validation::evaluate_against_truth(inferred, truth.graph);
   std::cout << "accuracy: c2p PPV " << util::fmt_pct(accuracy.c2p.ppv())
             << " (" << accuracy.c2p.correct << "/" << accuracy.c2p.validated << ")"
             << ", p2p PPV " << util::fmt_pct(accuracy.p2p.ppv())
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
   }
 
   // 5. Customer cones and AS Rank.
-  const auto cones = core::provider_peer_observed_cone(result.graph.freeze(), result.arena);
+  const auto cones = core::provider_peer_observed_cone(result.graph, result.arena);
   util::TableWriter table({"rank", "AS", "cone size", "transit degree"});
   for (const auto& entry : core::top_n(cones, result.degrees, 10)) {
     table.add_row({std::to_string(entry.rank), "AS" + entry.as.str(),

@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
   // ---- Relationship validation (paper §6) --------------------------------
   const auto synth = validation::synthesize_validation(truth, observation,
                                                        validation::SynthesisParams{});
-  const auto ppv = validation::evaluate_ppv(result.graph, synth.corpus);
-  const auto exact = validation::evaluate_against_truth(result.graph, truth.graph);
+  const AsGraph inferred_graph = result.graph.to_graph();
+  const auto ppv = validation::evaluate_ppv(inferred_graph, synth.corpus);
+  const auto exact = validation::evaluate_against_truth(inferred_graph, truth.graph);
 
   util::TableWriter rel_table({"source", "validated", "PPV"});
   for (const auto source : {validation::Source::kDirectReport,
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
     const auto owner = Asn::parse(name.substr(0, colon));
     if (!owner) continue;
     const auto registered = validation::expand_as_set(irr, name);
-    const auto inferred = result.graph.customers(*owner);
+    const auto inferred = inferred_graph.customers(*owner);
     if (registered.empty() || inferred.empty()) continue;
     std::size_t shared = 0;
     for (const Asn customer : inferred) {

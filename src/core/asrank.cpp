@@ -5,6 +5,7 @@
 #include <bit>
 #include <memory>
 #include <span>
+#include <stdexcept>
 
 #include "core/cones.h"
 
@@ -104,8 +105,10 @@ class LinkSlots {
 /// stays cache-resident) and the hop keeps the slot; then the distinct
 /// keys are sorted and the per-hop slots renumbered to sorted order, so no
 /// id depends on which chunk saw a link first.  Interner ids ascend with
-/// ASN, so id comparisons and tie-breaks equal the ASN-based ones.  The
-/// cut arena, the post-step-4 corpus, moves into the result.
+/// ASN, so id comparisons and tie-breaks equal the ASN-based ones.
+/// Finalize turns the sorted link table straight into the result's
+/// TopologyView, and the cut arena, the post-step-4 corpus, moves into the
+/// result beside it.
 class Pipeline {
  public:
   Pipeline(const InferenceConfig& config, const PathCorpus& raw)
@@ -130,6 +133,7 @@ class Pipeline {
   void stub_clique_pass();
   void enforce_transit_free_clique();
   void finalize_graph();
+  [[nodiscard]] topology::TopologyView link_table_view() const;
   void repair_cycles();
 
   [[nodiscard]] bool in_clique(NodeId id) const noexcept {
@@ -174,6 +178,11 @@ class Pipeline {
   std::vector<std::uint64_t> link_keys_;   ///< sorted packed (lo, hi) id pairs
   std::vector<LinkState> link_state_;      ///< parallel to link_keys_
   std::vector<std::uint32_t> link_of_hop_; ///< parallel to the arena hop buffer
+
+  /// Arena id -> id in the result's view (the link endpoints, compacted in
+  /// order), kNoNode for an AS on no link; view_interner_ is the inverse.
+  std::vector<NodeId> view_id_;
+  AsnInterner view_interner_;
 };
 
 void Pipeline::run(const PathCorpus& raw) {
@@ -245,7 +254,6 @@ void Pipeline::run(const PathCorpus& raw) {
     finalize_graph();
     repair_cycles();
   }
-  result_.audit.p2c_acyclic = result_.graph.p2c_acyclic();
   obs::log_debug("inference complete",
                  {{"clique_size", result_.audit.clique_size},
                   {"ranked_ases", result_.audit.ranked_ases},
@@ -825,35 +833,75 @@ void Pipeline::enforce_transit_free_clique() {
 }
 
 void Pipeline::finalize_graph() {
+  // The view's AS table is the link endpoints, compacted in arena id order
+  // so ASNs stay ascending.  A self-pair (prepending left uncompressed) is
+  // not a link.
+  view_id_.assign(interner().size(), kNoNode);
+  for (const std::uint64_t key : link_keys_) {
+    if (lo_of(key) == hi_of(key)) {
+      throw std::invalid_argument("AsRankInference: self-link AS" +
+                                  interner().asn_of(lo_of(key)).str() +
+                                  " (prepending left uncompressed)");
+    }
+    view_id_[lo_of(key)] = view_id_[hi_of(key)] = 0;
+  }
+  std::vector<Asn> asns;
+  for (NodeId id = 0; id < view_id_.size(); ++id) {
+    if (view_id_[id] == kNoNode) continue;
+    view_id_[id] = static_cast<NodeId>(asns.size());
+    asns.push_back(interner().asn_of(id));
+  }
+  result_.audit.p2p_fallback = static_cast<std::size_t>(
+      std::count_if(link_state_.begin(), link_state_.end(), [](const LinkState& link) {
+        return link.kind == LinkState::Kind::kUnknown;
+      }));
+  view_interner_ = AsnInterner::from_sorted_unique(std::move(asns));
+  result_.graph = link_table_view();
+}
+
+topology::TopologyView Pipeline::link_table_view() const {
+  // The compaction is monotone, so the keys stay strictly ascending.
+  std::vector<std::uint64_t> keys(link_keys_.size());
+  std::vector<RelView> lo_views(link_keys_.size());
   for (std::size_t i = 0; i < link_keys_.size(); ++i) {
-    const Asn lo = interner().asn_of(lo_of(link_keys_[i]));
-    const Asn hi = interner().asn_of(hi_of(link_keys_[i]));
+    keys[i] = pack(view_id_[lo_of(link_keys_[i])], view_id_[hi_of(link_keys_[i])]);
     switch (link_state_[i].kind) {
-      case LinkState::Kind::kC2pLoProv:
-        result_.graph.add_p2c(lo, hi);
-        break;
-      case LinkState::Kind::kC2pHiProv:
-        result_.graph.add_p2c(hi, lo);
-        break;
+      case LinkState::Kind::kC2pLoProv: lo_views[i] = RelView::kCustomer; break;
+      case LinkState::Kind::kC2pHiProv: lo_views[i] = RelView::kProvider; break;
+      case LinkState::Kind::kS2S: lo_views[i] = RelView::kSibling; break;
       case LinkState::Kind::kP2pFixed:
-        result_.graph.add_p2p(lo, hi);
-        break;
-      case LinkState::Kind::kS2S:
-        result_.graph.add_s2s(lo, hi);
-        break;
-      case LinkState::Kind::kUnknown:
-        result_.graph.add_p2p(lo, hi);
-        ++result_.audit.p2p_fallback;
-        break;
+      case LinkState::Kind::kUnknown: lo_views[i] = RelView::kPeer; break;
     }
   }
+  return topology::TopologyView::from_sorted_links(view_interner_, keys, lo_views);
 }
 
 void Pipeline::repair_cycles() {
-  // The SCC re-orientation lives in core/cones.cpp (break_provider_cycles)
-  // so baseline-algorithm snapshot builds can impose the same repair.
-  result_.audit.cycle_edges_reoriented +=
-      break_provider_cycles(result_.graph, result_.degrees);
+  // Tarjan on the view's customer rows.  Inside each non-trivial SCC,
+  // re-orient c2p links so the higher-ranked endpoint provides (the rule
+  // break_provider_cycles applies to an AsGraph), then rebuild the view.
+  ProviderComponents components = provider_components(result_.graph);
+  if (!components.acyclic()) {
+    const Degrees& degrees = result_.degrees;
+    for (std::size_t i = 0; i < link_keys_.size(); ++i) {
+      const NodeId lo = lo_of(link_keys_[i]), hi = hi_of(link_keys_[i]);
+      const LinkState::Kind kind = link_state_[i].kind;
+      if (kind != LinkState::Kind::kC2pLoProv && kind != LinkState::Kind::kC2pHiProv) continue;
+      if (components.component[view_id_[lo]] != components.component[view_id_[hi]]) continue;
+      // Ids ascend with ASN, so the ASN tie-break is the id one.
+      const bool lo_higher = degrees.rank_of(lo) < degrees.rank_of(hi) ||
+                             (degrees.rank_of(lo) == degrees.rank_of(hi) && lo < hi);
+      const NodeId provider = lo_higher ? lo : hi;
+      const NodeId customer = lo_higher ? hi : lo;
+      if ((kind == LinkState::Kind::kC2pLoProv) != lo_higher) {
+        set_c2p(static_cast<std::uint32_t>(i), provider, customer);
+        ++result_.audit.cycle_edges_reoriented;
+      }
+    }
+    result_.graph = link_table_view();
+    components = provider_components(result_.graph);
+  }
+  result_.audit.p2c_acyclic = components.acyclic();
 }
 
 }  // namespace

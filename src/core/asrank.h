@@ -37,9 +37,11 @@
 //       with a member on the customer side is a direction error and is
 //       re-oriented.  Left standing, such a flip hands the false provider
 //       the member's entire customer cone (see bench_rank_stability).
-//   11. Remaining observed links become p2p; provider cycles (violations of
-//       assumption A3) are repaired by re-orienting intra-SCC c2p edges
-//       toward the ranking, and the final graph is checked acyclic.
+//   11. Remaining observed links become p2p and the link table becomes the
+//       result's TopologyView directly (no AsGraph is built); provider
+//       cycles (violations of assumption A3) are repaired by re-orienting
+//       intra-SCC c2p edges toward the ranking, and the final view is
+//       checked acyclic.  Both run Tarjan on the view's customer rows.
 #pragma once
 
 #include <cstddef>
@@ -53,6 +55,7 @@
 #include "paths/corpus.h"
 #include "paths/sanitizer.h"
 #include "topology/as_graph.h"
+#include "topology/topology_view.h"
 
 namespace asrank::core {
 
@@ -121,7 +124,9 @@ struct StageAudit {
 };
 
 struct InferenceResult {
-  AsGraph graph;            ///< every observed link, annotated c2p/p2p
+  /// Every observed link, annotated c2p/p2p/s2s, frozen: its AS table is
+  /// exactly the link endpoints.  to_graph() gives the mutable AsGraph.
+  topology::TopologyView graph;
   std::vector<Asn> clique;  ///< inferred tier-1 clique, sorted
   Degrees degrees;          ///< ranking used by the pipeline
   StageAudit audit;
@@ -133,8 +138,9 @@ struct InferenceResult {
 };
 
 /// The paper's algorithm, registered natively in the algo:: registry (no
-/// adapter): infer() runs the full pipeline and keeps the graph.  Callers
-/// needing the clique, audit or post-step-4 arena use run() directly.
+/// adapter): infer() runs the full pipeline and keeps the graph, as an
+/// AsGraph.  Callers needing the view, clique, audit or post-step-4 arena
+/// use run() directly.
 class AsRankInference final : public algo::InferenceAlgorithm {
  public:
   explicit AsRankInference(InferenceConfig config = {}) : config_(std::move(config)) {}
@@ -146,7 +152,7 @@ class AsRankInference final : public algo::InferenceAlgorithm {
 
   [[nodiscard]] std::string name() const override { return "asrank"; }
   [[nodiscard]] AsGraph infer(const paths::PathCorpus& corpus) const override {
-    return run(corpus).graph;
+    return run(corpus).graph.to_graph();
   }
 
  private:

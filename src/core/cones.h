@@ -28,11 +28,14 @@
 // ASes the view lacks map to kNoNode.  The pipeline's InferenceResult::arena
 // is the post-step-4 corpus; a raw corpus is passed as an arena built with
 // every sanitizer stage off, so the walk sees its hops as they were read.
-// recursive_cone's AsGraph overload freezes the graph first; callers that
-// already hold a view should pass it and pay the freeze once.
+// An InferenceResult's graph is already a view, so the pipeline's cones
+// never freeze; recursive_cone's AsGraph overload, for ground-truth and
+// .as-rel graphs, freezes the graph first.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "core/degrees.h"
 #include "paths/arena.h"
@@ -47,18 +50,31 @@ namespace asrank::core {
 // and the result is bit-identical at any count (see util/thread_pool.h — the
 // closure parallelizes within reverse-topological levels of the p2c DAG, the
 // observed cones over chunks of arena paths with sorted merges).  Each call
-// makes one pool of that many workers.
+// makes one pool of that many workers; recursive_cone runs a graph of under
+// 16,384 ASes inline, where starting workers costs more than the closure.
+
+/// Strongly connected components of the view's provider->customer digraph
+/// (iterative Tarjan over the customer rows, after BGPExtrapolator's
+/// ASGraph::tarjan).  A view has no self-links, so the digraph is acyclic
+/// (assumption A3) iff every component is a single AS.
+struct ProviderComponents {
+  std::vector<std::uint32_t> component;  ///< by NodeId
+  std::size_t count = 0;
+
+  [[nodiscard]] bool acyclic() const noexcept { return count == component.size(); }
+};
+[[nodiscard]] ProviderComponents provider_components(const topology::TopologyView& view);
 
 /// Establish assumption A3 in place: inside every strongly connected
 /// component of the provider->customer digraph, re-orient c2p edges so the
 /// higher-ranked endpoint (by transit degree, ASN tie-break) provides.  The
 /// strict total order breaks all cycles without discarding transit evidence.
-/// This is the asrank pipeline's step-11 repair, exposed for callers that
-/// freeze cones over graphs other inference algorithms produced — the
-/// baselines (gao2001, tor-local-search, degree-ratio) promise nothing about
-/// acyclicity.  Returns the number of re-oriented p2c edges (0 when the
-/// graph was already acyclic — the common case — in which case nothing is
-/// touched).
+/// The asrank pipeline applies the same rule to its link table (step 11);
+/// this AsGraph form is for callers that freeze cones over graphs other
+/// inference algorithms produced — the baselines (gao2001,
+/// tor-local-search, degree-ratio) promise nothing about acyclicity.
+/// Returns the number of re-oriented p2c edges (0 when the graph was
+/// already acyclic — the common case — in which case nothing is touched).
 std::size_t break_provider_cycles(AsGraph& graph, const Degrees& degrees);
 
 /// Full transitive closure over p2c links.  Requires an acyclic provider

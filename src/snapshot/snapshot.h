@@ -188,17 +188,18 @@ class SnapshotIndex {
 
  private:
   friend SnapshotIndex build_snapshot(const topology::TopologyView&,
-                                      const std::unordered_map<Asn, std::size_t>&,
-                                      const ConeMap&, std::span<const Asn>);
+                                      std::span<const std::uint32_t>, const ConeMap&,
+                                      std::span<const Asn>);
   friend Result<SnapshotIndex> try_read_snapshot(std::istream&);
   friend Result<void> try_write_snapshot(const SnapshotIndex&, std::ostream&);
   friend Result<SnapshotIndex> combine_snapshots(
       std::vector<std::pair<std::string, SnapshotIndex>> parts);
 
   /// How much of the structure finalize_and_validate() re-checks.  kFull
-  /// checks every per-link and per-cone-member invariant.  kMapped trusts
-  /// the section CRCs for those O(links)+O(cone) properties and only runs
-  /// the O(n) table checks required for memory-safe accessors.
+  /// checks every per-link and per-cone-member invariant, in one pass with
+  /// hashed table lookups and per-row cursors.  kMapped trusts the section
+  /// CRCs for those O(links)+O(cone) properties and only runs the O(n)
+  /// table checks required for memory-safe accessors.
   enum class Validation { kFull, kMapped };
 
   /// The bytes every section span points into: a read-only file mapping or
@@ -266,24 +267,35 @@ class SnapshotIndex {
   std::vector<std::unique_ptr<SnapshotIndex>> extras_;
 };
 
-/// Freeze one inference run from an already-frozen TopologyView.  The
-/// view's CSR layout coincides with the ASRK1 section layout (sorted AS
-/// table, id-ascending rows ≡ ASN-ascending rows, RelView codes), so the
-/// adjacency sections are bulk copies plus one id→ASN translation pass.
-/// `transit_degrees` may omit ASes (treated as 0); every cone key and
-/// clique member must be a node of `view`, and every cone must contain its
-/// own AS — violations throw SnapshotError.
+/// Freeze one inference run from a TopologyView (an InferenceResult's
+/// graph is one).  The view's CSR layout coincides with the ASRK1 section
+/// layout (sorted AS table, id-ascending rows ≡ ASN-ascending rows, RelView
+/// codes), so the adjacency sections are bulk copies plus one id→ASN
+/// translation pass.  `transit_degrees` holds one entry per view node; every
+/// cone key and clique member must be a node of `view`, and every cone must
+/// contain its own AS — violations throw SnapshotError.
+[[nodiscard]] SnapshotIndex build_snapshot(const topology::TopologyView& view,
+                                           std::span<const std::uint32_t> transit_degrees,
+                                           const ConeMap& cones,
+                                           std::span<const Asn> clique);
+
+/// Same, with transit degrees by ASN; the map may omit ASes (treated as 0).
 [[nodiscard]] SnapshotIndex build_snapshot(
     const topology::TopologyView& view,
     const std::unordered_map<Asn, std::size_t>& transit_degrees,
     const ConeMap& cones, std::span<const Asn> clique);
 
-/// Convenience overload that freezes `graph` first.
+/// Same, with transit degrees from a Degrees tally (0 for ASes it lacks).
+[[nodiscard]] SnapshotIndex build_snapshot(const topology::TopologyView& view,
+                                           const core::Degrees& degrees,
+                                           const ConeMap& cones,
+                                           std::span<const Asn> clique);
+
+/// Convenience overloads that freeze `graph` first (ground-truth and
+/// .as-rel graphs).
 [[nodiscard]] SnapshotIndex build_snapshot(
     const AsGraph& graph, const std::unordered_map<Asn, std::size_t>& transit_degrees,
     const ConeMap& cones, const std::vector<Asn>& clique);
-
-/// Convenience overload over the pipeline's Degrees ranking.
 [[nodiscard]] SnapshotIndex build_snapshot(const AsGraph& graph,
                                            const core::Degrees& degrees,
                                            const ConeMap& cones,

@@ -80,6 +80,19 @@ class AsnInterner {
     for (const Asn as : hops) out.push_back(id_of(as));
   }
 
+  /// The id in `other` of each ASN here, indexed by this interner's ids
+  /// (kNoNode where `other` lacks it).  Both ascend by ASN, so one merge
+  /// walk pairs them.
+  [[nodiscard]] std::vector<NodeId> ids_in(const AsnInterner& other) const {
+    const auto to = other.asns();
+    std::vector<NodeId> out(asns_.size(), kNoNode);
+    for (std::size_t i = 0, j = 0; i < asns_.size(); ++i) {
+      while (j < to.size() && to[j] < asns_[i]) ++j;
+      if (j < to.size() && to[j] == asns_[i]) out[i] = static_cast<NodeId>(j);
+    }
+    return out;
+  }
+
   friend bool operator==(const AsnInterner&, const AsnInterner&) = default;
 
  private:

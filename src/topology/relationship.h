@@ -30,6 +30,17 @@ enum class RelView : std::uint8_t {
   kSibling,
 };
 
+/// The same link seen from the neighbour's side.
+[[nodiscard]] constexpr RelView inverse(RelView view) noexcept {
+  switch (view) {
+    case RelView::kProvider: return RelView::kCustomer;
+    case RelView::kCustomer: return RelView::kProvider;
+    case RelView::kPeer: return RelView::kPeer;
+    case RelView::kSibling: return RelView::kSibling;
+  }
+  return RelView::kPeer;
+}
+
 /// CAIDA .as-rel encoding: p2c = -1 (provider|customer|-1), p2p = 0,
 /// s2s = 2 (extension used by sibling-aware datasets).
 [[nodiscard]] constexpr int as_rel_code(LinkType t) noexcept {

@@ -68,12 +68,12 @@ TEST(Golden, InferenceOutputIsByteIdenticalToCommittedFixtures) {
       const auto result = core::AsRankInference(config).run(corpus);
 
       std::ostringstream rel;
-      write_as_rel(result.graph, rel);
+      write_as_rel(result.graph.to_graph(), rel);
       EXPECT_EQ(rel.str(), want_rel)
           << fixture.tag << " as-rel differs at " << threads << " threads";
 
       std::ostringstream ppdc;
-      write_ppdc(core::provider_peer_observed_cone(result.graph.freeze(), result.arena,
+      write_ppdc(core::provider_peer_observed_cone(result.graph, result.arena,
                                                    threads),
                  ppdc);
       EXPECT_EQ(ppdc.str(), want_ppdc)

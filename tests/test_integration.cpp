@@ -24,13 +24,14 @@ struct World {
   topogen::GroundTruth truth;
   bgpsim::Observation observation;
   core::InferenceResult result;
+  AsGraph inferred;  ///< result.graph as an AsGraph
 };
 
 World make_world(const std::string& preset, std::uint64_t seed,
                  std::size_t full_vps = 30, std::size_t partial_vps = 10) {
   auto gen = topogen::GenParams::preset(preset);
   gen.seed = seed;
-  World world{topogen::generate(gen), {}, {}};
+  World world{topogen::generate(gen), {}, {}, {}};
   bgpsim::ObservationParams obs;
   obs.seed = seed + 1;
   obs.full_vps = full_vps;
@@ -40,6 +41,7 @@ World make_world(const std::string& preset, std::uint64_t seed,
   config.sanitizer.ixp_asns.insert(world.truth.ixp_asns.begin(), world.truth.ixp_asns.end());
   world.result = core::AsRankInference(config).run(
       paths::PathCorpus::from_records(world.observation.routes));
+  world.inferred = world.result.graph.to_graph();
   return world;
 }
 
@@ -69,7 +71,7 @@ TEST(Integration, CliqueRecoveredAlmostExactly) {
 TEST(Integration, AccuracyMeetsPaperBand) {
   const auto& world = small_world();
   const auto accuracy =
-      validation::evaluate_against_truth(world.result.graph, world.truth.graph);
+      validation::evaluate_against_truth(world.inferred, world.truth.graph);
   EXPECT_GT(accuracy.c2p.ppv(), 0.95) << "paper band: 99.6%";
   EXPECT_GT(accuracy.p2p.ppv(), 0.85) << "paper band: 98.7%";
   EXPECT_GT(accuracy.accuracy(), 0.93);
@@ -83,9 +85,9 @@ TEST(Integration, ValidationCorpusPpvTracksTruthPpv) {
   const auto& world = small_world();
   const auto synth = validation::synthesize_validation(world.truth, world.observation,
                                                        validation::SynthesisParams{});
-  const auto ppv = validation::evaluate_ppv(world.result.graph, synth.corpus);
+  const auto ppv = validation::evaluate_ppv(world.inferred, synth.corpus);
   const auto truth_ppv =
-      validation::evaluate_against_truth(world.result.graph, world.truth.graph);
+      validation::evaluate_against_truth(world.inferred, world.truth.graph);
   EXPECT_GT(ppv.validated_links, 0u);
   // The sampled-corpus estimate should be within a few points of exact truth.
   EXPECT_NEAR(ppv.c2p.ppv(), truth_ppv.c2p.ppv(), 0.05);
@@ -104,22 +106,22 @@ TEST(Integration, MrtRoundTripPreservesInference) {
   config.sanitizer.ixp_asns.insert(world.truth.ixp_asns.begin(), world.truth.ixp_asns.end());
   const auto result =
       core::AsRankInference(config).run(paths::PathCorpus::from_records(recovered));
-  EXPECT_EQ(result.graph.links(), world.result.graph.links());
+  EXPECT_EQ(result.graph.to_graph().links(), world.inferred.links());
   EXPECT_EQ(result.clique, world.result.clique);
 }
 
 TEST(Integration, AsRelExportReimportIdentity) {
   const auto& world = small_world();
   std::stringstream text;
-  write_as_rel(world.result.graph, text);
+  write_as_rel(world.inferred, text);
   const AsGraph parsed = read_as_rel(text);
-  EXPECT_EQ(parsed.links(), world.result.graph.links());
+  EXPECT_EQ(parsed.links(), world.inferred.links());
 }
 
 TEST(Integration, DeterministicEndToEnd) {
   const auto a = make_world("tiny", 9);
   const auto b = make_world("tiny", 9);
-  EXPECT_EQ(a.result.graph.links(), b.result.graph.links());
+  EXPECT_EQ(a.inferred.links(), b.inferred.links());
   EXPECT_EQ(a.result.clique, b.result.clique);
   const auto cones_a = core::recursive_cone(a.result.graph);
   const auto cones_b = core::recursive_cone(b.result.graph);
@@ -152,7 +154,7 @@ TEST(Integration, SanitizerRemovesExactlyInjectedLoops) {
 TEST(Integration, ConeSizeOrderingAcrossMethods) {
   const auto& world = small_world();
   const auto recursive = core::recursive_cone(world.result.graph);
-  const auto view = world.result.graph.freeze();
+  const auto view = world.result.graph;
   const auto ppdc = core::provider_peer_observed_cone(view, world.result.arena);
   const auto observed = core::bgp_observed_cone(view, world.result.arena);
   std::size_t sum_recursive = 0, sum_ppdc = 0, sum_observed = 0;
@@ -170,7 +172,7 @@ TEST(Integration, ConeSizeOrderingAcrossMethods) {
 TEST(Integration, TopOfRankingIsCliqueDominated) {
   const auto& world = small_world();
   const auto cones =
-      core::provider_peer_observed_cone(world.result.graph.freeze(), world.result.arena);
+      core::provider_peer_observed_cone(world.result.graph, world.result.arena);
   const auto top = core::top_n(cones, world.result.degrees, world.truth.clique.size());
   std::size_t clique_in_top = 0;
   for (const auto& entry : top) {
@@ -200,7 +202,7 @@ TEST(Integration, AsRankOutperformsGaoOnPpv) {
   const auto gao_graph = baselines::GaoInference().infer(corpus);
   const auto gao = validation::evaluate_against_truth(gao_graph, world.truth.graph);
   const auto ours =
-      validation::evaluate_against_truth(world.result.graph, world.truth.graph);
+      validation::evaluate_against_truth(world.inferred, world.truth.graph);
   EXPECT_GT(ours.accuracy(), gao.accuracy());
 }
 
@@ -210,7 +212,7 @@ TEST_P(SeedSweep, PipelineInvariantsAcrossSeeds) {
   const auto world = make_world("small", GetParam(), 20, 6);
   EXPECT_TRUE(world.result.audit.p2c_acyclic);
   const auto accuracy =
-      validation::evaluate_against_truth(world.result.graph, world.truth.graph);
+      validation::evaluate_against_truth(world.inferred, world.truth.graph);
   EXPECT_GT(accuracy.accuracy(), 0.90) << "seed " << GetParam();
   EXPECT_LT(accuracy.unknown_links, world.result.graph.link_count() / 50);
   // Clique recovery: at least all-but-one member, no false members beyond one.

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -22,7 +24,9 @@
 #include "core/ranking.h"
 #include "core/visibility.h"
 #include "topogen/topogen.h"
+#include "topology/serialization.h"
 #include "topology/topology_view.h"
+#include "util/crc32.h"
 #include "util/thread_pool.h"
 
 namespace asrank {
@@ -212,20 +216,21 @@ PipelineOutput run_pipeline(std::size_t threads) {
   PipelineOutput out{core::AsRankInference(config).run(shared_corpus()), {}, {}, {}};
   out.recursive = core::recursive_cone(out.result.graph, threads);
   out.ppdc =
-      core::provider_peer_observed_cone(out.result.graph.freeze(), out.result.arena, threads);
+      core::provider_peer_observed_cone(out.result.graph, out.result.arena, threads);
   out.ranking = core::rank_by_cone(out.ppdc, out.result.degrees);
   return out;
 }
 
 TEST(ParallelDeterminism, PipelineIsBitIdenticalAcrossThreadCounts) {
   const PipelineOutput reference = run_pipeline(1);
-  ASSERT_FALSE(reference.result.graph.links().empty());
+  const auto reference_links = reference.result.graph.to_graph().links();
+  ASSERT_FALSE(reference_links.empty());
 
   for (const std::size_t threads : {2u, 8u}) {
     const PipelineOutput parallel = run_pipeline(threads);
 
     // Relationship labels: every link, same annotation, same orientation.
-    EXPECT_EQ(parallel.result.graph.links(), reference.result.graph.links())
+    EXPECT_EQ(parallel.result.graph.to_graph().links(), reference_links)
         << threads << " threads";
     EXPECT_EQ(parallel.result.clique, reference.result.clique);
 
@@ -413,26 +418,24 @@ TEST(ParallelDeterminism, ConeClosureMatchesSequentialOnGroundTruth) {
 }
 
 TEST(ParallelDeterminism, FrozenViewIsIdenticalAcrossThreadCounts) {
-  // freeze() is a pure function of the graph, and the graph is bit-identical
-  // at every worker count — so the CSR arrays (the substrate every dense
-  // stage computes on) must be identical too.
-  const auto freeze_of = [](std::size_t threads) {
+  // The result's view is a pure function of the link table, and the table
+  // is bit-identical at every worker count — so the CSR arrays (the
+  // substrate every dense stage computes on) must be identical too.
+  const auto view_of = [](std::size_t threads) {
     core::InferenceConfig config;
     config.threads = threads;
-    const auto result = core::AsRankInference(config).run(shared_corpus());
-    return result.graph.freeze(result.clique);
+    return core::AsRankInference(config).run(shared_corpus()).graph;
   };
   const auto to_vec = [](auto span) {
     return std::vector<std::decay_t<decltype(span[0])>>(span.begin(), span.end());
   };
-  const auto reference = freeze_of(1);
+  const auto reference = view_of(1);
   for (const std::size_t threads : {2u, 8u}) {
-    const auto view = freeze_of(threads);
+    const auto view = view_of(threads);
     EXPECT_EQ(view.interner(), reference.interner()) << threads << " threads";
     EXPECT_EQ(to_vec(view.adjacency_offsets()), to_vec(reference.adjacency_offsets()));
     EXPECT_EQ(to_vec(view.adjacency_neighbors()), to_vec(reference.adjacency_neighbors()));
     EXPECT_EQ(to_vec(view.adjacency_rels()), to_vec(reference.adjacency_rels()));
-    EXPECT_EQ(to_vec(view.clique()), to_vec(reference.clique()));
   }
 }
 
@@ -443,8 +446,8 @@ TEST(ParallelDeterminism, ViewConeOverloadsMatchGraphOverloads) {
   core::InferenceConfig config;
   config.threads = 1;
   const auto result = core::AsRankInference(config).run(shared_corpus());
-  const auto view = result.graph.freeze();
-  const auto recursive = core::recursive_cone(result.graph, 1);
+  const auto& view = result.graph;
+  const auto recursive = core::recursive_cone(result.graph.to_graph(), 1);
   const auto ppdc = core::provider_peer_observed_cone(view, result.arena, 1);
   const auto observed = core::bgp_observed_cone(view, result.arena, 1);
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -566,6 +569,43 @@ TEST(StageAuditPin, FewVantagePointsCorpus) {
       .valley_violations = 24, .providerless_repaired = 6, .stub_clique_links = 10,
       .clique_direction_fixes = 0, .p2p_fallback = 133, .cycle_edges_reoriented = 0,
       .p2c_acyclic = true});
+}
+
+// Random hops over 16 ASes: votes disagree everywhere, so the inferred
+// provider graph has cycles and step 11's repair re-orients links (no
+// corpus above needs it).  Its counters and the .as-rel bytes are pinned.
+TEST(StageAuditPin, CycleRepairCorpus) {
+  std::mt19937_64 rng(5);
+  paths::PathCorpus corpus;
+  for (std::uint32_t r = 0; r < 200; ++r) {
+    const std::size_t length = 2 + rng() % 5;
+    AsPath path;
+    while (path.size() < length) path.push_back(Asn(1 + static_cast<std::uint32_t>(rng() % 16)));
+    const Asn vp = path.hops().front();
+    corpus.add(vp, Prefix::v4(r << 8, 24), std::move(path));
+  }
+  expect_pinned_audit(corpus, {}, {
+      .sanitize = {
+          .input_records = 200, .ixp_hops_stripped = 0, .reserved_hops_stripped = 0,
+          .prepended_compressed = 39, .loops_discarded = 53, .reserved_discarded = 0,
+          .duplicates_removed = 0, .output_records = 147},
+      .ranked_ases = 16, .clique_size = 3, .poisoned_discarded = 9, .partial_vps = 7,
+      .c2p_votes = 218, .apex_links_deferred = 122, .links_committed_c2p = 92,
+      .vote_conflicts = 43, .siblings_inferred = 0, .triplet_inferred = 13,
+      .valley_violations = 156, .providerless_repaired = 0, .stub_clique_links = 0,
+      .clique_direction_fixes = 18, .p2p_fallback = 4, .cycle_edges_reoriented = 32,
+      .p2c_acyclic = true});
+  for (const std::size_t threads : {1u, 4u}) {
+    core::InferenceConfig config;
+    config.threads = threads;
+    std::ostringstream as_rel;
+    write_as_rel(core::AsRankInference(config).run(corpus).graph.to_graph(), as_rel);
+    const std::string bytes = as_rel.str();
+    EXPECT_EQ(bytes.size(), 961u) << threads;
+    EXPECT_EQ(util::crc32({reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()}),
+              0x6ab2587au)
+        << threads;
+  }
 }
 
 }  // namespace

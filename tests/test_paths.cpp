@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "bgpsim/observation.h"
+#include "core/asrank.h"
 #include "paths/arena.h"
 #include "paths/corpus.h"
 #include "paths/sanitizer.h"
 #include "topogen/topogen.h"
+#include "topology/topology_view.h"
 #include "util/thread_pool.h"
 
 namespace asrank::paths {
@@ -345,7 +348,8 @@ void expect_matches_oracle(const PathCorpus& corpus, const std::unordered_set<As
   }
 }
 
-TEST(SanitizerOracle, HandCases) {
+/// Every pathology the sanitizer handles, in a few hand-written records.
+PathCorpus hand_cases_corpus() {
   PathCorpus corpus;
   corpus.add(rec(1, "10.0.0.0/24", {1, 2, 2, 3, 2}));      // prepending and a loop
   corpus.add(rec(1, "10.0.1.0/24", {1, 0, 3}));            // AS0
@@ -365,7 +369,11 @@ TEST(SanitizerOracle, HandCases) {
   corpus.add(rec(6, "10.1.0.0/24", {8, 8, 9, 10}));        // duplicate once compressed
   corpus.add(rec(7, "10.1.0.0/24", {8, 9, 9, 10, 10}));
   corpus.add(rec(1, "10.0.0.0/24", {1, 2, 2, 3, 2}));      // repeated raw path
-  expect_matches_oracle(corpus, {Asn(900), Asn(901)});
+  return corpus;
+}
+
+TEST(SanitizerOracle, HandCases) {
+  expect_matches_oracle(hand_cases_corpus(), {Asn(900), Asn(901)});
 }
 
 /// A seeded bgpsim corpus with every pathology the sanitizer handles
@@ -412,18 +420,24 @@ TEST(SanitizerOracle, BgpsimCorpusWithInjectedPathologies) {
   expect_matches_oracle(world.corpus, world.ixps);
 }
 
-TEST(SanitizerOracle, ManyAsnsGrowTheFirstSeenTable) {
-  // 3000 dense ASNs beside 3000 widely spaced ones, so the arena's
-  // first-seen id table grows several times; every 50th path carries AS0.
-  constexpr std::uint32_t kRun = 3000;
-  const auto dense = [](std::uint32_t i) { return 10000 + i % kRun; };
-  const auto spaced = [](std::uint32_t i) { return 200000 + (i % kRun) * 7919; };
+// 3000 dense ASNs beside 3000 widely spaced ones, so the arena's first-seen
+// id table grows several times; every 50th path carries AS0.
+constexpr std::uint32_t kRun = 3000;
+constexpr std::uint32_t dense(std::uint32_t i) { return 10000 + i % kRun; }
+constexpr std::uint32_t spaced(std::uint32_t i) { return 200000 + (i % kRun) * 7919; }
+
+PathCorpus many_asns_corpus() {
   PathCorpus corpus;
   for (std::uint32_t i = 0; i < kRun; ++i) {
     const Prefix prefix = Prefix::v4(0x0a000000u + (i << 8), 24);
     corpus.add(Asn(dense(i)), prefix, AsPath{dense(i), spaced(i), dense(i * 7 + 1)});
     if (i % 50 == 0) corpus.add(Asn(dense(i)), prefix, AsPath{dense(i), 0, 0, spaced(i + 1)});
   }
+  return corpus;
+}
+
+TEST(SanitizerOracle, ManyAsnsGrowTheFirstSeenTable) {
+  const PathCorpus corpus = many_asns_corpus();
   const PathArena arena = PathArena::build(corpus, SanitizerConfig{});
   ASSERT_GT(arena.interner().size(), 4096u);
   // Kept AS0 hops are never interned.
@@ -548,6 +562,94 @@ TEST(PathArena, KeptAs0HopIsNoNode) {
   EXPECT_EQ(arena.interner().size(), 2u);  // AS0 is never interned
   EXPECT_EQ(arena.path(0)[1], topology::kNoNode);
   EXPECT_EQ(arena.as_path(0), (AsPath{1, 0, 3}));
+}
+
+// ------------------------------------------------ inference link table ----
+
+/// `view` must equal the freeze of an AsGraph built link by link from the
+/// view's own rows: same interner (so the AS table is exactly the link
+/// endpoints), same rows, codes and p2c sub-rows.  Converting the view to
+/// an AsGraph and back keeps every link.
+void expect_view_is_frozen_link_table(const topology::TopologyView& view,
+                                      const std::string& what) {
+  using topology::NodeId;
+  AsGraph graph;
+  for (NodeId node = 0; node < view.node_count(); ++node) {
+    const auto nbrs = view.neighbors(node);
+    const auto codes = view.rels(node);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (nbrs[i] < node) continue;
+      const Asn as = view.ases()[node], other = view.ases()[nbrs[i]];
+      switch (static_cast<RelView>(codes[i])) {
+        case RelView::kCustomer: graph.add_p2c(as, other); break;
+        case RelView::kProvider: graph.add_p2c(other, as); break;
+        case RelView::kPeer: graph.add_p2p(as, other); break;
+        case RelView::kSibling: graph.add_s2s(as, other); break;
+      }
+    }
+  }
+  const auto frozen = graph.freeze();
+  EXPECT_EQ(view.interner(), frozen.interner()) << what;
+  ASSERT_EQ(view.node_count(), frozen.node_count()) << what;
+  EXPECT_EQ(view.link_count(), graph.link_count()) << what;
+  for (NodeId node = 0; node < view.node_count(); ++node) {
+    EXPECT_TRUE(std::ranges::equal(view.neighbors(node), frozen.neighbors(node)))
+        << what << " row " << node;
+    EXPECT_TRUE(std::ranges::equal(view.rels(node), frozen.rels(node)))
+        << what << " codes " << node;
+    EXPECT_TRUE(std::ranges::equal(view.providers(node), frozen.providers(node)))
+        << what << " providers " << node;
+    EXPECT_TRUE(std::ranges::equal(view.customers(node), frozen.customers(node)))
+        << what << " customers " << node;
+  }
+  const AsGraph thawed = view.to_graph();
+  EXPECT_EQ(thawed.links(), graph.links()) << what;
+  EXPECT_EQ(thawed.freeze().to_graph().links(), thawed.links()) << what;
+}
+
+/// The inferred view under every sanitizer configuration.  Uncompressed
+/// prepending leaves self-pairs in the link table, which inference rejects.
+void expect_views_on_every_config(const PathCorpus& corpus,
+                                  const std::unordered_set<Asn>& ixp_asns) {
+  for (const SanitizerConfig& config : all_configs(ixp_asns)) {
+    const std::string what = describe(config);
+    core::InferenceConfig inference;
+    inference.sanitizer = config;
+    try {
+      const auto result = core::AsRankInference(inference).run(corpus);
+      expect_view_is_frozen_link_table(result.graph, what);
+    } catch (const std::invalid_argument&) {
+      EXPECT_FALSE(config.compress_prepending) << what;
+    }
+  }
+}
+
+TEST(LinkTableView, MatchesTheFrozenGraphOfItsLinksOnSweepCorpora) {
+  expect_views_on_every_config(hand_cases_corpus(), {Asn(900), Asn(901)});
+  expect_views_on_every_config(injected_world().corpus, injected_world().ixps);
+  expect_views_on_every_config(many_asns_corpus(), {Asn(dense(5)), Asn(spaced(9))});
+  expect_views_on_every_config(duplicate_heavy_corpus_ref(), {Asn(900)});
+}
+
+TEST(LinkTableView, MatchesTheFrozenGraphOfItsLinksOnSeededTopologies) {
+  for (const std::uint64_t seed : {3u, 17u, 42u}) {
+    for (const char* preset : {"tiny", "small"}) {
+      auto gen = topogen::GenParams::preset(preset);
+      gen.seed = seed;
+      const auto truth = topogen::generate(gen);
+      bgpsim::ObservationParams obs;
+      obs.seed = seed + 1;
+      obs.full_vps = 8;
+      obs.partial_vps = 3;
+      core::InferenceConfig config;
+      config.sanitizer.ixp_asns.insert(truth.ixp_asns.begin(), truth.ixp_asns.end());
+      const auto result = core::AsRankInference(config).run(
+          PathCorpus::from_records(bgpsim::observe(truth, obs).routes));
+      ASSERT_GT(result.graph.link_count(), 0u);
+      expect_view_is_frozen_link_table(result.graph, std::string(preset) + " seed " +
+                                                         std::to_string(seed));
+    }
+  }
 }
 
 }  // namespace

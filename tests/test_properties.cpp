@@ -36,12 +36,13 @@ namespace {
 struct Sample {
   topogen::GroundTruth truth;
   core::InferenceResult result;
+  AsGraph inferred;  ///< result.graph as an AsGraph
 };
 
 Sample make_sample(const std::string& preset, std::uint64_t seed) {
   auto gen = topogen::GenParams::preset(preset);
   gen.seed = seed;
-  Sample sample{topogen::generate(gen), {}};
+  Sample sample{topogen::generate(gen), {}, {}};
   bgpsim::ObservationParams obs;
   obs.seed = seed + 1;
   obs.full_vps = 20;
@@ -52,6 +53,7 @@ Sample make_sample(const std::string& preset, std::uint64_t seed) {
                                    sample.truth.ixp_asns.end());
   sample.result = core::AsRankInference(config).run(
       paths::PathCorpus::from_records(observation.routes));
+  sample.inferred = sample.result.graph.to_graph();
   return sample;
 }
 
@@ -86,7 +88,7 @@ bool subset_of(std::span<const Asn> inner, std::span<const Asn> outer) {
 
 TEST(Properties, InferredHierarchyIsAcyclic) {
   for (const Sample& sample : samples()) {
-    EXPECT_TRUE(sample.result.graph.p2c_acyclic());
+    EXPECT_TRUE(sample.inferred.p2c_acyclic());
     EXPECT_TRUE(sample.result.audit.p2c_acyclic);
   }
 }
@@ -106,7 +108,7 @@ TEST(Properties, ProviderConeContainsEachCustomerCone) {
   for (const Sample& sample : samples()) {
     // Check nesting on both the inferred graph and the ground truth graph —
     // the invariant is definitional for any acyclic p2c relation.
-    for (const AsGraph* graph : {&sample.result.graph, &sample.truth.graph}) {
+    for (const AsGraph* graph : {&sample.inferred, &sample.truth.graph}) {
       const auto cones = core::recursive_cone(*graph);
       for (const Asn provider : graph->ases()) {
         const auto& provider_cone = cones.at(provider);
@@ -125,7 +127,7 @@ TEST(Properties, CliqueMembersArePairwiseNonC2p) {
     const auto& clique = sample.result.clique;
     for (std::size_t i = 0; i < clique.size(); ++i) {
       for (std::size_t j = i + 1; j < clique.size(); ++j) {
-        const auto view = sample.result.graph.view(clique[i], clique[j]);
+        const auto view = sample.inferred.view(clique[i], clique[j]);
         if (!view) continue;  // members need not be adjacent in observed paths
         EXPECT_NE(*view, RelView::kCustomer)
             << "clique AS" << clique[j].value() << " inferred as customer of AS"
@@ -190,7 +192,7 @@ TEST(Properties, RecursiveConeDominatesObservedCones) {
   // recursive ⊇ BGP-observed, per AS, on the inferred graph with the real
   // (partial-visibility) corpus.
   for (const Sample& sample : samples()) {
-    const auto view = sample.result.graph.freeze();
+    const auto& view = sample.result.graph;
     const auto recursive = core::recursive_cone(view);
     const auto ppdc = core::provider_peer_observed_cone(view, sample.result.arena);
     const auto observed = core::bgp_observed_cone(view, sample.result.arena);
@@ -205,7 +207,7 @@ TEST(Properties, EveryConeRoundTripsThroughPpdc) {
   // Every writer's output is accepted by its reader: each cone definition,
   // written as a .ppdc-ases file, reads back as the same table.
   for (const Sample& sample : samples()) {
-    const auto view = sample.result.graph.freeze();
+    const auto& view = sample.result.graph;
     for (const auto& [name, cones] :
          {std::pair{"recursive", core::recursive_cone(view)},
           std::pair{"ppdc", core::provider_peer_observed_cone(view, sample.result.arena)},
@@ -263,7 +265,7 @@ TEST(Properties, InternerRoundTripsAndPreservesOrder) {
 TEST(Properties, FrozenViewMatchesGraphAdjacency) {
   using topology::NodeId;
   for (const Sample& sample : samples()) {
-    const AsGraph& graph = sample.result.graph;
+    const AsGraph& graph = sample.inferred;
     const auto view = graph.freeze(sample.result.clique);
 
     EXPECT_EQ(view.node_count(), graph.ases().size());

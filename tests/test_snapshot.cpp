@@ -455,6 +455,106 @@ TEST(SnapshotMmap, BothLoadersRejectMisalignedSection) {
   std::remove(path.c_str());
 }
 
+// ------------------------------------------------- semantic validation --
+
+/// One element of a section of slot 0 overwritten with `value`.
+struct ElementPatch {
+  SectionId section;
+  std::size_t index;
+  std::uint64_t value;
+};
+
+/// `bytes` with `patches` applied in place, and each section CRC and the
+/// header CRC fixed up, so only the per-link and per-cone-member checks of a
+/// full load can reject the image.
+std::vector<std::uint8_t> with_patches(std::vector<std::uint8_t> bytes,
+                                       std::initializer_list<ElementPatch> patches) {
+  const std::size_t count = get_le(bytes, kMagic.size() + 2, 2);
+  const std::size_t table_end = kHeaderPrefixSize + count * kSectionEntrySize;
+  for (const ElementPatch& patch : patches) {
+    const std::size_t width = patch.section == SectionId::kAdjRels ? 1
+                              : patch.section == SectionId::kAdjOffsets ||
+                                      patch.section == SectionId::kConeOffsets
+                                  ? 8
+                                  : 4;
+    for (std::size_t at = kHeaderPrefixSize; at < table_end; at += kSectionEntrySize) {
+      if (get_le(bytes, at, 4) != static_cast<std::uint32_t>(patch.section)) continue;
+      const std::size_t offset = get_le(bytes, at + 8, 8);
+      const std::size_t length = get_le(bytes, at + 16, 8);
+      put_le(bytes, offset + patch.index * width, width, patch.value);
+      put_le(bytes, at + 24, 4, util::crc32({bytes.data() + offset, length}));
+    }
+  }
+  put_le(bytes, table_end, 4, util::crc32({bytes.data(), table_end}));
+  return bytes;
+}
+
+/// The kCorrupt message a full (heap) load of `bytes` fails with.
+std::string full_load_error(const std::vector<std::uint8_t>& bytes) {
+  std::istringstream is(std::string(bytes.begin(), bytes.end()), std::ios::binary);
+  const auto loaded = try_read_snapshot(is);
+  if (loaded.ok()) return "accepted";
+  EXPECT_EQ(loaded.error().code, ErrorCode::kCorrupt);
+  return loaded.error().context;
+}
+
+// make_index()'s sections, by element index:
+//   adjacency rows  AS1 [2 3 5]  AS2 [1 3 6]  AS3 [1 2 4]  AS4 [3 5]  AS5 [1 4]
+//                   AS6 [2 7]    AS7 [6]      (flat indexes 0-2, 3-5, 6-8, ...)
+//   RelView codes   provider 0, customer 1, peer 2, sibling 3
+//   cone rows       AS1 [1 3 4 5]  AS2 [2 3 4 6]  AS3 [3 4]  AS4 [4]  AS5 [5] ...
+TEST(SnapshotValidation, CrcValidImagesWithOneDefectEachFailByName) {
+  using enum SectionId;
+  const auto pristine = serialized_bytes(make_index());
+  ASSERT_EQ(full_load_error(with_patches(pristine, {})), "accepted");
+
+  // AS1 calls AS2 a sibling; AS2 calls AS1 a peer.
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kAdjRels, 0, 3}})),
+            "asymmetric adjacency entry");
+  // AS1's neighbour AS5 becomes AS8, which is not in the AS table.
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kAdjNeighbors, 2, 8}})),
+            "asymmetric adjacency entry");
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kAdjRels, 4, 4}})),
+            "unknown relationship code in adjacency");
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kAdjNeighbors, 0, 1}})),
+            "self-link in adjacency");
+  // AS1's row [3 2 5], codes kept with their neighbours: every entry is
+  // symmetric, only the order is wrong.
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kAdjNeighbors, 0, 3},
+                                                    {kAdjNeighbors, 1, 2},
+                                                    {kAdjRels, 0, 1},
+                                                    {kAdjRels, 1, 2}})),
+            "adjacency row not strictly ascending");
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kConeMembers, 3, 99}})),
+            "cone member is not a known AS");
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kConeMembers, 1, 4},
+                                                    {kConeMembers, 2, 3}})),
+            "cone row not strictly ascending");
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kConeMembers, 10, 5}})),
+            "cone does not contain its own AS");
+}
+
+TEST(SnapshotValidation, FirstDefectInRowOrderIsTheOneReported) {
+  using enum SectionId;
+  const auto pristine = serialized_bytes(make_index());
+  // AS3's row [2 1 4] (both provider codes, so only the order changes).
+  const ElementPatch unsorted_as3[] = {{kAdjNeighbors, 6, 2}, {kAdjNeighbors, 7, 1}};
+
+  // An asymmetric entry in AS1's row comes before AS3's unsorted row.
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kAdjRels, 0, 3}, unsorted_as3[0],
+                                                    unsorted_as3[1]})),
+            "asymmetric adjacency entry");
+  // With AS3's row unsorted alone, AS1's entry for AS3 is looked up in that
+  // row before the row itself is checked, and the lookup misses.
+  EXPECT_EQ(full_load_error(with_patches(pristine, {unsorted_as3[0], unsorted_as3[1]})),
+            "asymmetric adjacency entry");
+  // ASes are checked in table order, each adjacency row before its cone
+  // row: AS1's unknown cone member comes before AS6's asymmetric entry.
+  EXPECT_EQ(full_load_error(with_patches(pristine, {{kAdjRels, 13, 2},
+                                                    {kConeMembers, 3, 99}})),
+            "cone member is not a known AS");
+}
+
 TEST(SnapshotMmap, MappedIndexSurvivesMoves) {
   // The registry moves indexes into shared_ptrs; the mapping (and the spans
   // into it) must follow the move.
