@@ -5,7 +5,6 @@
 #include <bit>
 #include <memory>
 #include <span>
-#include <stdexcept>
 
 #include "core/cones.h"
 
@@ -37,6 +36,8 @@ constexpr NodeId lo_of(std::uint64_t key) noexcept {
   return static_cast<NodeId>(key >> 32);
 }
 constexpr NodeId hi_of(std::uint64_t key) noexcept { return static_cast<NodeId>(key); }
+/// A repeated hop packed as a pair (a prepending run left uncompressed).
+constexpr bool is_self_pair(std::uint64_t key) noexcept { return lo_of(key) == hi_of(key); }
 
 /// Working state for one observed link during inference.
 struct LinkState {
@@ -834,16 +835,16 @@ void Pipeline::enforce_transit_free_clique() {
 
 void Pipeline::finalize_graph() {
   // The view's AS table is the link endpoints, compacted in arena id order
-  // so ASNs stay ascending.  A self-pair (prepending left uncompressed) is
-  // not a link.
+  // so ASNs stay ascending.  A self-pair (a prepending run a sanitizer left
+  // uncompressed) is not a link: it stays out of the view, the p2p fallback
+  // count and cycle repair, and an AS seen only in one keeps kNoNode.
   view_id_.assign(interner().size(), kNoNode);
-  for (const std::uint64_t key : link_keys_) {
-    if (lo_of(key) == hi_of(key)) {
-      throw std::invalid_argument("AsRankInference: self-link AS" +
-                                  interner().asn_of(lo_of(key)).str() +
-                                  " (prepending left uncompressed)");
-    }
+  std::size_t p2p_fallback = 0;
+  for (std::size_t i = 0; i < link_keys_.size(); ++i) {
+    const std::uint64_t key = link_keys_[i];
+    if (is_self_pair(key)) continue;
     view_id_[lo_of(key)] = view_id_[hi_of(key)] = 0;
+    p2p_fallback += link_state_[i].kind == LinkState::Kind::kUnknown;
   }
   std::vector<Asn> asns;
   for (NodeId id = 0; id < view_id_.size(); ++id) {
@@ -851,26 +852,26 @@ void Pipeline::finalize_graph() {
     view_id_[id] = static_cast<NodeId>(asns.size());
     asns.push_back(interner().asn_of(id));
   }
-  result_.audit.p2p_fallback = static_cast<std::size_t>(
-      std::count_if(link_state_.begin(), link_state_.end(), [](const LinkState& link) {
-        return link.kind == LinkState::Kind::kUnknown;
-      }));
+  result_.audit.p2p_fallback = p2p_fallback;
   view_interner_ = AsnInterner::from_sorted_unique(std::move(asns));
   result_.graph = link_table_view();
 }
 
 topology::TopologyView Pipeline::link_table_view() const {
   // The compaction is monotone, so the keys stay strictly ascending.
-  std::vector<std::uint64_t> keys(link_keys_.size());
-  std::vector<RelView> lo_views(link_keys_.size());
+  std::vector<std::uint64_t> keys;
+  std::vector<RelView> lo_views;
+  keys.reserve(link_keys_.size());
+  lo_views.reserve(link_keys_.size());
   for (std::size_t i = 0; i < link_keys_.size(); ++i) {
-    keys[i] = pack(view_id_[lo_of(link_keys_[i])], view_id_[hi_of(link_keys_[i])]);
+    if (is_self_pair(link_keys_[i])) continue;
+    keys.push_back(pack(view_id_[lo_of(link_keys_[i])], view_id_[hi_of(link_keys_[i])]));
     switch (link_state_[i].kind) {
-      case LinkState::Kind::kC2pLoProv: lo_views[i] = RelView::kCustomer; break;
-      case LinkState::Kind::kC2pHiProv: lo_views[i] = RelView::kProvider; break;
-      case LinkState::Kind::kS2S: lo_views[i] = RelView::kSibling; break;
+      case LinkState::Kind::kC2pLoProv: lo_views.push_back(RelView::kCustomer); break;
+      case LinkState::Kind::kC2pHiProv: lo_views.push_back(RelView::kProvider); break;
+      case LinkState::Kind::kS2S: lo_views.push_back(RelView::kSibling); break;
       case LinkState::Kind::kP2pFixed:
-      case LinkState::Kind::kUnknown: lo_views[i] = RelView::kPeer; break;
+      case LinkState::Kind::kUnknown: lo_views.push_back(RelView::kPeer); break;
     }
   }
   return topology::TopologyView::from_sorted_links(view_interner_, keys, lo_views);
@@ -887,6 +888,7 @@ void Pipeline::repair_cycles() {
       const NodeId lo = lo_of(link_keys_[i]), hi = hi_of(link_keys_[i]);
       const LinkState::Kind kind = link_state_[i].kind;
       if (kind != LinkState::Kind::kC2pLoProv && kind != LinkState::Kind::kC2pHiProv) continue;
+      if (is_self_pair(link_keys_[i])) continue;  // in no view row
       if (components.component[view_id_[lo]] != components.component[view_id_[hi]]) continue;
       // Ids ascend with ASN, so the ASN tie-break is the id one.
       const bool lo_higher = degrees.rank_of(lo) < degrees.rank_of(hi) ||

@@ -14,8 +14,10 @@
 // Query scoping: every scoped try_* method takes a trailing
 // `const QueryScope& scope = {}` — the explicit (epoch, algorithm) pair the
 // query is answered under; the default scope is the server's current epoch
-// and primary algorithm.  The client holds no scope state, and the surface
-// matches ClusterClient's, so one caller template drives either.
+// and primary algorithm.  The client holds no scope state.  Every method
+// sends one serve/wire_ops query value and decodes the answer with that
+// query's decoder; ClusterClient sends the same values, so one caller
+// template drives either.
 #pragma once
 
 #include <cstdint>
@@ -100,6 +102,10 @@ class Client {
 
  private:
   explicit Client(Transport transport) : transport_(std::move(transport)) {}
+
+  /// `query` framed under `scope`, exchanged, and its body decoded.
+  template <typename T>
+  Result<T> ask(wire::Query<T> query, const QueryScope& scope = {});
 
   Transport transport_;
 };

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <numeric>
 #include <thread>
 #include <tuple>
 #include <utility>
 
-#include "serve/protocol.h"
-#include "serve/wire_ops.h"
+#include "util/strings.h"
 
 namespace asrank::serve {
 
@@ -21,6 +21,25 @@ namespace {
 [[nodiscard]] bool is_connection_error(ErrorCode code) noexcept {
   return code == ErrorCode::kRefused || code == ErrorCode::kTimeout ||
          code == ErrorCode::kIo || code == ErrorCode::kShedding;
+}
+
+/// Per-endpoint label lists (nullopt = endpoint not heard from).
+using LabelLists = std::vector<std::optional<std::vector<std::string>>>;
+
+/// The labels of the first present list that every present list carries,
+/// in that list's order; nullopt when no list is present.
+std::optional<std::vector<std::string>> common_labels(const LabelLists& lists) {
+  const auto first = std::find_if(lists.begin(), lists.end(),
+                                  [](const auto& labels) { return labels.has_value(); });
+  if (first == lists.end()) return std::nullopt;
+  std::vector<std::string> out;
+  for (const auto& label : **first) {
+    const bool common = std::all_of(lists.begin(), lists.end(), [&](const auto& labels) {
+      return !labels || std::find(labels->begin(), labels->end(), label) != labels->end();
+    });
+    if (common) out.push_back(label);
+  }
+  return out;
 }
 
 }  // namespace
@@ -260,12 +279,12 @@ std::vector<std::optional<std::vector<std::string>>>
 ClusterClient::scatter_epochs() {
   std::vector<std::size_t> all(map_.endpoints().size());
   std::iota(all.begin(), all.end(), 0);
-  std::vector<std::optional<std::vector<std::string>>> out(all.size());
-  const auto frame = wire::request(Op::kEpochs).take();
+  LabelLists out(all.size());
+  const auto query = wire::epochs();
   fan_out(all, [&](std::size_t pos, std::size_t index) {
-    auto body = exchange_on(index, frame);
+    auto body = exchange_on(index, query.payload);
     if (!body.ok()) return;
-    auto labels = wire::decode_labels(body.value());
+    auto labels = query.decode(body.value());
     if (labels.ok()) out[pos] = std::move(labels).value();
   });
   return out;
@@ -278,47 +297,28 @@ Result<std::string> ClusterClient::resolve_epoch() {
   }
   epoch_resolves_total_->inc();
   const auto per_endpoint = scatter_epochs();
-  const std::vector<std::string>* reference = nullptr;
-  std::size_t reachable = 0;
-  for (const auto& labels : per_endpoint) {
-    if (!labels) continue;
-    ++reachable;
-    if (reference == nullptr) reference = &*labels;
-  }
-  if (reachable == 0) {
+  const auto common = common_labels(per_endpoint);
+  if (!common) {
     unavailable_total_->inc();
     return make_error(ErrorCode::kUnavailable,
                       "no cluster endpoint reachable to resolve an epoch");
   }
   // The cluster-wide epoch is the first label (newest; EPOCHS lists current
   // first) resident on every reachable endpoint.
-  for (const auto& label : *reference) {
-    const bool common = std::all_of(
-        per_endpoint.begin(), per_endpoint.end(), [&](const auto& labels) {
-          return !labels || std::find(labels->begin(), labels->end(), label) !=
-                                labels->end();
-        });
-    if (common) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      resolved_epoch_ = label;
-      return label;
-    }
+  if (!common->empty()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    resolved_epoch_ = common->front();
+    return common->front();
   }
   epoch_skew_total_->inc();
   std::string detail;
   for (std::size_t i = 0; i < per_endpoint.size(); ++i) {
     if (!per_endpoint[i]) continue;
     if (!detail.empty()) detail += "; ";
-    detail += map_.endpoints()[i].label() + "=[";
-    for (std::size_t j = 0; j < per_endpoint[i]->size(); ++j) {
-      if (j != 0) detail += ",";
-      detail += (*per_endpoint[i])[j];
-    }
-    detail += "]";
+    detail += map_.endpoints()[i].label() + "=[" + util::join(*per_endpoint[i], ",") + "]";
   }
   return make_error(ErrorCode::kEpochSkew,
-                    "no epoch resident on every reachable endpoint (" + detail +
-                        ")");
+                    "no epoch resident on every reachable endpoint (" + detail + ")");
 }
 
 void ClusterClient::invalidate_epoch() {
@@ -329,7 +329,7 @@ void ClusterClient::invalidate_epoch() {
 Result<std::string> ClusterClient::try_resolved_epoch() { return resolve_epoch(); }
 
 template <typename Fn>
-auto ClusterClient::pinned(const QueryScope& scope, std::string_view op, Fn&& body)
+auto ClusterClient::pinned(const QueryScope& scope, Op op, Fn&& body)
     -> decltype(body(scope)) {
   using R = decltype(body(scope));
   const auto start = std::chrono::steady_clock::now();
@@ -340,7 +340,7 @@ auto ClusterClient::pinned(const QueryScope& scope, std::string_view op, Fn&& bo
             .count()));
     metrics_
         ->counter("asrank_cluster_requests_total", "Cluster queries dispatched",
-                  {{"op", std::string(op)}})
+                  {{"op", std::string(wire::op_name(op))}})
         .inc();
     if (!result.ok()) {
       metrics_
@@ -378,151 +378,95 @@ auto ClusterClient::pinned(const QueryScope& scope, std::string_view op, Fn&& bo
           "' not uniformly resident after re-resolve: " + second.error().context)));
 }
 
+template <typename T>
+Result<T> ClusterClient::fetch(const wire::Query<T>& query, const QueryScope& scope,
+                               std::optional<Asn> route) {
+  const auto frame = wire::frame(query, scope);
+  ASRANK_TRY(body, route ? routed(*route, frame) : single(frame));
+  return query.decode(body);
+}
+
+template <typename T>
+Result<T> ClusterClient::ask(const wire::Query<T>& query, const QueryScope& scope,
+                             std::optional<Asn> route) {
+  return pinned(scope, query.op,
+                [&](const QueryScope& s) { return fetch(query, s, route); });
+}
+
+template <typename T>
+Result<std::vector<T>> ClusterClient::scatter_cover(const wire::Query<T>& query,
+                                                    const QueryScope& scope) {
+  ASRANK_TRY(cover, cover_endpoints());
+  const auto frame = wire::frame(query, scope);
+  std::vector<std::optional<Result<T>>> answers(cover.size());
+  fan_out(cover, [&](std::size_t pos, std::size_t index) {
+    auto body = exchange_on(index, frame);
+    answers[pos] = body.ok() ? query.decode(body.value()) : Result<T>(body.take_error());
+  });
+  std::vector<T> parts;
+  for (auto& answer : answers) {
+    if (answer->ok()) {
+      parts.push_back(std::move(*answer).value());
+      continue;
+    }
+    if (!is_connection_error(answer->error().code)) return answer->take_error();
+    unavailable_total_->inc();
+    std::string op(wire::op_name(query.op));
+    for (char& c : op) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    return make_error(ErrorCode::kUnavailable,
+                      op + " scatter lost a cover endpoint: " + answer->error().message());
+  }
+  return parts;
+}
+
 // --------------------------------------------------------- query surface --
 
-Result<std::optional<RelView>> ClusterClient::try_relationship(
-    Asn a, Asn b, const QueryScope& scope) {
-  return pinned(scope, "rel",
-                [&](const QueryScope& s) -> Result<std::optional<RelView>> {
-                  auto req = wire::request(Op::kRelationship);
-                  req.u32(a.value());
-                  req.u32(b.value());
-                  ASRANK_TRY(body, routed(a, wire::apply_scope(s, req.take())));
-                  WireReader reader(body);
-                  ASRANK_TRY(code, reader.u8());
-                  return wire::decode_rel_opt(code);
-                });
+Result<std::optional<RelView>> ClusterClient::try_relationship(Asn a, Asn b,
+                                                               const QueryScope& scope) {
+  return ask(wire::relationship(a, b), scope, a);
 }
 
-Result<std::optional<std::uint32_t>> ClusterClient::try_rank(
-    Asn as, const QueryScope& scope) {
+Result<std::optional<std::uint32_t>> ClusterClient::try_rank(Asn as,
+                                                             const QueryScope& scope) {
+  return ask(wire::rank(as), scope, as);
+}
+
+Result<std::uint64_t> ClusterClient::try_cone_size(Asn as, const QueryScope& scope) {
+  return ask(wire::cone_size(as), scope, as);
+}
+
+Result<std::vector<Asn>> ClusterClient::try_cone(Asn as, const QueryScope& scope) {
+  return ask(wire::cone(as), scope, as);
+}
+
+Result<bool> ClusterClient::try_in_cone(Asn as, Asn member, const QueryScope& scope) {
+  return ask(wire::in_cone(as, member), scope, as);
+}
+
+Result<std::vector<Asn>> ClusterClient::try_providers(Asn as, const QueryScope& scope) {
+  return ask(wire::providers(as), scope, as);
+}
+
+Result<std::vector<Asn>> ClusterClient::try_customers(Asn as, const QueryScope& scope) {
+  return ask(wire::customers(as), scope, as);
+}
+
+Result<std::vector<Asn>> ClusterClient::try_peers(Asn as, const QueryScope& scope) {
+  return ask(wire::peers(as), scope, as);
+}
+
+Result<std::vector<Asn>> ClusterClient::try_path_to_clique(Asn as,
+                                                           const QueryScope& scope) {
+  return ask(wire::path_to_clique(as), scope, as);
+}
+
+Result<std::vector<snapshot::TopEntry>> ClusterClient::try_top(std::uint32_t n,
+                                                               const QueryScope& scope) {
+  const auto query = wire::top(n);
   return pinned(
-      scope, "rank",
-      [&](const QueryScope& s) -> Result<std::optional<std::uint32_t>> {
-        auto req = wire::request(Op::kRank);
-        req.u32(as.value());
-        ASRANK_TRY(body, routed(as, wire::apply_scope(s, req.take())));
-        WireReader reader(body);
-        ASRANK_TRY(rank, reader.u32());
-        if (rank == 0) return std::optional<std::uint32_t>{};
-        return std::optional<std::uint32_t>{rank};
-      });
-}
-
-Result<std::uint64_t> ClusterClient::try_cone_size(Asn as,
-                                                   const QueryScope& scope) {
-  return pinned(scope, "conesize",
-                [&](const QueryScope& s) -> Result<std::uint64_t> {
-                  auto req = wire::request(Op::kConeSize);
-                  req.u32(as.value());
-                  ASRANK_TRY(body, routed(as, wire::apply_scope(s, req.take())));
-                  WireReader reader(body);
-                  return reader.u64();
-                });
-}
-
-Result<std::vector<Asn>> ClusterClient::try_cone(Asn as,
-                                                 const QueryScope& scope) {
-  return pinned(scope, "cone",
-                [&](const QueryScope& s) -> Result<std::vector<Asn>> {
-                  auto req = wire::request(Op::kCone);
-                  req.u32(as.value());
-                  ASRANK_TRY(body, routed(as, wire::apply_scope(s, req.take())));
-                  return wire::decode_asn_list(body);
-                });
-}
-
-Result<bool> ClusterClient::try_in_cone(Asn as, Asn member,
-                                        const QueryScope& scope) {
-  return pinned(scope, "incone", [&](const QueryScope& s) -> Result<bool> {
-    auto req = wire::request(Op::kInCone);
-    req.u32(as.value());
-    req.u32(member.value());
-    ASRANK_TRY(body, routed(as, wire::apply_scope(s, req.take())));
-    WireReader reader(body);
-    ASRANK_TRY(flag, reader.u8());
-    return flag != 0;
-  });
-}
-
-Result<std::vector<Asn>> ClusterClient::try_providers(Asn as,
-                                                      const QueryScope& scope) {
-  return pinned(scope, "providers",
-                [&](const QueryScope& s) -> Result<std::vector<Asn>> {
-                  auto req = wire::request(Op::kProviders);
-                  req.u32(as.value());
-                  ASRANK_TRY(body, routed(as, wire::apply_scope(s, req.take())));
-                  return wire::decode_asn_list(body);
-                });
-}
-
-Result<std::vector<Asn>> ClusterClient::try_customers(Asn as,
-                                                      const QueryScope& scope) {
-  return pinned(scope, "customers",
-                [&](const QueryScope& s) -> Result<std::vector<Asn>> {
-                  auto req = wire::request(Op::kCustomers);
-                  req.u32(as.value());
-                  ASRANK_TRY(body, routed(as, wire::apply_scope(s, req.take())));
-                  return wire::decode_asn_list(body);
-                });
-}
-
-Result<std::vector<Asn>> ClusterClient::try_peers(Asn as,
-                                                  const QueryScope& scope) {
-  return pinned(scope, "peers",
-                [&](const QueryScope& s) -> Result<std::vector<Asn>> {
-                  auto req = wire::request(Op::kPeers);
-                  req.u32(as.value());
-                  ASRANK_TRY(body, routed(as, wire::apply_scope(s, req.take())));
-                  return wire::decode_asn_list(body);
-                });
-}
-
-Result<std::vector<Asn>> ClusterClient::try_path_to_clique(
-    Asn as, const QueryScope& scope) {
-  return pinned(scope, "cliquepath",
-                [&](const QueryScope& s) -> Result<std::vector<Asn>> {
-                  auto req = wire::request(Op::kPathToClique);
-                  req.u32(as.value());
-                  ASRANK_TRY(body, routed(as, wire::apply_scope(s, req.take())));
-                  return wire::decode_asn_list(body);
-                });
-}
-
-Result<std::vector<snapshot::TopEntry>> ClusterClient::try_top(
-    std::uint32_t n, const QueryScope& scope) {
-  return pinned(
-      scope, "top",
+      scope, query.op,
       [&](const QueryScope& s) -> Result<std::vector<snapshot::TopEntry>> {
-        ASRANK_TRY(cover, cover_endpoints());
-        auto req = wire::request(Op::kTop);
-        req.u32(n);
-        const auto frame = wire::apply_scope(s, req.take());
-        std::vector<std::vector<snapshot::TopEntry>> parts(cover.size());
-        std::vector<std::optional<Error>> errors(cover.size());
-        fan_out(cover, [&](std::size_t pos, std::size_t index) {
-          auto body = exchange_on(index, frame);
-          if (!body.ok()) {
-            errors[pos] = body.take_error();
-            return;
-          }
-          auto top = wire::decode_top(body.value());
-          if (!top.ok()) {
-            errors[pos] = top.take_error();
-            return;
-          }
-          parts[pos] = std::move(top).value();
-        });
-        for (auto& error : errors) {
-          if (!error) continue;
-          if (is_connection_error(error->code)) {
-            unavailable_total_->inc();
-            return make_error(ErrorCode::kUnavailable,
-                              "TOP scatter lost a cover endpoint: " +
-                                  error->message());
-          }
-          return *std::move(error);
-        }
+        ASRANK_TRY(parts, scatter_cover(query, s));
         // K-way merge by global rank; replicas of the same slot return
         // identical rows, so exact duplicates collapse.
         std::vector<snapshot::TopEntry> merged;
@@ -544,173 +488,78 @@ Result<std::vector<snapshot::TopEntry>> ClusterClient::try_top(
       });
 }
 
-Result<std::vector<Asn>> ClusterClient::try_cone_intersection(
-    Asn a, Asn b, const QueryScope& scope) {
+Result<std::vector<Asn>> ClusterClient::try_cone_intersection(Asn a, Asn b,
+                                                              const QueryScope& scope) {
+  // Same shard: the server computes the intersection.
+  if (map_.slot_of(a) == map_.slot_of(b)) return ask(wire::cone_intersection(a, b), scope, a);
   return pinned(
-      scope, "intersect",
+      scope, Op::kConeIntersect,
       [&](const QueryScope& s) -> Result<std::vector<Asn>> {
-        if (map_.slot_of(a) == map_.slot_of(b)) {
-          // Same shard: the server computes the intersection.
-          auto req = wire::request(Op::kConeIntersect);
-          req.u32(a.value());
-          req.u32(b.value());
-          ASRANK_TRY(body, routed(a, wire::apply_scope(s, req.take())));
-          return wire::decode_asn_list(body);
-        }
         // Cross-shard: fetch both cones from their own shards concurrently
         // (both pinned to the same epoch by `s`) and intersect client-side.
         const Asn operands[2] = {a, b};
-        std::vector<Asn> cones[2];
-        std::optional<Error> errors[2];
+        std::optional<Result<std::vector<Asn>>> cones[2];
         fan_out({0, 1}, [&](std::size_t pos, std::size_t which) {
-          auto req = wire::request(Op::kCone);
-          req.u32(operands[which].value());
-          auto body = routed(operands[which], wire::apply_scope(s, req.take()));
-          if (!body.ok()) {
-            errors[pos] = body.take_error();
-            return;
-          }
-          auto cone = wire::decode_asn_list(body.value());
-          if (!cone.ok()) {
-            errors[pos] = cone.take_error();
-            return;
-          }
-          cones[pos] = std::move(cone).value();
+          cones[pos] = fetch(wire::cone(operands[which]), s, operands[which]);
         });
-        for (auto& error : errors) {
-          if (error) return *std::move(error);
+        for (auto& cone : cones) {
+          if (!cone->ok()) return cone->take_error();
         }
         // Cones arrive ascending (wire contract); intersect in order so the
         // answer is byte-identical to the server-side CONE_INTERSECT.
+        const auto& first = cones[0]->value();
+        const auto& second = cones[1]->value();
         std::vector<Asn> out;
-        std::set_intersection(cones[0].begin(), cones[0].end(), cones[1].begin(),
-                              cones[1].end(), std::back_inserter(out));
+        std::set_intersection(first.begin(), first.end(), second.begin(), second.end(),
+                              std::back_inserter(out));
         return out;
       });
 }
 
 Result<std::vector<Asn>> ClusterClient::try_clique(const QueryScope& scope) {
-  return pinned(scope, "clique",
-                [&](const QueryScope& s) -> Result<std::vector<Asn>> {
-                  ASRANK_TRY(body, single(wire::apply_scope(
-                                       s, wire::request(Op::kClique).take())));
-                  return wire::decode_asn_list(body);
-                });
+  return ask(wire::clique(), scope, std::nullopt);
 }
 
 Result<std::string> ClusterClient::try_stats_text(const QueryScope& scope) {
-  return pinned(scope, "stats", [&](const QueryScope& s) -> Result<std::string> {
-    ASRANK_TRY(body,
-               single(wire::apply_scope(s, wire::request(Op::kStats).take())));
-    WireReader reader(body);
-    return reader.rest_as_text();
-  });
+  return ask(wire::stats(), scope, std::nullopt);
 }
 
 Result<std::vector<std::string>> ClusterClient::try_epochs() {
-  const auto per_endpoint = scatter_epochs();
-  const std::vector<std::string>* reference = nullptr;
-  for (const auto& labels : per_endpoint) {
-    if (labels) {
-      reference = &*labels;
-      break;
-    }
-  }
-  if (reference == nullptr) {
+  // Labels every reachable endpoint carries, in the first reachable
+  // endpoint's order — the cluster can only answer from common vintages.
+  auto common = common_labels(scatter_epochs());
+  if (!common) {
     unavailable_total_->inc();
     return make_error(ErrorCode::kUnavailable, "no cluster endpoint reachable");
   }
-  // Labels every reachable endpoint carries, in the first reachable
-  // endpoint's order — the cluster can only answer from common vintages.
-  std::vector<std::string> out;
-  for (const auto& label : *reference) {
-    const bool common = std::all_of(
-        per_endpoint.begin(), per_endpoint.end(), [&](const auto& labels) {
-          return !labels || std::find(labels->begin(), labels->end(), label) !=
-                                labels->end();
-        });
-    if (common) out.push_back(label);
-  }
-  return out;
+  return *std::move(common);
 }
 
-Result<std::vector<std::string>> ClusterClient::try_algos(
-    const QueryScope& scope) {
-  return pinned(
-      scope, "algos",
-      [&](const QueryScope& s) -> Result<std::vector<std::string>> {
-        ASRANK_TRY(cover, cover_endpoints());
-        const auto frame =
-            wire::apply_epoch(s.epoch, wire::request(Op::kAlgos).take());
-        std::vector<std::optional<std::vector<std::string>>> parts(cover.size());
-        std::vector<std::optional<Error>> errors(cover.size());
-        fan_out(cover, [&](std::size_t pos, std::size_t index) {
-          auto body = exchange_on(index, frame);
-          if (!body.ok()) {
-            errors[pos] = body.take_error();
-            return;
-          }
-          auto names = wire::decode_labels(body.value());
-          if (!names.ok()) {
-            errors[pos] = names.take_error();
-            return;
-          }
-          parts[pos] = std::move(names).value();
-        });
-        for (auto& error : errors) {
-          if (!error) continue;
-          if (is_connection_error(error->code)) {
-            unavailable_total_->inc();
-            return make_error(ErrorCode::kUnavailable,
-                              "ALGOS scatter lost a cover endpoint: " +
-                                  error->message());
-          }
-          return *std::move(error);
-        }
-        std::vector<std::string> out;
-        for (const auto& name : **parts.begin()) {
-          const bool common = std::all_of(
-              parts.begin(), parts.end(), [&](const auto& names) {
-                return std::find(names->begin(), names->end(), name) !=
-                       names->end();
-              });
-          if (common) out.push_back(name);
-        }
-        return out;
-      });
+Result<std::vector<std::string>> ClusterClient::try_algos(const QueryScope& scope) {
+  const auto query = wire::algos();
+  return pinned(scope, query.op,
+                [&](const QueryScope& s) -> Result<std::vector<std::string>> {
+                  ASRANK_TRY(parts, scatter_cover(query, s));
+                  LabelLists lists(std::make_move_iterator(parts.begin()),
+                                   std::make_move_iterator(parts.end()));
+                  return common_labels(lists).value_or(std::vector<std::string>{});
+                });
 }
 
 Result<DisagreeReport> ClusterClient::try_disagree(std::string_view algo_a,
                                                    std::string_view algo_b,
                                                    std::uint32_t limit,
                                                    const QueryScope& scope) {
-  return pinned(scope, "disagree",
-                [&](const QueryScope& s) -> Result<DisagreeReport> {
-                  auto req = wire::request(Op::kDisagree);
-                  req.str16(algo_a);
-                  req.str16(algo_b);
-                  req.u32(limit);
-                  ASRANK_TRY(body, single(wire::apply_epoch(s.epoch, req.take())));
-                  return wire::decode_disagree(body);
-                });
+  return ask(wire::disagree(algo_a, algo_b, limit), scope, std::nullopt);
 }
 
 Result<ConeDiff> ClusterClient::try_cone_diff(Asn as, std::string_view epoch_a,
                                               std::string_view epoch_b) {
   // Both epochs are explicit, so no pinning; route by the subject AS.
-  auto req = wire::request(Op::kConeDiff);
-  req.u32(as.value());
-  req.str16(epoch_a);
-  req.str16(epoch_b);
-  ASRANK_TRY(body, routed(as, req.take()));
-  return wire::decode_cone_diff(body);
+  return fetch(wire::cone_diff(as, epoch_a, epoch_b), {}, as);
 }
 
-Result<void> ClusterClient::try_ping() {
-  ASRANK_TRY(body, single(wire::request(Op::kPing).take()));
-  (void)body;
-  return {};
-}
+Result<void> ClusterClient::try_ping() { return fetch(wire::ping(), {}, std::nullopt); }
 
 // ----------------------------------------------------------------- status --
 
@@ -718,14 +567,14 @@ std::vector<EndpointStatus> ClusterClient::probe_endpoints() {
   std::vector<std::size_t> all(map_.endpoints().size());
   std::iota(all.begin(), all.end(), 0);
   std::vector<EndpointStatus> out(all.size());
-  const auto frame = wire::request(Op::kEpochs).take();
+  const auto query = wire::epochs();
   fan_out(all, [&](std::size_t pos, std::size_t index) {
     auto& status = out[pos];
     status.endpoint = map_.endpoints()[index].label();
-    auto body = exchange_on(index, frame);
+    auto body = exchange_on(index, query.payload);
     if (body.ok()) {
       status.reachable = true;
-      auto labels = wire::decode_labels(body.value());
+      auto labels = query.decode(body.value());
       if (labels.ok() && !labels.value().empty()) {
         status.current_epoch = labels.value().front();
       }

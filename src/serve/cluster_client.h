@@ -26,8 +26,10 @@
 //     machinery (kUnknownEpoch propagates raw).
 //
 // ClusterClient speaks only the scoped query surface (QueryScope per call);
-// there is no mutable algorithm/epoch state.  Like serve::Client it is not
-// thread-safe: one instance per caller thread.
+// there is no mutable algorithm/epoch state.  Every method sends the same
+// serve/wire_ops query value serve::Client sends (routed, single-endpoint,
+// or scattered over the cover) and decodes it with that query's decoder.
+// Like serve::Client it is not thread-safe: one instance per caller thread.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,7 @@
 #include "serve/cluster_map.h"
 #include "serve/query_scope.h"
 #include "serve/transport.h"
+#include "serve/wire_ops.h"
 #include "snapshot/snapshot.h"
 #include "topology/relationship.h"
 #include "util/result.h"
@@ -202,11 +205,25 @@ class ClusterClient {
   scatter_epochs();
 
   /// Run `body` under an epoch-pinned scope with the one bounded re-resolve
-  /// retry on kUnknownEpoch (the skew signal).  Defined in the .cpp — all
+  /// retry on kUnknownEpoch (the skew signal), counted under op's name.
+  /// This and the templates below are defined in the .cpp: all
   /// instantiations are local to it.
   template <typename Fn>
-  auto pinned(const QueryScope& scope, std::string_view op, Fn&& body)
-      -> decltype(body(scope));
+  auto pinned(const QueryScope& scope, Op op, Fn&& body) -> decltype(body(scope));
+  /// `query` framed under `scope`, sent to `route`'s slot (any endpoint when
+  /// nullopt), and its body decoded.
+  template <typename T>
+  Result<T> fetch(const wire::Query<T>& query, const QueryScope& scope,
+                  std::optional<Asn> route);
+  /// fetch() under pinned(): one routed or single-endpoint query.
+  template <typename T>
+  Result<T> ask(const wire::Query<T>& query, const QueryScope& scope,
+                std::optional<Asn> route);
+  /// `query` on every endpoint of the minimal healthy cover, decoded, in
+  /// cover order; a lost cover endpoint is kUnavailable.
+  template <typename T>
+  Result<std::vector<T>> scatter_cover(const wire::Query<T>& query,
+                                       const QueryScope& scope);
 
   ClusterMap map_;
   ClusterClientConfig config_;

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 
 #include "obs/log.h"
@@ -312,25 +313,108 @@ constexpr std::string_view kHelpText =
     "EPOCHS ALGOS CONEDIFF DISAGREE RELOAD HELP QUIT (prefix "
     "@<epoch> and/or @<algorithm> scopes a command)";
 
+std::string_view rel_text(const std::optional<RelView>& rel) {
+  return rel ? to_string(*rel) : std::string_view("none");
+}
+
+void append_asns(std::string& out, const std::vector<Asn>& list, std::string_view lead) {
+  for (const Asn as : list) {
+    out += lead;
+    out += std::to_string(as.value());
+  }
+}
+
+// The text of each decoded response, appended to its line's "OK".
+
+void append_text(std::string& out, const std::optional<RelView>& rel) {
+  out += ' ';
+  out += rel_text(rel);
+}
+void append_text(std::string& out, const std::optional<std::uint32_t>& rank) {
+  out += ' ' + std::to_string(rank.value_or(0));  // 0 = unranked, as on the wire
+}
+void append_text(std::string& out, std::uint64_t cone_size) {
+  out += ' ' + std::to_string(cone_size);
+}
+void append_text(std::string& out, bool member) { out += member ? " yes" : " no"; }
+void append_text(std::string& out, const std::vector<Asn>& list) {
+  if (list.empty()) out += ' ';  // an empty list still renders as "OK "
+  append_asns(out, list, " ");
+}
+void append_text(std::string& out, const std::vector<snapshot::TopEntry>& entries) {
+  for (const auto& entry : entries) {
+    out += ' ' + std::to_string(entry.rank) + ':' + std::to_string(entry.as.value()) + ':' +
+           std::to_string(entry.cone_size) + ':' + std::to_string(entry.transit_degree);
+  }
+}
+void append_text(std::string& out, const std::string& text) {  // STATS, METRICS
+  out += '\n' + text + '.';
+}
+void append_text(std::string& out, const std::vector<std::string>& labels) {
+  for (const auto& label : labels) out += ' ' + label;
+}
+void append_text(std::string& out, const DisagreeReport& report) {
+  out += ' ' + std::to_string(report.total);
+  for (const auto& row : report.rows) {
+    out += ' ' + std::to_string(row.a.value()) + ':' + std::to_string(row.b.value()) + ':' +
+           std::string(rel_text(row.first)) + ':' + std::string(rel_text(row.second));
+  }
+}
+void append_text(std::string& out, const ConeDiff& diff) {
+  append_asns(out, diff.added, " +");
+  append_asns(out, diff.removed, " -");
+}
+void append_text(std::string& out, const ReloadInfo& info) {
+  out += ' ' + info.label + ' ' + std::to_string(info.ases);
+}
+
+/// A text command as the binary request a Client sends for it, and the
+/// rendering of its OK body, read by the query's own decoder.
+struct TextRequest {
+  std::vector<std::uint8_t> payload;
+  std::function<Result<std::string>(std::span<const std::uint8_t>)> render;
+};
+
+template <typename T>
+TextRequest text_request(wire::Query<T> query, const QueryScope& scope) {
+  return {wire::frame(query.op, std::move(query.payload), scope),
+          [decode = query.decode](std::span<const std::uint8_t> body) -> Result<std::string> {
+            ASRANK_TRY(value, decode(body));
+            std::string out = "OK";
+            append_text(out, value);
+            return out;
+          }};
+}
+
+template <auto Make>
+TextRequest unary(const Asn* operands, const QueryScope& scope) {
+  return text_request(Make(operands[0]), scope);
+}
+
+template <auto Make>
+TextRequest binary(const Asn* operands, const QueryScope& scope) {
+  return text_request(Make(operands[0], operands[1]), scope);
+}
+
 /// Engine commands whose operands are all ASNs.
 struct AsnCommand {
   std::string_view name;
-  Op op;
   std::size_t arity;
   std::string_view usage;
+  TextRequest (*encode)(const Asn* operands, const QueryScope& scope);
 };
 
 constexpr AsnCommand kAsnCommands[] = {
-    {"rel", Op::kRelationship, 2, "REL <asn> <asn>"},
-    {"rank", Op::kRank, 1, "RANK <asn>"},
-    {"conesize", Op::kConeSize, 1, "CONESIZE <asn>"},
-    {"cone", Op::kCone, 1, "CONE <asn>"},
-    {"incone", Op::kInCone, 2, "INCONE <asn> <member>"},
-    {"providers", Op::kProviders, 1, "providers <asn>"},
-    {"customers", Op::kCustomers, 1, "customers <asn>"},
-    {"peers", Op::kPeers, 1, "peers <asn>"},
-    {"intersect", Op::kConeIntersect, 2, "INTERSECT <asn> <asn>"},
-    {"cliquepath", Op::kPathToClique, 1, "CLIQUEPATH <asn>"},
+    {"rel", 2, "REL <asn> <asn>", binary<wire::relationship>},
+    {"rank", 1, "RANK <asn>", unary<wire::rank>},
+    {"conesize", 1, "CONESIZE <asn>", unary<wire::cone_size>},
+    {"cone", 1, "CONE <asn>", unary<wire::cone>},
+    {"incone", 2, "INCONE <asn> <member>", binary<wire::in_cone>},
+    {"providers", 1, "providers <asn>", unary<wire::providers>},
+    {"customers", 1, "customers <asn>", unary<wire::customers>},
+    {"peers", 1, "peers <asn>", unary<wire::peers>},
+    {"intersect", 2, "INTERSECT <asn> <asn>", binary<wire::cone_intersection>},
+    {"cliquepath", 1, "CLIQUEPATH <asn>", unary<wire::path_to_clique>},
 };
 
 Error usage(std::string_view text) {
@@ -379,172 +463,61 @@ Result<QueryScope> take_selectors(const SnapshotRegistry::ReadView& view,
   return scope;
 }
 
-/// A text command as the binary request a Client sends for it.
-struct TextRequest {
-  Op op;  ///< the command's opcode, inside any scope wrapper
-  std::vector<std::uint8_t> payload;
-};
-
-/// Encode `tokens` (command first, selectors stripped).  Engine ops carry
-/// the whole scope, ALGOS/DISAGREE its epoch only, and EPOCHS/CONEDIFF/
-/// RELOAD none of it.
+/// Encode `tokens` (command first, selectors stripped) as its op's
+/// wire::Query, framed under `scope` by the op's scope class.
 Result<TextRequest> encode_command(const SnapshotRegistry::ReadView& view,
                                    const std::string& cmd,
                                    const std::vector<std::string_view>& tokens,
                                    const QueryScope& scope, bool local_peer) {
-  if (cmd == "epochs") return TextRequest{Op::kEpochs, wire::request(Op::kEpochs).take()};
-  if (cmd == "algos" || cmd == "algorithms") {
-    return TextRequest{Op::kAlgos,
-                       wire::apply_epoch(scope.epoch, wire::request(Op::kAlgos).take())};
-  }
+  if (cmd == "epochs") return text_request(wire::epochs(), scope);
+  if (cmd == "algos" || cmd == "algorithms") return text_request(wire::algos(), scope);
   if (cmd == "disagree") {
     std::optional<std::uint32_t> limit = 0;
     if (tokens.size() == 4) limit = util::parse_unsigned<std::uint32_t>(tokens[3]);
     if ((tokens.size() != 3 && tokens.size() != 4) || !limit) {
       return usage("DISAGREE <algoA> <algoB> [limit]");
     }
-    auto req = wire::request(Op::kDisagree);
-    req.str16(tokens[1]);
-    req.str16(tokens[2]);
-    req.u32(*limit);
-    return TextRequest{Op::kDisagree, wire::apply_epoch(scope.epoch, req.take())};
+    return text_request(wire::disagree(tokens[1], tokens[2], *limit), scope);
   }
   if (cmd == "conediff") {
     const auto as = tokens.size() == 4 ? Asn::parse(tokens[1]) : std::nullopt;
     if (!as) return usage("CONEDIFF <asn> <epochA> <epochB>");
-    auto req = wire::request(Op::kConeDiff);
-    req.u32(as->value());
-    req.str16(tokens[2]);
-    req.str16(tokens[3]);
-    return TextRequest{Op::kConeDiff, req.take()};
+    return text_request(wire::cone_diff(*as, tokens[2], tokens[3]), scope);
   }
   if (cmd == "reload") {
     // A remote peer is denied by the dispatcher before its operands count.
     if (local_peer && tokens.size() != 2 && tokens.size() != 3) {
       return usage("RELOAD <path> [epoch]");
     }
-    auto req = wire::request(Op::kReload);
-    req.str16(tokens.size() > 1 ? tokens[1] : std::string_view{});
-    req.str16(tokens.size() > 2 ? tokens[2] : std::string_view{});
-    return TextRequest{Op::kReload, req.take()};
+    return text_request(wire::reload(tokens.size() > 1 ? tokens[1] : std::string_view{},
+                                     tokens.size() > 2 ? tokens[2] : std::string_view{}),
+                        scope);
   }
 
   // Engine commands: a missing snapshot is reported before their operands.
   if (auto current = require_current(view); !current.ok()) return current.take_error();
-  const auto engine_request = [&scope](Op op, WireWriter req) {
-    return TextRequest{op, wire::apply_scope(scope, req.take())};
-  };
   if (cmd == "top") {
     const auto n = tokens.size() == 2 ? util::parse_unsigned<std::uint32_t>(tokens[1])
                                       : std::nullopt;
     if (!n) return usage("TOP <n>");
-    auto req = wire::request(Op::kTop);
-    req.u32(*n);
-    return engine_request(Op::kTop, std::move(req));
+    return text_request(wire::top(*n), scope);
   }
-  if (cmd == "clique") return engine_request(Op::kClique, wire::request(Op::kClique));
-  if (cmd == "stats") return engine_request(Op::kStats, wire::request(Op::kStats));
-  if (cmd == "metrics") return engine_request(Op::kMetrics, wire::request(Op::kMetrics));
+  if (cmd == "clique") return text_request(wire::clique(), scope);
+  if (cmd == "stats") return text_request(wire::stats(), scope);
+  if (cmd == "metrics") return text_request(wire::metrics(), scope);
   for (const auto& command : kAsnCommands) {
     if (cmd != command.name) continue;
     if (tokens.size() != command.arity + 1) return usage(command.usage);
-    auto req = wire::request(command.op);
-    for (std::size_t i = 1; i <= command.arity; ++i) {
-      const auto as = Asn::parse(tokens[i]);
+    Asn operands[2];
+    for (std::size_t i = 0; i < command.arity; ++i) {
+      const auto as = Asn::parse(tokens[i + 1]);
       if (!as) return usage(command.usage);
-      req.u32(as->value());
+      operands[i] = *as;
     }
-    return engine_request(command.op, std::move(req));
+    return command.encode(operands, scope);
   }
   return make_error(ErrorCode::kInvalidArgument,
                     "unknown command '" + std::string(tokens[0]) + "' (try HELP)");
-}
-
-void append_asns(std::string& out, const std::vector<Asn>& list, std::string_view lead) {
-  for (const Asn as : list) {
-    out += lead;
-    out += std::to_string(as.value());
-  }
-}
-
-std::string_view rel_text(const std::optional<RelView>& rel) {
-  return rel ? to_string(*rel) : std::string_view("none");
-}
-
-/// The text rendering of a successful response body to `op`.
-Result<std::string> render_text(Op op, std::span<const std::uint8_t> body) {
-  WireReader reader(body);
-  std::string out = "OK";
-  switch (op) {
-    case Op::kRelationship: {
-      ASRANK_TRY(code, reader.u8());
-      ASRANK_TRY(rel, wire::decode_rel_opt(code));
-      out += ' ';
-      out += rel_text(rel);
-      break;
-    }
-    case Op::kRank: {
-      ASRANK_TRY(rank, reader.u32());
-      out += ' ' + std::to_string(rank);
-      break;
-    }
-    case Op::kConeSize: {
-      ASRANK_TRY(size, reader.u64());
-      out += ' ' + std::to_string(size);
-      break;
-    }
-    case Op::kInCone: {
-      ASRANK_TRY(member, reader.u8());
-      out += member != 0 ? " yes" : " no";
-      break;
-    }
-    case Op::kTop: {
-      ASRANK_TRY(entries, wire::decode_top(body));
-      for (const auto& entry : entries) {
-        out += ' ' + std::to_string(entry.rank) + ':' + std::to_string(entry.as.value()) +
-               ':' + std::to_string(entry.cone_size) + ':' +
-               std::to_string(entry.transit_degree);
-      }
-      break;
-    }
-    case Op::kStats:
-    case Op::kMetrics:
-      out += '\n' + reader.rest_as_text() + '.';
-      break;
-    case Op::kEpochs:
-    case Op::kAlgos: {
-      ASRANK_TRY(labels, wire::decode_labels(body));
-      for (const auto& label : labels) out += ' ' + label;
-      break;
-    }
-    case Op::kDisagree: {
-      ASRANK_TRY(report, wire::decode_disagree(body));
-      out += ' ' + std::to_string(report.total);
-      for (const auto& row : report.rows) {
-        out += ' ' + std::to_string(row.a.value()) + ':' + std::to_string(row.b.value()) +
-               ':' + std::string(rel_text(row.first)) + ':' +
-               std::string(rel_text(row.second));
-      }
-      break;
-    }
-    case Op::kConeDiff: {
-      ASRANK_TRY(diff, wire::decode_cone_diff(body));
-      append_asns(out, diff.added, " +");
-      append_asns(out, diff.removed, " -");
-      break;
-    }
-    case Op::kReload: {
-      ASRANK_TRY(info, wire::decode_reload(body));
-      out += ' ' + info.label + ' ' + std::to_string(info.ases);
-      break;
-    }
-    default: {  // ASN lists: an empty one still renders as "OK "
-      ASRANK_TRY(list, wire::decode_asn_list(body));
-      if (list.empty()) out += ' ';
-      append_asns(out, list, " ");
-    }
-  }
-  return out;
 }
 
 Result<std::string> answer_text(const SnapshotRegistry::ReadView& view,
@@ -563,7 +536,7 @@ Result<std::string> answer_text(const SnapshotRegistry::ReadView& view,
   if (static_cast<Status>(status) != Status::kOk) {
     return make_error(ErrorCode::kProtocol, reader.rest_as_text());
   }
-  return render_text(request.op, reader.rest());
+  return request.render(reader.rest());
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
-// Shared request encoders / response decoders for the asrankd binary
-// protocol, used by both serve::Client (one connection) and
-// serve::ClusterClient (fan-out over many Transports).  Keeping the codecs
-// here means a cluster answer is byte-identical to a single-server answer by
-// construction: both sides build the same frames and decode the same bodies.
+// The asrankd wire contract of every query op, written once: each op's
+// constructor (`wire::rank(as)`, `wire::disagree(a, b, limit)`, …) returns a
+// Query holding the op, its unscoped request payload and its response
+// decoder; `frame` wraps the payload under a QueryScope as the op's scope
+// class says; `op_name` is the op's lowercase command word.  serve::Client,
+// serve::ClusterClient and the server's text rail all build their requests
+// and read their responses through these, so a cluster answer and a text
+// line are byte-identical to a single-server binary answer by construction.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asn/asn.h"
@@ -75,9 +79,23 @@ namespace asrank::serve::wire {
 [[nodiscard]] std::vector<std::uint8_t> apply_epoch(
     std::string_view epoch, std::vector<std::uint8_t> inner);
 
+/// `payload`, an unscoped request for `op`, framed under `scope` by op's
+/// scope class: engine ops in WITH_ALGO inside WITH_EPOCH, ALGOS and
+/// DISAGREE in WITH_EPOCH only, EPOCHS, CONE_DIFF and RELOAD never.  An
+/// empty scope frames nothing.
+[[nodiscard]] std::vector<std::uint8_t> frame(Op op, std::vector<std::uint8_t> payload,
+                                              const QueryScope& scope);
+
+/// The op's lowercase command word: what the text rail parses ("rel",
+/// "conesize", "cliquepath", …) and ClusterClient's request `op` label.
+[[nodiscard]] std::string_view op_name(Op op) noexcept;
+
 // ----------------------------------------------------- response decoders --
 
-[[nodiscard]] Result<std::optional<RelView>> decode_rel_opt(std::uint8_t code);
+// The decoders of the scalar bodies (REL, RANK, CONESIZE, INCONE, STATS,
+// METRICS, PING) are reached through their ops' Query values only.
+
+/// u32 count + {u32 asn} list (CONE, PROVIDERS, … CLIQUE responses).
 [[nodiscard]] Result<std::vector<Asn>> decode_asn_list(
     std::span<const std::uint8_t> body);
 [[nodiscard]] Result<std::vector<snapshot::TopEntry>> decode_top(
@@ -96,5 +114,49 @@ namespace asrank::serve::wire {
     std::span<const std::uint8_t> body);
 [[nodiscard]] Result<DisagreeReport> decode_disagree(
     std::span<const std::uint8_t> body);
+
+// ---------------------------------------------------------------- queries --
+
+/// One query: its op, its unscoped request payload, and the decoder of the
+/// OK response body it gets back.
+template <typename T>
+struct Query {
+  Op op;
+  std::vector<std::uint8_t> payload;
+  Result<T> (*decode)(std::span<const std::uint8_t> body);
+};
+
+template <typename T>
+[[nodiscard]] std::vector<std::uint8_t> frame(const Query<T>& query, const QueryScope& scope) {
+  return frame(query.op, query.payload, scope);
+}
+
+// One constructor per op: its operands, in wire order, and its decoder.
+
+[[nodiscard]] Query<std::optional<RelView>> relationship(Asn a, Asn b);
+/// nullopt = unranked.
+[[nodiscard]] Query<std::optional<std::uint32_t>> rank(Asn as);
+[[nodiscard]] Query<std::uint64_t> cone_size(Asn as);
+[[nodiscard]] Query<std::vector<Asn>> cone(Asn as);
+[[nodiscard]] Query<bool> in_cone(Asn as, Asn member);
+[[nodiscard]] Query<std::vector<Asn>> providers(Asn as);
+[[nodiscard]] Query<std::vector<Asn>> customers(Asn as);
+[[nodiscard]] Query<std::vector<Asn>> peers(Asn as);
+[[nodiscard]] Query<std::vector<snapshot::TopEntry>> top(std::uint32_t n);
+[[nodiscard]] Query<std::vector<Asn>> cone_intersection(Asn a, Asn b);
+[[nodiscard]] Query<std::vector<Asn>> path_to_clique(Asn as);
+[[nodiscard]] Query<std::vector<Asn>> clique();
+[[nodiscard]] Query<std::string> stats();
+[[nodiscard]] Query<void> ping();
+[[nodiscard]] Query<std::string> metrics();
+[[nodiscard]] Query<std::vector<std::string>> epochs();
+[[nodiscard]] Query<std::vector<std::string>> algos();
+[[nodiscard]] Query<ConeDiff> cone_diff(Asn as, std::string_view epoch_a,
+                                        std::string_view epoch_b);
+/// An empty label derives one from the path.
+[[nodiscard]] Query<ReloadInfo> reload(std::string_view path, std::string_view label);
+/// limit 0 = every row.
+[[nodiscard]] Query<DisagreeReport> disagree(std::string_view algo_a,
+                                             std::string_view algo_b, std::uint32_t limit);
 
 }  // namespace asrank::serve::wire

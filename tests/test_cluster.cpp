@@ -13,9 +13,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,6 +34,7 @@
 #include "serve/snapshot_registry.h"
 #include "serve/transport.h"
 #include "snapshot/snapshot.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace asrank::serve {
@@ -184,6 +188,96 @@ TEST(ClusterMap, RejectsMalformedSpecs) {
                 .error()
                 .code,
             ErrorCode::kInvalidArgument);
+}
+
+// ClusterMapFuzz: every prefix and every single-byte flip of seeded
+// `host:port,…` specs must build a map or fail typed kInvalidArgument.  Each
+// outcome (the map's endpoints and slot table, or the error) folds into one
+// digest per seed, pinned so a parser rewrite that changes what any damaged
+// spec builds, or how it fails, is caught.
+
+/// A valid spec of 1-5 distinct endpoints: seeded host names (letters,
+/// digits, dots, dashes), ports of 1-5 digits, optional blanks around
+/// entries and an occasional empty entry (both skipped by the parser).
+std::string fuzz_cluster_spec(util::Rng& rng) {
+  constexpr std::string_view kHostChars = "abcxyz019.-";
+  const std::size_t endpoints = 1 + rng.uniform(5);
+  std::string spec;
+  for (std::size_t i = 0; i < endpoints; ++i) {
+    if (i != 0) spec += rng.bernoulli(0.15) ? ",," : ",";
+    if (rng.bernoulli(0.2)) spec += ' ';
+    const std::size_t host_len = 1 + rng.uniform(9);
+    for (std::size_t c = 0; c < host_len; ++c) spec += kHostChars[rng.uniform(kHostChars.size())];
+    // The endpoint index in the host keeps the endpoints distinct.
+    const std::uint64_t port_bound = std::uint64_t{1} << (1 + rng.uniform(16));
+    spec += std::to_string(i) + ":" +
+            std::to_string(1 + rng.uniform(std::min<std::uint64_t>(port_bound, 65535)));
+    if (rng.bernoulli(0.2)) spec += ' ';
+  }
+  return spec;
+}
+
+/// Parse `spec` and fold the outcome into `digest`: every endpoint and every
+/// slot's replica list, or the error, which must be kInvalidArgument.
+void fold_cluster_spec(std::uint64_t& digest, const std::string& spec) {
+  const auto add = [&digest](std::uint64_t v) { digest = util::mix64(digest, v); };
+  const auto parsed = ClusterMap::parse(spec, {.slots = 8, .replication = 2});
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidArgument) << spec;
+    add(1);
+    add(util::fnv1a_64(parsed.error().context));
+    return;
+  }
+  const ClusterMap& map = parsed.value();
+  add(0);
+  add(map.endpoints().size());
+  for (const auto& endpoint : map.endpoints()) add(util::fnv1a_64(endpoint.label()));
+  add(map.replication());
+  for (std::size_t slot = 0; slot < map.slot_count(); ++slot) {
+    for (const std::size_t index : map.replicas(slot)) add(index);
+  }
+}
+
+/// Per-seed digests (seeds 1..4), each over four specs' outcomes.
+using PinnedDigests = std::array<std::uint64_t, 4>;
+constexpr PinnedDigests kClusterSpecPrefixDigests = {
+    0xc453043a1bba2717ULL, 0xf2991f2a269f5bdeULL,
+    0xf93c14b0e38891a3ULL, 0x3b631a0a70cd8642ULL};
+constexpr PinnedDigests kClusterSpecFlipDigests = {
+    0x2933f3ae450d0b26ULL, 0x678767b03b59049fULL,
+    0x9bdf01fb64db46cfULL, 0x83cbd2825fbfcf7cULL};
+
+TEST(ClusterMapFuzz, EveryPrefixBuildsAMapOrFailsTyped) {
+  for (std::uint64_t seed = 1; seed <= kClusterSpecPrefixDigests.size(); ++seed) {
+    util::Rng rng(seed);
+    std::uint64_t digest = 0;
+    for (int spec_no = 0; spec_no < 4; ++spec_no) {
+      const std::string spec = fuzz_cluster_spec(rng);
+      EXPECT_TRUE(ClusterMap::parse(spec, {}).ok()) << spec;
+      for (std::size_t length = 0; length <= spec.size(); ++length) {
+        fold_cluster_spec(digest, spec.substr(0, length));
+      }
+    }
+    EXPECT_EQ(digest, kClusterSpecPrefixDigests[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << digest;
+  }
+}
+
+TEST(ClusterMapFuzz, EverySingleByteFlipBuildsAMapOrFailsTyped) {
+  for (std::uint64_t seed = 1; seed <= kClusterSpecFlipDigests.size(); ++seed) {
+    util::Rng rng(seed + 1000);
+    std::uint64_t digest = 0;
+    for (int spec_no = 0; spec_no < 4; ++spec_no) {
+      const std::string spec = fuzz_cluster_spec(rng);
+      for (std::size_t at = 0; at < spec.size(); ++at) {
+        std::string flipped = spec;
+        flipped[at] ^= static_cast<char>(1 + rng.uniform(255));
+        fold_cluster_spec(digest, flipped);
+      }
+    }
+    EXPECT_EQ(digest, kClusterSpecFlipDigests[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << digest;
+  }
 }
 
 TEST(ClusterMap, RendezvousKeepsPrimariesStableUnderMembershipChange) {
@@ -432,6 +526,63 @@ TEST(ClusterEquality, SingleMemberClusterIsAPlainClient) {
   ClusterClient cluster(std::move(map).value(), std::move(config));
   Client mono = Client::dial("127.0.0.1", member.port()).value();
   expect_cluster_matches_monolith(cluster, mono);
+}
+
+// ------------------------------------------------------------ op labels --
+
+/// Every asrank_cluster_requests_total series in `metrics`: op label -> count.
+std::map<std::string, std::uint64_t> requests_by_op(const obs::Registry& metrics) {
+  const std::string prefix = "asrank_cluster_requests_total{op=\"";
+  std::map<std::string, std::uint64_t> out;
+  std::istringstream lines(metrics.render_prometheus());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (!line.starts_with(prefix)) continue;
+    const auto close = line.find("\"}", prefix.size());
+    out[line.substr(prefix.size(), close - prefix.size())] =
+        std::stoull(line.substr(close + 3));
+  }
+  return out;
+}
+
+TEST(ClusterOpLabels, EveryQueryMethodCountsOnceUnderItsCommandWord) {
+  MemberServer member(install_two_epochs);
+  auto map = ClusterMap::make({loopback(member.port())}, {});
+  ASSERT_TRUE(map.ok());
+  obs::Registry metrics;
+  ClusterClientConfig config;
+  config.metrics = &metrics;
+  ClusterClient cluster(std::move(map).value(), std::move(config));
+
+  EXPECT_TRUE(cluster.try_relationship(Asn(4), Asn(5)).ok());
+  EXPECT_TRUE(cluster.try_rank(Asn(1)).ok());
+  EXPECT_TRUE(cluster.try_cone_size(Asn(1)).ok());
+  EXPECT_TRUE(cluster.try_cone(Asn(1)).ok());
+  EXPECT_TRUE(cluster.try_in_cone(Asn(1), Asn(3)).ok());
+  EXPECT_TRUE(cluster.try_providers(Asn(3)).ok());
+  EXPECT_TRUE(cluster.try_customers(Asn(1)).ok());
+  EXPECT_TRUE(cluster.try_peers(Asn(4)).ok());
+  EXPECT_TRUE(cluster.try_path_to_clique(Asn(4)).ok());
+  EXPECT_TRUE(cluster.try_top(3).ok());
+  EXPECT_TRUE(cluster.try_cone_intersection(Asn(1), Asn(2)).ok());
+  EXPECT_TRUE(cluster.try_clique().ok());
+  EXPECT_TRUE(cluster.try_stats_text().ok());
+  EXPECT_TRUE(cluster.try_epochs().ok());
+  EXPECT_TRUE(cluster.try_algos().ok());
+  EXPECT_TRUE(cluster.try_disagree("asrank", "gao2001").ok());
+  EXPECT_TRUE(cluster.try_cone_diff(Asn(1), "old", "cur").ok());
+  EXPECT_TRUE(cluster.try_ping().ok());
+
+  // EPOCHS, CONEDIFF and PING name their epochs or none, so they skip the
+  // epoch-pinned dispatch that counts a query.
+  const std::map<std::string, std::uint64_t> expected = {
+      {"algos", 1},    {"clique", 1},    {"cliquepath", 1}, {"cone", 1},
+      {"conesize", 1}, {"customers", 1}, {"disagree", 1},   {"incone", 1},
+      {"intersect", 1}, {"peers", 1},    {"providers", 1},  {"rank", 1},
+      {"rel", 1},      {"stats", 1},     {"top", 1}};
+  EXPECT_EQ(requests_by_op(metrics), expected);
+  EXPECT_EQ(metrics.render_prometheus().find("asrank_cluster_errors_total{"),
+            std::string::npos);
 }
 
 // -------------------------------------------------------- epoch consistency --

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -608,20 +607,33 @@ void expect_view_is_frozen_link_table(const topology::TopologyView& view,
 }
 
 /// The inferred view under every sanitizer configuration.  Uncompressed
-/// prepending leaves self-pairs in the link table, which inference rejects.
+/// prepending leaves self-pairs in the link table; the view drops them.
 void expect_views_on_every_config(const PathCorpus& corpus,
                                   const std::unordered_set<Asn>& ixp_asns) {
   for (const SanitizerConfig& config : all_configs(ixp_asns)) {
     const std::string what = describe(config);
     core::InferenceConfig inference;
     inference.sanitizer = config;
-    try {
-      const auto result = core::AsRankInference(inference).run(corpus);
-      expect_view_is_frozen_link_table(result.graph, what);
-    } catch (const std::invalid_argument&) {
-      EXPECT_FALSE(config.compress_prepending) << what;
-    }
+    const auto result = core::AsRankInference(inference).run(corpus);
+    expect_view_is_frozen_link_table(result.graph, what);
   }
+}
+
+TEST(LinkTableView, UncompressedPrependingLeavesNoSelfLink) {
+  PathCorpus corpus;
+  corpus.add(rec(1, "10.0.0.0/24", {1, 2, 2, 3}));
+  corpus.add(rec(4, "10.0.1.0/24", {4, 2, 3}));
+  core::InferenceConfig inference;
+  inference.sanitizer.compress_prepending = false;
+  const auto result = core::AsRankInference(inference).run(corpus);
+  expect_view_is_frozen_link_table(result.graph, "uncompressed prepending");
+  EXPECT_TRUE(std::ranges::equal(result.graph.ases(),
+                                 std::vector<Asn>{Asn(1), Asn(2), Asn(3), Asn(4)}));
+  EXPECT_EQ(result.graph.link_count(), 3u);  // 1-2, 2-3, 2-4; no 2-2
+  for (topology::NodeId node = 0; node < result.graph.node_count(); ++node) {
+    EXPECT_EQ(std::ranges::count(result.graph.neighbors(node), node), 0) << node;
+  }
+  EXPECT_LE(result.audit.p2p_fallback, result.graph.link_count());
 }
 
 TEST(LinkTableView, MatchesTheFrozenGraphOfItsLinksOnSweepCorpora) {

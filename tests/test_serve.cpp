@@ -2048,6 +2048,81 @@ TEST(DispatcherFuzz, Str16LengthsPastTheEndAreTruncated) {
   EXPECT_TRUE(truncated(nested.take()));
 }
 
+// ------------------------------------------- per-op client decoder fuzz --
+
+/// `fn` applied to one query value of every op a wire_ops constructor builds.
+template <typename Fn>
+void for_each_query(const std::string& reload_path, Fn&& fn) {
+  fn(wire::relationship(Asn(4), Asn(5)));
+  fn(wire::rank(Asn(1)));
+  fn(wire::cone_size(Asn(1)));
+  fn(wire::cone(Asn(1)));
+  fn(wire::in_cone(Asn(1), Asn(4)));
+  fn(wire::providers(Asn(3)));
+  fn(wire::customers(Asn(1)));
+  fn(wire::peers(Asn(4)));
+  fn(wire::top(3));
+  fn(wire::cone_intersection(Asn(1), Asn(3)));
+  fn(wire::path_to_clique(Asn(4)));
+  fn(wire::clique());
+  fn(wire::stats());
+  fn(wire::ping());
+  fn(wire::metrics());
+  fn(wire::epochs());
+  fn(wire::cone_diff(Asn(1), "seed", "multi"));
+  fn(wire::disagree("asrank", "gao2001", 0));
+  fn(wire::algos());
+  fn(wire::reload(reload_path, "fresh"));  // last: it changes the current epoch
+}
+
+// Each op's own OK body, as the dispatcher answers its query, read by that
+// op's decoder: the whole body decodes, and every prefix and byte flip is a
+// value or a typed error, never an exception.
+TEST(ClientDecoderFuzz, EveryOpsBodyThroughItsOwnDecoder) {
+  FuzzRig rig;
+  const std::string reload_path = testing::TempDir() + "/decoder-fuzz.asrk";
+  snapshot::write_snapshot_file(make_index_b(), reload_path);
+  std::vector<bool> seen(23, false);
+  for_each_query(reload_path, [&rig, &seen](const auto& query) {
+    const std::string name(wire::op_name(query.op));
+    seen[static_cast<std::size_t>(query.op)] = true;
+    const auto response = handle_binary_request(*rig.snapshots, query.payload, true);
+    ASSERT_FALSE(response.empty()) << name;
+    ASSERT_EQ(response[0], static_cast<std::uint8_t>(Status::kOk))
+        << name << ": " << std::string(response.begin() + 1, response.end());
+    const std::vector<std::uint8_t> body(response.begin() + 1, response.end());
+    EXPECT_TRUE(query.decode(body).ok()) << name;
+    const auto typed = [&query, &name](std::span<const std::uint8_t> bytes,
+                                       const std::string& what) {
+      EXPECT_NO_THROW({
+        const auto result = query.decode(bytes);
+        if (!result.ok()) {
+          const auto code = result.error().code;
+          EXPECT_TRUE(code == ErrorCode::kTruncated || code == ErrorCode::kProtocol)
+              << name << " " << what << ": " << result.error().message();
+        }
+      }) << name << " " << what;
+    };
+    for (std::size_t cut = 0; cut < body.size(); ++cut) {
+      typed(std::span(body).first(cut), "prefix " + std::to_string(cut));
+    }
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
+        auto flipped = body;
+        flipped[i] ^= mask;
+        typed(flipped, "flip " + std::to_string(i) + "^" + std::to_string(mask));
+      }
+    }
+  });
+  // Every opcode but the two scope wrappers is a query of its own.
+  for (std::size_t op = 1; op <= 22; ++op) {
+    const bool wrapper = op == static_cast<std::size_t>(Op::kWithEpoch) ||
+                         op == static_cast<std::size_t>(Op::kWithAlgo);
+    EXPECT_EQ(seen[op], !wrapper) << wire::op_name(static_cast<Op>(op));
+  }
+  std::remove(reload_path.c_str());
+}
+
 // ---------------------------------------------------- text line fuzz --
 
 TEST(TextLineFuzz, EveryPrefixAndByteChangeAnswersOkOrErr) {
