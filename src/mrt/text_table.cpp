@@ -77,8 +77,10 @@ std::vector<TextRoute> parse_show_ip_bgp(std::istream& is) {
 void write_show_ip_bgp(const std::vector<TextRoute>& routes, std::ostream& os) {
   os << "   Network          Next Hop            Metric LocPrf Weight Path\n";
   for (const TextRoute& route : routes) {
-    os << (route.best ? "*> " : "*  ") << std::left << std::setw(17) << route.prefix.str()
-       << std::setw(20) << "0.0.0.0" << "0 100 0 " << route.path.str() << " i\n";
+    // The network pads to 16 columns and always ends in a space, so a
+    // prefix of 17 or more characters stays a field of its own.
+    os << (route.best ? "*> " : "*  ") << std::left << std::setw(16) << route.prefix.str()
+       << ' ' << std::setw(20) << "0.0.0.0" << "0 100 0 " << route.path.str() << " i\n";
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,8 @@
 #include "mrt/bytes.h"
 #include "mrt/table_dump_v2.h"
 #include "mrt/text_table.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace asrank::mrt {
 namespace {
@@ -665,6 +669,155 @@ TEST(TextTable, PipeTableSkipsCommentsRejectsJunk) {
   EXPECT_EQ(parse_pipe_table(ok).size(), 1u);
   std::stringstream bad("1.0.0.0/24|701|extra\n");
   EXPECT_THROW((void)parse_pipe_table(bad), std::runtime_error);
+}
+
+
+// TextTableFuzz: the two --pipe readers under the PpdcFuzz contract.  Every
+// prefix and every single-byte flip of seeded tables, as the writers emit
+// them, must parse or throw std::runtime_error naming a line.  Each outcome
+// (the parsed routes, or the error text) folds into one digest per seed,
+// pinned so a reader rewrite that changes what any damaged table parses to,
+// or how it fails, is caught.
+
+/// 4-8 seeded routes: IPv4 or IPv6 prefixes of seeded lengths, paths of 1-6
+/// hops with ASNs of 1-10 digits, and a seeded best flag (always set when
+/// `all_best`, since a pipe table does not carry it).
+std::vector<TextRoute> fuzz_routes(util::Rng& rng, bool all_best) {
+  std::vector<TextRoute> routes;
+  const std::size_t n = 4 + rng.uniform(5);
+  while (routes.size() < n) {
+    const bool v6 = rng.bernoulli(0.3);
+    const unsigned __int128 bits = static_cast<unsigned __int128>(rng()) << 64 | rng();
+    const auto length = static_cast<std::uint8_t>(rng.uniform(v6 ? 129 : 33));
+    const Prefix prefix = v6 ? Prefix(Prefix::Family::kIpv6, bits, length)
+                             : Prefix::v4(static_cast<std::uint32_t>(bits), length);
+    AsPath path;
+    const std::size_t hops = 1 + rng.uniform(6);
+    while (path.size() < hops) {
+      const auto as = static_cast<std::uint32_t>(
+          1 + rng.uniform(std::uint64_t{1} << (1 + rng.uniform(32))) % 0xffffffffu);
+      path.push_back(Asn(as));
+    }
+    routes.push_back({prefix, std::move(path), all_best || rng.bernoulli(0.5)});
+  }
+  return routes;
+}
+
+std::string show_ip_bgp_text(util::Rng& rng) {
+  std::ostringstream os;
+  write_show_ip_bgp(fuzz_routes(rng, false), os);
+  return os.str();
+}
+
+std::string pipe_table_text(util::Rng& rng) {
+  std::ostringstream os;
+  write_pipe_table(fuzz_routes(rng, true), os);
+  return os.str();
+}
+
+/// Parse `text` with `parse` and fold the outcome into `h`: every route's
+/// prefix, best flag and hops, or the error, which must be a
+/// std::runtime_error naming a line.  Any other exception escapes.
+template <typename Parse>
+void fold_table(std::uint64_t& h, const std::string& text, const Parse& parse) {
+  std::stringstream is(text);
+  std::vector<TextRoute> routes;
+  try {
+    routes = parse(is);
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line "), std::string::npos) << what;
+    h = util::mix64(h, 1);
+    h = util::mix64(h, util::fnv1a_64(what));
+    return;
+  }
+  h = util::mix64(h, 0);
+  h = util::mix64(h, routes.size());
+  for (const TextRoute& route : routes) {
+    h = util::mix64(h, util::fnv1a_64(route.prefix.str()));
+    h = util::mix64(h, route.best);
+    h = util::mix64(h, util::hash_words(route.path.hops(), [](Asn as) { return as.value(); }));
+  }
+}
+
+/// Per-seed digest (seeds 1..4) over three seeded tables: every prefix, or
+/// one seeded flip of every byte.
+template <typename Parse>
+std::uint64_t table_digest(std::uint64_t seed, bool flips, std::string (*make_text)(util::Rng&),
+                           const Parse& parse) {
+  util::Rng rng(flips ? seed + 1000 : seed);
+  std::uint64_t h = 0;
+  for (int table = 0; table < 3; ++table) {
+    const std::string text = make_text(rng);
+    if (!flips) {
+      for (std::size_t length = 0; length <= text.size(); ++length) {
+        fold_table(h, text.substr(0, length), parse);
+      }
+      continue;
+    }
+    for (std::size_t at = 0; at < text.size(); ++at) {
+      std::string flipped = text;
+      flipped[at] ^= static_cast<char>(1 + rng.uniform(255));
+      fold_table(h, flipped, parse);
+    }
+  }
+  return h;
+}
+
+using PinnedDigests = std::array<std::uint64_t, 4>;
+constexpr PinnedDigests kShowIpBgpPrefixDigests = {
+    0x8e0e2c1324231397ULL, 0x3f92e3c7ee7de903ULL,
+    0xa037fdef47c0aa6dULL, 0x0e54bc560479421dULL};
+constexpr PinnedDigests kShowIpBgpFlipDigests = {
+    0xcdea5d20618ad73fULL, 0xf315afabd763a2f6ULL,
+    0xa55365f2667dff01ULL, 0x5ce495ee9de31697ULL};
+constexpr PinnedDigests kPipePrefixDigests = {
+    0x2402c15f098332f5ULL, 0x387bc7a4580f3db4ULL,
+    0xd081366d7bda6d77ULL, 0x11a69e03141ad2e4ULL};
+constexpr PinnedDigests kPipeFlipDigests = {
+    0x09ef640ebee8f997ULL, 0xec41c31eb5879745ULL,
+    0x895172ae2bf907a4ULL, 0x7db38098140be2a0ULL};
+
+const auto kParseShowIpBgp = [](std::istream& is) { return parse_show_ip_bgp(is); };
+const auto kParsePipe = [](std::istream& is) { return parse_pipe_table(is); };
+
+template <typename Parse>
+void expect_digests(const PinnedDigests& want, bool flips, std::string (*make_text)(util::Rng&),
+                    const Parse& parse) {
+  for (std::uint64_t seed = 1; seed <= want.size(); ++seed) {
+    const std::uint64_t digest = table_digest(seed, flips, make_text, parse);
+    EXPECT_EQ(digest, want[seed - 1]) << "seed " << seed << " digest 0x" << std::hex << digest;
+  }
+}
+
+TEST(TextTableFuzz, ShowIpBgpEveryPrefixParsesOrFailsWithALineError) {
+  expect_digests(kShowIpBgpPrefixDigests, false, show_ip_bgp_text, kParseShowIpBgp);
+}
+
+TEST(TextTableFuzz, ShowIpBgpEverySingleByteFlipParsesOrFailsWithALineError) {
+  expect_digests(kShowIpBgpFlipDigests, true, show_ip_bgp_text, kParseShowIpBgp);
+}
+
+TEST(TextTableFuzz, PipeEveryPrefixParsesOrFailsWithALineError) {
+  expect_digests(kPipePrefixDigests, false, pipe_table_text, kParsePipe);
+}
+
+TEST(TextTableFuzz, PipeEverySingleByteFlipParsesOrFailsWithALineError) {
+  expect_digests(kPipeFlipDigests, true, pipe_table_text, kParsePipe);
+}
+
+TEST(TextTableFuzz, WrittenTablesParseBackEqual) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    util::Rng rng(seed);
+    const auto shown = fuzz_routes(rng, false);
+    std::stringstream show;
+    write_show_ip_bgp(shown, show);
+    EXPECT_EQ(parse_show_ip_bgp(show), shown) << "seed " << seed << "\n" << show.str();
+    const auto piped = fuzz_routes(rng, true);
+    std::stringstream pipe;
+    write_pipe_table(piped, pipe);
+    EXPECT_EQ(parse_pipe_table(pipe), piped) << "seed " << seed << "\n" << pipe.str();
+  }
 }
 
 }  // namespace
