@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       {"variant", "c2p PPV", "p2p PPV", "overall", "links", "phantom", "acyclic"});
   auto run = [&](const std::string& name, core::InferenceConfig config) {
     const auto result = core::AsRankInference(std::move(config)).run(corpus);
-    const auto accuracy = validation::evaluate_against_truth(result.graph.to_graph(), truth.graph);
+    const auto accuracy = validation::evaluate_against_truth(result.graph, truth.graph);
     // Phantom links — links in the inferred graph that do not exist at all —
     // are the real damage done by unsanitized artifacts; PPV alone misses
     // them because they match no ground-truth link.

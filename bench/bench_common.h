@@ -37,7 +37,6 @@ struct World {
   topogen::GroundTruth truth;
   bgpsim::Observation observation;
   core::InferenceResult result;
-  AsGraph inferred;  ///< result.graph as an AsGraph, for the ASN-keyed scorers
 };
 
 inline core::InferenceConfig config_for(const topogen::GroundTruth& truth) {
@@ -49,7 +48,7 @@ inline core::InferenceConfig config_for(const topogen::GroundTruth& truth) {
 inline World make_world(const Options& options) {
   auto gen = topogen::GenParams::preset(options.preset);
   gen.seed = options.seed;
-  World world{topogen::generate(gen), {}, {}, {}};
+  World world{topogen::generate(gen), {}, {}};
   bgpsim::ObservationParams obs;
   obs.seed = options.seed + 1;
   obs.full_vps = options.full_vps;
@@ -58,7 +57,6 @@ inline World make_world(const Options& options) {
   world.observation = bgpsim::observe(world.truth, obs);
   world.result = core::AsRankInference(config_for(world.truth))
                      .run(paths::PathCorpus::from_records(world.observation.routes));
-  world.inferred = world.result.graph.to_graph();
   return world;
 }
 

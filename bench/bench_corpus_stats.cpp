@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   const auto truth_counts = world.truth.graph.link_counts();
   std::size_t p2c_seen = 0, p2p_seen = 0;
   for (const Link& link : world.truth.graph.links()) {
-    if (!world.inferred.has_link(link.a, link.b)) continue;
+    if (!world.result.graph.relationship(link.a, link.b)) continue;
     if (link.type == LinkType::kP2C) ++p2c_seen;
     if (link.type == LinkType::kP2P) ++p2p_seen;
   }

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     const auto result = core::AsRankInference(bench::config_for(truth))
                             .run(paths::PathCorpus::from_records(observation.routes));
     const auto true_counts = truth.graph.link_counts();
-    const auto inferred_counts = result.graph.to_graph().link_counts();
+    const auto inferred_counts = result.graph.link_counts();
     const double true_share = static_cast<double>(true_counts.p2p) /
                               static_cast<double>(true_counts.p2p + true_counts.p2c);
     const double inferred_share =

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const auto world = bench::make_world(options);
   const auto synth = validation::synthesize_validation(world.truth, world.observation,
                                                        validation::SynthesisParams{});
-  const auto ppv = validation::evaluate_ppv(world.inferred, synth.corpus);
+  const auto ppv = validation::evaluate_ppv(world.result.graph, synth.corpus);
 
   util::TableWriter table({"source", "c2p PPV", "c2p n", "p2p PPV", "p2p n"});
   auto row = [&](validation::Source source) {
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   table.add_row({"all sources", util::fmt_pct(ppv.c2p.ppv()), util::fmt_count(ppv.c2p.validated),
                  util::fmt_pct(ppv.p2p.ppv()), util::fmt_count(ppv.p2p.validated)});
 
-  const auto truth = validation::evaluate_against_truth(world.inferred, world.truth.graph);
+  const auto truth = validation::evaluate_against_truth(world.result.graph, world.truth.graph);
   table.add_row({"exact ground truth", util::fmt_pct(truth.c2p.ppv()),
                  util::fmt_count(truth.c2p.validated), util::fmt_pct(truth.p2p.ppv()),
                  util::fmt_count(truth.p2p.validated)});

@@ -29,14 +29,13 @@ int main(int argc, char** argv) {
     const auto observation = bgpsim::observe(truth, obs);
     const auto result = core::AsRankInference(bench::config_for(truth))
                             .run(paths::PathCorpus::from_records(observation.routes));
-    const AsGraph inferred = result.graph.to_graph();
     std::size_t p2c_seen = 0, p2p_seen = 0;
     for (const Link& link : truth.graph.links()) {
-      if (!inferred.has_link(link.a, link.b)) continue;
+      if (!result.graph.relationship(link.a, link.b)) continue;
       if (link.type == LinkType::kP2C) ++p2c_seen;
       if (link.type == LinkType::kP2P) ++p2p_seen;
     }
-    const auto accuracy = validation::evaluate_against_truth(inferred, truth.graph);
+    const auto accuracy = validation::evaluate_against_truth(result.graph, truth.graph);
     std::size_t recovered = 0;
     for (const Asn as : result.clique) {
       if (std::binary_search(truth.clique.begin(), truth.clique.end(), as)) ++recovered;

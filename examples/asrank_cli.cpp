@@ -180,10 +180,19 @@ std::vector<std::string> algorithm_list(const std::string& spec) {
   return out;
 }
 
+/// The registered algorithm `name`, made with `threads` workers.
+std::unique_ptr<algo::InferenceAlgorithm> make_algorithm(const std::string& name,
+                                                         std::size_t threads) {
+  algo::AlgorithmOptions options;
+  options.threads = threads;
+  auto algorithm = algo::create(name, options);
+  if (!algorithm.ok()) throw UsageError(algorithm.error().context);
+  return std::move(algorithm).value();
+}
+
 /// Build one single-algorithm snapshot part: infer from the corpus, freeze
-/// recursive cones over the inferred graph and the corpus transit degrees.
-/// "asrank" keeps its own clique and hands over its view as is; the
-/// baselines use provider-free ASes, and their AsGraph is frozen once.
+/// recursive cones over the inferred view and the corpus transit degrees.
+/// "asrank" keeps its own clique; the baselines use provider-free ASes.
 snapshot::SnapshotIndex build_algorithm_part(const std::string& name,
                                              const paths::PathCorpus& corpus,
                                              const core::Degrees& degrees,
@@ -197,17 +206,12 @@ snapshot::SnapshotIndex build_algorithm_part(const std::string& name,
     view = std::move(result.graph);
     clique = std::move(result.clique);
   } else {
-    algo::AlgorithmOptions options;
-    options.threads = threads;
-    auto algorithm = algo::create(name, options);
-    if (!algorithm.ok()) throw UsageError(algorithm.error().context);
-    AsGraph graph = algorithm.value()->infer(corpus);
+    view = make_algorithm(name, threads)->infer(corpus);
     // The baselines promise nothing about provider-cycle freedom, but the
-    // recursive cone closure (and so the snapshot) requires a DAG; impose
-    // the same rank-order repair the asrank pipeline applies (step 11).
-    core::break_provider_cycles(graph, degrees);
-    clique = graph.provider_free_ases();
-    view = graph.freeze();
+    // recursive cone closure (and so the snapshot) requires a DAG: the
+    // asrank pipeline's step-11 repair, ranked by the corpus degrees.
+    core::break_provider_cycles(view, degrees);
+    clique = view.provider_free_ases();
   }
   const auto cones = core::recursive_cone(view, threads);
   return snapshot::build_snapshot(view, degrees, cones, clique);
@@ -291,14 +295,10 @@ int cmd_infer(const Args& args) {
   }
   if (algorithms[0] != "asrank") {
     // Baselines run through the registry; they have no audit/clique output.
-    algo::AlgorithmOptions options;
-    options.threads = args.get_u64("threads", 0);
-    auto algorithm = algo::create(algorithms[0], options);
-    if (!algorithm.ok()) throw UsageError(algorithm.error().context);
-    const AsGraph graph = algorithm.value()->infer(corpus);
+    const auto view = make_algorithm(algorithms[0], args.get_u64("threads", 0))->infer(corpus);
     auto out = open_out(args.require("out"));
-    write_as_rel(graph, out);
-    const auto counts = graph.link_counts();
+    write_as_rel(view, out);
+    const auto counts = view.link_counts();
     std::cerr << algorithms[0] << ": inferred " << counts.p2c << " c2p + "
               << counts.p2p << " p2p links\n";
     return 0;
@@ -311,11 +311,10 @@ int cmd_infer(const Args& args) {
     }
   }
   const auto result = core::AsRankInference(config).run(corpus);
-  const AsGraph graph = result.graph.to_graph();
   auto out = open_out(args.require("out"));
-  write_as_rel(graph, out);
+  write_as_rel(result.graph, out);
 
-  const auto counts = graph.link_counts();
+  const auto counts = result.graph.link_counts();
   std::cerr << "inferred " << counts.p2c << " c2p + " << counts.p2p << " p2p links; clique";
   for (const Asn as : result.clique) std::cerr << " AS" << as.value();
   std::cerr << "\nsanitize: " << result.audit.sanitize.input_records << " -> "
@@ -370,19 +369,8 @@ int cmd_validate(const Args& args) {
     util::TableWriter table({"algorithm", "links", "c2p PPV", "p2p PPV",
                              "accuracy", "flips", "phantom"});
     for (const auto& name : algorithms) {
-      AsGraph inferred;
-      if (name == "asrank") {
-        core::InferenceConfig config;
-        config.threads = threads;
-        inferred = core::AsRankInference(config).run(corpus).graph.to_graph();
-      } else {
-        algo::AlgorithmOptions options;
-        options.threads = threads;
-        auto algorithm = algo::create(name, options);
-        if (!algorithm.ok()) throw UsageError(algorithm.error().context);
-        inferred = algorithm.value()->infer(corpus);
-      }
-      const auto accuracy = validation::evaluate_against_truth(inferred, truth);
+      const auto accuracy = validation::evaluate_against_truth(
+          make_algorithm(name, threads)->infer(corpus), truth);
       table.add_row({name, util::fmt_count(accuracy.compared),
                      util::fmt_pct(accuracy.c2p.ppv()),
                      util::fmt_pct(accuracy.p2p.ppv()),
@@ -395,7 +383,7 @@ int cmd_validate(const Args& args) {
   }
   auto inferred_in = open_in(args.require("inferred"));
   auto truth_in = open_in(args.require("truth"));
-  const AsGraph inferred = read_as_rel(inferred_in);
+  const auto inferred = read_as_rel(inferred_in).freeze();
   const AsGraph truth = read_as_rel(truth_in);
   const auto accuracy = validation::evaluate_against_truth(inferred, truth);
   util::TableWriter table({"metric", "value"});

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   // Error matrix: (true type, inferred type) -> count per tier pair.
   std::map<std::string, std::size_t> error_classes;
   std::size_t correct = 0, wrong = 0;
-  for (const Link& inferred : result.graph.to_graph().links()) {
+  for (const Link& inferred : result.graph.links()) {
     const auto true_link = truth.graph.link(inferred.a, inferred.b);
     if (!true_link || true_link->type == LinkType::kS2S) continue;
     const bool ok =

@@ -38,9 +38,8 @@ int main(int argc, char** argv) {
   // ---- Relationship validation (paper §6) --------------------------------
   const auto synth = validation::synthesize_validation(truth, observation,
                                                        validation::SynthesisParams{});
-  const AsGraph inferred_graph = result.graph.to_graph();
-  const auto ppv = validation::evaluate_ppv(inferred_graph, synth.corpus);
-  const auto exact = validation::evaluate_against_truth(inferred_graph, truth.graph);
+  const auto ppv = validation::evaluate_ppv(result.graph, synth.corpus);
+  const auto exact = validation::evaluate_against_truth(result.graph, truth.graph);
 
   util::TableWriter rel_table({"source", "validated", "PPV"});
   for (const auto source : {validation::Source::kDirectReport,
@@ -86,11 +85,14 @@ int main(int argc, char** argv) {
     const auto owner = Asn::parse(name.substr(0, colon));
     if (!owner) continue;
     const auto registered = validation::expand_as_set(irr, name);
-    const auto inferred = inferred_graph.customers(*owner);
-    if (registered.empty() || inferred.empty()) continue;
+    const topology::NodeId id = result.graph.interner().id_of(*owner);
+    if (registered.empty() || id == topology::kNoNode) continue;
+    const auto inferred = result.graph.customers(id);
+    if (inferred.empty()) continue;
     std::size_t shared = 0;
-    for (const Asn customer : inferred) {
-      if (std::binary_search(registered.begin(), registered.end(), customer)) ++shared;
+    for (const topology::NodeId customer : inferred) {
+      const Asn as = result.graph.interner().asn_of(customer);
+      if (std::binary_search(registered.begin(), registered.end(), as)) ++shared;
     }
     agreement_sum += static_cast<double>(shared) / static_cast<double>(inferred.size());
     ++sets_checked;

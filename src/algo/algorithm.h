@@ -2,13 +2,18 @@
 //
 // Every algorithm — the paper's ASRank pipeline in src/core and the rival
 // reconstructions in src/baselines — consumes one sanitized path corpus and
-// emits one relationship-annotated AsGraph.  The interface lives at the top
+// emits one relationship-annotated topology::TopologyView whose AS table is
+// exactly the link endpoints.  Each labels a sorted link table and finishes
+// through TopologyView::from_link_table, so no AsGraph is built on the way.
+// The view is not promised acyclic: core::break_provider_cycles is the one
+// repair, which the asrank pipeline runs itself and the snapshot builder
+// runs on the baselines' views.  The interface lives at the top
 // level (not under baselines) because the whole system is generic over it:
 // snapshots carry one tagged section set per algorithm, asrankd serves
 // algorithm-qualified queries, and the validation experiments score every
 // registered algorithm on identical corpora.
 //
-// This header is dependency-free apart from the corpus/graph types so that
+// This header is dependency-free apart from the corpus/view types so that
 // src/core can implement it without a cycle; construction by name goes
 // through algo/registry.h.
 #pragma once
@@ -16,7 +21,7 @@
 #include <string>
 
 #include "paths/corpus.h"
-#include "topology/as_graph.h"
+#include "topology/topology_view.h"
 
 namespace asrank::algo {
 
@@ -30,7 +35,7 @@ class InferenceAlgorithm {
   /// Infer relationships for every link observed in `corpus`.  The corpus is
   /// expected to be sanitized (prepending compressed, loops removed);
   /// algorithms must tolerate unsanitized input without crashing.
-  [[nodiscard]] virtual AsGraph infer(const paths::PathCorpus& corpus) const = 0;
+  [[nodiscard]] virtual topology::TopologyView infer(const paths::PathCorpus& corpus) const = 0;
 };
 
 }  // namespace asrank::algo

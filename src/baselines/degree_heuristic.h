@@ -4,6 +4,8 @@
 // — its error rate shows why structural algorithms are needed.
 #pragma once
 
+#include <cstddef>
+
 #include "algo/algorithm.h"
 
 namespace asrank::baselines {
@@ -13,12 +15,19 @@ struct DegreeHeuristicConfig {
   double provider_ratio = 2.0;
 };
 
+/// The rule for one link (lo, hi), lo the lower id, from the two node
+/// degrees: hi's relationship seen from lo.  kCustomer (lo provides) when
+/// the degree ratio exceeds `provider_ratio` and lo's degree is the larger
+/// or equal one, kProvider when hi's is larger, kPeer otherwise.
+[[nodiscard]] RelView degree_ratio_view(std::size_t lo_degree, std::size_t hi_degree,
+                                        double provider_ratio) noexcept;
+
 class DegreeHeuristic final : public algo::InferenceAlgorithm {
  public:
   explicit DegreeHeuristic(DegreeHeuristicConfig config = {}) : config_(config) {}
 
   [[nodiscard]] std::string name() const override { return "degree-ratio"; }
-  [[nodiscard]] AsGraph infer(const paths::PathCorpus& corpus) const override;
+  [[nodiscard]] topology::TopologyView infer(const paths::PathCorpus& corpus) const override;
 
  private:
   DegreeHeuristicConfig config_;

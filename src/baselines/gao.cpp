@@ -26,7 +26,7 @@ constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
 
 }  // namespace
 
-AsGraph GaoInference::infer(const PathCorpus& corpus) const {
+topology::TopologyView GaoInference::infer(const PathCorpus& corpus) const {
   // Every record verbatim (nothing stripped, compressed or dropped but empty
   // paths), each distinct path stored once in NodeId space.
   paths::SanitizerConfig verbatim;
@@ -90,30 +90,24 @@ AsGraph GaoInference::infer(const PathCorpus& corpus) const {
     }
   }
 
-  // Phase 3: transit / sibling assignment.
-  AsGraph graph;
+  // Phase 3: transit / sibling assignment, as hi's relationship seen from lo.
+  std::vector<RelView> lo_views(link_keys.size());
   for (std::size_t i = 0; i < link_keys.size(); ++i) {
-    const NodeId lo_id = static_cast<NodeId>(link_keys[i] >> 32);
-    const NodeId hi_id = static_cast<NodeId>(link_keys[i]);
-    const Asn lo = interner.asn_of(lo_id);
-    const Asn hi = interner.asn_of(hi_id);
     const bool lo_transits = lo_provides[i] > config_.sibling_threshold;
     const bool hi_transits = hi_provides[i] > config_.sibling_threshold;
     if (lo_transits && hi_transits) {
-      graph.add_s2s(lo, hi);
-    } else if (lo_provides[i] > hi_provides[i]) {
-      graph.add_p2c(lo, hi);
-    } else if (hi_provides[i] > lo_provides[i]) {
-      graph.add_p2c(hi, lo);
+      lo_views[i] = RelView::kSibling;
+    } else if (lo_provides[i] != hi_provides[i]) {
+      lo_views[i] = lo_provides[i] > hi_provides[i] ? RelView::kCustomer : RelView::kProvider;
     } else {
       // Equal small evidence both ways: higher degree provides.
-      graph.add_p2c(degree(lo_id) >= degree(hi_id) ? lo : hi,
-                    degree(lo_id) >= degree(hi_id) ? hi : lo);
+      const NodeId lo = static_cast<NodeId>(link_keys[i] >> 32);
+      const NodeId hi = static_cast<NodeId>(link_keys[i]);
+      lo_views[i] = degree(lo) >= degree(hi) ? RelView::kCustomer : RelView::kProvider;
     }
   }
 
-  // Phase 4: peering around path tops, in record order (re-labelling a link
-  // moves it to the back of its endpoints' peer lists).
+  // Phase 4: peering around path tops.
   for (const paths::ArenaRecord& record : arena.records()) {
     const auto ids = arena.path(record.path);
     if (ids.size() < 2) continue;
@@ -130,15 +124,13 @@ AsGraph GaoInference::infer(const PathCorpus& corpus) const {
       const double da = static_cast<double>(std::max<std::size_t>(degree(a), 1));
       const double db = static_cast<double>(std::max<std::size_t>(degree(b), 1));
       const double ratio = da > db ? da / db : db / da;
-      if (ratio <= config_.peering_degree_ratio) {
-        graph.add_p2p(interner.asn_of(a), interner.asn_of(b));
-      }
+      if (ratio <= config_.peering_degree_ratio) lo_views[link] = RelView::kPeer;
     };
     if (top > 0) consider(ids[top - 1], ids[top]);
     if (top + 1 < ids.size()) consider(ids[top], ids[top + 1]);
   }
 
-  return graph;
+  return topology::TopologyView::from_link_table(interner, std::move(link_keys), lo_views);
 }
 
 }  // namespace asrank::baselines

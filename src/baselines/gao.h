@@ -33,7 +33,7 @@ class GaoInference final : public algo::InferenceAlgorithm {
   explicit GaoInference(GaoConfig config = {}) : config_(config) {}
 
   [[nodiscard]] std::string name() const override { return "gao2001"; }
-  [[nodiscard]] AsGraph infer(const paths::PathCorpus& corpus) const override;
+  [[nodiscard]] topology::TopologyView infer(const paths::PathCorpus& corpus) const override;
 
  private:
   GaoConfig config_;

@@ -1,6 +1,8 @@
 #include "baselines/tor_local_search.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -14,6 +16,7 @@ namespace {
 using paths::PathCorpus;
 using paths::PathRecord;
 using topology::AsnInterner;
+using topology::kNoNode;
 using topology::NodeId;
 
 constexpr std::uint32_t kNoLink = 0xffffffffu;
@@ -24,19 +27,15 @@ constexpr std::uint64_t pack(NodeId a, NodeId b) noexcept {
   return static_cast<std::uint64_t>(lo) << 32 | hi;
 }
 
-/// Link labelling during the search.  kLoProv/kHiProv name the providing
-/// side of the normalized (lo, hi) pair.
-enum class Label : std::uint8_t { kLoProv, kHiProv, kPeer };
-
-/// Is the hop sequence valley-free under the labelling in `graph`?
+/// Is the hop sequence valley-free under the labelling in `view`?
 /// Grammar: c2p* p2p? p2c* (sibling links are transparent).
-bool valley_free(const AsGraph& graph, std::span<const Asn> hops) {
+bool valley_free(const topology::TopologyView& view, std::span<const Asn> hops) {
   // States: 0 = ascending, 1 = peaked/descending.
   int state = 0;
   for (std::size_t i = 1; i < hops.size(); ++i) {
-    const auto view = graph.view(hops[i - 1], hops[i]);
-    if (!view) return false;  // unlabelled link cannot satisfy the path
-    switch (*view) {
+    const auto rel = view.relationship(hops[i - 1], hops[i]);
+    if (!rel) return false;  // unlabelled link cannot satisfy the path
+    switch (*rel) {
       case RelView::kProvider:  // moving up
         if (state != 0) return false;
         break;
@@ -56,24 +55,21 @@ bool valley_free(const AsGraph& graph, std::span<const Asn> hops) {
 
 }  // namespace
 
-std::size_t TorLocalSearch::violations(const AsGraph& graph, const PathCorpus& corpus) {
+std::size_t TorLocalSearch::violations(const topology::TopologyView& view,
+                                       const PathCorpus& corpus) {
   std::size_t count = 0;
   for (const PathRecord& record : corpus.records()) {
-    if (!valley_free(graph, record.path.hops())) ++count;
+    if (!valley_free(view, record.path.hops())) ++count;
   }
   return count;
 }
 
-AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
-  // Initial labelling: plain degree comparison.
-  DegreeHeuristicConfig initial_config;
-  initial_config.provider_ratio = config_.initial_provider_ratio;
-  const AsGraph initial = DegreeHeuristic(initial_config).infer(corpus);
-
+topology::TopologyView TorLocalSearch::infer(const PathCorpus& corpus) const {
   // The search state is dense: hop sequences are translated to NodeIds once,
   // each path stores the link-table index of every hop pair, and the
-  // objective evaluation walks flat arrays against a per-link Label byte —
-  // re-labelling a link during the climb is a single store.
+  // objective evaluation walks flat arrays against a per-link label byte
+  // (hi's relationship seen from lo) — re-labelling a link during the climb
+  // is a single store.
   std::vector<Asn> asns;
   for (const PathRecord& record : corpus.records()) {
     const auto hops = record.path.hops();
@@ -100,14 +96,15 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
                                                       path_off[p + 1] - path_off[p]);
   };
 
-  // Link table over all distinct adjacent pairs (== the initial graph's
-  // links), sorted packed ids.
+  // Link table over all distinct adjacent pairs (the links of the degree
+  // tally's observed adjacency), sorted packed ids.  A pair with an AS0 hop
+  // is no link.
+  const auto is_link = [](NodeId a, NodeId b) { return a != b && a != kNoNode && b != kNoNode; };
   std::vector<std::uint64_t> link_keys;
   for (std::size_t p = 0; p < path_count; ++p) {
     const auto hops = hops_of(p);
     for (std::size_t i = 1; i < hops.size(); ++i) {
-      if (hops[i - 1] == hops[i]) continue;
-      link_keys.push_back(pack(hops[i - 1], hops[i]));
+      if (is_link(hops[i - 1], hops[i])) link_keys.push_back(pack(hops[i - 1], hops[i]));
     }
   }
   std::sort(link_keys.begin(), link_keys.end());
@@ -118,26 +115,28 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
     return static_cast<std::uint32_t>(it - link_keys.begin());
   };
 
-  std::vector<Label> labels(link_keys.size());
+  // Initial labelling: the degree-ratio rule, node degree being the number
+  // of links an AS ends.
+  std::vector<std::size_t> degree(interner.size(), 0);
+  for (const std::uint64_t key : link_keys) {
+    ++degree[key >> 32];
+    ++degree[static_cast<NodeId>(key)];
+  }
+  std::vector<RelView> labels(link_keys.size());
   for (std::size_t i = 0; i < link_keys.size(); ++i) {
-    const Asn lo = interner.asn_of(static_cast<NodeId>(link_keys[i] >> 32));
-    const Asn hi = interner.asn_of(static_cast<NodeId>(link_keys[i]));
-    const auto link = initial.link(lo, hi);
-    if (link->type == LinkType::kP2P) {
-      labels[i] = Label::kPeer;
-    } else {
-      labels[i] = link->a == lo ? Label::kLoProv : Label::kHiProv;
-    }
+    labels[i] = degree_ratio_view(degree[link_keys[i] >> 32],
+                                  degree[static_cast<NodeId>(link_keys[i])],
+                                  config_.initial_provider_ratio);
   }
 
-  // Per-hop link indices (kNoLink for a prepending repeat, which no
-  // labelling can satisfy) and the link -> covering-paths index.
+  // Per-hop link indices (kNoLink for a prepending repeat or an AS0 hop,
+  // which no labelling can satisfy) and the link -> covering-paths index.
   std::vector<std::uint32_t> link_of_hop(path_flat.size(), kNoLink);
   std::vector<std::uint64_t> cover_pairs;  // (link, path) packed
   for (std::size_t p = 0; p < path_count; ++p) {
     const auto hops = hops_of(p);
     for (std::size_t i = 1; i < hops.size(); ++i) {
-      if (hops[i - 1] == hops[i]) continue;
+      if (!is_link(hops[i - 1], hops[i])) continue;
       const std::uint32_t link = link_index(hops[i - 1], hops[i]);
       link_of_hop[path_off[p] + i] = link;
       cover_pairs.push_back(static_cast<std::uint64_t>(link) << 32 | p);
@@ -156,14 +155,14 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
     for (std::size_t i = 1; i < hops.size(); ++i) {
       const std::uint32_t link = link_of_hop[path_off[p] + i];
       if (link == kNoLink) return false;
-      const Label label = labels[link];
-      if (label == Label::kPeer) {
+      const RelView label = labels[link];
+      if (label == RelView::kPeer) {
         if (state != 0) return false;
         state = 1;
         continue;
       }
       const bool left_is_lo = hops[i - 1] < hops[i];
-      const bool descending = (label == Label::kLoProv) == left_is_lo;
+      const bool descending = (label == RelView::kCustomer) == left_is_lo;
       if (descending) {
         state = 1;
       } else if (state != 0) {  // ascending after the peak
@@ -191,24 +190,24 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
     bool improved = false;
     for (std::size_t link = 0; link < link_keys.size(); ++link) {
       if (cover_off[link] == cover_off[link + 1]) continue;
-      const Label current = labels[link];
+      const RelView current = labels[link];
 
       std::size_t best_violations = local_violations(link);
-      Label best = current;
+      RelView best = current;
       // Candidate order mirrors the legacy sweep: both c2p orientations
       // first (relative to the current orientation), then p2p.
-      Label candidates[2];
-      if (current == Label::kLoProv) {
-        candidates[0] = Label::kHiProv;
-        candidates[1] = Label::kPeer;
-      } else if (current == Label::kHiProv) {
-        candidates[0] = Label::kLoProv;
-        candidates[1] = Label::kPeer;
+      RelView candidates[2];
+      if (current == RelView::kCustomer) {
+        candidates[0] = RelView::kProvider;
+        candidates[1] = RelView::kPeer;
+      } else if (current == RelView::kProvider) {
+        candidates[0] = RelView::kCustomer;
+        candidates[1] = RelView::kPeer;
       } else {
-        candidates[0] = Label::kLoProv;
-        candidates[1] = Label::kHiProv;
+        candidates[0] = RelView::kCustomer;
+        candidates[1] = RelView::kProvider;
       }
-      for (const Label candidate : candidates) {
+      for (const RelView candidate : candidates) {
         labels[link] = candidate;
         const std::size_t with_candidate = local_violations(link);
         if (with_candidate < best_violations) {
@@ -222,17 +221,7 @@ AsGraph TorLocalSearch::infer(const PathCorpus& corpus) const {
     if (!improved) break;
   }
 
-  AsGraph graph;
-  for (std::size_t i = 0; i < link_keys.size(); ++i) {
-    const Asn lo = interner.asn_of(static_cast<NodeId>(link_keys[i] >> 32));
-    const Asn hi = interner.asn_of(static_cast<NodeId>(link_keys[i]));
-    switch (labels[i]) {
-      case Label::kLoProv: graph.add_p2c(lo, hi); break;
-      case Label::kHiProv: graph.add_p2c(hi, lo); break;
-      case Label::kPeer: graph.add_p2p(lo, hi); break;
-    }
-  }
-  return graph;
+  return topology::TopologyView::from_link_table(interner, std::move(link_keys), labels);
 }
 
 }  // namespace asrank::baselines

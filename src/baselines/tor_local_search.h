@@ -33,11 +33,11 @@ class TorLocalSearch final : public algo::InferenceAlgorithm {
   explicit TorLocalSearch(TorConfig config = {}) : config_(config) {}
 
   [[nodiscard]] std::string name() const override { return "tor-local-search"; }
-  [[nodiscard]] AsGraph infer(const paths::PathCorpus& corpus) const override;
+  [[nodiscard]] topology::TopologyView infer(const paths::PathCorpus& corpus) const override;
 
-  /// Count valley violations of `paths` under the labelling in `graph`
-  /// (exposed for tests and for measuring convergence).
-  [[nodiscard]] static std::size_t violations(const AsGraph& graph,
+  /// Count valley violations of `corpus`'s paths under the labelling in
+  /// `view` (exposed for tests and for measuring convergence).
+  [[nodiscard]] static std::size_t violations(const topology::TopologyView& view,
                                               const paths::PathCorpus& corpus);
 
  private:

@@ -134,8 +134,6 @@ class Pipeline {
   void stub_clique_pass();
   void enforce_transit_free_clique();
   void finalize_graph();
-  [[nodiscard]] topology::TopologyView link_table_view() const;
-  void repair_cycles();
 
   [[nodiscard]] bool in_clique(NodeId id) const noexcept {
     return id != kNoNode && clique_bits_[id];
@@ -179,11 +177,6 @@ class Pipeline {
   std::vector<std::uint64_t> link_keys_;   ///< sorted packed (lo, hi) id pairs
   std::vector<LinkState> link_state_;      ///< parallel to link_keys_
   std::vector<std::uint32_t> link_of_hop_; ///< parallel to the arena hop buffer
-
-  /// Arena id -> id in the result's view (the link endpoints, compacted in
-  /// order), kNoNode for an AS on no link; view_interner_ is the inverse.
-  std::vector<NodeId> view_id_;
-  AsnInterner view_interner_;
 };
 
 void Pipeline::run(const PathCorpus& raw) {
@@ -253,7 +246,6 @@ void Pipeline::run(const PathCorpus& raw) {
   {
     obs::StageTimer timer("finalize");
     finalize_graph();
-    repair_cycles();
   }
   obs::log_debug("inference complete",
                  {{"clique_size", result_.audit.clique_size},
@@ -834,38 +826,18 @@ void Pipeline::enforce_transit_free_clique() {
 }
 
 void Pipeline::finalize_graph() {
-  // The view's AS table is the link endpoints, compacted in arena id order
-  // so ASNs stay ascending.  A self-pair (a prepending run a sanitizer left
-  // uncompressed) is not a link: it stays out of the view, the p2p fallback
-  // count and cycle repair, and an AS seen only in one keeps kNoNode.
-  view_id_.assign(interner().size(), kNoNode);
-  std::size_t p2p_fallback = 0;
-  for (std::size_t i = 0; i < link_keys_.size(); ++i) {
-    const std::uint64_t key = link_keys_[i];
-    if (is_self_pair(key)) continue;
-    view_id_[lo_of(key)] = view_id_[hi_of(key)] = 0;
-    p2p_fallback += link_state_[i].kind == LinkState::Kind::kUnknown;
-  }
-  std::vector<Asn> asns;
-  for (NodeId id = 0; id < view_id_.size(); ++id) {
-    if (view_id_[id] == kNoNode) continue;
-    view_id_[id] = static_cast<NodeId>(asns.size());
-    asns.push_back(interner().asn_of(id));
-  }
-  result_.audit.p2p_fallback = p2p_fallback;
-  view_interner_ = AsnInterner::from_sorted_unique(std::move(asns));
-  result_.graph = link_table_view();
-}
-
-topology::TopologyView Pipeline::link_table_view() const {
-  // The compaction is monotone, so the keys stay strictly ascending.
+  // Every link but self-pairs becomes the view: a self-pair (a prepending
+  // run a sanitizer left uncompressed) is not a link, so it stays out of
+  // the view, the p2p fallback count and cycle repair, and an AS seen only
+  // in one is no view node.  Links still unknown become p2p.
   std::vector<std::uint64_t> keys;
   std::vector<RelView> lo_views;
   keys.reserve(link_keys_.size());
   lo_views.reserve(link_keys_.size());
+  std::size_t p2p_fallback = 0;
   for (std::size_t i = 0; i < link_keys_.size(); ++i) {
     if (is_self_pair(link_keys_[i])) continue;
-    keys.push_back(pack(view_id_[lo_of(link_keys_[i])], view_id_[hi_of(link_keys_[i])]));
+    keys.push_back(link_keys_[i]);
     switch (link_state_[i].kind) {
       case LinkState::Kind::kC2pLoProv: lo_views.push_back(RelView::kCustomer); break;
       case LinkState::Kind::kC2pHiProv: lo_views.push_back(RelView::kProvider); break;
@@ -873,37 +845,16 @@ topology::TopologyView Pipeline::link_table_view() const {
       case LinkState::Kind::kP2pFixed:
       case LinkState::Kind::kUnknown: lo_views.push_back(RelView::kPeer); break;
     }
+    p2p_fallback += link_state_[i].kind == LinkState::Kind::kUnknown;
   }
-  return topology::TopologyView::from_sorted_links(view_interner_, keys, lo_views);
-}
+  result_.audit.p2p_fallback = p2p_fallback;
+  result_.graph = topology::TopologyView::from_link_table(interner(), std::move(keys), lo_views);
 
-void Pipeline::repair_cycles() {
-  // Tarjan on the view's customer rows.  Inside each non-trivial SCC,
-  // re-orient c2p links so the higher-ranked endpoint provides (the rule
-  // break_provider_cycles applies to an AsGraph), then rebuild the view.
-  ProviderComponents components = provider_components(result_.graph);
-  if (!components.acyclic()) {
-    const Degrees& degrees = result_.degrees;
-    for (std::size_t i = 0; i < link_keys_.size(); ++i) {
-      const NodeId lo = lo_of(link_keys_[i]), hi = hi_of(link_keys_[i]);
-      const LinkState::Kind kind = link_state_[i].kind;
-      if (kind != LinkState::Kind::kC2pLoProv && kind != LinkState::Kind::kC2pHiProv) continue;
-      if (is_self_pair(link_keys_[i])) continue;  // in no view row
-      if (components.component[view_id_[lo]] != components.component[view_id_[hi]]) continue;
-      // Ids ascend with ASN, so the ASN tie-break is the id one.
-      const bool lo_higher = degrees.rank_of(lo) < degrees.rank_of(hi) ||
-                             (degrees.rank_of(lo) == degrees.rank_of(hi) && lo < hi);
-      const NodeId provider = lo_higher ? lo : hi;
-      const NodeId customer = lo_higher ? hi : lo;
-      if ((kind == LinkState::Kind::kC2pLoProv) != lo_higher) {
-        set_c2p(static_cast<std::uint32_t>(i), provider, customer);
-        ++result_.audit.cycle_edges_reoriented;
-      }
-    }
-    result_.graph = link_table_view();
-    components = provider_components(result_.graph);
-  }
-  result_.audit.p2c_acyclic = components.acyclic();
+  // Provider cycles (violations of assumption A3) are repaired toward the
+  // ranking; a repaired view is checked acyclic once more.
+  result_.audit.cycle_edges_reoriented = break_provider_cycles(result_.graph, result_.degrees);
+  result_.audit.p2c_acyclic = result_.audit.cycle_edges_reoriented == 0 ||
+                              provider_components(result_.graph).acyclic();
 }
 
 }  // namespace

@@ -39,9 +39,11 @@
 //       the member's entire customer cone (see bench_rank_stability).
 //   11. Remaining observed links become p2p and the link table becomes the
 //       result's TopologyView directly (no AsGraph is built); provider
-//       cycles (violations of assumption A3) are repaired by re-orienting
-//       intra-SCC c2p edges toward the ranking, and the final view is
-//       checked acyclic.  Both run Tarjan on the view's customer rows.
+//       cycles (violations of assumption A3) are repaired by
+//       core::break_provider_cycles, the one cycle repair every algorithm's
+//       view goes through: it re-orients intra-SCC c2p edges toward the
+//       ranking, and a repaired view is checked acyclic.  Both run Tarjan
+//       on the view's customer rows.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +56,6 @@
 #include "paths/arena.h"
 #include "paths/corpus.h"
 #include "paths/sanitizer.h"
-#include "topology/as_graph.h"
 #include "topology/topology_view.h"
 
 namespace asrank::core {
@@ -125,7 +126,7 @@ struct StageAudit {
 
 struct InferenceResult {
   /// Every observed link, annotated c2p/p2p/s2s, frozen: its AS table is
-  /// exactly the link endpoints.  to_graph() gives the mutable AsGraph.
+  /// exactly the link endpoints.
   topology::TopologyView graph;
   std::vector<Asn> clique;  ///< inferred tier-1 clique, sorted
   Degrees degrees;          ///< ranking used by the pipeline
@@ -138,9 +139,9 @@ struct InferenceResult {
 };
 
 /// The paper's algorithm, registered natively in the algo:: registry (no
-/// adapter): infer() runs the full pipeline and keeps the graph, as an
-/// AsGraph.  Callers needing the view, clique, audit or post-step-4 arena
-/// use run() directly.
+/// adapter): infer() runs the full pipeline and keeps its view.  Callers
+/// needing the clique, degrees, audit or post-step-4 arena use run()
+/// directly.
 class AsRankInference final : public algo::InferenceAlgorithm {
  public:
   explicit AsRankInference(InferenceConfig config = {}) : config_(std::move(config)) {}
@@ -151,8 +152,8 @@ class AsRankInference final : public algo::InferenceAlgorithm {
   [[nodiscard]] InferenceResult run(const paths::PathCorpus& raw) const;
 
   [[nodiscard]] std::string name() const override { return "asrank"; }
-  [[nodiscard]] AsGraph infer(const paths::PathCorpus& corpus) const override {
-    return run(corpus).graph.to_graph();
+  [[nodiscard]] topology::TopologyView infer(const paths::PathCorpus& corpus) const override {
+    return run(corpus).graph;
   }
 
  private:

@@ -289,29 +289,33 @@ ProviderComponents provider_components(const TopologyView& view) {
   return out;
 }
 
-std::size_t break_provider_cycles(AsGraph& graph, const Degrees& degrees) {
-  // Inside each non-trivial SCC, re-orient c2p edges so the higher-ranked
-  // endpoint provides, which imposes a strict total order and breaks all
-  // cycles without discarding transit evidence.
-  const TopologyView view = graph.freeze();
+std::size_t break_provider_cycles(TopologyView& view, const Degrees& degrees) {
   const ProviderComponents components = provider_components(view);
   if (components.acyclic()) return 0;
 
-  const AsnInterner& graph_ids = view.interner();
+  // Relabel in key order, then rebuild the view from the same link table.
+  std::vector<std::uint64_t> keys;
+  std::vector<RelView> lo_views;
+  keys.reserve(view.link_count());
+  lo_views.reserve(view.link_count());
   std::size_t reoriented = 0;
-  for (const Link& link : graph.links()) {
-    if (link.type != LinkType::kP2C) continue;
-    const NodeId ia = graph_ids.id_of(link.a), ib = graph_ids.id_of(link.b);
-    if (components.component[ia] != components.component[ib]) continue;
-    // Intra-SCC edge: orient toward the ranking.
-    const bool a_higher = degrees.rank_of(link.a) < degrees.rank_of(link.b) ||
-                          (degrees.rank_of(link.a) == degrees.rank_of(link.b) &&
-                           link.a < link.b);
-    if (!a_higher) {
-      graph.add_p2c(link.b, link.a);
-      ++reoriented;
+  view.for_each_link([&](NodeId lo, NodeId hi, RelView rel) {
+    keys.push_back(pack(lo, hi));
+    const bool p2c = rel == RelView::kCustomer || rel == RelView::kProvider;
+    if (p2c && components.component[lo] == components.component[hi]) {
+      // Intra-SCC edge: orient toward the ranking.  Ids ascend with ASN, so
+      // on a rank tie lo, the lower ASN, provides.
+      const std::size_t lo_rank = degrees.rank_of(view.interner().asn_of(lo));
+      const std::size_t hi_rank = degrees.rank_of(view.interner().asn_of(hi));
+      const RelView ranked = lo_rank <= hi_rank ? RelView::kCustomer : RelView::kProvider;
+      if (rel != ranked) {
+        rel = ranked;
+        ++reoriented;
+      }
     }
-  }
+    lo_views.push_back(rel);
+  });
+  view = TopologyView::from_sorted_links(view.interner(), keys, lo_views);
   return reoriented;
 }
 

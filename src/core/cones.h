@@ -28,9 +28,9 @@
 // ASes the view lacks map to kNoNode.  The pipeline's InferenceResult::arena
 // is the post-step-4 corpus; a raw corpus is passed as an arena built with
 // every sanitizer stage off, so the walk sees its hops as they were read.
-// An InferenceResult's graph is already a view, so the pipeline's cones
-// never freeze; recursive_cone's AsGraph overload, for ground-truth and
-// .as-rel graphs, freezes the graph first.
+// Every inference algorithm returns a view, so the cones of an inferred
+// graph never freeze; recursive_cone's AsGraph overload, for ground-truth
+// graphs, freezes the graph first.
 #pragma once
 
 #include <cstddef>
@@ -67,15 +67,16 @@ struct ProviderComponents {
 
 /// Establish assumption A3 in place: inside every strongly connected
 /// component of the provider->customer digraph, re-orient c2p edges so the
-/// higher-ranked endpoint (by transit degree, ASN tie-break) provides.  The
-/// strict total order breaks all cycles without discarding transit evidence.
-/// The asrank pipeline applies the same rule to its link table (step 11);
-/// this AsGraph form is for callers that freeze cones over graphs other
-/// inference algorithms produced — the baselines (gao2001,
-/// tor-local-search, degree-ratio) promise nothing about acyclicity.
-/// Returns the number of re-oriented p2c edges (0 when the graph was
-/// already acyclic — the common case — in which case nothing is touched).
-std::size_t break_provider_cycles(AsGraph& graph, const Degrees& degrees);
+/// higher-ranked endpoint (`degrees.rank_of`: transit degree, ASN
+/// tie-break) provides.  The strict total order breaks all cycles without
+/// discarding transit evidence.  The one cycle repair: the asrank pipeline
+/// runs it as step 11, and the snapshot builder runs it on the baselines'
+/// views (gao2001, tor-local-search and degree-ratio promise nothing about
+/// acyclicity).  Returns the number of re-oriented p2c edges.  An acyclic
+/// view, the common case, costs one Tarjan pass and is left untouched (0);
+/// otherwise the view is rebuilt without a clique, which no inference
+/// result carries.
+std::size_t break_provider_cycles(topology::TopologyView& view, const Degrees& degrees);
 
 /// Full transitive closure over p2c links.  Requires an acyclic provider
 /// graph (throws std::invalid_argument otherwise — assumption A3).

@@ -329,53 +329,54 @@ void ClusterClient::invalidate_epoch() {
 Result<std::string> ClusterClient::try_resolved_epoch() { return resolve_epoch(); }
 
 template <typename Fn>
+auto ClusterClient::counted(Op op, Fn&& body) -> decltype(body()) {
+  const auto start = std::chrono::steady_clock::now();
+  auto result = body();
+  latency_->observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  const std::string name(wire::op_name(op));
+  metrics_
+      ->counter("asrank_cluster_requests_total", "Cluster queries dispatched",
+                {{"op", name}})
+      .inc();
+  if (!result.ok()) {
+    metrics_
+        ->counter("asrank_cluster_errors_total", "Cluster queries failed",
+                  {{"op", name}, {"code", std::string(to_string(result.error().code))}})
+        .inc();
+  }
+  return result;
+}
+
+template <typename Fn>
 auto ClusterClient::pinned(const QueryScope& scope, Op op, Fn&& body)
     -> decltype(body(scope)) {
   using R = decltype(body(scope));
-  const auto start = std::chrono::steady_clock::now();
-  const auto done = [&](R result) -> R {
-    latency_->observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-    metrics_
-        ->counter("asrank_cluster_requests_total", "Cluster queries dispatched",
-                  {{"op", std::string(wire::op_name(op))}})
-        .inc();
-    if (!result.ok()) {
-      metrics_
-          ->counter("asrank_cluster_errors_total", "Cluster queries failed",
-                    {{"code", std::string(to_string(result.error().code))}})
-          .inc();
-    }
-    return result;
-  };
+  return counted(op, [&]() -> R {
+    // An explicitly scoped epoch bypasses the consistency machinery: the
+    // caller pinned a vintage, so kUnknownEpoch is their answer, not skew.
+    if (!scope.epoch.empty()) return body(scope);
 
-  // An explicitly scoped epoch bypasses the consistency machinery: the
-  // caller pinned a vintage, so kUnknownEpoch is their answer, not skew.
-  if (!scope.epoch.empty()) return done(body(scope));
-
-  auto resolved = resolve_epoch();
-  if (!resolved.ok()) return done(R(resolved.take_error()));
-  auto first = body(scope.with_epoch(resolved.value()));
-  if (first.ok() || first.error().code != ErrorCode::kUnknownEpoch) {
-    return done(std::move(first));
-  }
-  // A replica no longer carries the pinned label: the skew signal.  One
-  // bounded re-resolve, then fail typed.
-  epoch_skew_total_->inc();
-  invalidate_epoch();
-  auto resolved_again = resolve_epoch();
-  if (!resolved_again.ok()) return done(R(resolved_again.take_error()));
-  auto second = body(scope.with_epoch(resolved_again.value()));
-  if (second.ok() || second.error().code != ErrorCode::kUnknownEpoch) {
-    return done(std::move(second));
-  }
-  epoch_skew_total_->inc();
-  return done(R(make_error(
-      ErrorCode::kEpochSkew,
-      "epoch '" + resolved_again.value() +
-          "' not uniformly resident after re-resolve: " + second.error().context)));
+    auto resolved = resolve_epoch();
+    if (!resolved.ok()) return resolved.take_error();
+    auto first = body(scope.with_epoch(resolved.value()));
+    if (first.ok() || first.error().code != ErrorCode::kUnknownEpoch) return first;
+    // A replica no longer carries the pinned label: the skew signal.  One
+    // bounded re-resolve, then fail typed.
+    epoch_skew_total_->inc();
+    invalidate_epoch();
+    auto resolved_again = resolve_epoch();
+    if (!resolved_again.ok()) return resolved_again.take_error();
+    auto second = body(scope.with_epoch(resolved_again.value()));
+    if (second.ok() || second.error().code != ErrorCode::kUnknownEpoch) return second;
+    epoch_skew_total_->inc();
+    return make_error(ErrorCode::kEpochSkew,
+                      "epoch '" + resolved_again.value() +
+                          "' not uniformly resident after re-resolve: " +
+                          second.error().context);
+  });
 }
 
 template <typename T>
@@ -527,12 +528,14 @@ Result<std::string> ClusterClient::try_stats_text(const QueryScope& scope) {
 Result<std::vector<std::string>> ClusterClient::try_epochs() {
   // Labels every reachable endpoint carries, in the first reachable
   // endpoint's order — the cluster can only answer from common vintages.
-  auto common = common_labels(scatter_epochs());
-  if (!common) {
-    unavailable_total_->inc();
-    return make_error(ErrorCode::kUnavailable, "no cluster endpoint reachable");
-  }
-  return *std::move(common);
+  return counted(wire::epochs().op, [&]() -> Result<std::vector<std::string>> {
+    auto common = common_labels(scatter_epochs());
+    if (!common) {
+      unavailable_total_->inc();
+      return make_error(ErrorCode::kUnavailable, "no cluster endpoint reachable");
+    }
+    return *std::move(common);
+  });
 }
 
 Result<std::vector<std::string>> ClusterClient::try_algos(const QueryScope& scope) {
@@ -556,10 +559,14 @@ Result<DisagreeReport> ClusterClient::try_disagree(std::string_view algo_a,
 Result<ConeDiff> ClusterClient::try_cone_diff(Asn as, std::string_view epoch_a,
                                               std::string_view epoch_b) {
   // Both epochs are explicit, so no pinning; route by the subject AS.
-  return fetch(wire::cone_diff(as, epoch_a, epoch_b), {}, as);
+  const auto query = wire::cone_diff(as, epoch_a, epoch_b);
+  return counted(query.op, [&] { return fetch(query, {}, as); });
 }
 
-Result<void> ClusterClient::try_ping() { return fetch(wire::ping(), {}, std::nullopt); }
+Result<void> ClusterClient::try_ping() {
+  const auto query = wire::ping();
+  return counted(query.op, [&] { return fetch(query, {}, std::nullopt); });
+}
 
 // ----------------------------------------------------------------- status --
 

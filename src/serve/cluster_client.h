@@ -204,10 +204,14 @@ class ClusterClient {
   [[nodiscard]] std::vector<std::optional<std::vector<std::string>>>
   scatter_epochs();
 
+  /// Run `body()` and count it under op's name: requests_total{op}, the
+  /// latency histogram, and errors_total{op,code} when it fails.  Every
+  /// query method goes through it once.  This and the templates below are
+  /// defined in the .cpp: all instantiations are local to it.
+  template <typename Fn>
+  auto counted(Op op, Fn&& body) -> decltype(body());
   /// Run `body` under an epoch-pinned scope with the one bounded re-resolve
-  /// retry on kUnknownEpoch (the skew signal), counted under op's name.
-  /// This and the templates below are defined in the .cpp: all
-  /// instantiations are local to it.
+  /// retry on kUnknownEpoch (the skew signal), counted().
   template <typename Fn>
   auto pinned(const QueryScope& scope, Op op, Fn&& body) -> decltype(body(scope));
   /// `query` framed under `scope`, sent to `route`'s slot (any endpoint when

@@ -871,11 +871,6 @@ SnapshotIndex build_snapshot(const AsGraph& graph,
   return build_snapshot(graph.freeze(), transit_degrees, cones, clique);
 }
 
-SnapshotIndex build_snapshot(const AsGraph& graph, const core::Degrees& degrees,
-                             const ConeMap& cones, const std::vector<Asn>& clique) {
-  return build_snapshot(graph.freeze(), degrees, cones, clique);
-}
-
 Result<SnapshotIndex> combine_snapshots(
     std::vector<std::pair<std::string, SnapshotIndex>> parts) {
   const auto fail = [](std::string what) {

@@ -291,15 +291,10 @@ class SnapshotIndex {
                                            const ConeMap& cones,
                                            std::span<const Asn> clique);
 
-/// Convenience overloads that freeze `graph` first (ground-truth and
-/// .as-rel graphs).
+/// Convenience overload that freezes `graph` first (ground-truth graphs).
 [[nodiscard]] SnapshotIndex build_snapshot(
     const AsGraph& graph, const std::unordered_map<Asn, std::size_t>& transit_degrees,
     const ConeMap& cones, const std::vector<Asn>& clique);
-[[nodiscard]] SnapshotIndex build_snapshot(const AsGraph& graph,
-                                           const core::Degrees& degrees,
-                                           const ConeMap& cones,
-                                           const std::vector<Asn>& clique);
 
 /// Merge per-algorithm indexes into one multi-algorithm index: parts[0]
 /// becomes the primary (slot 0, served by the merged index's own

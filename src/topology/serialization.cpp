@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "topology/topology_view.h"
 #include "util/strings.h"
 
 namespace asrank {
@@ -29,14 +30,22 @@ std::optional<Asn> parse_field_asn(std::string_view field) {
   return Asn(*value);
 }
 
+void write_as_rel_lines(std::size_t as_count, const std::vector<Link>& links, std::ostream& os) {
+  os << "# " << as_count << " ASes, " << links.size() << " links\n";
+  os << "# format: <provider|peer>|<customer|peer>|<-1 p2c, 0 p2p, 2 s2s>\n";
+  for (const Link& link : links) {
+    os << link.a.value() << '|' << link.b.value() << '|' << as_rel_code(link.type) << '\n';
+  }
+}
+
 }  // namespace
 
 void write_as_rel(const AsGraph& graph, std::ostream& os) {
-  os << "# " << graph.as_count() << " ASes, " << graph.link_count() << " links\n";
-  os << "# format: <provider|peer>|<customer|peer>|<-1 p2c, 0 p2p, 2 s2s>\n";
-  for (const Link& link : graph.links()) {
-    os << link.a.value() << '|' << link.b.value() << '|' << as_rel_code(link.type) << '\n';
-  }
+  write_as_rel_lines(graph.as_count(), graph.links(), os);
+}
+
+void write_as_rel(const topology::TopologyView& view, std::ostream& os) {
+  write_as_rel_lines(view.node_count(), view.links(), os);
 }
 
 Result<AsGraph> try_read_as_rel(std::istream& is) {

@@ -20,8 +20,14 @@
 
 namespace asrank {
 
-/// Write the graph in .as-rel format (deterministic link order).
+namespace topology {
+class TopologyView;
+}
+
+/// Write the graph in .as-rel format (deterministic link order).  Both
+/// overloads emit the same bytes for the same graph.
 void write_as_rel(const AsGraph& graph, std::ostream& os);
+void write_as_rel(const topology::TopologyView& view, std::ostream& os);
 
 /// Parse .as-rel text.  Strict: ASNs are plain decimal (no "AS" prefix or
 /// asdot), relationship codes must be known, and duplicate links, self

@@ -105,6 +105,25 @@ TopologyView TopologyView::from_sorted_links(AsnInterner interner,
   return view;
 }
 
+TopologyView TopologyView::from_link_table(const AsnInterner& ids,
+                                           std::vector<std::uint64_t> keys,
+                                           std::span<const RelView> lo_views) {
+  std::vector<NodeId> compact(ids.size(), kNoNode);
+  for (const std::uint64_t key : keys) {
+    compact[key >> 32] = compact[static_cast<NodeId>(key)] = 0;
+  }
+  std::vector<Asn> asns;
+  for (NodeId id = 0; id < compact.size(); ++id) {
+    if (compact[id] == kNoNode) continue;
+    compact[id] = static_cast<NodeId>(asns.size());
+    asns.push_back(ids.asn_of(id));
+  }
+  for (std::uint64_t& key : keys) {
+    key = std::uint64_t{compact[key >> 32]} << 32 | compact[static_cast<NodeId>(key)];
+  }
+  return from_sorted_links(AsnInterner::from_sorted_unique(std::move(asns)), keys, lo_views);
+}
+
 AsGraph TopologyView::to_graph() const {
   AsGraph graph;
   for (NodeId node = 0; node < node_count(); ++node) {
@@ -126,12 +145,54 @@ AsGraph TopologyView::to_graph() const {
   return graph;
 }
 
+std::vector<Link> TopologyView::links() const {
+  std::vector<Link> out;
+  out.reserve(link_count());
+  for_each_link([&](NodeId lo, NodeId hi, RelView view) {
+    const Asn a = interner_.asn_of(lo), b = interner_.asn_of(hi);
+    switch (view) {
+      case RelView::kCustomer: out.push_back({a, b, LinkType::kP2C}); break;
+      case RelView::kProvider: out.push_back({b, a, LinkType::kP2C}); break;
+      case RelView::kPeer: out.push_back({a, b, LinkType::kP2P}); break;
+      case RelView::kSibling: out.push_back({a, b, LinkType::kS2S}); break;
+    }
+  });
+  return out;
+}
+
+AsGraph::LinkCounts TopologyView::link_counts() const noexcept {
+  AsGraph::LinkCounts counts;
+  counts.p2c = cust_nbr_.size();
+  for (const std::uint8_t code : adj_rel_) {
+    counts.p2p += static_cast<RelView>(code) == RelView::kPeer;
+    counts.s2s += static_cast<RelView>(code) == RelView::kSibling;
+  }
+  counts.p2p /= 2;  // each link sits in two rows
+  counts.s2s /= 2;
+  return counts;
+}
+
+std::vector<Asn> TopologyView::provider_free_ases() const {
+  std::vector<Asn> out;
+  for (NodeId node = 0; node < node_count(); ++node) {
+    if (providers(node).empty() && !customers(node).empty()) out.push_back(interner_.asn_of(node));
+  }
+  return out;
+}
+
 std::optional<RelView> TopologyView::relationship(NodeId node, NodeId neighbor) const {
   const auto nbrs = neighbors(node);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), neighbor);
   if (it == nbrs.end() || *it != neighbor) return std::nullopt;
   return static_cast<RelView>(
       adj_rel_[adj_off_[node] + static_cast<std::size_t>(it - nbrs.begin())]);
+}
+
+std::optional<RelView> TopologyView::relationship(Asn as, Asn neighbor) const {
+  const NodeId node = interner_.id_of(as);
+  const NodeId other = interner_.id_of(neighbor);
+  if (node == kNoNode || other == kNoNode) return std::nullopt;
+  return relationship(node, other);
 }
 
 }  // namespace asrank::topology

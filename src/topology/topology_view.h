@@ -9,9 +9,10 @@
 // from_sorted_links: count each row, take a prefix sum, and fill the rows
 // in one pass over links sorted by (lower id, higher id), an order that
 // leaves every row and sub-row ascending.  AsGraph::freeze() feeds it each
-// AS's higher neighbours row by row; the asrank pipeline feeds it its link
-// table, so an inference result is a view from the start and to_graph() is
-// only for callers that need AsGraph's mutable, ASN-keyed API.
+// AS's higher neighbours row by row; every inference algorithm feeds it its
+// labelled link table through from_link_table, so an inference result is a
+// view from the start and to_graph() is only for callers that need
+// AsGraph's mutable, ASN-keyed API.
 //
 //   * Full adjacency: offsets[n+1] into neighbor/rel arrays, each row sorted
 //     by neighbor id (== ascending ASN, since the interner is
@@ -28,6 +29,7 @@
 // single id->ASN translation pass and no re-hashing or re-sorting.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -56,9 +58,44 @@ class TopologyView {
                                                       std::span<const std::uint64_t> keys,
                                                       std::span<const RelView> lo_views);
 
+  /// from_sorted_links over only the ASes of `ids` that end some link in
+  /// `keys` (ids in `ids`' space): the others are dropped and the rest
+  /// renumbered in order, which keeps the keys ascending.  So the AS table
+  /// is exactly the link endpoints, as an AsGraph built link by link has.
+  /// The inference algorithms finish through it.
+  [[nodiscard]] static TopologyView from_link_table(const AsnInterner& ids,
+                                                    std::vector<std::uint64_t> keys,
+                                                    std::span<const RelView> lo_views);
+
   /// The same graph as a mutable AsGraph: links added in key order, so two
   /// equal views give AsGraphs built by the same calls.
   [[nodiscard]] AsGraph to_graph() const;
+
+  /// Calls f(lo, hi, view) once per link in key order (lo < hi, ascending):
+  /// `view` is hi's relationship seen from lo, as from_sorted_links takes it.
+  template <typename F>
+  void for_each_link(F&& f) const {
+    for (NodeId node = 0; node < node_count(); ++node) {
+      const auto nbrs = neighbors(node);
+      const auto codes = rels(node);
+      // Rows ascend, so the higher neighbours are the row's tail.
+      for (auto i = static_cast<std::size_t>(
+               std::upper_bound(nbrs.begin(), nbrs.end(), node) - nbrs.begin());
+           i < nbrs.size(); ++i) {
+        f(node, nbrs[i], static_cast<RelView>(codes[i]));
+      }
+    }
+  }
+
+  /// Every link by ASN, in key order: the order and orientation
+  /// AsGraph::links() gives for the same graph.
+  [[nodiscard]] std::vector<Link> links() const;
+
+  /// Links per type, as AsGraph::link_counts() counts them.
+  [[nodiscard]] AsGraph::LinkCounts link_counts() const noexcept;
+
+  /// ASes with no providers and at least one customer, ascending.
+  [[nodiscard]] std::vector<Asn> provider_free_ases() const;
 
   [[nodiscard]] const AsnInterner& interner() const noexcept { return interner_; }
   /// Every AS ascending; the index is the NodeId.
@@ -84,6 +121,8 @@ class TopologyView {
 
   /// Relationship of `neighbor` from `node`'s perspective (O(log degree)).
   [[nodiscard]] std::optional<RelView> relationship(NodeId node, NodeId neighbor) const;
+  /// Same by ASN: nullopt unless both are nodes and linked.
+  [[nodiscard]] std::optional<RelView> relationship(Asn as, Asn neighbor) const;
 
   // ------------------------------------------------------------ p2c CSRs --
 

@@ -15,7 +15,7 @@ bool assertion_matches(const Link& inferred, const Assertion& assertion) noexcep
 
 }  // namespace
 
-PpvReport evaluate_ppv(const AsGraph& inferred, const ValidationCorpus& corpus) {
+PpvReport evaluate_ppv(const topology::TopologyView& inferred, const ValidationCorpus& corpus) {
   PpvReport report;
   for (const Link& link : inferred.links()) {
     ++report.inferred_links;
@@ -37,7 +37,8 @@ PpvReport evaluate_ppv(const AsGraph& inferred, const ValidationCorpus& corpus) 
   return report;
 }
 
-TruthAccuracy evaluate_against_truth(const AsGraph& inferred, const AsGraph& truth) {
+TruthAccuracy evaluate_against_truth(const topology::TopologyView& inferred,
+                                     const AsGraph& truth) {
   TruthAccuracy result;
   for (const Link& link : inferred.links()) {
     const auto true_link = truth.link(link.a, link.b);

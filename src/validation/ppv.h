@@ -9,6 +9,7 @@
 #include <cstddef>
 
 #include "topology/as_graph.h"
+#include "topology/topology_view.h"
 #include "validation/corpus.h"
 
 namespace asrank::validation {
@@ -39,7 +40,9 @@ struct PpvReport {
   }
 };
 
-[[nodiscard]] PpvReport evaluate_ppv(const AsGraph& inferred, const ValidationCorpus& corpus);
+/// PPV of every link of an inferred view (an algorithm's infer() result).
+[[nodiscard]] PpvReport evaluate_ppv(const topology::TopologyView& inferred,
+                                     const ValidationCorpus& corpus);
 
 /// Exact scoring against the full ground-truth graph (simulator only).
 struct TruthAccuracy {
@@ -60,7 +63,8 @@ struct TruthAccuracy {
   }
 };
 
-[[nodiscard]] TruthAccuracy evaluate_against_truth(const AsGraph& inferred,
+/// Every link of an inferred view scored against the ground-truth graph.
+[[nodiscard]] TruthAccuracy evaluate_against_truth(const topology::TopologyView& inferred,
                                                    const AsGraph& truth);
 
 }  // namespace asrank::validation

@@ -58,11 +58,11 @@ paths::PathCorpus star_corpus() {
 
 TEST(Gao, InfersTransitAroundTopProvider) {
   const auto gao = make("gao2001");
-  const AsGraph g = gao->infer(star_corpus());
-  EXPECT_EQ(g.view(Asn(1), Asn(10)), RelView::kProvider);
-  EXPECT_EQ(g.view(Asn(2), Asn(10)), RelView::kProvider);
-  EXPECT_EQ(g.view(Asn(20), Asn(10)), RelView::kProvider);
-  EXPECT_EQ(g.view(Asn(6), Asn(20)), RelView::kProvider);
+  const auto g = gao->infer(star_corpus());
+  EXPECT_EQ(g.relationship(Asn(1), Asn(10)), RelView::kProvider);
+  EXPECT_EQ(g.relationship(Asn(2), Asn(10)), RelView::kProvider);
+  EXPECT_EQ(g.relationship(Asn(20), Asn(10)), RelView::kProvider);
+  EXPECT_EQ(g.relationship(Asn(6), Asn(20)), RelView::kProvider);
 }
 
 TEST(Gao, SiblingWhenBothDirectionsTransit) {
@@ -75,8 +75,8 @@ TEST(Gao, SiblingWhenBothDirectionsTransit) {
   algo::AlgorithmOptions options;
   options.params["sibling-threshold"] = "1";
   const auto gao = make("gao2001", options);
-  const AsGraph g = gao->infer(corpus);
-  EXPECT_EQ(g.view(Asn(1), Asn(2)), RelView::kSibling);
+  const auto g = gao->infer(corpus);
+  EXPECT_EQ(g.relationship(Asn(1), Asn(2)), RelView::kSibling);
 }
 
 TEST(Gao, PeeringAtTopWithComparableDegrees) {
@@ -88,8 +88,8 @@ TEST(Gao, PeeringAtTopWithComparableDegrees) {
   corpus.add(rec(1, 3, {1, 10, 2}));
   corpus.add(rec(5, 4, {5, 20, 6}));
   const auto gao = make("gao2001");
-  const AsGraph g = gao->infer(corpus);
-  EXPECT_EQ(g.view(Asn(10), Asn(20)), RelView::kPeer);
+  const auto g = gao->infer(corpus);
+  EXPECT_EQ(g.relationship(Asn(10), Asn(20)), RelView::kPeer);
 }
 
 TEST(Gao, DegreeRatioBlocksImplausiblePeering) {
@@ -100,8 +100,8 @@ TEST(Gao, DegreeRatioBlocksImplausiblePeering) {
   algo::AlgorithmOptions options;
   options.params["peering-degree-ratio"] = "10.0";
   const auto gao = make("gao2001", options);
-  const AsGraph g = gao->infer(corpus);
-  EXPECT_EQ(g.view(Asn(2), Asn(10)), RelView::kProvider);
+  const auto g = gao->infer(corpus);
+  EXPECT_EQ(g.relationship(Asn(2), Asn(10)), RelView::kProvider);
 }
 
 TEST(Gao, NameIsStable) { EXPECT_EQ(make("gao")->name(), "gao2001"); }
@@ -110,9 +110,9 @@ TEST(Gao, NameIsStable) { EXPECT_EQ(make("gao")->name(), "gao2001"); }
 
 TEST(DegreeHeuristic, BigDegreeGapMeansProvider) {
   const auto heuristic = make("degree-ratio");
-  const AsGraph g = heuristic->infer(star_corpus());
-  EXPECT_EQ(g.view(Asn(1), Asn(10)), RelView::kProvider);
-  EXPECT_EQ(g.view(Asn(6), Asn(20)), RelView::kProvider);
+  const auto g = heuristic->infer(star_corpus());
+  EXPECT_EQ(g.relationship(Asn(1), Asn(10)), RelView::kProvider);
+  EXPECT_EQ(g.relationship(Asn(6), Asn(20)), RelView::kProvider);
 }
 
 TEST(DegreeHeuristic, ComparableDegreesMeanPeer) {
@@ -121,14 +121,14 @@ TEST(DegreeHeuristic, ComparableDegreesMeanPeer) {
   corpus.add(rec(1, 2, {1, 10, 2}));
   corpus.add(rec(5, 3, {5, 20, 6}));
   const auto heuristic = make("degree");
-  const AsGraph g = heuristic->infer(corpus);
+  const auto g = heuristic->infer(corpus);
   // 10 and 20 both have degree 3: peers under ratio 2.
-  EXPECT_EQ(g.view(Asn(10), Asn(20)), RelView::kPeer);
+  EXPECT_EQ(g.relationship(Asn(10), Asn(20)), RelView::kPeer);
 }
 
 TEST(DegreeHeuristic, AnnotatesEveryObservedLink) {
   const auto corpus = star_corpus();
-  const AsGraph g = make("degree-ratio")->infer(corpus);
+  const auto g = make("degree-ratio")->infer(corpus);
   EXPECT_EQ(g.link_count(), corpus.link_observations().size());
 }
 
@@ -136,22 +136,22 @@ TEST(DegreeHeuristic, AnnotatesEveryObservedLink) {
 
 TEST(TorLocalSearch, ReducesViolationsFromInitialLabelling) {
   const auto corpus = star_corpus();
-  const AsGraph start = make("degree-ratio")->infer(corpus);
-  const AsGraph tuned = make("tor-local-search")->infer(corpus);
+  const auto start = make("degree-ratio")->infer(corpus);
+  const auto tuned = make("tor-local-search")->infer(corpus);
   EXPECT_LE(TorLocalSearch::violations(tuned, corpus),
             TorLocalSearch::violations(start, corpus));
 }
 
 TEST(TorLocalSearch, ConvergesToValleyFreeOnCleanStar) {
   const auto corpus = star_corpus();
-  const AsGraph tuned = make("tor")->infer(corpus);
+  const auto tuned = make("tor")->infer(corpus);
   EXPECT_EQ(TorLocalSearch::violations(tuned, corpus), 0u);
   // Transit skeleton correct where the objective constrains it.
-  EXPECT_EQ(tuned.view(Asn(1), Asn(10)), RelView::kProvider);
+  EXPECT_EQ(tuned.relationship(Asn(1), Asn(10)), RelView::kProvider);
   // The 10-20 link is valley-free both as p2c and as p2p — the documented
   // degeneracy of pure valley-free maximization.  It must at least not be
   // inverted (20 providing 10 would create valleys).
-  const auto view = tuned.view(Asn(20), Asn(10));
+  const auto view = tuned.relationship(Asn(20), Asn(10));
   ASSERT_TRUE(view);
   EXPECT_NE(*view, RelView::kCustomer);
 }
@@ -162,14 +162,14 @@ TEST(TorLocalSearch, ViolationCountsKnownCases) {
   g.add_p2c(Asn(3), Asn(2));  // 3 provides 2
   paths::PathCorpus corpus;
   corpus.add(rec(9, 1, {1, 2, 3}));  // down then up: a valley
-  EXPECT_EQ(TorLocalSearch::violations(g, corpus), 1u);
+  EXPECT_EQ(TorLocalSearch::violations(g.freeze(), corpus), 1u);
   corpus.add(rec(9, 2, {2, 1}));  // pure ascent: fine
-  EXPECT_EQ(TorLocalSearch::violations(g, corpus), 1u);
+  EXPECT_EQ(TorLocalSearch::violations(g.freeze(), corpus), 1u);
 }
 
 TEST(TorLocalSearch, AnnotatesEveryObservedLink) {
   const auto corpus = star_corpus();
-  const AsGraph tuned = make("tor-local-search")->infer(corpus);
+  const auto tuned = make("tor-local-search")->infer(corpus);
   EXPECT_EQ(tuned.link_count(), corpus.link_observations().size());
 }
 

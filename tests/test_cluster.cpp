@@ -293,7 +293,9 @@ TEST(ClusterMap, RendezvousKeepsPrimariesStableUnderMembershipChange) {
         three.value().endpoints()[three.value().replicas(slot)[0]].label();
     const auto after =
         two.value().endpoints()[two.value().replicas(slot)[0]].label();
-    if (before != "h:3") EXPECT_EQ(after, before) << "slot " << slot;
+    if (before != "h:3") {
+      EXPECT_EQ(after, before) << "slot " << slot;
+    }
   }
 }
 
@@ -574,15 +576,36 @@ TEST(ClusterOpLabels, EveryQueryMethodCountsOnceUnderItsCommandWord) {
   EXPECT_TRUE(cluster.try_ping().ok());
 
   // EPOCHS, CONEDIFF and PING name their epochs or none, so they skip the
-  // epoch-pinned dispatch that counts a query.
+  // epoch pinning, but they count like every other query.
   const std::map<std::string, std::uint64_t> expected = {
-      {"algos", 1},    {"clique", 1},    {"cliquepath", 1}, {"cone", 1},
-      {"conesize", 1}, {"customers", 1}, {"disagree", 1},   {"incone", 1},
-      {"intersect", 1}, {"peers", 1},    {"providers", 1},  {"rank", 1},
-      {"rel", 1},      {"stats", 1},     {"top", 1}};
+      {"algos", 1},     {"clique", 1},    {"cliquepath", 1}, {"cone", 1},
+      {"conediff", 1},  {"conesize", 1},  {"customers", 1},  {"disagree", 1},
+      {"epochs", 1},    {"incone", 1},    {"intersect", 1},  {"peers", 1},
+      {"ping", 1},      {"providers", 1}, {"rank", 1},       {"rel", 1},
+      {"stats", 1},     {"top", 1}};
   EXPECT_EQ(requests_by_op(metrics), expected);
   EXPECT_EQ(metrics.render_prometheus().find("asrank_cluster_errors_total{"),
             std::string::npos);
+}
+
+TEST(ClusterOpLabels, FailedConeDiffCountsAsAnErrorUnderItsOp) {
+  MemberServer member(install_two_epochs);
+  auto map = ClusterMap::make({loopback(member.port())}, {});
+  ASSERT_TRUE(map.ok());
+  obs::Registry metrics;
+  ClusterClientConfig config;
+  config.metrics = &metrics;
+  ClusterClient cluster(std::move(map).value(), std::move(config));
+
+  const auto diff = cluster.try_cone_diff(Asn(1), "old", "missing");
+  ASSERT_FALSE(diff.ok());
+  const std::string code(to_string(diff.error().code));
+  EXPECT_EQ(requests_by_op(metrics), (std::map<std::string, std::uint64_t>{{"conediff", 1}}));
+  EXPECT_NE(metrics.render_prometheus().find(
+                "asrank_cluster_errors_total{op=\"conediff\",code=\"" + code + "\"} 1\n"),
+            std::string::npos)
+      << metrics.render_prometheus();
+  EXPECT_EQ(metrics.histogram("asrank_cluster_request_latency_micros").count(), 1u);
 }
 
 // -------------------------------------------------------- epoch consistency --

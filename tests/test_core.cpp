@@ -718,19 +718,21 @@ TEST(Cones, BreakProviderCyclesImposesRankOrder) {
   ASSERT_LT(degrees.rank_of(Asn(1)), degrees.rank_of(Asn(2)));
   ASSERT_LT(degrees.rank_of(Asn(2)), degrees.rank_of(Asn(3)));
 
-  EXPECT_EQ(break_provider_cycles(g, degrees), 1u);
-  EXPECT_TRUE(g.p2c_acyclic());
+  auto view = g.freeze();
+  EXPECT_EQ(break_provider_cycles(view, degrees), 1u);
+  EXPECT_TRUE(provider_components(view).acyclic());
   // Edges agreeing with the ranking are untouched; 3 -> 1 flipped.
-  EXPECT_EQ(g.view(Asn(1), Asn(2)), RelView::kCustomer);
-  EXPECT_EQ(g.view(Asn(2), Asn(3)), RelView::kCustomer);
-  EXPECT_EQ(g.view(Asn(1), Asn(3)), RelView::kCustomer);
-  const auto cones = recursive_cone(g);
+  EXPECT_EQ(view.relationship(Asn(1), Asn(2)), RelView::kCustomer);
+  EXPECT_EQ(view.relationship(Asn(2), Asn(3)), RelView::kCustomer);
+  EXPECT_EQ(view.relationship(Asn(1), Asn(3)), RelView::kCustomer);
+  const auto cones = recursive_cone(view);
   EXPECT_EQ(row(cones, Asn(1)), (std::vector<Asn>{Asn(1), Asn(2), Asn(3)}));
 
   // Acyclic input is the common case and a strict no-op.
-  AsGraph dag = cone_graph();
-  EXPECT_EQ(break_provider_cycles(dag, degrees), 0u);
-  EXPECT_EQ(dag.view(Asn(1), Asn(2)), RelView::kCustomer);
+  const AsGraph dag = cone_graph();
+  auto dag_view = dag.freeze();
+  EXPECT_EQ(break_provider_cycles(dag_view, degrees), 0u);
+  EXPECT_EQ(dag_view.links(), dag.links());
 }
 
 TEST(Cones, BgpObservedNeedsActualPaths) {

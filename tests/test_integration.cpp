@@ -24,14 +24,13 @@ struct World {
   topogen::GroundTruth truth;
   bgpsim::Observation observation;
   core::InferenceResult result;
-  AsGraph inferred;  ///< result.graph as an AsGraph
 };
 
 World make_world(const std::string& preset, std::uint64_t seed,
                  std::size_t full_vps = 30, std::size_t partial_vps = 10) {
   auto gen = topogen::GenParams::preset(preset);
   gen.seed = seed;
-  World world{topogen::generate(gen), {}, {}, {}};
+  World world{topogen::generate(gen), {}, {}};
   bgpsim::ObservationParams obs;
   obs.seed = seed + 1;
   obs.full_vps = full_vps;
@@ -41,7 +40,6 @@ World make_world(const std::string& preset, std::uint64_t seed,
   config.sanitizer.ixp_asns.insert(world.truth.ixp_asns.begin(), world.truth.ixp_asns.end());
   world.result = core::AsRankInference(config).run(
       paths::PathCorpus::from_records(world.observation.routes));
-  world.inferred = world.result.graph.to_graph();
   return world;
 }
 
@@ -71,7 +69,7 @@ TEST(Integration, CliqueRecoveredAlmostExactly) {
 TEST(Integration, AccuracyMeetsPaperBand) {
   const auto& world = small_world();
   const auto accuracy =
-      validation::evaluate_against_truth(world.inferred, world.truth.graph);
+      validation::evaluate_against_truth(world.result.graph, world.truth.graph);
   EXPECT_GT(accuracy.c2p.ppv(), 0.95) << "paper band: 99.6%";
   EXPECT_GT(accuracy.p2p.ppv(), 0.85) << "paper band: 98.7%";
   EXPECT_GT(accuracy.accuracy(), 0.93);
@@ -85,9 +83,9 @@ TEST(Integration, ValidationCorpusPpvTracksTruthPpv) {
   const auto& world = small_world();
   const auto synth = validation::synthesize_validation(world.truth, world.observation,
                                                        validation::SynthesisParams{});
-  const auto ppv = validation::evaluate_ppv(world.inferred, synth.corpus);
+  const auto ppv = validation::evaluate_ppv(world.result.graph, synth.corpus);
   const auto truth_ppv =
-      validation::evaluate_against_truth(world.inferred, world.truth.graph);
+      validation::evaluate_against_truth(world.result.graph, world.truth.graph);
   EXPECT_GT(ppv.validated_links, 0u);
   // The sampled-corpus estimate should be within a few points of exact truth.
   EXPECT_NEAR(ppv.c2p.ppv(), truth_ppv.c2p.ppv(), 0.05);
@@ -106,22 +104,22 @@ TEST(Integration, MrtRoundTripPreservesInference) {
   config.sanitizer.ixp_asns.insert(world.truth.ixp_asns.begin(), world.truth.ixp_asns.end());
   const auto result =
       core::AsRankInference(config).run(paths::PathCorpus::from_records(recovered));
-  EXPECT_EQ(result.graph.to_graph().links(), world.inferred.links());
+  EXPECT_EQ(result.graph.links(), world.result.graph.links());
   EXPECT_EQ(result.clique, world.result.clique);
 }
 
 TEST(Integration, AsRelExportReimportIdentity) {
   const auto& world = small_world();
   std::stringstream text;
-  write_as_rel(world.inferred, text);
+  write_as_rel(world.result.graph, text);
   const AsGraph parsed = read_as_rel(text);
-  EXPECT_EQ(parsed.links(), world.inferred.links());
+  EXPECT_EQ(parsed.links(), world.result.graph.links());
 }
 
 TEST(Integration, DeterministicEndToEnd) {
   const auto a = make_world("tiny", 9);
   const auto b = make_world("tiny", 9);
-  EXPECT_EQ(a.inferred.links(), b.inferred.links());
+  EXPECT_EQ(a.result.graph.links(), b.result.graph.links());
   EXPECT_EQ(a.result.clique, b.result.clique);
   const auto cones_a = core::recursive_cone(a.result.graph);
   const auto cones_b = core::recursive_cone(b.result.graph);
@@ -202,7 +200,7 @@ TEST(Integration, AsRankOutperformsGaoOnPpv) {
   const auto gao_graph = baselines::GaoInference().infer(corpus);
   const auto gao = validation::evaluate_against_truth(gao_graph, world.truth.graph);
   const auto ours =
-      validation::evaluate_against_truth(world.inferred, world.truth.graph);
+      validation::evaluate_against_truth(world.result.graph, world.truth.graph);
   EXPECT_GT(ours.accuracy(), gao.accuracy());
 }
 
@@ -212,7 +210,7 @@ TEST_P(SeedSweep, PipelineInvariantsAcrossSeeds) {
   const auto world = make_world("small", GetParam(), 20, 6);
   EXPECT_TRUE(world.result.audit.p2c_acyclic);
   const auto accuracy =
-      validation::evaluate_against_truth(world.inferred, world.truth.graph);
+      validation::evaluate_against_truth(world.result.graph, world.truth.graph);
   EXPECT_GT(accuracy.accuracy(), 0.90) << "seed " << GetParam();
   EXPECT_LT(accuracy.unknown_links, world.result.graph.link_count() / 50);
   // Clique recovery: at least all-but-one member, no false members beyond one.

@@ -30,7 +30,7 @@ TEST(Smoke, EndToEndPipeline) {
   EXPECT_TRUE(result.audit.p2c_acyclic);
   EXPECT_GT(result.graph.link_count(), 0u);
 
-  const auto accuracy = validation::evaluate_against_truth(result.graph.to_graph(), truth.graph);
+  const auto accuracy = validation::evaluate_against_truth(result.graph, truth.graph);
   EXPECT_GT(accuracy.accuracy(), 0.8);
 
   const auto cones = core::recursive_cone(result.graph);

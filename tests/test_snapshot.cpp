@@ -115,9 +115,9 @@ TEST(Snapshot, RankingMatchesBatchPipeline) {
   corpus.add({Asn(1), Prefix::v4(1 << 8, 24), AsPath({1, 3, 4})});
   corpus.add({Asn(1), Prefix::v4(2 << 8, 24), AsPath({2, 3, 4})});
   const auto degrees = core::Degrees::compute(corpus);
-  const auto graph = make_graph();
-  const auto cones = core::recursive_cone(graph);
-  const auto index = build_snapshot(graph, degrees, cones, make_clique());
+  const auto view = make_graph().freeze();
+  const auto cones = core::recursive_cone(view);
+  const auto index = build_snapshot(view, degrees, cones, make_clique());
 
   const auto expected = core::rank_by_cone(cones, degrees);
   const auto got = index.top(expected.size() + 10);  // over-ask: clamps

@@ -250,7 +250,7 @@ TEST(Ppv, ScoresAgainstCorpus) {
   corpus.add({Asn(1), Asn(2), LinkType::kP2C, Source::kDirectReport});
   corpus.add({Asn(4), Asn(3), LinkType::kP2C, Source::kRpsl});
   corpus.add({Asn(5), Asn(6), LinkType::kP2P, Source::kCommunities});
-  const auto report = evaluate_ppv(inferred, corpus);
+  const auto report = evaluate_ppv(inferred.freeze(), corpus);
   EXPECT_EQ(report.inferred_links, 4u);
   EXPECT_EQ(report.validated_links, 3u);
   EXPECT_NEAR(report.coverage(), 0.75, 1e-9);
@@ -268,7 +268,7 @@ TEST(Ppv, ScoresAgainstCorpus) {
 TEST(Ppv, EmptyCorpusGivesZeroCoverage) {
   AsGraph inferred;
   inferred.add_p2p(Asn(1), Asn(2));
-  const auto report = evaluate_ppv(inferred, ValidationCorpus{});
+  const auto report = evaluate_ppv(inferred.freeze(), ValidationCorpus{});
   EXPECT_EQ(report.validated_links, 0u);
   EXPECT_DOUBLE_EQ(report.coverage(), 0.0);
   EXPECT_DOUBLE_EQ(report.overall.ppv(), 0.0);
@@ -286,7 +286,7 @@ TEST(Ppv, TruthAccuracyCategories) {
   inferred.add_p2p(Asn(5), Asn(6));  // sibling: excluded
   inferred.add_p2p(Asn(7), Asn(8));  // unknown link
 
-  const auto result = evaluate_against_truth(inferred, truth);
+  const auto result = evaluate_against_truth(inferred.freeze(), truth);
   EXPECT_EQ(result.compared, 3u);
   EXPECT_EQ(result.unknown_links, 1u);
   EXPECT_EQ(result.s2s_links, 1u);
@@ -301,7 +301,7 @@ TEST(Ppv, DirectionErrorCounted) {
   truth.add_p2c(Asn(1), Asn(2));
   AsGraph inferred;
   inferred.add_p2c(Asn(2), Asn(1));  // flipped
-  const auto result = evaluate_against_truth(inferred, truth);
+  const auto result = evaluate_against_truth(inferred.freeze(), truth);
   EXPECT_EQ(result.direction_errors, 1u);
   EXPECT_EQ(result.c2p.correct, 0u);
 }
