@@ -30,22 +30,16 @@ std::optional<Asn> parse_field_asn(std::string_view field) {
   return Asn(*value);
 }
 
-void write_as_rel_lines(std::size_t as_count, const std::vector<Link>& links, std::ostream& os) {
-  os << "# " << as_count << " ASes, " << links.size() << " links\n";
-  os << "# format: <provider|peer>|<customer|peer>|<-1 p2c, 0 p2p, 2 s2s>\n";
-  for (const Link& link : links) {
-    os << link.a.value() << '|' << link.b.value() << '|' << as_rel_code(link.type) << '\n';
-  }
-}
-
 }  // namespace
 
-void write_as_rel(const AsGraph& graph, std::ostream& os) {
-  write_as_rel_lines(graph.as_count(), graph.links(), os);
-}
+void write_as_rel(const AsGraph& graph, std::ostream& os) { write_as_rel(graph.freeze(), os); }
 
 void write_as_rel(const topology::TopologyView& view, std::ostream& os) {
-  write_as_rel_lines(view.node_count(), view.links(), os);
+  os << "# " << view.node_count() << " ASes, " << view.link_count() << " links\n";
+  os << "# format: <provider|peer>|<customer|peer>|<-1 p2c, 0 p2p, 2 s2s>\n";
+  for (const Link& link : view.links()) {
+    os << link.a.value() << '|' << link.b.value() << '|' << as_rel_code(link.type) << '\n';
+  }
 }
 
 Result<AsGraph> try_read_as_rel(std::istream& is) {

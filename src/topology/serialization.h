@@ -24,8 +24,9 @@ namespace topology {
 class TopologyView;
 }
 
-/// Write the graph in .as-rel format (deterministic link order).  Both
-/// overloads emit the same bytes for the same graph.
+/// Write the graph in .as-rel format (deterministic link order).  An
+/// AsGraph is frozen first, so both overloads emit the same bytes for the
+/// same graph.
 void write_as_rel(const AsGraph& graph, std::ostream& os);
 void write_as_rel(const topology::TopologyView& view, std::ostream& os);
 
