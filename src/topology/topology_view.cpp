@@ -127,21 +127,9 @@ TopologyView TopologyView::from_link_table(const AsnInterner& ids,
 AsGraph TopologyView::to_graph() const {
   AsGraph graph;
   for (NodeId node = 0; node < node_count(); ++node) {
-    const Asn as = interner_.asn_of(node);
-    if (degree(node) == 0) graph.add_as(as);
-    const auto nbrs = neighbors(node);
-    const auto codes = rels(node);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (nbrs[i] < node) continue;  // added from the lower end
-      const Asn other = interner_.asn_of(nbrs[i]);
-      switch (static_cast<RelView>(codes[i])) {
-        case RelView::kCustomer: graph.add_p2c(as, other); break;
-        case RelView::kProvider: graph.add_p2c(other, as); break;
-        case RelView::kPeer: graph.add_p2p(as, other); break;
-        case RelView::kSibling: graph.add_s2s(as, other); break;
-      }
-    }
+    if (degree(node) == 0) graph.add_as(interner_.asn_of(node));
   }
+  for (const Link& link : links()) graph.set_relationship(link.a, link.b, link.type);
   return graph;
 }
 
