@@ -67,23 +67,4 @@ std::vector<std::uint32_t> ConeBitset::intersect_ids(std::uint32_t a,
   return out;
 }
 
-std::vector<std::uint32_t> ConeBitset::andnot_ids(
-    std::uint32_t id, std::span<const std::uint64_t> mask) const {
-  std::vector<std::uint32_t> out;
-  topology::for_each_andnot(row(id), mask, [&out](std::size_t bit) {
-    out.push_back(static_cast<std::uint32_t>(bit));
-  });
-  return out;
-}
-
-std::vector<std::uint64_t> ConeBitset::make_mask(
-    std::span<const std::uint32_t> ids) const {
-  std::vector<std::uint64_t> mask(words_per_row_, 0);
-  const std::size_t n = row_of_.size();
-  for (const std::uint32_t id : ids) {
-    if (id < n) mask[id >> 6] |= 1ULL << (id & 63);
-  }
-  return mask;
-}
-
 }  // namespace asrank::core

@@ -4,10 +4,13 @@
 // and O(|a|+|b|) to intersect.  At query rates that linear merge is the
 // bottleneck, so ConeBitset re-expresses selected cones as dense bit rows
 // over the snapshot's node-id space: one bit per AS, one row per covered
-// cone.  Intersection becomes a word-wise AND, diff an ANDNOT, membership
-// one shift-and-mask — and because id order equals ASN order, extracting
-// set bits in ascending id order reproduces the sorted-array results
-// exactly (verified pairwise by tests/test_differential.cpp).
+// cone.  Intersection becomes a word-wise AND, or one shift-and-mask per
+// member when only one side has a row — and because id order equals ASN
+// order, extracting set bits in ascending id order reproduces the
+// sorted-array results exactly (verified pairwise by
+// tests/test_differential.cpp).  Cone difference and membership are not
+// served from here: their operands are sorted ASN arrays already, and
+// translating members into ids costs a search of the AS table each.
 //
 // Rows are materialized only for cones of at least `min_cone_size` members:
 // big cones are where the linear merge hurts and where bit rows amortize;
@@ -70,17 +73,6 @@ class ConeBitset {
   /// for both ids.
   [[nodiscard]] std::vector<std::uint32_t> intersect_ids(std::uint32_t a,
                                                          std::uint32_t b) const;
-
-  /// Ascending ids in the cone of `id` whose bit is clear in `mask` (an
-  /// ANDNOT loop).  `mask` shorter than a row is zero-extended.  Requires
-  /// has_row(id).
-  [[nodiscard]] std::vector<std::uint32_t> andnot_ids(
-      std::uint32_t id, std::span<const std::uint64_t> mask) const;
-
-  /// A row-width word mask with the given ids' bits set (ids ≥ node_count()
-  /// are ignored) — the translation step of a cross-epoch CONE_DIFF.
-  [[nodiscard]] std::vector<std::uint64_t> make_mask(
-      std::span<const std::uint32_t> ids) const;
 
  private:
   static constexpr std::uint32_t kNoRow = 0xffffffffu;

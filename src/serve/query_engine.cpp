@@ -153,14 +153,6 @@ std::span<const Asn> QueryEngine::cone(Asn as) {
 
 bool QueryEngine::in_cone(Asn as, Asn member) {
   Timer timer(*this, QueryType::kInCone);
-  if (const auto id = view_->node_id(as)) {
-    const auto& bits = cone_bits();
-    if (bits.has_row(*id)) {
-      kernel_bitset_->inc();
-      const auto member_id = view_->node_id(member);
-      return member_id.has_value() && bits.contains(*id, *member_id);
-    }
-  }
   kernel_sorted_->inc();
   return view_->in_cone(as, member);
 }
@@ -228,32 +220,13 @@ AsnList QueryEngine::cone_intersection(Asn a, Asn b) {
 }
 
 std::vector<Asn> QueryEngine::cone_minus(Asn as, std::span<const Asn> other) {
+  // Both sides are ascending ASN arrays, and one AS's cones in two epochs
+  // are nearly equal, so the merge is a predictable linear walk.
+  const auto mine = view_->cone(as);
   std::vector<Asn> out;
-  const auto id = view_->node_id(as);
-  const auto& bits = cone_bits();
-  if (id && bits.has_row(*id)) {
-    // Translate `other` into this epoch's id space (ASNs unknown here can't
-    // be members of this cone, so dropping them from the mask is exact) and
-    // subtract with one ANDNOT pass.
-    std::vector<std::uint32_t> other_ids;
-    other_ids.reserve(other.size());
-    for (const Asn member : other) {
-      if (const auto member_id = view_->node_id(member)) {
-        other_ids.push_back(*member_id);
-      }
-    }
-    const auto ids = bits.andnot_ids(*id, bits.make_mask(other_ids));
-    out.reserve(ids.size());
-    for (const std::uint32_t member_id : ids) {
-      out.push_back(view_->asn_at(member_id));
-    }
-    kernel_bitset_->inc();
-  } else {
-    const auto mine = view_->cone(as);
-    std::set_difference(mine.begin(), mine.end(), other.begin(), other.end(),
-                        std::back_inserter(out));
-    kernel_sorted_->inc();
-  }
+  std::set_difference(mine.begin(), mine.end(), other.begin(), other.end(),
+                      std::back_inserter(out));
+  kernel_sorted_->inc();
   return out;
 }
 

@@ -2,7 +2,7 @@
 //
 // The engine mirrors the index's accessors and adds per-query-type latency
 // histograms (exposed via the STATS and METRICS opcodes and the serving
-// bench), the cone bitset kernels, and the two derived queries — cone
+// bench), the cone bitset intersection kernel, and the two derived queries — cone
 // intersection and provider-path-to-clique (BFS).  All entry points are
 // thread-safe: the index is held by shared_ptr-to-const and immutable,
 // metric observations are lock-free atomics (obs::Registry), the cone
@@ -62,10 +62,11 @@ class QueryEngine {
   /// The snapshot is shared, not copied, so several engines (or an engine
   /// plus background analysis) can serve one loaded index.  `registry`
   /// receives the engine's query metrics and must outlive it.  `cone_config`
-  /// tunes the blocked-bitset cone kernels (core::ConeBitset, built lazily
-  /// on the first cone intersection/diff/membership query); pass
-  /// ConeBitsetConfig::disabled() to force the sorted-array kernels — the
-  /// answers are identical either way (tests/test_differential.cpp).
+  /// tunes the blocked-bitset cone intersection kernel (core::ConeBitset,
+  /// built lazily on the first cone intersection query); pass
+  /// ConeBitsetConfig::disabled() to force the sorted-array merge — the
+  /// answers are identical either way (tests/test_differential.cpp).  Cone
+  /// difference and membership always run on the sorted arrays.
   /// `algo_slot` selects which algorithm section of a multi-algorithm
   /// snapshot the engine answers from (SnapshotIndex::algorithm_at); slot 0
   /// is the primary and the only valid slot for single-algorithm files.
@@ -109,8 +110,7 @@ class QueryEngine {
   [[nodiscard]] AsnList cone_intersection(Asn a, Asn b);
   /// Members of `as`'s cone absent from `other` (a sorted ASN list, e.g.
   /// the same AS's cone in another epoch) — one direction of a CONE_DIFF.
-  /// Runs as an ANDNOT loop when `as` has a bitset row, else as a sorted
-  /// set difference; the result is ascending either way.
+  /// One sorted set difference; the result is ascending.
   [[nodiscard]] std::vector<Asn> cone_minus(Asn as, std::span<const Asn> other);
   /// Shortest provider-chain from `as` to any clique member (BFS over
   /// provider links; ties broken toward lower ASNs, so the result is
@@ -134,7 +134,7 @@ class QueryEngine {
   void record(QueryType type, std::uint64_t micros);
 
   /// The per-epoch cone bitset, built thread-safely on first use (cone
-  /// kernels only; engines that never see a cone query never pay for it).
+  /// intersection only; engines that never see one never pay for it).
   [[nodiscard]] const core::ConeBitset& cone_bits();
 
   std::shared_ptr<const snapshot::SnapshotIndex> index_;
@@ -156,7 +156,8 @@ class QueryEngine {
   /// asrankd_algo_queries_total{algo=...}: per-algorithm query volume.
   obs::Counter* algo_queries_total_ = nullptr;
   /// asrankd_cone_kernel_total{kernel=bitset|hybrid|sorted}: which kernel
-  /// answered each cone intersection/diff/membership query.
+  /// answered each cone intersection/diff/membership query (diff and
+  /// membership always count as sorted).
   obs::Counter* kernel_bitset_ = nullptr;
   obs::Counter* kernel_hybrid_ = nullptr;
   obs::Counter* kernel_sorted_ = nullptr;

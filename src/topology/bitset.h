@@ -1,8 +1,8 @@
 // Blocked bitsets over dense node ids, plus the word-span kernels the hot
 // paths are built from.  One bit per NodeId, 64 ids per machine word, so
 // set algebra over id sets (cone unions in core/cones.cpp, cone
-// intersection/diff in the serving layer's core::ConeBitset) runs as
-// word-wise OR/AND/ANDNOT loops with popcount/countr_zero extraction —
+// intersection in the serving layer's core::ConeBitset) runs as
+// word-wise OR/AND loops with popcount/countr_zero extraction —
 // cache-linear, branch-light, and extraction order is ascending id, which
 // is ascending ASN everywhere the snapshot id space is in play.  That
 // ordering is what lets bitset kernels reproduce the sorted-array kernels
@@ -71,20 +71,6 @@ inline void for_each_and(std::span<const std::uint64_t> a,
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t w = 0; w < n; ++w) {
     std::uint64_t word = a[w] & b[w];
-    while (word != 0) {
-      fn((w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-      word &= word - 1;
-    }
-  }
-}
-
-/// fn(bit_index) for every bit set in a but not b, ascending.  b may be
-/// shorter than a; its missing tail is treated as all-zero.
-template <typename Fn>
-inline void for_each_andnot(std::span<const std::uint64_t> a,
-                            std::span<const std::uint64_t> b, Fn&& fn) {
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    std::uint64_t word = w < b.size() ? a[w] & ~b[w] : a[w];
     while (word != 0) {
       fn((w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
       word &= word - 1;
