@@ -27,6 +27,7 @@
 // dropping in-flight queries (see snapshot_registry.h).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -138,11 +139,22 @@ class Server {
   obs::Counter* frames_total_;            ///< asrankd_frames_total
   obs::Counter* text_commands_total_;     ///< asrankd_text_commands_total
   obs::Counter* protocol_errors_total_;   ///< asrankd_protocol_errors_total
-  obs::Counter* peer_resets_total_;       ///< asrankd_connections_closed_total{reason="peer_reset"}
   obs::Counter* shed_total_;              ///< asrankd_connections_shed_total
   obs::Counter* idle_timeouts_total_;     ///< asrankd_idle_timeouts_total
   obs::Counter* deadline_timeouts_total_; ///< asrankd_deadline_timeouts_total
   obs::Counter* admission_steals_total_;  ///< asrankd_runtime_admission_steals_total
+
+  /// Why a connection closed: clean EOF, QUIT, idle timeout, read deadline,
+  /// server shutdown, peer reset, or any other framing/socket error.
+  enum class CloseReason : std::uint8_t {
+    kEof, kQuit, kIdle, kDeadline, kShutdown, kPeerReset, kError
+  };
+  /// asrankd_connections_closed_total{reason=...}, indexed by CloseReason:
+  /// every adopted or queued connection counts once when it closes.
+  std::array<obs::Counter*, 7> closed_total_{};
+  void count_close(CloseReason reason) noexcept {
+    closed_total_[static_cast<std::size_t>(reason)]->inc();
+  }
 
   // Runtime state, alive for the duration of run().
   std::unique_ptr<runtime::TaskScheduler> scheduler_;

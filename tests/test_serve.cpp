@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -1561,6 +1562,111 @@ TEST(Server, PeerResetsAreCountedAsExpectedCloses) {
 
   server.stop();
   runner.join();
+}
+
+TEST(Server, EveryCloseIsCountedOnceUnderItsReason) {
+  ServeRig rig;
+  ServerConfig config;
+  config.port = 0;
+  config.threads = 1;
+  config.idle_timeout_ms = 500;  // long enough that no other close races it
+  config.query_deadline_ms = 500;
+  Server server(*rig.snapshots, config);
+  std::thread runner([&server] { server.run(); });
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  const auto dial = [&addr] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    return fd;
+  };
+  const auto ping = [](int fd) {
+    write_all(fd, "PING\n", 5);
+    std::string reply;
+    char c = 0;
+    while (!reply.ends_with("\n") && read_exact(fd, &c, 1)) reply.push_back(c);
+    EXPECT_EQ(reply, "OK pong\n");
+  };
+  // Read until the server closes; then the close is already counted.
+  const auto await_close = [](int fd) {
+    char c = 0;
+    while (read_exact(fd, &c, 1)) {
+    }
+    ::close(fd);
+  };
+  const std::array<const char*, 7> reasons = {
+      "eof", "quit", "idle", "deadline", "shutdown", "peer_reset", "error"};
+  const auto closed = [&rig](const char* reason) {
+    return rig.metrics
+        .counter("asrankd_connections_closed_total", "Connections closed, by reason",
+                 {{"reason", reason}})
+        .value();
+  };
+
+  // idle: sends nothing.  deadline: a binary marker and no length.  Both
+  // run out while the closes below happen.
+  const int idle = dial();
+  const int stalled = dial();
+  const std::uint8_t marker = kBinaryMarker;
+  write_all(stalled, &marker, 1);
+
+  // eof: our FIN after a reply.
+  const int eof = dial();
+  ping(eof);
+  ASSERT_EQ(::shutdown(eof, SHUT_WR), 0);
+  await_close(eof);
+  // quit: the text command.
+  const int quit = dial();
+  ping(quit);
+  write_all(quit, "QUIT\n", 5);
+  await_close(quit);
+  // error: a frame length past the limit.
+  const int error = dial();
+  const std::uint8_t oversized[] = {kBinaryMarker, 0xff, 0xff, 0xff, 0xff};
+  write_all(error, oversized, sizeof oversized);
+  await_close(error);
+  // peer_reset: linger {1, 0} makes close() send RST.
+  const int reset = dial();
+  ping(reset);
+  const linger rst{1, 0};
+  ASSERT_EQ(::setsockopt(reset, SOL_SOCKET, SO_LINGER, &rst, sizeof rst), 0);
+  ::close(reset);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (closed("peer_reset") == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  await_close(idle);
+  await_close(stalled);
+
+  // shutdown: still open when the server stops.
+  const int open = dial();
+  ping(open);
+  server.stop();
+  runner.join();
+  await_close(open);
+
+  std::uint64_t total = 0;
+  for (const char* reason : reasons) {
+    EXPECT_EQ(closed(reason), 1u) << reason;
+    total += closed(reason);
+  }
+  EXPECT_EQ(total, rig.metrics.counter("asrankd_connections_total",
+                                       "TCP connections accepted")
+                       .value());
+  EXPECT_EQ(total, 7u);
+  EXPECT_EQ(rig.metrics
+                .counter("asrankd_idle_timeouts_total",
+                         "Connections closed after the idle timeout")
+                .value(),
+            1u);
+  EXPECT_EQ(rig.metrics
+                .counter("asrankd_deadline_timeouts_total",
+                         "Connections closed when a request missed its read deadline")
+                .value(),
+            1u);
 }
 
 TEST(Server, ConcurrentReloadTorture) {
