@@ -25,13 +25,12 @@ IrrDatabase parse_irr(std::istream& is) {
 
   // Object state: at most one of these is active.
   std::optional<RouteObject> route;
+  std::size_t route_line = 0;
   std::optional<AsSet> as_set;
 
   auto flush = [&] {
     if (route) {
-      if (!route->origin.valid()) {
-        throw std::runtime_error("irr: route object without origin");
-      }
+      if (!route->origin.valid()) fail(route_line, "route object without origin");
       database.routes.push_back(*route);
     }
     if (as_set) database.as_sets.emplace(as_set->name, std::move(*as_set));
@@ -57,6 +56,7 @@ IrrDatabase parse_irr(std::istream& is) {
       const auto prefix = Prefix::parse(rest);
       if (!prefix) fail(line_no, "malformed route prefix");
       route = RouteObject{*prefix, Asn{}};
+      route_line = line_no;
     } else if (attr == "origin" && route) {
       const auto origin = Asn::parse(rest);
       if (!origin) fail(line_no, "malformed origin");

@@ -32,16 +32,22 @@ struct AsSet {
   std::string name;                  ///< e.g. "AS-EXAMPLE" (upper-cased)
   std::vector<Asn> asn_members;
   std::vector<std::string> set_members;  ///< nested as-set names
+
+  friend bool operator==(const AsSet&, const AsSet&) = default;
 };
 
 struct IrrDatabase {
   std::vector<RouteObject> routes;
   std::unordered_map<std::string, AsSet> as_sets;  ///< keyed by name
+
+  friend bool operator==(const IrrDatabase&, const IrrDatabase&) = default;
 };
 
 /// Parse a stream of route / as-set objects separated by blank lines.
-/// Unknown attributes and other object classes are ignored; malformed
-/// route/origin/members lines raise std::runtime_error with a line number.
+/// Unknown attributes and other object classes are ignored; a malformed
+/// route/origin line, an empty as-set name, or a route object that ends
+/// without a valid origin raises std::runtime_error("irr line <n>: ..."),
+/// where n is the offending line (the `route:` line for a missing origin).
 [[nodiscard]] IrrDatabase parse_irr(std::istream& is);
 
 /// Render back to RPSL text (round-trip tested).

@@ -25,11 +25,15 @@ struct RpslPolicy {
   bool export_any = false;   ///< announce ANY to neighbour
   bool has_import = false;
   bool has_export = false;
+
+  friend bool operator==(const RpslPolicy&, const RpslPolicy&) = default;
 };
 
 struct AutNum {
   Asn as;
   std::vector<RpslPolicy> policies;
+
+  friend bool operator==(const AutNum&, const AutNum&) = default;
 };
 
 /// Parse a stream of aut-num objects separated by blank lines.  Unknown
