@@ -9,6 +9,7 @@
 #include "topology/as_graph.h"
 #include "topology/relationship.h"
 #include "topology/serialization.h"
+#include "text_fuzz.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -384,31 +385,27 @@ std::string fuzz_ppdc_text(util::Rng& rng) {
   return text;
 }
 
-/// One digest over a text reader's outcomes.
-class FuzzDigest {
- public:
-  void add(std::uint64_t v) noexcept { h_ = util::mix64(h_, v); }
-  /// Fold a failed parse, which must be a kCorrupt "line <n>: ..." error:
-  /// its code and context.
-  void fold_error(const Error& error) {
-    add(1);
-    add(static_cast<std::uint64_t>(error.code));
-    add(util::fnv1a_64(error.context));
-    EXPECT_EQ(error.code, ErrorCode::kCorrupt);
-    EXPECT_EQ(error.context.rfind("line ", 0), 0u) << error.context;
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+using text_fuzz::Digest;
+using text_fuzz::PinnedDigests;
+using text_fuzz::flip_digest;
+using text_fuzz::prefix_digest;
 
- private:
-  std::uint64_t h_ = 0;
-};
+/// Fold a failed parse, which must be a kCorrupt "line <n>: ..." error: its
+/// code and context.
+void fold_error(Digest& digest, const Error& error) {
+  digest.add(1);
+  digest.add(static_cast<std::uint64_t>(error.code));
+  digest.add(util::fnv1a_64(error.context));
+  EXPECT_EQ(error.code, ErrorCode::kCorrupt);
+  EXPECT_EQ(error.context.rfind("line ", 0), 0u) << error.context;
+}
 
 /// Parse `text` as .ppdc and fold the outcome: every (AS, members) row in
 /// key order, or the error.
-void fold_ppdc(FuzzDigest& digest, const std::string& text) {
+void fold_ppdc(Digest& digest, const std::string& text) {
   std::stringstream is(text);
   const auto parsed = try_read_ppdc(is);
-  if (!parsed.ok()) return digest.fold_error(parsed.error());
+  if (!parsed.ok()) return fold_error(digest, parsed.error());
   digest.add(0);
   digest.add(parsed.value().size());
   for (const auto& [as, members] : parsed.value()) {
@@ -419,44 +416,12 @@ void fold_ppdc(FuzzDigest& digest, const std::string& text) {
 }
 
 /// Per-seed digests (seeds 1..4), each over three texts' outcomes.
-using PinnedDigests = std::array<std::uint64_t, 4>;
 constexpr PinnedDigests kPpdcPrefixDigests = {
     0x1cd4282908c065acULL, 0x784b60fd6e0a1f0fULL,
     0xb7b8d956ce855a54ULL, 0xadce1689e4144c04ULL};
 constexpr PinnedDigests kPpdcFlipDigests = {
     0x146f245cea3caf3eULL, 0xa80da2fad330c9a0ULL,
     0xe7baf6e4ff5e7a6cULL, 0xab4b1ffa77a64a41ULL};
-
-/// Digest of the outcomes of every prefix of three seeded texts.
-template <typename TextFn, typename FoldFn>
-std::uint64_t prefix_digest(std::uint64_t seed, const TextFn& make_text, const FoldFn& fold) {
-  util::Rng rng(seed);
-  FuzzDigest digest;
-  for (int text_no = 0; text_no < 3; ++text_no) {
-    const std::string text = make_text(rng);
-    for (std::size_t length = 0; length <= text.size(); ++length) {
-      fold(digest, text.substr(0, length));
-    }
-  }
-  return digest.value();
-}
-
-/// Digest of the outcomes of one seeded flip of each byte of three seeded
-/// texts.
-template <typename TextFn, typename FoldFn>
-std::uint64_t flip_digest(std::uint64_t seed, const TextFn& make_text, const FoldFn& fold) {
-  util::Rng rng(seed + 1000);
-  FuzzDigest digest;
-  for (int text_no = 0; text_no < 3; ++text_no) {
-    const std::string text = make_text(rng);
-    for (std::size_t at = 0; at < text.size(); ++at) {
-      std::string flipped = text;
-      flipped[at] ^= static_cast<char>(1 + rng.uniform(255));
-      fold(digest, flipped);
-    }
-  }
-  return digest.value();
-}
 
 TEST(PpdcFuzz, EveryPrefixParsesOrFailsWithALineError) {
   for (std::uint64_t seed = 1; seed <= kPpdcPrefixDigests.size(); ++seed) {
@@ -504,10 +469,10 @@ std::string fuzz_as_rel_text(util::Rng& rng) {
 
 /// Parse `text` as .as-rel and fold the outcome: the AS count and every
 /// link in normalized order with its type, or the error.
-void fold_as_rel(FuzzDigest& digest, const std::string& text) {
+void fold_as_rel(Digest& digest, const std::string& text) {
   std::stringstream is(text);
   const auto parsed = try_read_as_rel(is);
-  if (!parsed.ok()) return digest.fold_error(parsed.error());
+  if (!parsed.ok()) return fold_error(digest, parsed.error());
   digest.add(0);
   digest.add(parsed.value().as_count());
   for (const Link& link : parsed.value().links()) {
